@@ -53,12 +53,16 @@ class OnePhotonIntermediates:
 class OnePhotonResult:
     """Steady-state excitations induced by the anti-rotating coupling term.
 
-    ``nsz_mean`` (the <n sigma_z> moment quantifying atom-field correlation)
-    is ``None`` when ``lam + kappa == 0``, where its prefactor is undefined.
+    ``e_minus_n`` is <E> - <n> taken in 50 digits before rounding: when kappa
+    and lam nearly coincide the two means agree beyond double precision, and
+    the difference of their floats cancels to zero.  ``nsz_mean`` (the
+    <n sigma_z> moment quantifying atom-field correlation) is ``None`` when
+    ``lam + kappa == 0``, where its prefactor is undefined.
     """
 
     n_mean: float
     e_mean: float
+    e_minus_n: float
     nsz_mean: float | None
 
 
@@ -108,10 +112,12 @@ def one_photon_excitations(params: RabiParams) -> OnePhotonResult:
             )
         n_mean = (pump / denom) * (2 * pump + lam * lorentz)
         e_mean = (pump / denom) * (2 * pump + kappa * lorentz)
-        nsz = lam / (lam + kappa) * (e_mean - n_mean) if lam + kappa > 0 else None
+        diff = e_mean - n_mean
+        nsz = lam / (lam + kappa) * diff if lam + kappa > 0 else None
     return OnePhotonResult(
         n_mean=float(n_mean),
         e_mean=float(e_mean),
+        e_minus_n=float(diff),
         nsz_mean=None if nsz is None else float(nsz),
     )
 

@@ -1,15 +1,17 @@
 """Command-line interface writing figure-style parameter sweeps as CSV.
 
-Subcommands: ``sweep-omega``, ``sweep-gamma``, ``damping-map``,
-``distribution``, ``trajectories``, ``convergence``.
+``sweep-omega``, ``sweep-gamma``, ``damping-map`` and ``distribution`` are
+grids of steady-state solves run by one engine, ``_run_grid``;
+``trajectories`` and ``convergence`` have runners of their own.  Every option
+is declared once in ``_OPTIONS``, which drives the parser, the config-file
+casts and the defaults.  A config file (``--config``) holds flat
+``key = value`` lines with ``#`` comments; flags override it.
 
-Options can come from a flat config file (``key = value`` lines, ``#``
-comments) named by ``--config``; any key can be overridden by the
-command-line flag of the same name.  CSV artifacts use a header row,
-scientific notation with 12 significant digits and LF line endings, and are
-byte-for-byte deterministic for a fixed configuration and seed.  Per-point
-solver failures are recorded in the ``error`` column and the exit code is
-nonzero while the remaining rows still run.
+CSV artifacts use a header row, 12 significant digits and LF line endings,
+and are byte-for-byte deterministic for a fixed configuration and seed.
+Exit codes: 0 on success; 2 on a configuration error (one ``error:`` line,
+no CSV written); 3 when the solver failed at some grid points, each recorded
+in the ``error`` column while the remaining rows still run.
 """
 
 from __future__ import annotations
@@ -19,13 +21,17 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .analytic import one_photon_excitations, thermal_distribution
-from .hilbert import basis_ket
+from .hilbert import Boson, CompositeSpace, annihilation, basis_ket, number
+from .liouville import LindbladTerm
 from .models import (
+    SCENARIOS,
     Coupling,
     ModelSpec,
     RabiParams,
@@ -33,9 +39,10 @@ from .models import (
     build_hamiltonian,
     build_liouvillian,
     build_space,
+    excitation_operator,
     scenario_parasitic,
 )
-from .observables import photon_distribution, report
+from .observables import ObservableReport, report
 from .steady import convergence_scan, steady_state
 from .trajectories import ensemble_average, unravel
 
@@ -83,19 +90,92 @@ def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
 
 
 @dataclass(frozen=True)
-class _PointTask:
-    """Picklable description of one steady-state solve for the worker pool."""
+class _Option:
+    """One option: its flags, its cast (flag and config value alike), its help
+    and its default; ``None`` means unset."""
 
-    scenario: str
-    coupling: str
-    cutoff: int
-    omega: float
-    g: float
-    kappa: float
-    lam: float
-    gamma: float
-    nbar: float
-    want_distribution: bool = False
+    flags: tuple[str, ...]
+    cast: Callable[[str], object]
+    help: str
+    default: object = None
+    choices: tuple[str, ...] | None = None
+
+
+_OPTIONS = {
+    "out": _Option(("--out",), str, "output CSV path"),
+    "scenario": _Option(("--scenario",), str, "spectator configuration", "bare",
+                        tuple(SCENARIOS)),
+    "coupling": _Option(("--coupling",), str, "coupling form", "full",
+                        tuple(c.value for c in Coupling)),
+    "omega": _Option(("--omega",), float, "atomic transition frequency", 1.0),
+    "g": _Option(("--g",), float, "atom-field coupling constant", 0.05),
+    "kappa": _Option(("--kappa",), float, "cavity relaxation rate", 1e-6),
+    "lam": _Option(("--lambda",), float, "atomic relaxation rate", 1e-6),
+    "gamma_rate": _Option(("--gamma-rate",), float, "pure dephasing rate (defaults to lambda/4)"),
+    "nbar": _Option(("--nbar",), float, "reservoir mean photon number (experimental)", 0.0),
+    "seed": _Option(("--seed",), int, "base seed of the trajectory ensemble", 1234),
+    "workers": _Option(("--workers",), int, "worker processes for grid points", 1),
+    "cutoffs": _Option(("--cutoff", "--cutoffs"), _ints, "comma-separated Fock cutoffs", (1, 2)),
+    "cutoff": _Option(("--cutoff",), int, "Fock cutoff per mode", 2),
+    "omega_grid": _Option(("--omega-grid",), _floats, "comma-separated atomic frequencies",
+                          tuple(round(x, 6) for x in np.linspace(0.7, 1.3, 13))),
+    "gamma_grid": _Option(("--gamma-grid",), _floats, "comma-separated dephasing rates",
+                          (0.0, 2.5e-7, 1e-6, 4e-6)),
+    "log_kappa_grid": _Option(("--log-kappa-grid",), _floats, "comma-separated log10 kappa values",
+                              (-7.0, -6.5, -6.0, -5.5, -5.0)),
+    "log_lambda_grid": _Option(("--log-lambda-grid",), _floats,
+                               "comma-separated log10 lambda values", (-7.0, -6.5, -6.0, -5.5, -5.0)),
+    "omegas": _Option(("--omegas",), _floats, "comma-separated atomic frequencies", (0.7, 1.0)),
+    "kappas": _Option(("--kappas",), _floats, "comma-separated cavity relaxation rates",
+                      (1e-6, 1e-7)),
+    "mode": _Option(("--mode",), str, "decay: damped cavity from |1>; model: the scenario",
+                    "decay", ("decay", "model")),
+    "t_max": _Option(("--t-max",), float, "last sample time", 4.0),
+    "points": _Option(("--points",), int, "number of sample times (>= 2)", 17),
+    "n_traj": _Option(("--n-traj",), int, "number of trajectories", 2000),
+}
+
+#: options every subcommand takes; each command adds its own in ``_Command.options``
+_COMMON = ("out", "scenario", "coupling", "omega", "g", "kappa", "lam", "gamma_rate",
+           "nbar", "seed", "workers")
+
+
+def _spec(o: argparse.Namespace, cutoff: int, **point: float) -> ModelSpec:
+    """The model at one point: the command's parameters with ``point`` overriding.
+
+    Dephasing follows lam/4 at the point unless ``--gamma-rate`` fixes it.
+    """
+    p = {"omega": o.omega, "g": o.g, "kappa": o.kappa, "lam": o.lam, "nbar": o.nbar, **point}
+    p.setdefault("gamma", p["lam"] / 4.0 if o.gamma_rate is None else o.gamma_rate)
+    return ModelSpec(params=RabiParams(**p), cutoff=cutoff, coupling=Coupling(o.coupling),
+                     parasitic=scenario_parasitic(o.scenario))
+
+
+def _solve(spec: ModelSpec) -> tuple[ObservableReport | None, str]:
+    """Observables of the steady state at one grid point, or the error text."""
+    try:
+        return report(steady_state(build_liouvillian(spec)).rho, build_space(spec)), ""
+    except Exception as exc:  # per-row error reporting keeps the sweep going
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _run_grid(header: tuple[str, ...], points: Callable, rows: Callable,
+              o: argparse.Namespace) -> int:
+    """The grid engine.  ``points(o)`` gives (key columns, spec) pairs, all built
+    (and so validated) before any solve; ``rows(spec, report or None)`` gives
+    the CSV rows of one point between its key columns and its error text."""
+    grid = points(o)
+    specs = [spec for _, spec in grid]
+    if o.workers <= 1:
+        results = [_solve(spec) for spec in specs]
+    else:
+        with ProcessPoolExecutor(max_workers=o.workers) as pool:
+            results = list(pool.map(_solve, specs))
+    table = [[*keys, *row, error]
+             for (keys, spec), (rep, error) in zip(grid, results)
+             for row in rows(spec, rep)]
+    write_csv(o.out, list(header), table)
+    return 3 if any(error for _, error in results) else 0
 
 
 def _clamp_tiny_negative(value: float, tol: float = 1e-10) -> float:
@@ -104,307 +184,145 @@ def _clamp_tiny_negative(value: float, tol: float = 1e-10) -> float:
     return 0.0 if -tol < value < 0.0 else value
 
 
-def _point_worker(task: _PointTask) -> dict:
-    try:
-        spec = ModelSpec(
-            params=RabiParams(
-                omega=task.omega,
-                g=task.g,
-                kappa=task.kappa,
-                lam=task.lam,
-                gamma=task.gamma,
-                nbar=task.nbar,
-            ),
-            cutoff=task.cutoff,
-            coupling=Coupling(task.coupling),
-            parasitic=scenario_parasitic(task.scenario),
-        )
-        space = build_space(spec)
-        result = steady_state(build_liouvillian(spec))
-        rep = report(result.rho, space)
-        out = {
-            "n_mean": _clamp_tiny_negative(rep.n_mean["cavity"]),
-            "e_mean": _clamp_tiny_negative(rep.e_mean["atom"]),
-            "i_af": rep.i_af,
-            "error": "",
-        }
-        if task.want_distribution:
-            dist = photon_distribution(result.rho, space, "cavity")
-            out["distribution"] = np.array([_clamp_tiny_negative(p) for p in dist])
-        return out
-    except Exception as exc:  # per-row error reporting keeps the sweep going
-        return {"n_mean": None, "e_mean": None, "i_af": None, "error": f"{type(exc).__name__}: {exc}"}
+def _means(rep: ObservableReport) -> tuple[float, float]:
+    return _clamp_tiny_negative(rep.n_mean["cavity"]), _clamp_tiny_negative(rep.e_mean["atom"])
 
 
-def _run_tasks(tasks: list[_PointTask], workers: int) -> list[dict]:
-    if workers <= 1:
-        return [_point_worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_point_worker, tasks))
-
-
-def _analytic_reference(task: _PointTask) -> tuple[float | None, float | None]:
+def _analytic_reference(spec: ModelSpec) -> tuple[float | None, float | None]:
     """Closed-form one-photon reference for the bare model at these parameters.
 
     Zero under the rotating-wave approximation (no anti-rotating term, no
     excitation); undefined at finite reservoir temperature.
     """
-    if task.nbar != 0:
+    if spec.params.nbar != 0:
         return None, None
-    if task.coupling == "rwa":
+    if spec.coupling is Coupling.RWA:
         return 0.0, 0.0
     try:
-        ref = one_photon_excitations(
-            RabiParams(task.omega, task.g, task.kappa, task.lam, task.gamma)
-        )
+        ref = one_photon_excitations(spec.params)
     except ValueError:
         return None, None
     return ref.n_mean, ref.e_mean
 
 
-def _cmd_sweep_omega(opts) -> int:
-    header = ["scenario", "omega", "cutoff", "n_mean", "e_mean",
-              "n1_analytic", "e1_analytic", "i_af", "error"]
-    tasks, meta = [], []
-    for omega in opts.omega_grid:
-        for cutoff in opts.cutoffs:
-            task = _PointTask(opts.scenario, opts.coupling, cutoff, omega,
-                              opts.g, opts.kappa, opts.lam, opts.gamma, opts.nbar)
-            tasks.append(task)
-            meta.append((omega, cutoff))
-    results = _run_tasks(tasks, opts.workers)
-    rows = []
-    failed = False
-    for (omega, cutoff), task, res in zip(meta, tasks, results):
-        n1, e1 = _analytic_reference(task)
-        rows.append([opts.scenario, omega, cutoff, res["n_mean"], res["e_mean"],
-                     n1, e1, res["i_af"], res["error"]])
-        failed = failed or bool(res["error"])
-    write_csv(opts.out, header, rows)
-    return 3 if failed else 0
+def _sweep_points(axis: str, o: argparse.Namespace) -> list:
+    """A one-parameter sweep of ``axis`` (omega or gamma) times the cutoffs."""
+    return [((o.scenario, x, cutoff), _spec(o, cutoff, **{axis: x}))
+            for x in getattr(o, f"{axis}_grid") for cutoff in o.cutoffs]
 
 
-def _cmd_sweep_gamma(opts) -> int:
-    header = ["scenario", "gamma", "cutoff", "n_mean", "e_mean",
-              "n1_analytic", "e1_analytic", "i_af", "error"]
-    tasks, meta = [], []
-    for gamma in opts.gamma_grid:
-        for cutoff in opts.cutoffs:
-            task = _PointTask(opts.scenario, opts.coupling, cutoff, opts.omega,
-                              opts.g, opts.kappa, opts.lam, gamma, opts.nbar)
-            tasks.append(task)
-            meta.append((gamma, cutoff))
-    results = _run_tasks(tasks, opts.workers)
-    rows = []
-    failed = False
-    for (gamma, cutoff), task, res in zip(meta, tasks, results):
-        n1, e1 = _analytic_reference(task)
-        rows.append([opts.scenario, gamma, cutoff, res["n_mean"], res["e_mean"],
-                     n1, e1, res["i_af"], res["error"]])
-        failed = failed or bool(res["error"])
-    write_csv(opts.out, header, rows)
-    return 3 if failed else 0
+def _sweep_rows(spec: ModelSpec, rep: ObservableReport | None) -> list[list]:
+    n1, e1 = _analytic_reference(spec)
+    if rep is None:
+        return [[None, None, n1, e1, None]]
+    return [[*_means(rep), n1, e1, rep.i_af]]
 
 
-def _cmd_damping_map(opts) -> int:
-    header = ["omega", "log10_kappa", "log10_lambda", "log10_total_excitation", "error"]
-    tasks, meta = [], []
-    for omega in opts.omegas:
-        for lk in opts.log_kappa_grid:
-            for ll in opts.log_lambda_grid:
-                kappa, lam = 10.0**lk, 10.0**ll
-                gamma = opts.gamma if opts.gamma_fixed else lam / 4.0
-                tasks.append(_PointTask(opts.scenario, opts.coupling, opts.cutoff,
-                                        omega, opts.g, kappa, lam, gamma, opts.nbar))
-                meta.append((omega, lk, ll))
-    results = _run_tasks(tasks, opts.workers)
-    rows = []
-    failed = False
-    for (omega, lk, ll), res in zip(meta, results):
-        if res["error"]:
-            rows.append([omega, lk, ll, None, res["error"]])
-            failed = True
-        else:
-            total = res["n_mean"] + res["e_mean"]
-            rows.append([omega, lk, ll, math.log10(total) if total > 0 else None, ""])
-    write_csv(opts.out, header, rows)
-    return 3 if failed else 0
+def _damping_points(o: argparse.Namespace) -> list:
+    return [((omega, lk, ll), _spec(o, o.cutoff, omega=omega, kappa=10.0**lk, lam=10.0**ll))
+            for omega in o.omegas for lk in o.log_kappa_grid for ll in o.log_lambda_grid]
 
 
-def _cmd_distribution(opts) -> int:
-    header = ["kappa", "omega", "n", "p_n_steady", "p_n_thermal", "i_af", "error"]
-    tasks, meta = [], []
-    for kappa in opts.kappas:
-        for omega in opts.omegas:
-            tasks.append(_PointTask(opts.scenario, opts.coupling, opts.cutoff, omega,
-                                    opts.g, kappa, opts.lam, opts.gamma, opts.nbar,
-                                    want_distribution=True))
-            meta.append((kappa, omega))
-    results = _run_tasks(tasks, opts.workers)
-    rows = []
-    failed = False
-    for (kappa, omega), res in zip(meta, results):
-        if res["error"]:
-            rows.append([kappa, omega, None, None, None, None, res["error"]])
-            failed = True
-            continue
-        dist = res["distribution"]
-        thermal = thermal_distribution(res["n_mean"], opts.cutoff)
-        for n in range(opts.cutoff + 1):
-            rows.append([kappa, omega, n, dist[n], thermal[n], res["i_af"], ""])
-    write_csv(opts.out, header, rows)
-    return 3 if failed else 0
+def _damping_rows(spec: ModelSpec, rep: ObservableReport | None) -> list[list]:
+    if rep is None:
+        return [[None]]
+    n, e = _means(rep)
+    total = n + e
+    return [[math.log10(total) if total > 0 else None]]
 
 
-def _cmd_trajectories(opts) -> int:
-    t_grid = np.arange(opts.points) * (opts.t_max / (opts.points - 1))
-    if opts.mode == "decay":
+def _distribution_points(o: argparse.Namespace) -> list:
+    return [((kappa, omega), _spec(o, o.cutoff, omega=omega, kappa=kappa))
+            for kappa in o.kappas for omega in o.omegas]
+
+
+def _distribution_rows(spec: ModelSpec, rep: ObservableReport | None) -> list[list]:
+    if rep is None:
+        return [[None, None, None, None]]
+    dist = [_clamp_tiny_negative(p) for p in rep.distributions["cavity"]]
+    thermal = thermal_distribution(_means(rep)[0], spec.cutoff)
+    return [[n, dist[n], thermal[n], rep.i_af] for n in range(spec.cutoff + 1)]
+
+
+def _cmd_trajectories(o: argparse.Namespace) -> int:
+    if o.points < 2:
+        raise ValueError(f"points must be >= 2, got {o.points}")
+    t_grid = np.arange(o.points) * (o.t_max / (o.points - 1))
+    if o.mode == "decay":
         # single damped mode from |1>: the ensemble mean follows exp(-kappa t)
-        from .hilbert import Boson, CompositeSpace, annihilation, number
-        from .liouville import LindbladTerm
-
-        space = CompositeSpace((Boson(opts.cutoff, "cavity"),))
-        h = number(opts.cutoff)
-        terms = [LindbladTerm(annihilation(opts.cutoff), opts.kappa)]
+        space = CompositeSpace((Boson(o.cutoff, "cavity"),))
+        h = number(o.cutoff)
+        terms = [LindbladTerm(annihilation(o.cutoff), o.kappa)]
         psi0 = basis_ket(space, [1])
-        operators = (number(opts.cutoff),)
-        exact = np.exp(-opts.kappa * t_grid)
+        operators = (number(o.cutoff),)
     else:
-        spec = ModelSpec(
-            params=RabiParams(opts.omega, opts.g, opts.kappa, opts.lam, opts.gamma, opts.nbar),
-            cutoff=opts.cutoff,
-            coupling=Coupling(opts.coupling),
-            parasitic=scenario_parasitic(opts.scenario),
-        )
+        spec = _spec(o, o.cutoff)
         space = build_space(spec)
         h = build_hamiltonian(spec)
         terms = build_dissipators(spec)
         psi0 = basis_ket(space, [0] * len(space.dims))
-        from .models import excitation_operator
-
         operators = (excitation_operator(space, "cavity"), excitation_operator(space, "atom"))
-        exact = None
-    unr = unravel(h, terms, space)
-    ens = ensemble_average(unr, psi0, t_grid, opts.n_traj, opts.seed, operators)
-    if opts.mode == "decay":
-        header = ["time", "mean_n", "stderr_n", "exact"]
-        rows = [[t, ens.mean[0, k], ens.stderr[0, k], exact[k]] for k, t in enumerate(t_grid)]
+    ens = ensemble_average(unravel(h, terms, space), psi0, t_grid, o.n_traj, o.seed, operators)
+    columns = {"time": t_grid, "mean_n": ens.mean[0], "stderr_n": ens.stderr[0]}
+    if o.mode == "decay":
+        columns["exact"] = np.exp(-o.kappa * t_grid)
     else:
-        header = ["time", "mean_n", "stderr_n", "mean_e", "stderr_e"]
-        rows = [[t, ens.mean[0, k], ens.stderr[0, k], ens.mean[1, k], ens.stderr[1, k]]
-                for k, t in enumerate(t_grid)]
-    write_csv(opts.out, header, rows)
+        columns.update(mean_e=ens.mean[1], stderr_e=ens.stderr[1])
+    write_csv(o.out, list(columns), [list(row) for row in zip(*columns.values())])
     return 0
 
 
-def _cmd_convergence(opts) -> int:
+def _cmd_convergence(o: argparse.Namespace) -> int:
     header = ["cutoff", "n_mean", "e_mean", "rel_change", "converged", "error"]
-    spec = ModelSpec(
-        params=RabiParams(opts.omega, opts.g, opts.kappa, opts.lam, opts.gamma, opts.nbar),
-        cutoff=opts.cutoffs[0],
-        coupling=Coupling(opts.coupling),
-        parasitic=scenario_parasitic(opts.scenario),
-    )
+    spec = _spec(o, o.cutoffs[0])
     rows = []
-    failed = False
     try:
-        for row in convergence_scan(spec, opts.cutoffs):
+        # unsorted cutoffs raise ValueError before any solve: a configuration error
+        for row in convergence_scan(spec, o.cutoffs):
             change = None if math.isnan(row.rel_change) else row.rel_change
             rows.append([row.cutoff, row.n_mean, row.e_mean, change, row.converged, ""])
-    except Exception as exc:
+    except RuntimeError as exc:  # solver failure: an error row after the solved cutoffs
         rows.append([None, None, None, None, None, f"{type(exc).__name__}: {exc}"])
-        failed = True
-    write_csv(opts.out, header, rows)
-    return 3 if failed else 0
+    write_csv(o.out, header, rows)
+    return 3 if rows[-1][-1] else 0
 
 
-_COMMON_DEFAULTS = {
-    "scenario": "bare",
-    "coupling": "full",
-    "omega": 1.0,
-    "g": 0.05,
-    "kappa": 1e-6,
-    "lam": 1e-6,
-    "nbar": 0.0,
-    "seed": 1234,
-    "workers": 1,
+class _Command(NamedTuple):
+    help: str
+    options: tuple[str, ...]   # taken in addition to _COMMON
+    defaults: dict             # overrides of the option defaults
+    run: Callable[[argparse.Namespace], int]
+
+
+def _sweep(axis: str, help: str) -> _Command:
+    header = ("scenario", axis, "cutoff", "n_mean", "e_mean", "n1_analytic", "e1_analytic",
+              "i_af", "error")
+    return _Command(help, (f"{axis}_grid", "cutoffs"), {"out": f"sweep_{axis}.csv"},
+                    partial(_run_grid, header, partial(_sweep_points, axis), _sweep_rows))
+
+
+_COMMANDS = {
+    "sweep-omega": _sweep("omega", "excitations vs atomic frequency"),
+    "sweep-gamma": _sweep("gamma", "excitations vs dephasing rate"),
+    "damping-map": _Command(
+        "total excitation over a (kappa, lambda) log grid",
+        ("cutoff", "log_kappa_grid", "log_lambda_grid", "omegas"),
+        {"scenario": "c", "out": "damping_map.csv"},
+        partial(_run_grid,
+                ("omega", "log10_kappa", "log10_lambda", "log10_total_excitation", "error"),
+                _damping_points, _damping_rows)),
+    "distribution": _Command(
+        "photon distribution vs thermal reference", ("cutoff", "kappas", "omegas"),
+        {"scenario": "c", "omegas": (1.0, 0.7), "out": "distribution.csv"},
+        partial(_run_grid, ("kappa", "omega", "n", "p_n_steady", "p_n_thermal", "i_af", "error"),
+                _distribution_points, _distribution_rows)),
+    "trajectories": _Command(
+        "quantum-jump ensemble validation run", ("mode", "cutoff", "t_max", "points", "n_traj"),
+        {"cutoff": 1, "kappa": 1.0, "out": "trajectories.csv"}, _cmd_trajectories),
+    "convergence": _Command(
+        "steady-state observables per Fock cutoff", ("cutoffs",),
+        {"cutoffs": (1, 2, 3), "out": "convergence.csv"}, _cmd_convergence),
 }
-
-_COMMAND_DEFAULTS: dict[str, dict] = {
-    "sweep-omega": {
-        "omega_grid": [round(x, 6) for x in np.linspace(0.7, 1.3, 13)],
-        "cutoffs": [1, 2],
-        "out": "sweep_omega.csv",
-    },
-    "sweep-gamma": {
-        "gamma_grid": [0.0, 2.5e-7, 1e-6, 4e-6],
-        "cutoffs": [1, 2],
-        "out": "sweep_gamma.csv",
-    },
-    "damping-map": {
-        "scenario": "c",
-        "cutoff": 2,
-        "log_kappa_grid": [-7.0, -6.5, -6.0, -5.5, -5.0],
-        "log_lambda_grid": [-7.0, -6.5, -6.0, -5.5, -5.0],
-        "omegas": [0.7, 1.0],
-        "out": "damping_map.csv",
-    },
-    "distribution": {
-        "scenario": "c",
-        "cutoff": 2,
-        "kappas": [1e-6, 1e-7],
-        "omegas": [1.0, 0.7],
-        "out": "distribution.csv",
-    },
-    "trajectories": {
-        "mode": "decay",
-        "cutoff": 1,
-        "kappa": 1.0,
-        "t_max": 4.0,
-        "points": 17,
-        "n_traj": 2000,
-        "out": "trajectories.csv",
-    },
-    "convergence": {
-        "cutoffs": [1, 2, 3],
-        "out": "convergence.csv",
-    },
-}
-
-_HANDLERS = {
-    "sweep-omega": _cmd_sweep_omega,
-    "sweep-gamma": _cmd_sweep_gamma,
-    "damping-map": _cmd_damping_map,
-    "distribution": _cmd_distribution,
-    "trajectories": _cmd_trajectories,
-    "convergence": _cmd_convergence,
-}
-
-_CASTS = {
-    "scenario": str, "coupling": str, "mode": str, "out": str,
-    "omega": float, "g": float, "kappa": float, "lam": float,
-    "gamma_rate": float, "nbar": float, "t_max": float,
-    "cutoff": int, "seed": int, "workers": int, "n_traj": int, "points": int,
-    "omega_grid": _floats, "gamma_grid": _floats, "kappas": _floats,
-    "omegas": _floats, "log_kappa_grid": _floats, "log_lambda_grid": _floats,
-    "cutoffs": _ints,
-}
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--out", help="output CSV path")
-    sub.add_argument("--scenario", choices=["bare", "a", "b", "c", "d"])
-    sub.add_argument("--coupling", choices=["full", "rwa"])
-    sub.add_argument("--omega", type=float, help="atomic transition frequency")
-    sub.add_argument("--g", type=float, help="atom-field coupling constant")
-    sub.add_argument("--kappa", type=float, help="cavity relaxation rate")
-    sub.add_argument("--lambda", dest="lam", type=float, help="atomic relaxation rate")
-    sub.add_argument("--gamma-rate", dest="gamma_rate", type=float,
-                     help="pure dephasing rate (defaults to lambda/4)")
-    sub.add_argument("--nbar", type=float, help="reservoir mean photon number (experimental)")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--workers", type=int, help="worker processes for grid points")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,120 +331,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Steady-state excitation sweeps of the lossy Rabi model",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    sweep_omega = subparsers.add_parser("sweep-omega", help="excitations vs atomic frequency")
-    _add_common(sweep_omega)
-    sweep_omega.add_argument("--omega-grid", dest="omega_grid", type=_floats)
-    sweep_omega.add_argument("--cutoff", "--cutoffs", dest="cutoffs", type=_ints,
-                             help="comma-separated Fock cutoffs")
-
-    sweep_gamma = subparsers.add_parser("sweep-gamma", help="excitations vs dephasing rate")
-    _add_common(sweep_gamma)
-    sweep_gamma.add_argument("--gamma-grid", dest="gamma_grid", type=_floats)
-    sweep_gamma.add_argument("--cutoff", "--cutoffs", dest="cutoffs", type=_ints,
-                             help="comma-separated Fock cutoffs")
-
-    damping = subparsers.add_parser("damping-map", help="total excitation over a (kappa, lambda) log grid")
-    _add_common(damping)
-    damping.add_argument("--cutoff", type=int)
-    damping.add_argument("--log-kappa-grid", dest="log_kappa_grid", type=_floats)
-    damping.add_argument("--log-lambda-grid", dest="log_lambda_grid", type=_floats)
-    damping.add_argument("--omegas", type=_floats)
-
-    dist = subparsers.add_parser("distribution", help="photon distribution vs thermal reference")
-    _add_common(dist)
-    dist.add_argument("--cutoff", type=int)
-    dist.add_argument("--kappas", type=_floats)
-    dist.add_argument("--omegas", type=_floats)
-
-    traj = subparsers.add_parser("trajectories", help="quantum-jump ensemble validation run")
-    _add_common(traj)
-    traj.add_argument("--mode", choices=["decay", "model"])
-    traj.add_argument("--cutoff", type=int)
-    traj.add_argument("--t-max", dest="t_max", type=float)
-    traj.add_argument("--points", type=int, help="number of sample times")
-    traj.add_argument("--n-traj", dest="n_traj", type=int)
-
-    conv = subparsers.add_parser("convergence", help="steady-state observables per Fock cutoff")
-    _add_common(conv)
-    conv.add_argument("--cutoff", "--cutoffs", dest="cutoffs", type=_ints,
-                      help="comma-separated Fock cutoffs")
-
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help)
+        sub.add_argument("--config", help="flat key = value config file")
+        for key in _COMMON + command.options:
+            opt = _OPTIONS[key]
+            sub.add_argument(*opt.flags, dest=key, type=opt.cast, choices=opt.choices,
+                             help=opt.help)
     return parser
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Fully resolved run configuration shared by all subcommands.
-
-    ``gamma`` is the resolved dephasing rate; ``gamma_fixed`` records whether
-    it was set explicitly (otherwise it tracks lam/4, which matters for the
-    damping map where lam varies across the grid).
-    """
-
-    scenario: str
-    coupling: str
-    omega: float
-    g: float
-    kappa: float
-    lam: float
-    gamma: float
-    nbar: float
-    seed: int
-    workers: int
-    out: str
-    gamma_fixed: bool = False
-    cutoff: int = 2
-    cutoffs: tuple[int, ...] = (1, 2)
-    omega_grid: tuple[float, ...] = ()
-    gamma_grid: tuple[float, ...] = ()
-    log_kappa_grid: tuple[float, ...] = ()
-    log_lambda_grid: tuple[float, ...] = ()
-    kappas: tuple[float, ...] = ()
-    omegas: tuple[float, ...] = ()
-    mode: str = "decay"
-    t_max: float = 4.0
-    points: int = 17
-    n_traj: int = 2000
-
-    def __post_init__(self) -> None:
-        for name in ("omega_grid", "gamma_grid", "log_kappa_grid",
-                     "log_lambda_grid", "kappas", "omegas"):
-            values = getattr(self, name)
-            if not all(np.isfinite(v) for v in values):
-                raise ValueError(f"{name} contains non-finite values: {values}")
-        if not self.cutoffs or any(c < 1 for c in self.cutoffs):
-            raise ValueError(f"cutoffs must be a non-empty list of >= 1, got {self.cutoffs}")
-
-
-def resolve_config(args: argparse.Namespace, cfg: dict[str, str], command: str) -> SweepConfig:
-    """Merge per-command defaults, config-file values and flags (flags win)."""
-    merged = dict(_COMMON_DEFAULTS)
-    merged.update(_COMMAND_DEFAULTS[command])
+def resolve_config(args: argparse.Namespace, cfg: dict[str, str], command: str) -> argparse.Namespace:
+    """Merge option defaults, per-command defaults, config-file values and
+    flags (flags win), and check that no grid is empty.  The values themselves
+    are checked by ``RabiParams`` and ``ModelSpec`` as the specs are built."""
+    cmd = _COMMANDS[command]
+    keys = _COMMON + cmd.options
+    merged = {key: _OPTIONS[key].default for key in keys}
+    merged.update(cmd.defaults)
     for key, value in cfg.items():
-        if key == "lambda":
-            key = "lam"
-        if key not in _CASTS:
+        key = "lam" if key == "lambda" else key
+        opt = _OPTIONS.get(key)
+        if opt is None:
             raise ValueError(f"unknown config key {key!r}")
-        merged[key] = _CASTS[key](value)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        merged[key] = value
-    # dephasing follows the atomic relaxation rate unless set explicitly
-    gamma_fixed = "gamma_rate" in merged
-    merged["gamma"] = merged.pop("gamma_rate", merged["lam"] / 4.0)
-    merged = {k: tuple(v) if isinstance(v, list) else v for k, v in merged.items()}
-    return SweepConfig(gamma_fixed=gamma_fixed, **merged)
+        if opt.choices and value not in opt.choices:
+            raise ValueError(f"config key {key!r}: {value!r} is not one of {list(opt.choices)}")
+        merged[key] = opt.cast(value)
+    merged.update((key, value) for key, value in vars(args).items()
+                  if key in keys and value is not None)
+    for key in keys:
+        if _OPTIONS[key].cast in (_floats, _ints) and not merged[key]:
+            raise ValueError(f"{key} must not be empty")
+    return argparse.Namespace(**merged)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = parse_config_file(args.config) if args.config else {}
     try:
-        opts = resolve_config(args, cfg, args.command)
-        return _HANDLERS[args.command](opts)
-    except ValueError as exc:
+        cfg = parse_config_file(args.config) if args.config else {}
+        return _COMMANDS[args.command].run(resolve_config(args, cfg, args.command))
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -216,17 +216,22 @@ def validate_density_matrix(
     trace_tol: float = TRACE_TOL,
     herm_tol: float = HERM_TOL,
     psd_tol: float = PSD_TOL,
-) -> None:
-    """Raise ValueError unless rho has unit trace, is hermitian and PSD within tolerances."""
+) -> dict[str, float]:
+    """Raise ValueError unless rho has unit trace, is hermitian and PSD within tolerances.
+
+    Returns the margins checked: ``trace_deviation``, ``herm_defect`` and
+    ``min_eigenvalue`` (of the hermitian part).  Non-finite margins fail.
+    """
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got shape {rho.shape}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e} (> {trace_tol:.0e})")
+    dev = float(abs(np.trace(rho) - 1.0))
+    if not dev <= trace_tol:
+        raise ValueError(f"trace deviates from 1 by {dev:.3e} (> {trace_tol:.0e})")
     hd = herm_defect(rho)
-    if hd > herm_tol:
+    if not hd <= herm_tol:
         raise ValueError(f"hermiticity defect {hd:.3e} (> {herm_tol:.0e})")
     wmin = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if wmin < -psd_tol:
+    if not wmin >= -psd_tol:
         raise ValueError(f"minimum eigenvalue {wmin:.3e} below -{psd_tol:.0e}")
+    return {"trace_deviation": dev, "herm_defect": hd, "min_eigenvalue": wmin}

@@ -115,8 +115,6 @@ def hamiltonian_superop(h: np.ndarray, space: CompositeSpace) -> SuperOperator:
 
 def dissipator_superop(term: LindbladTerm, space: CompositeSpace) -> SuperOperator:
     """Generator of rho -> rate * (F rho F^+ - {F^+ F, rho}/2) for jump operator F."""
-    if term.rate < 0:
-        raise NegativeRateError(f"rate must be >= 0, got {term.rate}")
     op = _check_space(term.operator, space)
     f = sp.csr_matrix(op)
     fdf = sp.csr_matrix(op.conj().T @ op)

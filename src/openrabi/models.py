@@ -19,6 +19,7 @@ quadrature with the same g and the same (zero-temperature) atomic rates.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +55,11 @@ class RabiParams:
     nbar: float = 0.0   # reservoir mean photon number
 
     def __post_init__(self) -> None:
+        # a NaN rate fails every comparison, so it would silently drop its
+        # dissipator in build_dissipators instead of failing
+        for name in ("omega", "g", "kappa", "lam", "gamma", "nbar"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("kappa", "lam", "gamma", "nbar"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

@@ -21,14 +21,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
-from .hilbert import herm_defect
+from .hilbert import TRACE_TOL, validate_density_matrix
 from .liouville import SuperOperator, devectorize, vectorize
 from .models import ModelSpec, build_liouvillian, build_space, excitation_operator
 
 RES_TOL = 1e-10
-TRACE_TOL = 1e-10
-HERM_TOL = 1e-10
-PSD_TOL = 1e-10
 
 DENSE_DIM = 32          # Hilbert dimension below which the dense path is used
 _REFINE_ROUNDS = 3
@@ -51,7 +48,6 @@ class StepSizeUnderflowError(RuntimeError):
 class SteadyStateResult:
     rho: np.ndarray
     residual: float             # ||L vec(rho)|| / ||L||_F
-    nullity_estimate: int
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -88,6 +84,16 @@ def _probe_nullity(gen: SuperOperator, tol: float) -> int:
     return int(np.sum(np.abs(vals) <= tol * scale))
 
 
+def _solve_failure(gen: SuperOperator, message: str) -> RuntimeError:
+    """NonUniqueSteadyStateError if the null space is degenerate, else NoConvergenceError."""
+    nullity = _probe_nullity(gen, 1e-10)
+    if nullity > 1:
+        return NonUniqueSteadyStateError(
+            f"estimated nullity {nullity}; the stationary state is not unique"
+        )
+    return NoConvergenceError(message)
+
+
 def steady_state(
     gen: SuperOperator,
     res_tol: float = RES_TOL,
@@ -97,7 +103,9 @@ def steady_state(
 
     Raises ``NonUniqueSteadyStateError`` when the generator's null space has
     dimension above one, and ``NoConvergenceError`` when the solution fails
-    the residual, trace, hermiticity or positivity tolerances.
+    the residual tolerance or ``validate_density_matrix``.  A nullity above
+    one makes the trace-replaced system singular, so a clean solve implies a
+    unique state.
     """
     dim = gen.dim
     mat = gen.matrix.tocsr()
@@ -119,12 +127,7 @@ def steady_state(
                 solve = lu.solve
             x = solve(rhs)
     except (RuntimeError, la.LinAlgError) as exc:
-        nullity = _probe_nullity(gen, 1e-10)
-        if nullity > 1:
-            raise NonUniqueSteadyStateError(
-                f"estimated nullity {nullity}; the stationary state is not unique"
-            ) from exc
-        raise NoConvergenceError(f"factorization failed: {exc}") from exc
+        raise _solve_failure(gen, f"factorization failed: {exc}") from exc
 
     coo = modified.tocoo()
     rounds = 0
@@ -135,40 +138,23 @@ def steady_state(
                 break
             x = x + solve(np.asarray(r, dtype=complex))
 
-    rho = devectorize(x)
-    hd = herm_defect(rho)
-    rho = 0.5 * (rho + rho.conj().T)
-    trace = float(np.trace(rho).real)
-
+    raw = devectorize(x)
+    rho = 0.5 * (raw + raw.conj().T)
     residual = float(np.linalg.norm(mat @ vectorize(rho))) / norm_l
-    if not np.isfinite(residual) or residual > res_tol or not np.isfinite(trace):
-        nullity = _probe_nullity(gen, 1e-10)
-        if nullity > 1:
-            raise NonUniqueSteadyStateError(
-                f"estimated nullity {nullity}; the stationary state is not unique"
-            )
-        raise NoConvergenceError(f"residual {residual:.3e} exceeds {res_tol:.0e}")
-
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise NoConvergenceError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
-    rho /= trace
-    wmin = float(np.linalg.eigvalsh(rho).min())
-    if hd > HERM_TOL or wmin < -PSD_TOL:
-        raise NoConvergenceError(
-            f"state fails validity checks: herm defect {hd:.3e}, min eigenvalue {wmin:.3e}"
-        )
-    # a nullity above one would make the trace-replaced system singular and
-    # land in the probe branches above, so a clean solve implies nullity 1
+    if not residual <= res_tol:
+        raise _solve_failure(gen, f"residual {residual:.3e} exceeds {res_tol:.0e}")
+    try:
+        margins = validate_density_matrix(raw)
+    except ValueError as exc:
+        raise NoConvergenceError(f"state fails validity checks: {exc}") from exc
+    rho /= np.trace(rho).real
     return SteadyStateResult(
         rho=rho,
         residual=residual,
-        nullity_estimate=1,
         diagnostics={
             "method": "dense-lu" if dense else "sparse-lu",
             "refine_rounds": rounds,
-            "herm_defect": hd,
-            "min_eigenvalue": wmin,
-            "trace_deviation": abs(trace - 1.0),
+            **margins,
         },
     )
 

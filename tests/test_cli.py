@@ -129,15 +129,24 @@ def test_distribution_report(tmp_path):
 
 
 def test_error_rows_and_exit_code(tmp_path):
-    out = tmp_path / "err.csv"
-    code = main([
-        "sweep-omega", "--omega-grid", "1.0", "--cutoffs", "1",
-        "--g", "0", "--lambda", "0", "--gamma-rate", "0", "--out", str(out),
-    ])
-    assert code == 3
-    (row,) = read_rows(out)
-    assert "NonUniqueSteadyState" in row["error"]
-    assert row["n_mean"] == ""
+    # a decoupled, undamped atom has no unique steady state; each command keeps
+    # its key columns and leaves the solved columns blank in the error row
+    sweep_blank = ["n_mean", "e_mean", "n1_analytic", "e1_analytic", "i_af"]
+    cases = {
+        "sweep-omega": (["--omega-grid", "1.0", "--cutoffs", "1"], sweep_blank),
+        "sweep-gamma": (["--gamma-grid", "0", "--cutoffs", "1"], sweep_blank),
+        "distribution": (["--kappas", "1e-6", "--omegas", "1.0"],
+                         ["n", "p_n_steady", "p_n_thermal", "i_af"]),
+    }
+    for command, (grid, columns) in cases.items():
+        out = tmp_path / f"{command}.csv"
+        code = main([command, *grid, "--g", "0", "--lambda", "0", "--gamma-rate", "0",
+                     "--out", str(out)])
+        assert code == 3
+        (row,) = read_rows(out)
+        assert "NonUniqueSteadyState" in row["error"]
+        filled = [key for key, value in row.items() if value != ""]
+        assert filled == [key for key in row if key not in columns], command
 
 
 def test_trajectories_subcommand(tmp_path):
@@ -183,7 +192,26 @@ def test_console_entry_point(tmp_path):
     assert out.exists()
 
 
-def test_unknown_config_key_reports_error(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("omeega = 1.0\n")
-    assert main(["sweep-omega", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sweep-omega", "--config", "bad.cfg"], id="unknown-key"),
+    pytest.param(["sweep-omega", "--config", "no-equals.cfg"], id="no-equals"),
+    pytest.param(["sweep-omega", "--config", "missing.cfg"], id="missing-config"),
+    pytest.param(["trajectories", "--points", "1"], id="one-point"),
+    pytest.param(["sweep-omega", "--omega-grid="], id="empty-omega-grid"),
+    pytest.param(["distribution", "--kappas="], id="empty-kappas"),
+    pytest.param(["sweep-gamma", "--gamma-grid=-1e-6,1e-6"], id="negative-gamma"),
+    pytest.param(["sweep-omega", "--kappa", "nan"], id="nan-kappa"),
+    pytest.param(["damping-map", "--cutoff", "0"], id="cutoff-zero"),
+    pytest.param(["convergence", "--cutoff", "3,1"], id="descending-cutoffs"),
+])
+def test_unknown_config_key_reports_error(tmp_path, capsys, argv):
+    # every configuration error: exit 2, one error line, no traceback, no CSV
+    (tmp_path / "bad.cfg").write_text("omeega = 1.0\n")
+    (tmp_path / "no-equals.cfg").write_text("scenario c\n")
+    argv = [str(tmp_path / arg) if arg.endswith(".cfg") else arg for arg in argv]
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -175,7 +175,10 @@ def test_partial_trace_empty_keep_rejected():
 
 
 def test_validate_density_matrix():
-    validate_density_matrix(np.diag([0.5, 0.5]).astype(complex))
+    margins = validate_density_matrix(np.diag([0.5, 0.5]).astype(complex))
+    assert margins == {"trace_deviation": 0.0, "herm_defect": 0.0, "min_eigenvalue": 0.5}
+    with pytest.raises(ValueError):
+        validate_density_matrix(np.full((2, 2), np.nan, dtype=complex))
     with pytest.raises(ValueError):
         validate_density_matrix(np.diag([0.7, 0.7]).astype(complex))
     with pytest.raises(ValueError):

@@ -126,6 +126,10 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         orb.RabiParams(omega=1.0, g=0.05, kappa=-1e-6)
     with pytest.raises(ValueError):
+        orb.RabiParams(omega=1.0, g=0.05, kappa=float("nan"))
+    with pytest.raises(ValueError):
+        orb.RabiParams(omega=float("inf"), g=0.05)
+    with pytest.raises(ValueError):
         orb.ParasiticMode(nu=0.0)
     with pytest.raises(ValueError):
         orb.ModelSpec(params=PARAMS, cutoff=0)
