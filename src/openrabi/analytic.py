@@ -142,19 +142,22 @@ class KernelDerived:
     response: float
 
 
-def kernel_derived(omega: float, kernel: BilinearKernelParams) -> KernelDerived:
+def _mp_kernel(omega: float, kernel: BilinearKernelParams):
+    """d_sum, nu_plus, nu_minus and response as mpmath numbers; call at _DPS."""
     if kernel.dp == 0:
-        raise DegenerateKernelError("dp must be nonzero for the response factor")
+        raise DegenerateKernelError("dp = 0 makes the response factor undefined")
+    dx, dp, dz = mp.mpf(kernel.dx), mp.mpf(kernel.dp), mp.mpf(kernel.dz)
+    nu_plus = 1 + 2 * dz
+    nu_minus = 1 - 2 * dz
+    inverse_response = mp.mpf(omega) ** 2 + 4 * dx**2 + nu_plus * nu_minus * dx / dp
+    if inverse_response == 0:
+        raise DegenerateKernelError("vanishing response denominator")
+    return dx + dp, nu_plus, nu_minus, 1 / inverse_response
+
+
+def kernel_derived(omega: float, kernel: BilinearKernelParams) -> KernelDerived:
     with mp.workdps(_DPS):
-        dx, dp, dz = mp.mpf(kernel.dx), mp.mpf(kernel.dp), mp.mpf(kernel.dz)
-        om = mp.mpf(omega)
-        nu_plus = 1 + 2 * dz
-        nu_minus = 1 - 2 * dz
-        inverse_response = om**2 + 4 * dx**2 + nu_plus * nu_minus * dx / dp
-        if inverse_response == 0:
-            raise DegenerateKernelError("vanishing response denominator")
-        d_sum = dx + dp
-    return KernelDerived(float(d_sum), float(nu_plus), float(nu_minus), float(1 / inverse_response))
+        return KernelDerived(*(float(v) for v in _mp_kernel(omega, kernel)))
 
 
 @dataclass(frozen=True)
@@ -175,20 +178,12 @@ def general_kernel_excitations(
     """
     if g == 0:
         raise ValueError("the general-kernel closed form requires g != 0")
-    if kernel.dp == 0:
-        raise DegenerateKernelError("dp = 0 makes the response factor undefined")
     with mp.workdps(_DPS):
-        dx, dp, dz = mp.mpf(kernel.dx), mp.mpf(kernel.dp), mp.mpf(kernel.dz)
+        d_sum, nu_plus, _, response = _mp_kernel(omega, kernel)
+        dx, dp = mp.mpf(kernel.dx), mp.mpf(kernel.dp)
         kap = mp.mpf(kernel.kappa)
         om = mp.mpf(omega)
         gg = mp.mpf(g)
-        nu_plus = 1 + 2 * dz
-        nu_minus = 1 - 2 * dz
-        inverse_response = om**2 + 4 * dx**2 + nu_plus * nu_minus * dx / dp
-        if inverse_response == 0:
-            raise DegenerateKernelError("vanishing response denominator")
-        response = 1 / inverse_response
-        d_sum = dx + dp
         denom = d_sum + 2 * gg**2 * dx * response
         if denom == 0:
             raise DegenerateKernelError("vanishing denominator d_sum + 2 g^2 dx response")

@@ -137,7 +137,7 @@ _OPTIONS = {
 
 #: options every subcommand takes; each command adds its own in ``_Command.options``
 _COMMON = ("out", "scenario", "coupling", "omega", "g", "kappa", "lam", "gamma_rate",
-           "nbar", "seed", "workers")
+           "nbar", "workers")
 
 
 def _spec(o: argparse.Namespace, cutoff: int, **point: float) -> ModelSpec:
@@ -154,7 +154,8 @@ def _spec(o: argparse.Namespace, cutoff: int, **point: float) -> ModelSpec:
 def _solve(spec: ModelSpec) -> tuple[ObservableReport | None, str]:
     """Observables of the steady state at one grid point, or the error text."""
     try:
-        return report(steady_state(build_liouvillian(spec)).rho, build_space(spec)), ""
+        gen = build_liouvillian(spec)
+        return report(steady_state(gen).rho, gen.space), ""
     except Exception as exc:  # per-row error reporting keeps the sweep going
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -317,7 +318,8 @@ _COMMANDS = {
         partial(_run_grid, ("kappa", "omega", "n", "p_n_steady", "p_n_thermal", "i_af", "error"),
                 _distribution_points, _distribution_rows)),
     "trajectories": _Command(
-        "quantum-jump ensemble validation run", ("mode", "cutoff", "t_max", "points", "n_traj"),
+        "quantum-jump ensemble validation run",
+        ("mode", "cutoff", "t_max", "points", "n_traj", "seed"),
         {"cutoff": 1, "kappa": 1.0, "out": "trajectories.csv"}, _cmd_trajectories),
     "convergence": _Command(
         "steady-state observables per Fock cutoff", ("cutoffs",),
@@ -343,20 +345,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace, cfg: dict[str, str], command: str) -> argparse.Namespace:
     """Merge option defaults, per-command defaults, config-file values and
-    flags (flags win), and check that no grid is empty.  The values themselves
-    are checked by ``RabiParams`` and ``ModelSpec`` as the specs are built."""
+    flags (flags win), and check that every config key is an option of the
+    command and that no grid is empty.  The values themselves are checked by
+    ``RabiParams`` and ``ModelSpec`` as the specs are built."""
     cmd = _COMMANDS[command]
     keys = _COMMON + cmd.options
     merged = {key: _OPTIONS[key].default for key in keys}
     merged.update(cmd.defaults)
-    for key, value in cfg.items():
-        key = "lam" if key == "lambda" else key
-        opt = _OPTIONS.get(key)
-        if opt is None:
-            raise ValueError(f"unknown config key {key!r}")
+    for name, value in cfg.items():
+        key = "lam" if name == "lambda" else name
+        if key not in keys:
+            raise ValueError(f"config key {name!r} is not an option of {command}")
+        opt = _OPTIONS[key]
         if opt.choices and value not in opt.choices:
-            raise ValueError(f"config key {key!r}: {value!r} is not one of {list(opt.choices)}")
-        merged[key] = opt.cast(value)
+            raise ValueError(f"config key {name!r}: {value!r} is not one of {list(opt.choices)}")
+        try:
+            merged[key] = opt.cast(value)
+        except ValueError as exc:
+            raise ValueError(f"config key {name!r}: {exc}") from None
     merged.update((key, value) for key, value in vars(args).items()
                   if key in keys and value is not None)
     for key in keys:

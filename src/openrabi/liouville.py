@@ -54,11 +54,6 @@ class SuperOperator:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return devectorize(self.matrix @ vectorize(rho))
 
-    def __add__(self, other: "SuperOperator") -> "SuperOperator":
-        if other.space != self.space:
-            raise DimensionError("cannot add superoperators on different spaces")
-        return SuperOperator(self.space, (self.matrix + other.matrix).tocsr())
-
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
     """Column-stack a matrix: v[i + D*j] = rho[i, j]."""
@@ -117,23 +112,16 @@ def dissipator_superop(term: LindbladTerm, space: CompositeSpace) -> SuperOperat
     """Generator of rho -> rate * (F rho F^+ - {F^+ F, rho}/2) for jump operator F."""
     op = _check_space(term.operator, space)
     f = sp.csr_matrix(op)
-    fdf = sp.csr_matrix(op.conj().T @ op)
-    d = space.dim
-    eye = sp.identity(d, format="csr")
-    mat = term.rate * (
-        sp.kron(f.conj(), f, format="csr")
-        - 0.5 * sp.kron(eye, fdf, format="csr")
-        - 0.5 * sp.kron(fdf.T, eye, format="csr")
-    )
+    fdf = op.conj().T @ op
+    mat = term.rate * (sp.kron(f.conj(), f, format="csr") - 0.5 * _left(fdf) - 0.5 * _right(fdf))
     return SuperOperator(space, mat.tocsr())
 
 
 def assemble(h: np.ndarray, terms: list[LindbladTerm], space: CompositeSpace) -> SuperOperator:
     """Full generator: Hamiltonian part plus all dissipators."""
-    total = hamiltonian_superop(h, space)
-    for term in terms:
-        total = total + dissipator_superop(term, space)
-    return total
+    mat = sum((dissipator_superop(term, space).matrix for term in terms),
+              hamiltonian_superop(h, space).matrix)
+    return SuperOperator(space, mat.tocsr())
 
 
 def trace_preservation_defect(gen: SuperOperator) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .hilbert import (
     Boson,
     CompositeSpace,
     Qubit,
+    Subsystem,
     annihilation,
     embed,
     number,
@@ -119,130 +121,114 @@ class ModelSpec:
         return replace(self, cutoff=cutoff)
 
 
+class _Element(NamedTuple):
+    """One subsystem of a model and the coefficients of its terms."""
+
+    subsystem: Subsystem
+    frequency: float    # multiplies its excitation operator in the Hamiltonian
+    decay: float        # rate of its lowering operator at zero temperature
+    nbar: float         # mean occupation of its bath
+    dephasing: float    # gamma: sigma_z at rate gamma/2 (atoms only)
+
+
+def _model(spec: ModelSpec) -> tuple[CompositeSpace, list[_Element], list[tuple]]:
+    """The model as a table: its space, its elements in term order (cavity,
+    atom, spectator) and its couplings as (boson, qubit, g).
+
+    True cavity and atom couple to a thermal bath at ``nbar``; spectators are
+    damped at zero temperature (the spectator mode at rate nu_t*kappa, the
+    spectator atom with the same lam and gamma as the true atom).
+    """
+    par = spec.params
+    cavity, atom = Boson(spec.cutoff, "cavity"), Qubit("atom")
+    elements = [_Element(cavity, 1.0, par.kappa, par.nbar, 0.0),
+                _Element(atom, par.omega, par.lam, par.nbar, par.gamma)]
+    couplings = [(cavity, atom, par.g)]
+    if isinstance(spec.parasitic, ParasiticMode):
+        mode = Boson(spec.cutoff, "parasitic_mode")
+        nu = spec.parasitic.nu
+        elements.append(_Element(mode, nu, nu * par.kappa, 0.0, 0.0))
+        couplings.append((mode, atom, np.sqrt(nu) * par.g))
+    elif isinstance(spec.parasitic, ParasiticAtom):
+        spectator = Qubit("parasitic_atom")
+        elements.append(_Element(spectator, spec.parasitic.omega, par.lam, 0.0, par.gamma))
+        couplings.append((cavity, spectator, par.g))
+    # atoms before modes, each in term order
+    subsystems = sorted((e.subsystem for e in elements), key=lambda s: isinstance(s, Boson))
+    return CompositeSpace(tuple(subsystems)), elements, couplings
+
+
+def _excitation(sub: Subsystem) -> np.ndarray:
+    """Number operator (boson) or excited-state projector (qubit)."""
+    return number(sub.cutoff) if isinstance(sub, Boson) else qubit_ops().excited
+
+
+def _hamiltonian(coupling: Coupling, space: CompositeSpace, elements: list[_Element],
+                 couplings: list[tuple]) -> np.ndarray:
+    qops = qubit_ops()
+    h = sum(e.frequency * embed(_excitation(e.subsystem), space, space.index(e.subsystem.label))
+            for e in elements)
+    for boson, qubit, g in couplings:
+        mode, atom = space.index(boson.label), space.index(qubit.label)
+        if coupling is Coupling.FULL:
+            p = embed(quadratures(boson.cutoff)[1], space, mode)
+            term = g * (p @ embed(qops.sy, space, atom))
+        else:
+            a = embed(annihilation(boson.cutoff), space, mode)
+            sm, sp_ = embed(qops.sm, space, atom), embed(qops.sp, space, atom)
+            term = -(g / SQRT2) * (a.conj().T @ sm + a @ sp_)
+        h = h + term
+    return h
+
+
+def _dissipators(space: CompositeSpace, elements: list[_Element]) -> list[LindbladTerm]:
+    qops = qubit_ops()
+    terms: list[LindbladTerm] = []
+    for e in elements:
+        sub = e.subsystem
+        pos = space.index(sub.label)
+        lower = embed(annihilation(sub.cutoff) if isinstance(sub, Boson) else qops.sm, space, pos)
+        if e.decay * (e.nbar + 1) > 0:
+            terms.append(LindbladTerm(lower, e.decay * (e.nbar + 1)))
+        if e.decay * e.nbar > 0:
+            terms.append(LindbladTerm(lower.conj().T, e.decay * e.nbar))
+        if e.dephasing > 0:
+            terms.append(LindbladTerm(embed(qops.sz, space, pos), e.dephasing / 2))
+    return terms
+
+
 def build_space(spec: ModelSpec) -> CompositeSpace:
-    """Tensor-product space: atom first, spectator atom (if any) before the cavity.
+    """Tensor-product space: atoms before modes.
 
     bare:             qubit  (x) boson
     parasitic mode:   qubit  (x) boson (x) boson      (cavity, then spectator)
     parasitic atom:   qubit  (x) qubit (x) boson
     Both bosons share the per-mode cutoff of the spec.
     """
-    atom = Qubit("atom")
-    cavity = Boson(spec.cutoff, "cavity")
-    if spec.parasitic is None:
-        return CompositeSpace((atom, cavity))
-    if isinstance(spec.parasitic, ParasiticMode):
-        return CompositeSpace((atom, cavity, Boson(spec.cutoff, "parasitic_mode")))
-    return CompositeSpace((atom, Qubit("parasitic_atom"), cavity))
-
-
-def _coupling_term(
-    coupling: Coupling,
-    g: float,
-    mode_a: np.ndarray,
-    mode_p: np.ndarray,
-    atom_sm: np.ndarray,
-    atom_sp: np.ndarray,
-    atom_sy: np.ndarray,
-) -> np.ndarray:
-    if coupling is Coupling.FULL:
-        return g * (mode_p @ atom_sy)
-    return -(g / SQRT2) * (mode_a.conj().T @ atom_sm + mode_a @ atom_sp)
+    return _model(spec)[0]
 
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     """Hermitian Hamiltonian on ``build_space(spec)``."""
-    space = build_space(spec)
-    qops = qubit_ops()
-    a1 = annihilation(spec.cutoff)
-    p1 = quadratures(spec.cutoff)[1]
-    n1 = number(spec.cutoff)
-    cav = space.index("cavity")
-    atom = space.index("atom")
-
-    a = embed(a1, space, cav)
-    p = embed(p1, space, cav)
-    n = embed(n1, space, cav)
-    sm = embed(qops.sm, space, atom)
-    sp_ = embed(qops.sp, space, atom)
-    sy = embed(qops.sy, space, atom)
-    exc = embed(qops.excited, space, atom)
-
-    h = n + spec.params.omega * exc
-    h = h + _coupling_term(spec.coupling, spec.params.g, a, p, sm, sp_, sy)
-
-    if isinstance(spec.parasitic, ParasiticMode):
-        pos = space.index("parasitic_mode")
-        at = embed(a1, space, pos)
-        pt = embed(p1, space, pos)
-        nt = embed(n1, space, pos)
-        g_t = np.sqrt(spec.parasitic.nu) * spec.params.g
-        h = h + spec.parasitic.nu * nt
-        h = h + _coupling_term(spec.coupling, g_t, at, pt, sm, sp_, sy)
-    elif isinstance(spec.parasitic, ParasiticAtom):
-        pos = space.index("parasitic_atom")
-        smt = embed(qops.sm, space, pos)
-        spt = embed(qops.sp, space, pos)
-        syt = embed(qops.sy, space, pos)
-        exct = embed(qops.excited, space, pos)
-        h = h + spec.parasitic.omega * exct
-        h = h + _coupling_term(spec.coupling, spec.params.g, a, p, smt, spt, syt)
-    return h
+    return _hamiltonian(spec.coupling, *_model(spec))
 
 
 def build_dissipators(spec: ModelSpec) -> list[LindbladTerm]:
-    """Jump operators embedded in the full space, one term per nonzero rate.
-
-    True cavity and atom couple to a thermal reservoir at ``nbar``; spectator
-    elements are damped at zero temperature (the spectator mode at rate
-    nu_t*kappa, the spectator atom with the same lam and gamma/2 rates as the
-    true atom).
-    """
-    space = build_space(spec)
-    qops = qubit_ops()
-    par = spec.params
-    terms: list[LindbladTerm] = []
-
-    a = embed(annihilation(spec.cutoff), space, space.index("cavity"))
-    if par.kappa * (par.nbar + 1) > 0:
-        terms.append(LindbladTerm(a, par.kappa * (par.nbar + 1)))
-    if par.kappa * par.nbar > 0:
-        terms.append(LindbladTerm(a.conj().T, par.kappa * par.nbar))
-
-    atom = space.index("atom")
-    sm = embed(qops.sm, space, atom)
-    if par.lam * (par.nbar + 1) > 0:
-        terms.append(LindbladTerm(sm, par.lam * (par.nbar + 1)))
-    if par.lam * par.nbar > 0:
-        terms.append(LindbladTerm(sm.conj().T, par.lam * par.nbar))
-    if par.gamma > 0:
-        terms.append(LindbladTerm(embed(qops.sz, space, atom), par.gamma / 2))
-
-    if isinstance(spec.parasitic, ParasiticMode):
-        pos = space.index("parasitic_mode")
-        rate = spec.parasitic.nu * par.kappa
-        if rate > 0:
-            terms.append(LindbladTerm(embed(annihilation(spec.cutoff), space, pos), rate))
-    elif isinstance(spec.parasitic, ParasiticAtom):
-        pos = space.index("parasitic_atom")
-        if par.lam > 0:
-            terms.append(LindbladTerm(embed(qops.sm, space, pos), par.lam))
-        if par.gamma > 0:
-            terms.append(LindbladTerm(embed(qops.sz, space, pos), par.gamma / 2))
-    return terms
+    """Jump operators embedded in the full space, one term per nonzero rate."""
+    return _dissipators(*_model(spec)[:2])
 
 
 def build_liouvillian(spec: ModelSpec) -> SuperOperator:
     """Assembled master-equation generator for the model."""
-    return assemble(build_hamiltonian(spec), build_dissipators(spec), build_space(spec))
+    space, elements, couplings = _model(spec)
+    return assemble(_hamiltonian(spec.coupling, space, elements, couplings),
+                    _dissipators(space, elements), space)
 
 
 def excitation_operator(space: CompositeSpace, subsystem: int | str) -> np.ndarray:
     """Number operator (boson) or excited-state projector (qubit), embedded."""
     idx = space.index(subsystem) if isinstance(subsystem, str) else subsystem
-    sub = space.subsystems[idx]
-    local = number(sub.cutoff) if isinstance(sub, Boson) else qubit_ops().excited
-    return embed(local, space, idx)
+    return embed(_excitation(space.subsystems[idx]), space, idx)
 
 
 def total_excitation(space: CompositeSpace) -> np.ndarray:

@@ -21,9 +21,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
-from .hilbert import TRACE_TOL, validate_density_matrix
+from .hilbert import TRACE_TOL, expectation, validate_density_matrix
 from .liouville import SuperOperator, devectorize, vectorize
-from .models import ModelSpec, build_liouvillian, build_space, excitation_operator
+from .models import ModelSpec, build_liouvillian, excitation_operator
 
 RES_TOL = 1e-10
 
@@ -206,13 +206,10 @@ def convergence_scan(spec: ModelSpec, cutoffs: Sequence[int]) -> list[Convergenc
     rows: list[ConvergenceRow] = []
     prev_n = None
     for cutoff in cutoffs:
-        sub = spec.with_cutoff(cutoff)
-        space = build_space(sub)
-        result = steady_state(build_liouvillian(sub))
-        n_op = excitation_operator(space, "cavity")
-        e_op = excitation_operator(space, "atom")
-        n_mean = float(np.einsum("ij,ji->", n_op, result.rho).real)
-        e_mean = float(np.einsum("ij,ji->", e_op, result.rho).real)
+        gen = build_liouvillian(spec.with_cutoff(cutoff))
+        rho = steady_state(gen).rho
+        n_mean = expectation(excitation_operator(gen.space, "cavity"), rho).real
+        e_mean = expectation(excitation_operator(gen.space, "atom"), rho).real
         if prev_n is None:
             change = math.nan
             converged = False

@@ -1,6 +1,8 @@
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,31 +184,39 @@ def test_worker_pool_matches_serial(tmp_path):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "cli.csv"
+    # the child imports the same openrabi as this process, installed or not
+    src = str(Path(orb.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "openrabi.cli", "sweep-omega",
          "--omega-grid", "1.0", "--cutoffs", "1", "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["sweep-omega", "--config", "bad.cfg"], id="unknown-key"),
-    pytest.param(["sweep-omega", "--config", "no-equals.cfg"], id="no-equals"),
-    pytest.param(["sweep-omega", "--config", "missing.cfg"], id="missing-config"),
-    pytest.param(["trajectories", "--points", "1"], id="one-point"),
-    pytest.param(["sweep-omega", "--omega-grid="], id="empty-omega-grid"),
-    pytest.param(["distribution", "--kappas="], id="empty-kappas"),
-    pytest.param(["sweep-gamma", "--gamma-grid=-1e-6,1e-6"], id="negative-gamma"),
-    pytest.param(["sweep-omega", "--kappa", "nan"], id="nan-kappa"),
-    pytest.param(["damping-map", "--cutoff", "0"], id="cutoff-zero"),
-    pytest.param(["convergence", "--cutoff", "3,1"], id="descending-cutoffs"),
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["sweep-omega", "--config", "bad.cfg"], "'omeega'", id="unknown-key"),
+    pytest.param(["sweep-omega", "--config", "not-taken.cfg"], "'cutoff'", id="key-not-taken"),
+    pytest.param(["sweep-omega", "--config", "bad-cast.cfg"], "'cutoffs'", id="bad-cast"),
+    pytest.param(["sweep-omega", "--config", "no-equals.cfg"], None, id="no-equals"),
+    pytest.param(["sweep-omega", "--config", "missing.cfg"], None, id="missing-config"),
+    pytest.param(["trajectories", "--points", "1"], None, id="one-point"),
+    pytest.param(["sweep-omega", "--omega-grid="], None, id="empty-omega-grid"),
+    pytest.param(["distribution", "--kappas="], None, id="empty-kappas"),
+    pytest.param(["sweep-gamma", "--gamma-grid=-1e-6,1e-6"], None, id="negative-gamma"),
+    pytest.param(["sweep-omega", "--kappa", "nan"], None, id="nan-kappa"),
+    pytest.param(["damping-map", "--cutoff", "0"], None, id="cutoff-zero"),
+    pytest.param(["convergence", "--cutoff", "3,1"], None, id="descending-cutoffs"),
 ])
-def test_unknown_config_key_reports_error(tmp_path, capsys, argv):
+def test_unknown_config_key_reports_error(tmp_path, capsys, argv, named):
     # every configuration error: exit 2, one error line, no traceback, no CSV
     (tmp_path / "bad.cfg").write_text("omeega = 1.0\n")
+    (tmp_path / "not-taken.cfg").write_text("cutoff = 3\n")  # sweep-omega takes cutoffs
+    (tmp_path / "bad-cast.cfg").write_text("cutoffs = 1,x\n")
     (tmp_path / "no-equals.cfg").write_text("scenario c\n")
     argv = [str(tmp_path / arg) if arg.endswith(".cfg") else arg for arg in argv]
     out = tmp_path / "x.csv"
@@ -215,3 +225,11 @@ def test_unknown_config_key_reports_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+    if named is not None:
+        assert named in err
+
+
+def test_seed_only_on_trajectories():
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-omega", "--seed", "5"])
+    assert exc.value.code == 2

@@ -62,6 +62,20 @@ def test_parasitic_mode_coupling_scales_with_sqrt_frequency():
     assert abs(parasitic_elem / cavity_elem) == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
 
+
+def test_parasitic_atom_couples_through_the_cavity():
+    spec = spec_for("c")  # spectator atom at frequency 0.2
+    space = orb.build_space(spec)
+    assert [s.label for s in space.subsystems] == ["atom", "parasitic_atom", "cavity"]
+    h = orb.build_hamiltonian(spec)
+    excited_t = orb.basis_ket(space, [0, 1, 0])  # |g, e_t, 0>
+    assert (excited_t.conj() @ h @ excited_t).real == pytest.approx(0.2, rel=1e-14)
+    ket = orb.basis_ket(space, [0, 0, 0])  # |g, g, 0>
+    spectator_elem = orb.basis_ket(space, [0, 1, 1]).conj() @ h @ ket
+    atom_elem = orb.basis_ket(space, [1, 0, 1]).conj() @ h @ ket
+    assert abs(spectator_elem) == pytest.approx(0.05 / SQRT2, rel=1e-14)
+    assert abs(spectator_elem) == pytest.approx(abs(atom_elem), rel=1e-14)
+
 def test_dissipator_lists():
     space = orb.build_space(spec_for("bare"))
     terms = orb.build_dissipators(spec_for("bare"))
