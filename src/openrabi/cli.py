@@ -138,6 +138,9 @@ _OPTIONS = {
 #: options every subcommand takes; each command adds its own in ``_Command.options``
 _COMMON = ("out", "scenario", "coupling", "omega", "g", "kappa", "lam", "gamma_rate",
            "nbar", "workers")
+#: the options that describe the model, which ``trajectories --mode decay`` does
+#: not read: it damps a lone cavity at ``--kappa``
+_MODEL_OPTIONS = ("scenario", "coupling", "omega", "g", "lam", "gamma_rate", "nbar")
 
 
 def _spec(o: argparse.Namespace, cutoff: int, **point: float) -> ModelSpec:
@@ -346,12 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args: argparse.Namespace, cfg: dict[str, str], command: str) -> argparse.Namespace:
     """Merge option defaults, per-command defaults, config-file values and
     flags (flags win), and check that every config key is an option of the
-    command and that no grid is empty.  The values themselves are checked by
+    command, that no grid is empty and that ``trajectories --mode decay`` is
+    given no model option.  The values themselves are checked by
     ``RabiParams`` and ``ModelSpec`` as the specs are built."""
     cmd = _COMMANDS[command]
     keys = _COMMON + cmd.options
     merged = {key: _OPTIONS[key].default for key in keys}
     merged.update(cmd.defaults)
+    given = set()   # keys set by the config file or a flag
     for name, value in cfg.items():
         key = "lam" if name == "lambda" else name
         if key not in keys:
@@ -363,8 +368,16 @@ def resolve_config(args: argparse.Namespace, cfg: dict[str, str], command: str) 
             merged[key] = opt.cast(value)
         except ValueError as exc:
             raise ValueError(f"config key {name!r}: {exc}") from None
-    merged.update((key, value) for key, value in vars(args).items()
-                  if key in keys and value is not None)
+        given.add(key)
+    for key, value in vars(args).items():
+        if key in keys and value is not None:
+            merged[key] = value
+            given.add(key)
+    if command == "trajectories" and merged["mode"] == "decay":
+        model = [_OPTIONS[key].flags[0] for key in _MODEL_OPTIONS if key in given]
+        if model:
+            raise ValueError(f"trajectories --mode decay takes no model options, got "
+                             f"{', '.join(model)}")
     for key in keys:
         if _OPTIONS[key].cast in (_floats, _ints) and not merged[key]:
             raise ValueError(f"{key} must not be empty")

@@ -8,6 +8,7 @@ so ``vec(A rho B) = (B^T kron A) vec(rho)``. Every generator built here has
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,22 +99,30 @@ def _check_space(op: np.ndarray, space: CompositeSpace) -> np.ndarray:
     return op
 
 
-def hamiltonian_superop(h: np.ndarray, space: CompositeSpace) -> SuperOperator:
-    """Generator of rho -> -i[h, rho]; h must be hermitian within tolerance."""
-    h = _check_space(h, space)
-    scale = float(np.abs(h).max(initial=0.0))
-    defect = float(np.abs(h - h.conj().T).max(initial=0.0))
+def _hamiltonian_part(h) -> sp.csr_matrix:
+    """-i[h, .] for a dense or sparse h, which must be hermitian within tolerance."""
+    scale = float(abs(h).max())
+    defect = float(abs(h - h.conj().T).max())
     if defect > HERM_REL_TOL * max(scale, 1.0):
         raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
-    return SuperOperator(space, (-1j * _commutator(h)).tocsr())
+    return (-1j * _commutator(h)).tocsr()
+
+
+def _dissipator_part(f) -> sp.csr_matrix:
+    """rho -> F rho F^+ - {F^+ F, rho}/2 (unit rate) for a dense or sparse F."""
+    f = sp.csr_matrix(f)
+    fdf = f.conj().T @ f
+    return (sp.kron(f.conj(), f, format="csr") - 0.5 * _left(fdf) - 0.5 * _right(fdf)).tocsr()
+
+
+def hamiltonian_superop(h: np.ndarray, space: CompositeSpace) -> SuperOperator:
+    """Generator of rho -> -i[h, rho]; h must be hermitian within tolerance."""
+    return SuperOperator(space, _hamiltonian_part(_check_space(h, space)))
 
 
 def dissipator_superop(term: LindbladTerm, space: CompositeSpace) -> SuperOperator:
     """Generator of rho -> rate * (F rho F^+ - {F^+ F, rho}/2) for jump operator F."""
-    op = _check_space(term.operator, space)
-    f = sp.csr_matrix(op)
-    fdf = op.conj().T @ op
-    mat = term.rate * (sp.kron(f.conj(), f, format="csr") - 0.5 * _left(fdf) - 0.5 * _right(fdf))
+    mat = term.rate * _dissipator_part(_check_space(term.operator, space))
     return SuperOperator(space, mat.tocsr())
 
 
@@ -122,6 +131,64 @@ def assemble(h: np.ndarray, terms: list[LindbladTerm], space: CompositeSpace) ->
     mat = sum((dissipator_superop(term, space).matrix for term in terms),
               hamiltonian_superop(h, space).matrix)
     return SuperOperator(space, mat.tocsr())
+
+
+@dataclass(frozen=True, eq=False)
+class AffineGenerator:
+    """Generators ``sum_k c_k P_k`` over fixed parts ``P_k``, each part kept as
+    its positions in one shared CSR pattern and its values there.
+
+    A part is ``-i[h_k, .]`` or, if ``dissipative[k]``, the unit-rate
+    dissipator of a jump operator, whose coefficient is then a rate.
+    """
+
+    space: CompositeSpace
+    indptr: np.ndarray
+    indices: np.ndarray
+    positions: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
+    dissipative: tuple[bool, ...]
+
+    def at(self, coefficients: Sequence[float]) -> SuperOperator:
+        """The generator with coefficient ``coefficients[k]`` on part k."""
+        data = np.zeros(self.indices.size, dtype=complex)
+        for c, dissipative, pos, val in zip(coefficients, self.dissipative, self.positions,
+                                            self.values, strict=True):
+            if dissipative and c < 0:
+                raise NegativeRateError(f"rate must be >= 0, got {c}")
+            if c:
+                data[pos] += c * val
+        n = self.space.dim ** 2
+        # the pattern is shared, and eliminate_zeros works in place
+        mat = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+        mat.eliminate_zeros()
+        return SuperOperator(self.space, mat)
+
+
+def affine_generator(space: CompositeSpace,
+                     operators: Sequence[tuple[bool, object]]) -> AffineGenerator:
+    """The parts of ``(dissipative, operator)`` pairs, dense or sparse, on one pattern."""
+    n = space.dim ** 2
+    parts = []
+    for dissipative, op in operators:
+        if op.shape != (space.dim, space.dim):
+            raise DimensionError(f"operator shape {op.shape} does not match space dim {space.dim}")
+        part = _dissipator_part(op) if dissipative else _hamiltonian_part(op)
+        part.sum_duplicates()   # one position per entry, or ``at`` would drop one
+        parts.append(part)
+    keys = [np.repeat(np.arange(n, dtype=np.int64), np.diff(p.indptr)) * n + p.indices
+            for p in parts]
+    pattern = np.sort(np.concatenate(keys))
+    pattern = pattern[np.diff(pattern, prepend=-1) != 0]   # np.unique, without its hashing
+    rows, cols = np.divmod(pattern, n)
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    indices = cols.astype(np.int32)
+    positions = [np.searchsorted(pattern, k) for k in keys]
+    values = [p.data for p in parts]
+    for arr in (indptr, indices, *positions, *values):
+        arr.flags.writeable = False   # shared by every generator built from these parts
+    return AffineGenerator(space, indptr, indices, tuple(positions), tuple(values),
+                           tuple(d for d, _ in operators))
 
 
 def trace_preservation_defect(gen: SuperOperator) -> float:

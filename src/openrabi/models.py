@@ -21,9 +21,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hilbert import (
     SQRT2,
@@ -33,11 +35,12 @@ from .hilbert import (
     Subsystem,
     annihilation,
     embed,
+    embed_sparse,
     number,
     qubit_ops,
     quadratures,
 )
-from .liouville import LindbladTerm, SuperOperator, assemble
+from .liouville import AffineGenerator, LindbladTerm, SuperOperator, affine_generator
 
 
 class Coupling(enum.Enum):
@@ -163,38 +166,66 @@ def _excitation(sub: Subsystem) -> np.ndarray:
     return number(sub.cutoff) if isinstance(sub, Boson) else qubit_ops().excited
 
 
-def _hamiltonian(coupling: Coupling, space: CompositeSpace, elements: list[_Element],
-                 couplings: list[tuple]) -> np.ndarray:
+def _coupling_operator(coupling: Coupling, space: CompositeSpace, boson: Boson,
+                       qubit: Qubit) -> sp.csr_matrix:
+    """p sigma_y (full), or a^+ s- + a s+ (rwa, at coefficient -g/sqrt2)."""
     qops = qubit_ops()
-    h = sum(e.frequency * embed(_excitation(e.subsystem), space, space.index(e.subsystem.label))
-            for e in elements)
-    for boson, qubit, g in couplings:
-        mode, atom = space.index(boson.label), space.index(qubit.label)
-        if coupling is Coupling.FULL:
-            p = embed(quadratures(boson.cutoff)[1], space, mode)
-            term = g * (p @ embed(qops.sy, space, atom))
-        else:
-            a = embed(annihilation(boson.cutoff), space, mode)
-            sm, sp_ = embed(qops.sm, space, atom), embed(qops.sp, space, atom)
-            term = -(g / SQRT2) * (a.conj().T @ sm + a @ sp_)
-        h = h + term
-    return h
+    mode, atom = space.index(boson.label), space.index(qubit.label)
+    if coupling is Coupling.FULL:
+        return (embed_sparse(quadratures(boson.cutoff)[1], space, mode)
+                @ embed_sparse(qops.sy, space, atom))
+    a = embed_sparse(annihilation(boson.cutoff), space, mode)
+    return (a.conj().T @ embed_sparse(qops.sm, space, atom)
+            + a @ embed_sparse(qops.sp, space, atom))
 
 
-def _dissipators(space: CompositeSpace, elements: list[_Element]) -> list[LindbladTerm]:
+class _Term(NamedTuple):
+    """One term of the generator: a Hamiltonian term ``coefficient * operator``
+    or, if ``dissipative``, a jump operator at rate ``coefficient``."""
+
+    dissipative: bool
+    coefficient: float
+    operator: Callable[[], sp.csr_matrix]   # embedded; built only when called
+
+
+def _terms(spec: ModelSpec) -> tuple[CompositeSpace, list[_Term]]:
+    """Every term of the generator, read off the model table.
+
+    Per element, in term order: its excitation operator at its frequency, its
+    lowering and raising operators at decay*(nbar+1) and decay*nbar and, for
+    atoms, sigma_z at dephasing/2; then one term per coupling.  Which terms
+    there are, and their operators, depend only on (parasitic, coupling,
+    cutoff); the parameters enter through the coefficients alone.
+    """
+    space, elements, couplings = _model(spec)
     qops = qubit_ops()
-    terms: list[LindbladTerm] = []
+
+    def local(op: np.ndarray, sub: Subsystem) -> Callable[[], sp.csr_matrix]:
+        return partial(embed_sparse, op, space, space.index(sub.label))
+
+    terms: list[_Term] = []
     for e in elements:
         sub = e.subsystem
-        pos = space.index(sub.label)
-        lower = embed(annihilation(sub.cutoff) if isinstance(sub, Boson) else qops.sm, space, pos)
-        if e.decay * (e.nbar + 1) > 0:
-            terms.append(LindbladTerm(lower, e.decay * (e.nbar + 1)))
-        if e.decay * e.nbar > 0:
-            terms.append(LindbladTerm(lower.conj().T, e.decay * e.nbar))
-        if e.dephasing > 0:
-            terms.append(LindbladTerm(embed(qops.sz, space, pos), e.dephasing / 2))
-    return terms
+        lower = annihilation(sub.cutoff) if isinstance(sub, Boson) else qops.sm
+        terms += [_Term(False, e.frequency, local(_excitation(sub), sub)),
+                  _Term(True, e.decay * (e.nbar + 1), local(lower, sub)),
+                  _Term(True, e.decay * e.nbar, local(lower.conj().T, sub))]
+        if isinstance(sub, Qubit):
+            terms.append(_Term(True, e.dephasing / 2, local(qops.sz, sub)))
+    for boson, qubit, g in couplings:
+        terms.append(_Term(False, g if spec.coupling is Coupling.FULL else -(g / SQRT2),
+                           partial(_coupling_operator, spec.coupling, space, boson, qubit)))
+    return space, terms
+
+
+@lru_cache(maxsize=16)
+def _parts(parasitic: Parasitic, coupling: Coupling, cutoff: int) -> AffineGenerator:
+    """The generator's parts for one structure, built once and shared by every
+    point that differs from it only in its parameters."""
+    # the parameters set only the coefficients, which are not used here
+    spec = ModelSpec(RabiParams(omega=0.0, g=0.0), cutoff, coupling, parasitic)
+    space, terms = _terms(spec)
+    return affine_generator(space, [(t.dissipative, t.operator()) for t in terms])
 
 
 def build_space(spec: ModelSpec) -> CompositeSpace:
@@ -210,19 +241,21 @@ def build_space(spec: ModelSpec) -> CompositeSpace:
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     """Hermitian Hamiltonian on ``build_space(spec)``."""
-    return _hamiltonian(spec.coupling, *_model(spec))
+    return sum(t.coefficient * t.operator().toarray()
+               for t in _terms(spec)[1] if not t.dissipative)
 
 
 def build_dissipators(spec: ModelSpec) -> list[LindbladTerm]:
     """Jump operators embedded in the full space, one term per nonzero rate."""
-    return _dissipators(*_model(spec)[:2])
+    return [LindbladTerm(t.operator().toarray(), t.coefficient)
+            for t in _terms(spec)[1] if t.dissipative and t.coefficient > 0]
 
 
 def build_liouvillian(spec: ModelSpec) -> SuperOperator:
-    """Assembled master-equation generator for the model."""
-    space, elements, couplings = _model(spec)
-    return assemble(_hamiltonian(spec.coupling, space, elements, couplings),
-                    _dissipators(space, elements), space)
+    """Master-equation generator of the model: the cached parts of its
+    structure, summed with the coefficients of its parameters."""
+    coefficients = [t.coefficient for t in _terms(spec)[1]]
+    return _parts(spec.parasitic, spec.coupling, spec.cutoff).at(coefficients)
 
 
 def excitation_operator(space: CompositeSpace, subsystem: int | str) -> np.ndarray:

@@ -211,6 +211,10 @@ def test_console_entry_point(tmp_path):
     pytest.param(["sweep-omega", "--kappa", "nan"], None, id="nan-kappa"),
     pytest.param(["damping-map", "--cutoff", "0"], None, id="cutoff-zero"),
     pytest.param(["convergence", "--cutoff", "3,1"], None, id="descending-cutoffs"),
+    pytest.param(["trajectories", "--scenario", "a", "--g", "9"], "--scenario, --g",
+                 id="decay-model-flags"),
+    pytest.param(["trajectories", "--config", "decay-model.cfg"], "--lambda",
+                 id="decay-model-config"),
 ])
 def test_unknown_config_key_reports_error(tmp_path, capsys, argv, named):
     # every configuration error: exit 2, one error line, no traceback, no CSV
@@ -218,6 +222,7 @@ def test_unknown_config_key_reports_error(tmp_path, capsys, argv, named):
     (tmp_path / "not-taken.cfg").write_text("cutoff = 3\n")  # sweep-omega takes cutoffs
     (tmp_path / "bad-cast.cfg").write_text("cutoffs = 1,x\n")
     (tmp_path / "no-equals.cfg").write_text("scenario c\n")
+    (tmp_path / "decay-model.cfg").write_text("lambda = 1e-3\n")  # decay mode by default
     argv = [str(tmp_path / arg) if arg.endswith(".cfg") else arg for arg in argv]
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 2

@@ -7,6 +7,7 @@ import openrabi as orb
 from openrabi.liouville import (
     NegativeRateError,
     NonHermitianError,
+    affine_generator,
     trace_preservation_defect,
 )
 from util import REFERENCE_RATES, cavity_only_generator
@@ -193,3 +194,15 @@ def test_superoperator_dimension_checks():
         orb.hamiltonian_superop(np.eye(3, dtype=complex), space)
     with pytest.raises(orb.DimensionError):
         orb.devectorize(np.zeros(5, complex))
+
+
+def test_affine_generator_checks_hermiticity_and_rates():
+    space = orb.CompositeSpace((orb.Boson(2, "cavity"),))
+    a = orb.annihilation(2)
+    with pytest.raises(NonHermitianError):
+        affine_generator(space, [(False, a)])
+    gen = affine_generator(space, [(False, orb.number(2)), (True, a)])
+    with pytest.raises(NegativeRateError):
+        gen.at([1.0, -0.1])
+    expected = orb.assemble(orb.number(2), [orb.LindbladTerm(a, 0.1)], space).matrix
+    np.testing.assert_array_equal(gen.at([1.0, 0.1]).matrix.toarray(), expected.toarray())

@@ -149,3 +149,40 @@ def test_parameter_validation():
         orb.ModelSpec(params=PARAMS, cutoff=0)
     with pytest.raises(ValueError):
         orb.scenario_parasitic("z")
+
+
+def _reference_liouvillian(spec):
+    """The generator assembled term by term from the dense operators."""
+    return orb.assemble(orb.build_hamiltonian(spec), orb.build_dissipators(spec),
+                        orb.build_space(spec)).matrix
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+@pytest.mark.parametrize("coupling", [orb.Coupling.FULL, orb.Coupling.RWA])
+def test_affine_build_matches_assembled_reference(scenario, coupling):
+    params = [orb.RabiParams(0.9, g, kappa=1e-6, lam=2e-6, gamma=5e-7, nbar=nbar)
+              for nbar in (0.0, 0.3) for g in (0.05, 0.0)]
+    params.append(orb.RabiParams(0.9, 0.05))  # no rates at all
+    for cutoff in (1, 2, 3):
+        for p in params:
+            spec = spec_for(scenario, coupling, cutoff, p)
+            ref = _reference_liouvillian(spec)
+            got = orb.build_liouvillian(spec).matrix
+            assert got.shape == ref.shape
+            # a few ulp of the largest entry, and no stored zeros
+            assert abs(got - ref).max() <= 4 * np.finfo(float).eps * abs(ref).max()
+            assert np.all(got.data != 0)
+
+
+def test_interleaved_cutoffs_match_fresh_builds():
+    # the sweeps alternate cutoffs 1, 2, 1, 2 over one structure each
+    from openrabi.models import _parts
+
+    specs = [spec_for(s, cutoff=c, params=orb.RabiParams(omega, 0.05, **REFERENCE_RATES))
+             for s in ("bare", "c") for omega in (0.7, 1.3) for c in (1, 2)]
+    cached = [orb.build_liouvillian(spec).matrix for spec in specs]
+    for spec, mat in zip(specs, cached):
+        _parts.cache_clear()
+        fresh = orb.build_liouvillian(spec).matrix
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(mat, attr), getattr(fresh, attr))

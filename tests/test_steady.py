@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -94,8 +100,8 @@ def test_weak_coupling_quadratic_scaling():
     assert 3.8 <= means[1] / means[0] <= 4.2
 
 
-def test_sparse_path_consistent_with_dense():
-    # parasitic-mode space at cutoff 5 exceeds the dense threshold (dim 72)
+def test_small_and_large_systems_agree_on_the_sparse_path():
+    # every solve is one sparse LU, from dim 18 (cutoff 2) to dim 72 (cutoff 5)
     params = orb.RabiParams(omega=1.0, g=0.05, kappa=1e-4, lam=1e-4, gamma=2.5e-5)
     big = orb.ModelSpec(params=params, cutoff=5, parasitic=orb.scenario_parasitic("a"))
     result = orb.steady_state(orb.build_liouvillian(big))
@@ -103,7 +109,7 @@ def test_sparse_path_consistent_with_dense():
     assert result.residual <= 1e-10
     small = orb.ModelSpec(params=params, cutoff=2, parasitic=orb.scenario_parasitic("a"))
     n_small, _, small_result = steady_means(small)
-    assert small_result.diagnostics["method"] == "dense-lu"
+    assert small_result.diagnostics["method"] == "sparse-lu"
     space = orb.build_space(big)
     n_big = orb.expectation(orb.excitation_operator(space, "cavity"), result.rho).real
     assert n_big == pytest.approx(n_small, rel=1e-3)
@@ -169,3 +175,67 @@ def test_convergence_scan_rejects_unsorted():
     spec = orb.ModelSpec(params=orb.RabiParams(omega=1.0, g=0.05, **REFERENCE_RATES), cutoff=1)
     with pytest.raises(ValueError):
         orb.convergence_scan(spec, [2, 1])
+
+
+def _mp_null_vector_means(gen, dps=40):
+    """Cavity <n> and atom <E> of the trace-normalized null vector of ``gen``,
+    by sparse Gaussian elimination with partial pivoting at ``dps`` digits."""
+    d = gen.dim
+    n = d * d
+    with mp.workdps(dps):
+        rows = [{j: mp.mpc(v) for j, v in enumerate(row) if v != 0}
+                for row in gen.matrix.toarray().tolist()]
+        rows[0] = {j * (d + 1): mp.mpc(1) for j in range(d)}  # trace constraint
+        b = [mp.mpc(1)] + [mp.mpc(0)] * (n - 1)
+        for j in range(n):
+            piv = max(range(j, n), key=lambda i: abs(rows[i].get(j, 0)))
+            rows[j], rows[piv], b[j], b[piv] = rows[piv], rows[j], b[piv], b[j]
+            for i in range(j + 1, n):
+                f = rows[i].pop(j, 0)
+                if f:
+                    f /= rows[j][j]
+                    for k, v in rows[j].items():
+                        if k > j:
+                            rows[i][k] = rows[i].get(k, 0) - f * v
+                    b[i] -= f * b[j]
+        x = [mp.mpc(0)] * n
+        for i in range(n - 1, -1, -1):
+            x[i] = (b[i] - mp.fsum(v * x[k] for k, v in rows[i].items() if k > i)) / rows[i][i]
+        populations = [x[i * (d + 1)].real for i in range(d)]
+        return [float(mp.fsum(p * w for p, w in zip(
+                    populations, np.diag(orb.excitation_operator(gen.space, label)).real)))
+                for label in ("cavity", "atom")]
+
+
+@pytest.mark.parametrize("scenario, cutoff, omega", [
+    ("bare", 1, 1.0), ("bare", 2, 0.7), ("a", 1, 1.05), ("c", 1, 1.3), ("c", 2, 1.2),
+])
+def test_printed_digits_match_40_digit_null_vector(scenario, cutoff, omega):
+    # the CSVs print 12 significant digits, and each must be a true digit.
+    # Refined solves agree to a few ulp; unrefined sparse LU misses by
+    # ~1e-13 at the scenario-c points, so the bound is set below that.
+    spec = orb.ModelSpec(params=orb.RabiParams(omega=omega, g=0.05, **REFERENCE_RATES),
+                         cutoff=cutoff, parasitic=orb.scenario_parasitic(scenario))
+    n, e, result = steady_means(spec)
+    n_ref, e_ref = _mp_null_vector_means(orb.build_liouvillian(spec))
+    assert n == pytest.approx(n_ref, rel=1e-14)
+    assert e == pytest.approx(e_ref, rel=1e-14)
+    assert 1 <= result.diagnostics["refine_rounds"] <= 3
+    assert result.diagnostics["last_correction"] < 1e-15
+    assert result.diagnostics["lu_nnz"] > 0
+
+
+def test_sweep_bytes_independent_of_blas_threads(tmp_path):
+    src = str(Path(orb.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "openrabi.cli", "sweep-omega", "--scenario", "c",
+             "--cutoff", "1,2,3,4", "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
