@@ -7,9 +7,9 @@ Conventions, fixed package-wide:
 * tensor factors are ordered as listed in ``CompositeSpace``, with the
   first factor the slowest-varying index (``numpy.kron`` order).
 
-Operators are plain complex ``numpy`` arrays (or, from :func:`embed_sparse`,
-sparse matrices); a ``CompositeSpace`` carries the factor structure needed by
-:func:`embed` and :func:`partial_trace`.
+Operators are plain complex ``numpy`` arrays (or, from ``embed(...,
+sparse=True)``, sparse matrices); a ``CompositeSpace`` carries the factor
+structure needed by :func:`embed` and :func:`partial_trace`.
 """
 
 from __future__ import annotations
@@ -145,8 +145,11 @@ def identity(space: CompositeSpace) -> np.ndarray:
     return np.eye(space.dim, dtype=complex)
 
 
-def _local(op: np.ndarray, space: CompositeSpace, position: int) -> np.ndarray:
-    """``op`` as a complex array, checked against the factor at ``position``."""
+def embed(op: np.ndarray, space: CompositeSpace, position: int,
+          sparse: bool = False) -> np.ndarray | sp.csr_matrix:
+    """Kronecker-embed a single-subsystem operator into the full space:
+    identity (x) op (x) identity, as a dense array or, if ``sparse``, a CSR
+    matrix."""
     op = np.asarray(op, dtype=complex)
     dims = space.dims
     if not 0 <= position < len(dims):
@@ -156,25 +159,10 @@ def _local(op: np.ndarray, space: CompositeSpace, position: int) -> np.ndarray:
             f"operator shape {op.shape} does not match subsystem dimension "
             f"{dims[position]} at position {position}"
         )
-    return op
-
-
-def embed(op: np.ndarray, space: CompositeSpace, position: int) -> np.ndarray:
-    """Kronecker-embed a single-subsystem operator into the full space."""
-    op = _local(op, space, position)
-    out = np.eye(1, dtype=complex)
-    for i, d in enumerate(space.dims):
-        out = np.kron(out, op if i == position else np.eye(d, dtype=complex))
-    return out
-
-
-def embed_sparse(op: np.ndarray, space: CompositeSpace, position: int) -> sp.csr_matrix:
-    """:func:`embed` as a sparse matrix: identity (x) op (x) identity."""
-    op = _local(op, space, position)
-    dims = space.dims
     before, after = math.prod(dims[:position]), math.prod(dims[position + 1:])
-    return sp.kron(sp.kron(sp.identity(before, dtype=complex), sp.csr_matrix(op)),
-                   sp.identity(after, dtype=complex), format="csr")
+    out = sp.kron(sp.kron(sp.identity(before, dtype=complex), sp.csr_matrix(op)),
+                  sp.identity(after, dtype=complex), format="csr")
+    return out if sparse else out.toarray()
 
 
 def basis_ket(space: CompositeSpace, occupations: Sequence[int]) -> np.ndarray:

@@ -35,7 +35,6 @@ from .hilbert import (
     Subsystem,
     annihilation,
     embed,
-    embed_sparse,
     number,
     qubit_ops,
     quadratures,
@@ -172,11 +171,11 @@ def _coupling_operator(coupling: Coupling, space: CompositeSpace, boson: Boson,
     qops = qubit_ops()
     mode, atom = space.index(boson.label), space.index(qubit.label)
     if coupling is Coupling.FULL:
-        return (embed_sparse(quadratures(boson.cutoff)[1], space, mode)
-                @ embed_sparse(qops.sy, space, atom))
-    a = embed_sparse(annihilation(boson.cutoff), space, mode)
-    return (a.conj().T @ embed_sparse(qops.sm, space, atom)
-            + a @ embed_sparse(qops.sp, space, atom))
+        return (embed(quadratures(boson.cutoff)[1], space, mode, sparse=True)
+                @ embed(qops.sy, space, atom, sparse=True))
+    a = embed(annihilation(boson.cutoff), space, mode, sparse=True)
+    return (a.conj().T @ embed(qops.sm, space, atom, sparse=True)
+            + a @ embed(qops.sp, space, atom, sparse=True))
 
 
 class _Term(NamedTuple):
@@ -201,7 +200,7 @@ def _terms(spec: ModelSpec) -> tuple[CompositeSpace, list[_Term]]:
     qops = qubit_ops()
 
     def local(op: np.ndarray, sub: Subsystem) -> Callable[[], sp.csr_matrix]:
-        return partial(embed_sparse, op, space, space.index(sub.label))
+        return partial(embed, op, space, space.index(sub.label), sparse=True)
 
     terms: list[_Term] = []
     for e in elements:
