@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analytic import one_photon_excitations, thermal_distribution
-from .hilbert import Boson, CompositeSpace, annihilation, basis_ket, number
+from .hilbert import PSD_TOL, Boson, CompositeSpace, annihilation, basis_ket, number
 from .liouville import LindbladTerm
 from .models import (
     SCENARIOS,
@@ -182,10 +182,10 @@ def _run_grid(header: tuple[str, ...], points: Callable, rows: Callable,
     return 3 if any(error for _, error in results) else 0
 
 
-def _clamp_tiny_negative(value: float, tol: float = 1e-10) -> float:
+def _clamp_tiny_negative(value: float) -> float:
     """Excitation numbers are non-negative; eigenvalue noise within the
-    positivity tolerance is clamped to zero in the artifacts."""
-    return 0.0 if -tol < value < 0.0 else value
+    positivity tolerance ``PSD_TOL`` is clamped to zero in the artifacts."""
+    return 0.0 if -PSD_TOL < value < 0.0 else value
 
 
 def _means(rep: ObservableReport) -> tuple[float, float]:
@@ -222,8 +222,17 @@ def _sweep_rows(spec: ModelSpec, rep: ObservableReport | None) -> list[list]:
     return [[*_means(rep), n1, e1, rep.i_af]]
 
 
+def _exp10(key: str, log10: float) -> float:
+    """10**log10; a value too large for a float is a configuration error of ``key``."""
+    try:
+        return 10.0**log10
+    except OverflowError:
+        raise ValueError(f"{key}: 10**{log10} overflows a float") from None
+
+
 def _damping_points(o: argparse.Namespace) -> list:
-    return [((omega, lk, ll), _spec(o, o.cutoff, omega=omega, kappa=10.0**lk, lam=10.0**ll))
+    return [((omega, lk, ll), _spec(o, o.cutoff, omega=omega, kappa=_exp10("log_kappa_grid", lk),
+                                    lam=_exp10("log_lambda_grid", ll)))
             for omega in o.omegas for lk in o.log_kappa_grid for ll in o.log_lambda_grid]
 
 
@@ -281,7 +290,8 @@ def _cmd_convergence(o: argparse.Namespace) -> int:
     spec = _spec(o, o.cutoffs[0])
     rows = []
     try:
-        # unsorted cutoffs raise ValueError before any solve: a configuration error
+        # cutoffs that do not strictly ascend raise ValueError before any solve:
+        # a configuration error
         for row in convergence_scan(spec, o.cutoffs):
             change = None if math.isnan(row.rel_change) else row.rel_change
             rows.append([row.cutoff, row.n_mean, row.e_mean, change, row.converged, ""])
@@ -349,9 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args: argparse.Namespace, cfg: dict[str, str], command: str) -> argparse.Namespace:
     """Merge option defaults, per-command defaults, config-file values and
     flags (flags win), and check that every config key is an option of the
-    command, that no grid is empty and that ``trajectories --mode decay`` is
-    given no model option.  The values themselves are checked by
-    ``RabiParams`` and ``ModelSpec`` as the specs are built."""
+    command, that no grid is empty, that ``workers`` is at least 1 and that
+    ``trajectories --mode decay`` is given no model option.  The values
+    themselves are checked by ``RabiParams`` and ``ModelSpec`` as the specs
+    are built."""
     cmd = _COMMANDS[command]
     keys = _COMMON + cmd.options
     merged = {key: _OPTIONS[key].default for key in keys}
@@ -381,6 +392,8 @@ def resolve_config(args: argparse.Namespace, cfg: dict[str, str], command: str) 
     for key in keys:
         if _OPTIONS[key].cast in (_floats, _ints) and not merged[key]:
             raise ValueError(f"{key} must not be empty")
+    if merged["workers"] < 1:
+        raise ValueError(f"workers must be >= 1, got {merged['workers']}")
     return argparse.Namespace(**merged)
 
 

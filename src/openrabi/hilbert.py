@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 SQRT2 = np.sqrt(2.0)
 
-#: default tolerances for density-matrix validation
+#: tolerances of density-matrix validation
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -217,13 +217,9 @@ def herm_defect(rho: np.ndarray) -> float:
     return float(np.abs(rho - rho.conj().T).max(initial=0.0)) / 2.0
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    trace_tol: float = TRACE_TOL,
-    herm_tol: float = HERM_TOL,
-    psd_tol: float = PSD_TOL,
-) -> dict[str, float]:
-    """Raise ValueError unless rho has unit trace, is hermitian and PSD within tolerances.
+def validate_density_matrix(rho: np.ndarray) -> dict[str, float]:
+    """Raise ValueError unless rho has unit trace, is hermitian and PSD within
+    ``TRACE_TOL``, ``HERM_TOL`` and ``PSD_TOL``.
 
     Returns the margins checked: ``trace_deviation``, ``herm_defect`` and
     ``min_eigenvalue`` (of the hermitian part).  Non-finite margins fail.
@@ -232,12 +228,12 @@ def validate_density_matrix(
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got shape {rho.shape}")
     dev = float(abs(np.trace(rho) - 1.0))
-    if not dev <= trace_tol:
-        raise ValueError(f"trace deviates from 1 by {dev:.3e} (> {trace_tol:.0e})")
+    if not dev <= TRACE_TOL:
+        raise ValueError(f"trace deviates from 1 by {dev:.3e} (> {TRACE_TOL:.0e})")
     hd = herm_defect(rho)
-    if not hd <= herm_tol:
-        raise ValueError(f"hermiticity defect {hd:.3e} (> {herm_tol:.0e})")
+    if not hd <= HERM_TOL:
+        raise ValueError(f"hermiticity defect {hd:.3e} (> {HERM_TOL:.0e})")
     wmin = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if not wmin >= -psd_tol:
-        raise ValueError(f"minimum eigenvalue {wmin:.3e} below -{psd_tol:.0e}")
+    if not wmin >= -PSD_TOL:
+        raise ValueError(f"minimum eigenvalue {wmin:.3e} below -{PSD_TOL:.0e}")
     return {"trace_deviation": dev, "herm_defect": hd, "min_eigenvalue": wmin}

@@ -31,10 +31,10 @@ def photon_distribution(
     return np.diag(reduced).real.copy()
 
 
-def von_neumann_entropy(rho: np.ndarray, floor: float = EIG_FLOOR) -> float:
-    """Entropy in bits; eigenvalues at or below ``floor`` are treated as zero."""
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Entropy in bits; eigenvalues at or below ``EIG_FLOOR`` are treated as zero."""
     w = np.linalg.eigvalsh(0.5 * (rho + np.asarray(rho).conj().T))
-    w = w[w > floor]
+    w = w[w > EIG_FLOOR]
     return float(-(w * np.log2(w)).sum()) if w.size else 0.0
 
 
@@ -68,24 +68,18 @@ def mutual_information(
 class ObservableReport:
     """Summary observables of a joint state.
 
-    ``n_mean``/``e_mean`` are keyed by subsystem label; entropies cover each
-    party and the atom-field pair; ``i_af`` is the atom-field mutual
-    information with any spectator subsystems traced out.
+    ``n_mean``/``e_mean`` are keyed by subsystem label and ``distributions``
+    by bosonic mode; ``i_af`` is the atom-field mutual information with any
+    spectator subsystems traced out.
     """
 
     n_mean: dict[str, float]
     e_mean: dict[str, float]
     distributions: dict[str, np.ndarray]
-    entropies: dict[str, float]
     i_af: float
 
 
-def report(
-    rho: np.ndarray,
-    space: CompositeSpace,
-    atom: int | str = "atom",
-    field: int | str = "cavity",
-) -> ObservableReport:
+def report(rho: np.ndarray, space: CompositeSpace) -> ObservableReport:
     """Per-subsystem excitations and the true atom-field correlation."""
     n_mean: dict[str, float] = {}
     e_mean: dict[str, float] = {}
@@ -98,15 +92,5 @@ def report(
             n_mean[sub.label] = float(pops @ np.arange(sub.dim))
         else:
             e_mean[sub.label] = float(pops[1])
-
-    ia = _resolve(space, atom)
-    if_ = _resolve(space, field)
-    joint = partial_trace(rho, space, [ia, if_])
-    joint_space = space.subspace([ia, if_])
-    entropies = {
-        space.subsystems[ia].label: von_neumann_entropy(partial_trace(rho, space, [ia])),
-        space.subsystems[if_].label: von_neumann_entropy(partial_trace(rho, space, [if_])),
-        "atom_field": von_neumann_entropy(joint),
-    }
-    i_af = mutual_information(rho, space, [ia], [if_])
-    return ObservableReport(n_mean, e_mean, distributions, entropies, i_af)
+    i_af = mutual_information(rho, space, ["atom"], ["cavity"])
+    return ObservableReport(n_mean, e_mean, distributions, i_af)

@@ -8,9 +8,9 @@ separations typical here (rates ~1e-6 against frequencies ~1) the replaced
 system is ill-conditioned, so a small residual does not bound the error of
 the solution; the size of the correction does.  Refinement therefore always
 applies at least one correction and stops once a correction is at most
-``_REFINE_STOP`` of the solution, after at most ``_REFINE_ROUNDS`` rounds.
-The result's diagnostics report the rounds, the last correction and the
-size of the LU factors.
+``_REFINE_STOP`` (2^-52, the rounding floor of double precision) of the
+solution, after at most ``_REFINE_ROUNDS`` rounds.  The result's diagnostics report the rounds, the
+last correction and the size of the LU factors.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .models import ModelSpec, build_liouvillian, excitation_operator
 RES_TOL = 1e-10
 
 _REFINE_ROUNDS = 3
-_REFINE_STOP = 1e-17    # largest correction ||dx||/||x|| (max norms) that ends refinement
+_REFINE_STOP = np.finfo(float).eps   # largest ||dx||/||x|| (max norms) that ends refinement
+_NULLITY_TOL = 1e-10    # singular values at most this times ||L||_F count as zero
 _NULLITY_SVD_DIM = 40   # largest Hilbert dimension for the dense SVD nullity probe
 
 
@@ -58,42 +59,42 @@ class SteadyStateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _replace_first_row(mat: sp.spmatrix, dim: int) -> sp.csc_matrix:
-    """Copy of the generator with row 0 replaced by the vectorized trace row."""
-    coo = mat.tocoo()
-    keep = coo.row != 0
-    diag = np.arange(dim) * (dim + 1)
-    rows = np.concatenate([coo.row[keep], np.zeros(dim, dtype=coo.row.dtype)])
-    cols = np.concatenate([coo.col[keep], diag.astype(coo.col.dtype)])
-    data = np.concatenate([coo.data[keep], np.ones(dim, dtype=complex)])
-    return sp.coo_matrix((data, (rows, cols)), shape=mat.shape).tocsc()
+def _trace_replaced(mat: sp.csr_matrix, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices, data) of ``mat`` with row 0 replaced by the
+    vectorized trace row; ``mat`` itself is left as it is."""
+    start = mat.indptr[1]
+    indptr = mat.indptr - start + dim
+    indptr[0] = 0
+    indices = np.concatenate([np.arange(dim, dtype=mat.indices.dtype) * (dim + 1),
+                              mat.indices[start:]])
+    data = np.concatenate([np.ones(dim, dtype=complex), mat.data[start:]])
+    return indptr, indices, data
 
 
 def _extended_residual(
     rows: np.ndarray, cols: np.ndarray, data: np.ndarray, x: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """rhs - M x accumulated in extended precision (COO triplets of M)."""
+    """rhs - M x accumulated in extended precision (triplets of M)."""
     r = rhs.astype(np.clongdouble).copy()
     contrib = data.astype(np.clongdouble) * x.astype(np.clongdouble)[cols]
     np.subtract.at(r, rows, contrib)
     return r
 
 
-def _probe_nullity(gen: SuperOperator, tol: float) -> int:
+def _probe_nullity(mat: sp.csr_matrix, dim: int) -> int:
     """Count near-zero singular values (dense) or near-zero eigenvalues (sparse)."""
-    mat = gen.matrix
     scale = max(float(sp.linalg.norm(mat, "fro")), 1e-300)
-    if gen.dim <= _NULLITY_SVD_DIM:
+    if dim <= _NULLITY_SVD_DIM:
         svals = la.svdvals(mat.toarray())
-        return int(np.sum(svals <= tol * scale))
+        return int(np.sum(svals <= _NULLITY_TOL * scale))
     shift = 1e-12 * scale
     vals = spla.eigs(mat.tocsc(), k=4, sigma=shift, return_eigenvectors=False)
-    return int(np.sum(np.abs(vals) <= tol * scale))
+    return int(np.sum(np.abs(vals) <= _NULLITY_TOL * scale))
 
 
-def _solve_failure(gen: SuperOperator, message: str) -> RuntimeError:
+def _solve_failure(mat: sp.csr_matrix, dim: int, message: str) -> RuntimeError:
     """NonUniqueSteadyStateError if the null space is degenerate, else NoConvergenceError."""
-    nullity = _probe_nullity(gen, 1e-10)
+    nullity = _probe_nullity(mat, dim)
     if nullity > 1:
         return NonUniqueSteadyStateError(
             f"estimated nullity {nullity}; the stationary state is not unique"
@@ -101,38 +102,37 @@ def _solve_failure(gen: SuperOperator, message: str) -> RuntimeError:
     return NoConvergenceError(message)
 
 
-def steady_state(
-    gen: SuperOperator,
-    res_tol: float = RES_TOL,
-    refine: int = _REFINE_ROUNDS,
-) -> SteadyStateResult:
+def steady_state(gen: SuperOperator) -> SteadyStateResult:
     """Unique stationary density matrix of a trace-preserving generator.
 
     Raises ``NonUniqueSteadyStateError`` when the generator's null space has
     dimension above one, and ``NoConvergenceError`` when the solution fails
-    the residual tolerance or ``validate_density_matrix``.  A nullity above
-    one makes the trace-replaced system singular, so a clean solve implies a
-    unique state.
+    the residual tolerance ``RES_TOL`` or ``validate_density_matrix``.  A
+    nullity above one makes the trace-replaced system singular, so a clean
+    solve implies a unique state.  ``gen`` is not modified.
     """
     dim = gen.dim
     mat = gen.matrix.tocsr()
+    if not mat.has_canonical_format:   # duplicate or unsorted entries: sum them in a copy
+        mat = mat.copy()
+        mat.sum_duplicates()
     norm_l = max(float(sp.linalg.norm(mat, "fro")), 1e-300)
-    modified = _replace_first_row(mat, dim)
+    indptr, indices, data = _trace_replaced(mat, dim)
     rhs = np.zeros(dim * dim, dtype=complex)
     rhs[0] = 1.0
 
     try:
-        lu = spla.splu(modified)
+        lu = spla.splu(sp.csr_matrix((data, indices, indptr), shape=mat.shape).tocsc())
         x = lu.solve(rhs)
     except RuntimeError as exc:
-        raise _solve_failure(gen, f"factorization failed: {exc}") from exc
+        raise _solve_failure(mat, dim, f"factorization failed: {exc}") from exc
 
-    coo = modified.tocoo()
+    rows = np.repeat(np.arange(dim * dim, dtype=indptr.dtype), np.diff(indptr))
     rounds = 0
     correction = math.inf
     if np.all(np.isfinite(x)):
-        for rounds in range(1, refine + 1):
-            r = _extended_residual(coo.row, coo.col, coo.data, x, rhs)
+        for rounds in range(1, _REFINE_ROUNDS + 1):
+            r = _extended_residual(rows, indices, data, x, rhs)
             dx = lu.solve(np.asarray(r, dtype=complex))
             x = x + dx
             correction = float(np.abs(dx).max()) / max(float(np.abs(x).max()), 1e-300)
@@ -142,8 +142,8 @@ def steady_state(
     raw = devectorize(x)
     rho = 0.5 * (raw + raw.conj().T)
     residual = float(np.linalg.norm(mat @ vectorize(rho))) / norm_l
-    if not residual <= res_tol:
-        raise _solve_failure(gen, f"residual {residual:.3e} exceeds {res_tol:.0e}")
+    if not residual <= RES_TOL:
+        raise _solve_failure(mat, dim, f"residual {residual:.3e} exceeds {RES_TOL:.0e}")
     try:
         margins = validate_density_matrix(raw)
     except ValueError as exc:
@@ -167,9 +167,9 @@ def evolve(
     rho0: np.ndarray,
     t_final: float,
     tolerance: float = 1e-10,
-    method: str = "DOP853",
 ) -> np.ndarray:
-    """Integrate d rho/dt = L rho from rho0 to t_final with an explicit adaptive scheme."""
+    """Integrate d rho/dt = L rho from rho0 to t_final with an explicit adaptive
+    scheme (DOP853)."""
     rho0 = np.asarray(rho0, dtype=complex)
     v0 = vectorize(rho0)
     if t_final == 0.0:
@@ -182,7 +182,7 @@ def evolve(
         dv = mat @ (y[:n] + 1j * y[n:])
         return np.concatenate([dv.real, dv.imag])
 
-    sol = solve_ivp(rhs, (0.0, t_final), y0, method=method, rtol=tolerance, atol=tolerance)
+    sol = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853", rtol=tolerance, atol=tolerance)
     if not sol.success:
         raise StepSizeUnderflowError(f"integration failed: {sol.message}")
     v = sol.y[:n, -1] + 1j * sol.y[n:, -1]
@@ -204,8 +204,8 @@ class ConvergenceRow:
 
 def convergence_scan(spec: ModelSpec, cutoffs: Sequence[int]) -> list[ConvergenceRow]:
     """Steady-state cavity/atom excitations per Fock cutoff, flagging 1% convergence."""
-    if list(cutoffs) != sorted(cutoffs):
-        raise ValueError("cutoffs must be ascending")
+    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
+        raise ValueError(f"cutoffs must be strictly ascending, got {list(cutoffs)}")
     rows: list[ConvergenceRow] = []
     prev_n = None
     for cutoff in cutoffs:

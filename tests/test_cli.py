@@ -211,6 +211,10 @@ def test_console_entry_point(tmp_path):
     pytest.param(["sweep-omega", "--kappa", "nan"], None, id="nan-kappa"),
     pytest.param(["damping-map", "--cutoff", "0"], None, id="cutoff-zero"),
     pytest.param(["convergence", "--cutoff", "3,1"], None, id="descending-cutoffs"),
+    pytest.param(["convergence", "--cutoff", "1,1"], "cutoffs", id="repeated-cutoffs"),
+    pytest.param(["damping-map", "--log-kappa-grid=400"], "log_kappa_grid",
+                 id="overflowing-log-kappa"),
+    pytest.param(["sweep-omega", "--workers", "-3"], "workers", id="negative-workers"),
     pytest.param(["trajectories", "--scenario", "a", "--g", "9"], "--scenario, --g",
                  id="decay-model-flags"),
     pytest.param(["trajectories", "--config", "decay-model.cfg"], "--lambda",

@@ -121,4 +121,3 @@ def test_report_summary():
     dist = rep.distributions["cavity"]
     assert rep.n_mean["cavity"] == pytest.approx(float(dist @ np.arange(dist.size)))
     assert rep.i_af == pytest.approx(orb.mutual_information(rho, space, ["atom"], ["cavity"]))
-    assert rep.entropies["atom_field"] > 0

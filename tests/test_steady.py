@@ -6,6 +6,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import openrabi as orb
 from openrabi.steady import NonUniqueSteadyStateError
@@ -175,6 +176,8 @@ def test_convergence_scan_rejects_unsorted():
     spec = orb.ModelSpec(params=orb.RabiParams(omega=1.0, g=0.05, **REFERENCE_RATES), cutoff=1)
     with pytest.raises(ValueError):
         orb.convergence_scan(spec, [2, 1])
+    with pytest.raises(ValueError, match="strictly ascending"):
+        orb.convergence_scan(spec, [1, 1])
 
 
 def _mp_null_vector_means(gen, dps=40):
@@ -220,9 +223,29 @@ def test_printed_digits_match_40_digit_null_vector(scenario, cutoff, omega):
     n_ref, e_ref = _mp_null_vector_means(orb.build_liouvillian(spec))
     assert n == pytest.approx(n_ref, rel=1e-14)
     assert e == pytest.approx(e_ref, rel=1e-14)
-    assert 1 <= result.diagnostics["refine_rounds"] <= 3
-    assert result.diagnostics["last_correction"] < 1e-15
+    # refinement reaches the rounding floor, and stops there, within two rounds
+    assert result.diagnostics["last_correction"] <= np.finfo(float).eps
+    assert 1 <= result.diagnostics["refine_rounds"] <= 2
     assert result.diagnostics["lu_nnz"] > 0
+
+
+def test_non_canonical_generator_solves_and_is_left_unchanged():
+    # every entry split into two halves, and each row's entries reversed
+    gen = orb.build_liouvillian(orb.ModelSpec(
+        params=orb.RabiParams(omega=1.0, g=0.05, **REFERENCE_RATES), cutoff=2,
+        parasitic=orb.scenario_parasitic("c")))
+    mat = gen.matrix
+    order = np.concatenate([np.arange(mat.indptr[i + 1] - 1, mat.indptr[i] - 1, -1)
+                            for i in range(mat.shape[0])])
+    data = np.repeat(mat.data[order] / 2, 2)
+    indices = np.repeat(mat.indices[order], 2)
+    messy = sp.csr_matrix((data, indices, 2 * mat.indptr), shape=mat.shape)
+    assert not messy.has_canonical_format
+    arrays = [a.copy() for a in (messy.data, messy.indices, messy.indptr)]
+    rho = orb.steady_state(orb.SuperOperator(gen.space, messy)).rho
+    np.testing.assert_allclose(rho, orb.steady_state(gen).rho, rtol=0, atol=1e-14)
+    for before, after in zip(arrays, (messy.data, messy.indices, messy.indptr)):
+        np.testing.assert_array_equal(before, after)
 
 
 def test_sweep_bytes_independent_of_blas_threads(tmp_path):
