@@ -47,6 +47,9 @@ from .steady import convergence_scan, steady_state
 from .trajectories import ensemble_average, unravel
 
 _FLOAT_FMT = "{:.11e}"
+# rel_change = |n_c - n_{c-1}| / n_c cancels about 4 of the 12 digits the
+# means carry, so it is printed with the 8 that are true
+_REL_CHANGE_FMT = "{:.7e}"
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -293,7 +296,7 @@ def _cmd_convergence(o: argparse.Namespace) -> int:
         # cutoffs that do not strictly ascend raise ValueError before any solve:
         # a configuration error
         for row in convergence_scan(spec, o.cutoffs):
-            change = None if math.isnan(row.rel_change) else row.rel_change
+            change = None if math.isnan(row.rel_change) else _REL_CHANGE_FMT.format(row.rel_change)
             rows.append([row.cutoff, row.n_mean, row.e_mean, change, row.converged, ""])
     except RuntimeError as exc:  # solver failure: an error row after the solved cutoffs
         rows.append([None, None, None, None, None, f"{type(exc).__name__}: {exc}"])

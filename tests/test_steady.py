@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 import openrabi as orb
+from openrabi.cli import main
 from openrabi.steady import NonUniqueSteadyStateError
 from util import REFERENCE_RATES, cavity_only_generator, steady_means, trace_distance
 
@@ -227,6 +229,23 @@ def test_printed_digits_match_40_digit_null_vector(scenario, cutoff, omega):
     assert result.diagnostics["last_correction"] <= np.finfo(float).eps
     assert 1 <= result.diagnostics["refine_rounds"] <= 2
     assert result.diagnostics["lu_nnz"] > 0
+
+
+def test_printed_rel_change_digits_match_40_digit_null_vector(tmp_path):
+    # rel_change = |n_c - n_{c-1}| / n_c cancels about 4 digits, so the
+    # convergence table prints it with 8 significant digits, each a true one
+    out = tmp_path / "convergence.csv"
+    assert main(["convergence", "--cutoff", "1,2,3", "--out", str(out)]) == 0
+    with out.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    spec = orb.ModelSpec(params=orb.RabiParams(omega=1.0, g=0.05, **REFERENCE_RATES), cutoff=1)
+    n = [mp.mpf(_mp_null_vector_means(orb.build_liouvillian(spec.with_cutoff(c)))[0])
+         for c in (1, 2, 3)]
+    assert [row["cutoff"] for row in rows] == ["1", "2", "3"]
+    with mp.workdps(40):
+        for c in (2, 3):
+            ref = abs(n[c - 1] - n[c - 2]) / n[c - 1]
+            assert rows[c - 1]["rel_change"] == f"{float(ref):.7e}"
 
 
 def test_non_canonical_generator_solves_and_is_left_unchanged():

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as la
 
 import openrabi as orb
+from openrabi import trajectories
 from util import REFERENCE_RATES
 
 
@@ -144,3 +145,118 @@ def test_renormalized_norm_after_jumps():
     assert len(rec.jump_times) == 2  # |2> -> |1> -> |0> under pure decay
     assert rec.jump_times == sorted(rec.jump_times)
     assert rec.observables[0, -1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_draw_channel_matches_generator_choice():
+    # the draw is Generator.choice's: same index, same stream state after it
+    source = np.random.default_rng(7)
+    for case in range(600):
+        w = source.random(int(source.integers(2, 6)))
+        if case % 3 == 0:
+            w[source.integers(w.size)] = 0.0   # a closed channel
+        p = w / w.sum()
+        mine = np.random.Generator(np.random.PCG64(case))
+        theirs = np.random.Generator(np.random.PCG64(case))
+        assert trajectories._draw_channel(mine, p) == theirs.choice(p.size, p=p)
+        assert mine.random() == theirs.random()
+
+
+def _reference_samples(unr, psi0, t_grid, n_traj, base_seed, ops):
+    dt = float(t_grid[1] - t_grid[0])
+    return np.array([
+        orb.run_trajectory(unr, psi0, float(t_grid[-1]), dt, orb.trajectory_seed(base_seed, i),
+                           ops).observables
+        for i in range(n_traj)
+    ])
+
+
+def _assert_batched_equals_reference(unr, psi0, t_grid, n_traj, base_seed, ops):
+    got = trajectories._ensemble_samples(unr, psi0, t_grid, n_traj, base_seed, ops)
+    np.testing.assert_array_equal(got, _reference_samples(unr, psi0, t_grid, n_traj, base_seed, ops))
+
+
+def test_batched_equals_reference_two_jumps_in_one_step():
+    unr, space, _, _ = decaying_cavity(kappa=1.0, cutoff=2)
+    psi0 = orb.basis_ket(space, [2])
+    t_grid = np.linspace(0.0, 6.0, 4)     # dt = 2
+    ops = (orb.number(2),)
+    records = [orb.run_trajectory(unr, psi0, 6.0, 2.0, orb.trajectory_seed(5, i), ops)
+               for i in range(200)]
+    # |2> -> |1> -> |0> inside one step
+    assert any(len(r.jump_times) == 2 and int(r.jump_times[0] // 2.0) == int(r.jump_times[1] // 2.0)
+               for r in records)
+    got = trajectories._ensemble_samples(unr, psi0, t_grid, 200, 5, ops)
+    np.testing.assert_array_equal(got, np.array([r.observables for r in records]))
+
+
+def test_batched_equals_reference_scenario_c():
+    spec = orb.ModelSpec(
+        params=orb.RabiParams(omega=1.0, g=0.3, kappa=0.5, lam=0.5, gamma=0.125),
+        cutoff=1,
+        parasitic=orb.scenario_parasitic("c"),
+    )
+    space = orb.build_space(spec)
+    unr = orb.unravel(orb.build_hamiltonian(spec), orb.build_dissipators(spec), space)
+    assert len(unr.jumps) > 2
+    ops = (orb.excitation_operator(space, "cavity"), orb.excitation_operator(space, "atom"))
+    psi0 = orb.basis_ket(space, [0] * len(space.dims))
+    _assert_batched_equals_reference(unr, psi0, np.linspace(0.0, 4.0, 9), 150, 21, ops)
+
+
+def test_batched_equals_reference_without_jumps():
+    space = orb.CompositeSpace((orb.Boson(2, "cavity"),))
+    x, _ = orb.quadratures(2)
+    unr = orb.unravel(orb.number(2) + 0.3 * x, [], space)
+    psi0 = orb.basis_ket(space, [0])
+    _assert_batched_equals_reference(unr, psi0, np.linspace(0.0, 2.0, 41), 3, 5, (orb.number(2),))
+
+
+def test_batched_equals_reference_partial_last_block():
+    unr, space, _, _ = decaying_cavity()
+    psi0 = orb.basis_ket(space, [1])
+    n_traj = trajectories._BLOCK + 3
+    _assert_batched_equals_reference(unr, psi0, np.linspace(0.0, 3.0, 7), n_traj, 17,
+                                     (orb.number(1),))
+
+
+def test_expm_fallback_at_exceptional_point():
+    # H = g sigma_x with D[sigma_-] at rate gamma = 4 g: H_eff is defective
+    space = orb.CompositeSpace((orb.Qubit("q"),))
+    q = orb.qubit_ops()
+    h = 0.25 * (q.sm + q.sp)
+    terms = [orb.LindbladTerm(q.sm, 1.0)]
+    unr = orb.unravel(h, terms, space)
+    assert trajectories._Propagator(unr.h_eff)._eig is None
+    psi0 = orb.basis_ket(space, [1])
+    ops = (q.excited,)
+    t_grid = np.linspace(0.0, 3.0, 7)
+    _assert_batched_equals_reference(unr, psi0, t_grid, 60, 3, ops)
+
+    ens = orb.ensemble_average(unr, psi0, t_grid, 600, 4, ops)
+    gen = orb.assemble(h, terms, space)
+    rho0 = np.outer(psi0, psi0.conj())
+    for k, t in enumerate(t_grid[1:], start=1):
+        exact = orb.expectation(q.excited, orb.evolve(gen, rho0, float(t), tolerance=1e-10)).real
+        assert abs(ens.mean[0, k] - exact) <= 3 * ens.stderr[0, k]
+
+
+def test_ensemble_rejects_unnormalized_start():
+    unr, space, _, _ = decaying_cavity()
+    psi0 = orb.basis_ket(space, [1])
+    with pytest.raises(ValueError, match="normalized"):
+        orb.ensemble_average(unr, 2 * psi0, np.linspace(0, 1, 5), 4, 0, (orb.number(1),))
+
+
+@pytest.mark.parametrize("jumps, message", [
+    ((), "norm decayed but the unraveling has no jumps"),
+    ((np.zeros((2, 2), complex),), "norm decayed with no open jump channel"),
+])
+def test_both_engines_report_step_size_underflow(jumps, message):
+    # a decaying drift whose jumps cannot carry the lost norm
+    space = orb.CompositeSpace((orb.Boson(1, "cavity"),))
+    unr = orb.Unraveling(space, orb.number(1) - 0.5j * np.eye(2), jumps)
+    psi0 = orb.basis_ket(space, [1])
+    with pytest.raises(orb.StepSizeUnderflowError, match=message):
+        orb.run_trajectory(unr, psi0, 4.0, 0.5, seed=1)
+    with pytest.raises(orb.StepSizeUnderflowError, match=message):
+        orb.ensemble_average(unr, psi0, np.linspace(0.0, 4.0, 9), 8, 1, ())
