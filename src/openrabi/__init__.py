@@ -49,7 +49,6 @@ from .steady import (
     NoConvergenceError,
     NonUniqueSteadyStateError,
     SteadyStateResult,
-    StepSizeUnderflowError,
     convergence_scan,
     evolve,
     steady_state,
@@ -80,6 +79,7 @@ from .observables import (
 )
 from .trajectories import (
     EnsembleResult,
+    StepSizeUnderflowError,
     TrajectoryRecord,
     Unraveling,
     ensemble_average,

@@ -139,20 +139,22 @@ _OPTIONS = {
 }
 
 #: options every subcommand takes; each command adds its own in ``_Command.options``
-_COMMON = ("out", "scenario", "coupling", "omega", "g", "kappa", "lam", "gamma_rate",
-           "nbar", "workers")
+_COMMON = ("out", "scenario", "coupling", "g", "nbar", "workers")
 #: the options that describe the model, which ``trajectories --mode decay`` does
 #: not read: it damps a lone cavity at ``--kappa``
 _MODEL_OPTIONS = ("scenario", "coupling", "omega", "g", "lam", "gamma_rate", "nbar")
 
 
 def _spec(o: argparse.Namespace, cutoff: int, **point: float) -> ModelSpec:
-    """The model at one point: the command's parameters with ``point`` overriding.
+    """The model at one point: ``point`` holds the parameters the grid sets and
+    the command's options the others (a command takes no option its grid sets).
 
     Dephasing follows lam/4 at the point unless ``--gamma-rate`` fixes it.
     """
-    p = {"omega": o.omega, "g": o.g, "kappa": o.kappa, "lam": o.lam, "nbar": o.nbar, **point}
-    p.setdefault("gamma", p["lam"] / 4.0 if o.gamma_rate is None else o.gamma_rate)
+    p = {key: value for key, value in vars(o).items()
+         if key in ("omega", "g", "kappa", "lam", "nbar")} | point
+    if "gamma" not in p:
+        p["gamma"] = p["lam"] / 4.0 if o.gamma_rate is None else o.gamma_rate
     return ModelSpec(params=RabiParams(**p), cutoff=cutoff, coupling=Coupling(o.coupling),
                      parasitic=scenario_parasitic(o.scenario))
 
@@ -311,34 +313,38 @@ class _Command(NamedTuple):
     run: Callable[[argparse.Namespace], int]
 
 
-def _sweep(axis: str, help: str) -> _Command:
+def _sweep(axis: str, help: str, scalars: tuple[str, ...]) -> _Command:
     header = ("scenario", axis, "cutoff", "n_mean", "e_mean", "n1_analytic", "e1_analytic",
               "i_af", "error")
-    return _Command(help, (f"{axis}_grid", "cutoffs"), {"out": f"sweep_{axis}.csv"},
+    return _Command(help, (f"{axis}_grid", "cutoffs", *scalars), {"out": f"sweep_{axis}.csv"},
                     partial(_run_grid, header, partial(_sweep_points, axis), _sweep_rows))
 
 
 _COMMANDS = {
-    "sweep-omega": _sweep("omega", "excitations vs atomic frequency"),
-    "sweep-gamma": _sweep("gamma", "excitations vs dephasing rate"),
+    "sweep-omega": _sweep("omega", "excitations vs atomic frequency",
+                          ("kappa", "lam", "gamma_rate")),
+    "sweep-gamma": _sweep("gamma", "excitations vs dephasing rate", ("omega", "kappa", "lam")),
     "damping-map": _Command(
         "total excitation over a (kappa, lambda) log grid",
-        ("cutoff", "log_kappa_grid", "log_lambda_grid", "omegas"),
+        ("cutoff", "log_kappa_grid", "log_lambda_grid", "omegas", "gamma_rate"),
         {"scenario": "c", "out": "damping_map.csv"},
         partial(_run_grid,
                 ("omega", "log10_kappa", "log10_lambda", "log10_total_excitation", "error"),
                 _damping_points, _damping_rows)),
     "distribution": _Command(
-        "photon distribution vs thermal reference", ("cutoff", "kappas", "omegas"),
+        "photon distribution vs thermal reference",
+        ("cutoff", "kappas", "omegas", "lam", "gamma_rate"),
         {"scenario": "c", "omegas": (1.0, 0.7), "out": "distribution.csv"},
         partial(_run_grid, ("kappa", "omega", "n", "p_n_steady", "p_n_thermal", "i_af", "error"),
                 _distribution_points, _distribution_rows)),
     "trajectories": _Command(
         "quantum-jump ensemble validation run",
-        ("mode", "cutoff", "t_max", "points", "n_traj", "seed"),
+        ("mode", "cutoff", "t_max", "points", "n_traj", "seed", "omega", "kappa", "lam",
+         "gamma_rate"),
         {"cutoff": 1, "kappa": 1.0, "out": "trajectories.csv"}, _cmd_trajectories),
     "convergence": _Command(
-        "steady-state observables per Fock cutoff", ("cutoffs",),
+        "steady-state observables per Fock cutoff",
+        ("cutoffs", "omega", "kappa", "lam", "gamma_rate"),
         {"cutoffs": (1, 2, 3), "out": "convergence.csv"}, _cmd_convergence),
 }
 
@@ -350,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=command.help)
+        # no abbreviations: --omega must not be read as --omega-grid or --omegas
+        sub = subparsers.add_parser(name, help=command.help, allow_abbrev=False)
         sub.add_argument("--config", help="flat key = value config file")
         for key in _COMMON + command.options:
             opt = _OPTIONS[key]
@@ -401,8 +408,10 @@ def resolve_config(args: argparse.Namespace, cfg: dict[str, str], command: str) 
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     try:
+        if extra:
+            raise ValueError(f"{args.command}: unrecognized arguments: {' '.join(extra)}")
         cfg = parse_config_file(args.config) if args.config else {}
         return _COMMANDS[args.command].run(resolve_config(args, cfg, args.command))
     except (ValueError, OSError) as exc:

@@ -35,7 +35,6 @@ import scipy.sparse as sp
 
 from .hilbert import CompositeSpace, DimensionError
 from .liouville import LindbladTerm, SuperOperator
-from .steady import StepSizeUnderflowError
 
 _BISECT_FRACTION = 1e-3   # jump-time tolerance as a fraction of the step size
 # trajectories stepped together; each live Generator holds ~0.9 KiB, so one
@@ -43,6 +42,11 @@ _BISECT_FRACTION = 1e-3   # jump-time tolerance as a fraction of the step size
 _BLOCK = 1024
 
 Seed = int | np.random.SeedSequence
+
+
+class StepSizeUnderflowError(RuntimeError):
+    """The norm decayed and no jump could carry it: the unraveling has no jump
+    operators, or every channel's weight is zero in the current state."""
 
 
 @dataclass(frozen=True)

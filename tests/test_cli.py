@@ -135,15 +135,15 @@ def test_error_rows_and_exit_code(tmp_path):
     # its key columns and leaves the solved columns blank in the error row
     sweep_blank = ["n_mean", "e_mean", "n1_analytic", "e1_analytic", "i_af"]
     cases = {
-        "sweep-omega": (["--omega-grid", "1.0", "--cutoffs", "1"], sweep_blank),
+        "sweep-omega": (["--omega-grid", "1.0", "--cutoffs", "1", "--gamma-rate", "0"],
+                        sweep_blank),
         "sweep-gamma": (["--gamma-grid", "0", "--cutoffs", "1"], sweep_blank),
-        "distribution": (["--kappas", "1e-6", "--omegas", "1.0"],
+        "distribution": (["--kappas", "1e-6", "--omegas", "1.0", "--gamma-rate", "0"],
                          ["n", "p_n_steady", "p_n_thermal", "i_af"]),
     }
     for command, (grid, columns) in cases.items():
         out = tmp_path / f"{command}.csv"
-        code = main([command, *grid, "--g", "0", "--lambda", "0", "--gamma-rate", "0",
-                     "--out", str(out)])
+        code = main([command, *grid, "--g", "0", "--lambda", "0", "--out", str(out)])
         assert code == 3
         (row,) = read_rows(out)
         assert "NonUniqueSteadyState" in row["error"]
@@ -182,20 +182,40 @@ def test_worker_pool_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_console_entry_point(tmp_path):
-    out = tmp_path / "cli.csv"
+def _child_env():
     # the child imports the same openrabi as this process, installed or not
     src = str(Path(orb.__file__).parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entry_point(tmp_path):
+    out = tmp_path / "cli.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "openrabi.cli", "sweep-omega",
          "--omega-grid", "1.0", "--cutoffs", "1", "--out", str(out)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_import_leaves_integrators_unloaded():
+    # the CLI and the library load neither scipy.integrate nor scipy.optimize
+    code = ("import sys, openrabi.cli; openrabi.cli.build_parser(); "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# (command, option) pairs whose value the command's grid sets
+_GRID_SET = [("sweep-omega", "omega"), ("sweep-gamma", "gamma-rate"), ("damping-map", "omega"),
+             ("damping-map", "kappa"), ("damping-map", "lambda"), ("distribution", "omega"),
+             ("distribution", "kappa")]
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -219,6 +239,12 @@ def test_console_entry_point(tmp_path):
                  id="decay-model-flags"),
     pytest.param(["trajectories", "--config", "decay-model.cfg"], "--lambda",
                  id="decay-model-config"),
+    pytest.param(["sweep-omega", "--seed", "5"], "--seed", id="seed-not-taken"),
+    *[pytest.param([command, f"--{flag}", "0.5"], f"--{flag}", id=f"{command}-{flag}-flag")
+      for command, flag in _GRID_SET],
+    *[pytest.param([command, "--config", f"{flag}.cfg"], repr(flag.replace("-", "_")),
+                   id=f"{command}-{flag}-config")
+      for command, flag in _GRID_SET],
 ])
 def test_unknown_config_key_reports_error(tmp_path, capsys, argv, named):
     # every configuration error: exit 2, one error line, no traceback, no CSV
@@ -227,6 +253,8 @@ def test_unknown_config_key_reports_error(tmp_path, capsys, argv, named):
     (tmp_path / "bad-cast.cfg").write_text("cutoffs = 1,x\n")
     (tmp_path / "no-equals.cfg").write_text("scenario c\n")
     (tmp_path / "decay-model.cfg").write_text("lambda = 1e-3\n")  # decay mode by default
+    for flag in ("omega", "gamma-rate", "kappa", "lambda"):
+        (tmp_path / f"{flag}.cfg").write_text(f"{flag} = 0.5\n")
     argv = [str(tmp_path / arg) if arg.endswith(".cfg") else arg for arg in argv]
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 2
@@ -236,9 +264,3 @@ def test_unknown_config_key_reports_error(tmp_path, capsys, argv, named):
     assert not out.exists()
     if named is not None:
         assert named in err
-
-
-def test_seed_only_on_trajectories():
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep-omega", "--seed", "5"])
-    assert exc.value.code == 2
