@@ -51,7 +51,7 @@ def main():
          "--omegas", "1.0,0.7", "--out", str(outdir / "distribution.csv")] + workers)
 
     run(["convergence", "--cutoff", "1,2,3,4",
-         "--out", str(outdir / "convergence.csv")])
+         "--out", str(outdir / "convergence.csv")] + workers)
 
     run(["trajectories", "--n-traj", "10000", "--seed", "2024",
          "--out", str(outdir / "trajectories.csv")])

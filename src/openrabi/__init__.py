@@ -49,7 +49,6 @@ from .steady import (
     NoConvergenceError,
     NonUniqueSteadyStateError,
     SteadyStateResult,
-    convergence_scan,
     evolve,
     steady_state,
 )

@@ -1,11 +1,12 @@
 """Command-line interface writing figure-style parameter sweeps as CSV.
 
-``sweep-omega``, ``sweep-gamma``, ``damping-map`` and ``distribution`` are
-grids of steady-state solves run by one engine, ``_run_grid``;
-``trajectories`` and ``convergence`` have runners of their own.  Every option
-is declared once in ``_OPTIONS``, which drives the parser, the config-file
-casts and the defaults.  A config file (``--config``) holds flat
-``key = value`` lines with ``#`` comments; flags override it.
+``sweep-omega``, ``sweep-gamma``, ``damping-map``, ``distribution`` and
+``convergence`` are grids of steady-state solves run by one engine,
+``_run_grid``; ``trajectories`` has a runner of its own.  Every option is
+declared once in ``_OPTIONS``, which drives the parser, the casts and checks
+of flag and config values alike, and the defaults.  A config file
+(``--config``) holds flat ``key = value`` lines with ``#`` comments; flags
+override it.
 
 CSV artifacts use a header row, 12 significant digits and LF line endings,
 and are byte-for-byte deterministic for a fixed configuration and seed.
@@ -28,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analytic import one_photon_excitations, thermal_distribution
-from .hilbert import PSD_TOL, Boson, CompositeSpace, annihilation, basis_ket, number
+from .hilbert import VALIDITY_TOL, Boson, CompositeSpace, annihilation, basis_ket, number
 from .liouville import LindbladTerm
 from .models import (
     SCENARIOS,
@@ -43,7 +44,7 @@ from .models import (
     scenario_parasitic,
 )
 from .observables import ObservableReport, report
-from .steady import convergence_scan, steady_state
+from .steady import steady_state
 from .trajectories import ensemble_average, unravel
 
 _FLOAT_FMT = "{:.11e}"
@@ -94,8 +95,8 @@ def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
 
 @dataclass(frozen=True)
 class _Option:
-    """One option: its flags, its cast (flag and config value alike), its help
-    and its default; ``None`` means unset."""
+    """One option: its flags, its cast and choices (flag and config value
+    alike), its help and its default; ``None`` means unset."""
 
     flags: tuple[str, ...]
     cast: Callable[[str], object]
@@ -171,8 +172,9 @@ def _solve(spec: ModelSpec) -> tuple[ObservableReport | None, str]:
 def _run_grid(header: tuple[str, ...], points: Callable, rows: Callable,
               o: argparse.Namespace) -> int:
     """The grid engine.  ``points(o)`` gives (key columns, spec) pairs, all built
-    (and so validated) before any solve; ``rows(spec, report or None)`` gives
-    the CSV rows of one point between its key columns and its error text."""
+    (and so validated) before any solve; ``rows(solved)`` gives the CSV rows of
+    the whole solved grid, a list of (key columns, spec, report or ``None``,
+    error text)."""
     grid = points(o)
     specs = [spec for _, spec in grid]
     if o.workers <= 1:
@@ -180,17 +182,22 @@ def _run_grid(header: tuple[str, ...], points: Callable, rows: Callable,
     else:
         with ProcessPoolExecutor(max_workers=o.workers) as pool:
             results = list(pool.map(_solve, specs))
-    table = [[*keys, *row, error]
-             for (keys, spec), (rep, error) in zip(grid, results)
-             for row in rows(spec, rep)]
-    write_csv(o.out, list(header), table)
+    solved = [(keys, spec, *result) for (keys, spec), result in zip(grid, results)]
+    write_csv(o.out, list(header), rows(solved))
     return 3 if any(error for _, error in results) else 0
+
+
+def _per_point(rows: Callable, solved: list) -> list[list]:
+    """The table of a grid whose rows depend on their own point alone:
+    ``rows(spec, report or None)`` gives the CSV rows of one point, which go
+    between its key columns and its error text."""
+    return [[*keys, *row, error] for keys, spec, rep, error in solved for row in rows(spec, rep)]
 
 
 def _clamp_tiny_negative(value: float) -> float:
     """Excitation numbers are non-negative; eigenvalue noise within the
-    positivity tolerance ``PSD_TOL`` is clamped to zero in the artifacts."""
-    return 0.0 if -PSD_TOL < value < 0.0 else value
+    positivity tolerance ``VALIDITY_TOL`` is clamped to zero in the artifacts."""
+    return 0.0 if -VALIDITY_TOL < value < 0.0 else value
 
 
 def _means(rep: ObservableReport) -> tuple[float, float]:
@@ -290,20 +297,27 @@ def _cmd_trajectories(o: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_convergence(o: argparse.Namespace) -> int:
-    header = ["cutoff", "n_mean", "e_mean", "rel_change", "converged", "error"]
-    spec = _spec(o, o.cutoffs[0])
-    rows = []
-    try:
-        # cutoffs that do not strictly ascend raise ValueError before any solve:
-        # a configuration error
-        for row in convergence_scan(spec, o.cutoffs):
-            change = None if math.isnan(row.rel_change) else _REL_CHANGE_FMT.format(row.rel_change)
-            rows.append([row.cutoff, row.n_mean, row.e_mean, change, row.converged, ""])
-    except RuntimeError as exc:  # solver failure: an error row after the solved cutoffs
-        rows.append([None, None, None, None, None, f"{type(exc).__name__}: {exc}"])
-    write_csv(o.out, header, rows)
-    return 3 if rows[-1][-1] else 0
+def _convergence_points(o: argparse.Namespace) -> list:
+    if any(b <= a for a, b in zip(o.cutoffs, o.cutoffs[1:])):
+        raise ValueError(f"cutoffs must be strictly ascending, got {list(o.cutoffs)}")
+    return [((cutoff,), _spec(o, cutoff)) for cutoff in o.cutoffs]
+
+
+def _convergence_rows(solved: list) -> list[list]:
+    """Per cutoff the means, and rel_change = |n_c - n_prev| / n_c against the
+    row before, which is converged below 1%; blank after a first or failed row."""
+    table, prev_n = [], None
+    for keys, _, rep, error in solved:
+        if rep is None:
+            table.append([*keys, None, None, None, None, error])
+            prev_n = None
+            continue
+        n, e = _means(rep)
+        change = None if prev_n is None else abs(n - prev_n) / max(abs(n), 1e-300)
+        table.append([*keys, n, e, None if change is None else _REL_CHANGE_FMT.format(change),
+                      change is not None and change < 0.01, error])
+        prev_n = n
+    return table
 
 
 class _Command(NamedTuple):
@@ -317,7 +331,8 @@ def _sweep(axis: str, help: str, scalars: tuple[str, ...]) -> _Command:
     header = ("scenario", axis, "cutoff", "n_mean", "e_mean", "n1_analytic", "e1_analytic",
               "i_af", "error")
     return _Command(help, (f"{axis}_grid", "cutoffs", *scalars), {"out": f"sweep_{axis}.csv"},
-                    partial(_run_grid, header, partial(_sweep_points, axis), _sweep_rows))
+                    partial(_run_grid, header, partial(_sweep_points, axis),
+                            partial(_per_point, _sweep_rows)))
 
 
 _COMMANDS = {
@@ -330,13 +345,13 @@ _COMMANDS = {
         {"scenario": "c", "out": "damping_map.csv"},
         partial(_run_grid,
                 ("omega", "log10_kappa", "log10_lambda", "log10_total_excitation", "error"),
-                _damping_points, _damping_rows)),
+                _damping_points, partial(_per_point, _damping_rows))),
     "distribution": _Command(
         "photon distribution vs thermal reference",
         ("cutoff", "kappas", "omegas", "lam", "gamma_rate"),
         {"scenario": "c", "omegas": (1.0, 0.7), "out": "distribution.csv"},
         partial(_run_grid, ("kappa", "omega", "n", "p_n_steady", "p_n_thermal", "i_af", "error"),
-                _distribution_points, _distribution_rows)),
+                _distribution_points, partial(_per_point, _distribution_rows))),
     "trajectories": _Command(
         "quantum-jump ensemble validation run",
         ("mode", "cutoff", "t_max", "points", "n_traj", "seed", "omega", "kappa", "lam",
@@ -345,7 +360,9 @@ _COMMANDS = {
     "convergence": _Command(
         "steady-state observables per Fock cutoff",
         ("cutoffs", "omega", "kappa", "lam", "gamma_rate"),
-        {"cutoffs": (1, 2, 3), "out": "convergence.csv"}, _cmd_convergence),
+        {"cutoffs": (1, 2, 3), "out": "convergence.csv"},
+        partial(_run_grid, ("cutoff", "n_mean", "e_mean", "rel_change", "converged", "error"),
+                _convergence_points, _convergence_rows)),
 }
 
 
@@ -359,20 +376,34 @@ def build_parser() -> argparse.ArgumentParser:
         # no abbreviations: --omega must not be read as --omega-grid or --omegas
         sub = subparsers.add_parser(name, help=command.help, allow_abbrev=False)
         sub.add_argument("--config", help="flat key = value config file")
+        # values stay text here: resolve_config casts and checks them as it
+        # does config values
         for key in _COMMON + command.options:
             opt = _OPTIONS[key]
-            sub.add_argument(*opt.flags, dest=key, type=opt.cast, choices=opt.choices,
-                             help=opt.help)
+            sub.add_argument(*opt.flags, dest=key, help=opt.help,
+                             metavar="{" + ",".join(opt.choices) + "}" if opt.choices else None)
     return parser
+
+
+def _cast(key: str, value: str, name: str) -> object:
+    """``value`` of option ``key``, cast and checked against its choices; a bad
+    value is a configuration error naming ``name``, its flag or config key."""
+    opt = _OPTIONS[key]
+    if opt.choices and value not in opt.choices:
+        raise ValueError(f"{name}: {value!r} is not one of {list(opt.choices)}")
+    try:
+        return opt.cast(value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def resolve_config(args: argparse.Namespace, cfg: dict[str, str], command: str) -> argparse.Namespace:
     """Merge option defaults, per-command defaults, config-file values and
-    flags (flags win), and check that every config key is an option of the
-    command, that no grid is empty, that ``workers`` is at least 1 and that
-    ``trajectories --mode decay`` is given no model option.  The values
-    themselves are checked by ``RabiParams`` and ``ModelSpec`` as the specs
-    are built."""
+    flags (flags win), casting and checking config and flag values alike, and
+    check that every config key is an option of the command, that no grid is
+    empty, that ``workers`` is at least 1 and that ``trajectories --mode
+    decay`` is given no model option.  The parameter values themselves are
+    checked by ``RabiParams`` and ``ModelSpec`` as the specs are built."""
     cmd = _COMMANDS[command]
     keys = _COMMON + cmd.options
     merged = {key: _OPTIONS[key].default for key in keys}
@@ -382,17 +413,11 @@ def resolve_config(args: argparse.Namespace, cfg: dict[str, str], command: str) 
         key = "lam" if name == "lambda" else name
         if key not in keys:
             raise ValueError(f"config key {name!r} is not an option of {command}")
-        opt = _OPTIONS[key]
-        if opt.choices and value not in opt.choices:
-            raise ValueError(f"config key {name!r}: {value!r} is not one of {list(opt.choices)}")
-        try:
-            merged[key] = opt.cast(value)
-        except ValueError as exc:
-            raise ValueError(f"config key {name!r}: {exc}") from None
+        merged[key] = _cast(key, value, f"config key {name!r}")
         given.add(key)
     for key, value in vars(args).items():
         if key in keys and value is not None:
-            merged[key] = value
+            merged[key] = _cast(key, value, _OPTIONS[key].flags[0])
             given.add(key)
     if command == "trajectories" and merged["mode"] == "decay":
         model = [_OPTIONS[key].flags[0] for key in _MODEL_OPTIONS if key in given]

@@ -23,10 +23,10 @@ import scipy.sparse as sp
 
 SQRT2 = np.sqrt(2.0)
 
-#: tolerances of density-matrix validation
-TRACE_TOL = 1e-10
-HERM_TOL = 1e-10
-PSD_TOL = 1e-10
+#: the tolerance of every validity check in the package: a density matrix's
+#: trace, hermiticity and positivity, a Hamiltonian's hermiticity, a steady
+#: state's residual and nullity, a ket's norm and an eigendecomposition
+VALIDITY_TOL = 1e-10
 
 
 class DimensionError(ValueError):
@@ -87,11 +87,14 @@ class CompositeSpace:
             out *= d
         return out
 
-    def index(self, label: str) -> int:
+    def index(self, subsystem: int | str) -> int:
+        """Position of the subsystem with this label; a position is returned as is."""
+        if not isinstance(subsystem, str):
+            return subsystem
         for i, s in enumerate(self.subsystems):
-            if s.label == label:
+            if s.label == subsystem:
                 return i
-        raise KeyError(f"no subsystem labelled {label!r}")
+        raise KeyError(f"no subsystem labelled {subsystem!r}")
 
     def subspace(self, keep: Iterable[int]) -> "CompositeSpace":
         """Space of the kept factors, in their original order."""
@@ -219,7 +222,7 @@ def herm_defect(rho: np.ndarray) -> float:
 
 def validate_density_matrix(rho: np.ndarray) -> dict[str, float]:
     """Raise ValueError unless rho has unit trace, is hermitian and PSD within
-    ``TRACE_TOL``, ``HERM_TOL`` and ``PSD_TOL``.
+    ``VALIDITY_TOL``.
 
     Returns the margins checked: ``trace_deviation``, ``herm_defect`` and
     ``min_eigenvalue`` (of the hermitian part).  Non-finite margins fail.
@@ -228,12 +231,12 @@ def validate_density_matrix(rho: np.ndarray) -> dict[str, float]:
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got shape {rho.shape}")
     dev = float(abs(np.trace(rho) - 1.0))
-    if not dev <= TRACE_TOL:
-        raise ValueError(f"trace deviates from 1 by {dev:.3e} (> {TRACE_TOL:.0e})")
+    if not dev <= VALIDITY_TOL:
+        raise ValueError(f"trace deviates from 1 by {dev:.3e} (> {VALIDITY_TOL:.0e})")
     hd = herm_defect(rho)
-    if not hd <= HERM_TOL:
-        raise ValueError(f"hermiticity defect {hd:.3e} (> {HERM_TOL:.0e})")
+    if not hd <= VALIDITY_TOL:
+        raise ValueError(f"hermiticity defect {hd:.3e} (> {VALIDITY_TOL:.0e})")
     wmin = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if not wmin >= -PSD_TOL:
-        raise ValueError(f"minimum eigenvalue {wmin:.3e} below -{PSD_TOL:.0e}")
+    if not wmin >= -VALIDITY_TOL:
+        raise ValueError(f"minimum eigenvalue {wmin:.3e} below -{VALIDITY_TOL:.0e}")
     return {"trace_deviation": dev, "herm_defect": hd, "min_eigenvalue": wmin}

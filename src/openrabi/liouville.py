@@ -13,9 +13,15 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .hilbert import Boson, CompositeSpace, DimensionError, embed, number, quadratures
-
-HERM_REL_TOL = 1e-10
+from .hilbert import (
+    VALIDITY_TOL,
+    Boson,
+    CompositeSpace,
+    DimensionError,
+    embed,
+    number,
+    quadratures,
+)
 
 
 class NonHermitianError(ValueError):
@@ -103,7 +109,7 @@ def _hamiltonian_part(h) -> sp.csr_matrix:
     """-i[h, .] for a dense or sparse h, which must be hermitian within tolerance."""
     scale = float(abs(h).max())
     defect = float(abs(h - h.conj().T).max())
-    if defect > HERM_REL_TOL * max(scale, 1.0):
+    if defect > VALIDITY_TOL * max(scale, 1.0):
         raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
     return (-1j * _commutator(h)).tocsr()
 
@@ -247,7 +253,7 @@ def bilinear_kernel_superop(
     """
     if space is None:
         space = CompositeSpace((Boson(cutoff, "mode"),))
-    idx = space.index(mode) if isinstance(mode, str) else mode
+    idx = space.index(mode)
     sub = space.subsystems[idx]
     if not isinstance(sub, Boson) or sub.cutoff != cutoff:
         raise DimensionError(f"subsystem {mode!r} is not a boson with cutoff {cutoff}")

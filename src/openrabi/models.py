@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -118,9 +118,6 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-
-    def with_cutoff(self, cutoff: int) -> "ModelSpec":
-        return replace(self, cutoff=cutoff)
 
 
 class _Element(NamedTuple):
@@ -259,7 +256,7 @@ def build_liouvillian(spec: ModelSpec) -> SuperOperator:
 
 def excitation_operator(space: CompositeSpace, subsystem: int | str) -> np.ndarray:
     """Number operator (boson) or excited-state projector (qubit), embedded."""
-    idx = space.index(subsystem) if isinstance(subsystem, str) else subsystem
+    idx = space.index(subsystem)
     return embed(_excitation(space.subsystems[idx]), space, idx)
 
 

@@ -16,15 +16,11 @@ class PartitionError(ValueError):
     """Invalid bipartition for mutual information."""
 
 
-def _resolve(space: CompositeSpace, subsystem: int | str) -> int:
-    return space.index(subsystem) if isinstance(subsystem, str) else subsystem
-
-
 def photon_distribution(
     rho: np.ndarray, space: CompositeSpace, mode: int | str
 ) -> np.ndarray:
     """Fock-basis populations of one bosonic mode (real, sums to the trace)."""
-    idx = _resolve(space, mode)
+    idx = space.index(mode)
     if not isinstance(space.subsystems[idx], Boson):
         raise DimensionError(f"subsystem {mode!r} is not a bosonic mode")
     reduced = partial_trace(rho, space, [idx])
@@ -49,8 +45,8 @@ def mutual_information(
     Subsystems outside A union B are traced out first, so for models with
     spectator elements the correlation is between the reduced true parties.
     """
-    a = sorted({_resolve(space, s) for s in part_a})
-    b = sorted({_resolve(space, s) for s in part_b})
+    a = sorted({space.index(s) for s in part_a})
+    b = sorted({space.index(s) for s in part_b})
     if not a or not b:
         raise PartitionError("both parts of the partition must be non-empty")
     if set(a) & set(b):

@@ -19,22 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .hilbert import TRACE_TOL, expectation, validate_density_matrix
+from .hilbert import VALIDITY_TOL, validate_density_matrix
 from .liouville import SuperOperator, devectorize, vectorize
-from .models import ModelSpec, build_liouvillian, excitation_operator
-
-RES_TOL = 1e-10
 
 _REFINE_ROUNDS = 3
 _REFINE_STOP = np.finfo(float).eps   # largest ||dx||/||x|| (max norms) that ends refinement
-_NULLITY_TOL = 1e-10    # singular values at most this times ||L||_F count as zero
 _NULLITY_SVD_DIM = 40   # largest Hilbert dimension for the dense SVD nullity probe
 
 
@@ -68,25 +63,16 @@ def _trace_replaced(mat: sp.csr_matrix, dim: int) -> tuple[np.ndarray, np.ndarra
     return indptr, indices, data
 
 
-def _extended_residual(
-    rows: np.ndarray, cols: np.ndarray, data: np.ndarray, x: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """rhs - M x accumulated in extended precision (triplets of M)."""
-    r = rhs.astype(np.clongdouble).copy()
-    contrib = data.astype(np.clongdouble) * x.astype(np.clongdouble)[cols]
-    np.subtract.at(r, rows, contrib)
-    return r
-
-
 def _probe_nullity(mat: sp.csr_matrix, dim: int) -> int:
-    """Count near-zero singular values (dense) or near-zero eigenvalues (sparse)."""
+    """Count the singular values (dense) or eigenvalues (sparse) at most
+    ``VALIDITY_TOL`` times ||L||_F."""
     scale = max(float(sp.linalg.norm(mat, "fro")), 1e-300)
     if dim <= _NULLITY_SVD_DIM:
         svals = la.svdvals(mat.toarray())
-        return int(np.sum(svals <= _NULLITY_TOL * scale))
+        return int(np.sum(svals <= VALIDITY_TOL * scale))
     shift = 1e-12 * scale
     vals = spla.eigs(mat.tocsc(), k=4, sigma=shift, return_eigenvectors=False)
-    return int(np.sum(np.abs(vals) <= _NULLITY_TOL * scale))
+    return int(np.sum(np.abs(vals) <= VALIDITY_TOL * scale))
 
 
 def _solve_failure(mat: sp.csr_matrix, dim: int, message: str) -> RuntimeError:
@@ -104,7 +90,7 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
 
     Raises ``NonUniqueSteadyStateError`` when the generator's null space has
     dimension above one, and ``NoConvergenceError`` when the solution fails
-    the residual tolerance ``RES_TOL`` or ``validate_density_matrix``.  A
+    the residual tolerance ``VALIDITY_TOL`` or ``validate_density_matrix``.  A
     nullity above one makes the trace-replaced system singular, so a clean
     solve implies a unique state.  ``gen`` is not modified.
     """
@@ -124,12 +110,14 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     except RuntimeError as exc:
         raise _solve_failure(mat, dim, f"factorization failed: {exc}") from exc
 
-    rows = np.repeat(np.arange(dim * dim, dtype=indptr.dtype), np.diff(indptr))
+    # the same system in extended precision, for the refinement residuals
+    m_ext = sp.csr_matrix((data.astype(np.clongdouble), indices, indptr), shape=mat.shape)
+    rhs_ext = rhs.astype(np.clongdouble)
     rounds = 0
     correction = math.inf
     if np.all(np.isfinite(x)):
         for rounds in range(1, _REFINE_ROUNDS + 1):
-            r = _extended_residual(rows, indices, data, x, rhs)
+            r = rhs_ext - m_ext @ x.astype(np.clongdouble)
             dx = lu.solve(np.asarray(r, dtype=complex))
             x = x + dx
             correction = float(np.abs(dx).max()) / max(float(np.abs(x).max()), 1e-300)
@@ -139,8 +127,8 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     raw = devectorize(x)
     rho = 0.5 * (raw + raw.conj().T)
     residual = float(np.linalg.norm(mat @ vectorize(rho))) / norm_l
-    if not residual <= RES_TOL:
-        raise _solve_failure(mat, dim, f"residual {residual:.3e} exceeds {RES_TOL:.0e}")
+    if not residual <= VALIDITY_TOL:
+        raise _solve_failure(mat, dim, f"residual {residual:.3e} exceeds {VALIDITY_TOL:.0e}")
     try:
         margins = validate_density_matrix(raw)
     except ValueError as exc:
@@ -165,43 +153,12 @@ def evolve(gen: SuperOperator, rho0: np.ndarray, t_final: float) -> np.ndarray:
 
     Independent of the null-vector solve and of the jump engine, both of
     which it cross-checks.  Raises ``NoConvergenceError`` when the trace
-    drifts by more than ``TRACE_TOL``: the generator does not preserve it.
+    drifts by more than ``VALIDITY_TOL``: the generator does not preserve it.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     rho = devectorize(spla.expm_multiply(gen.matrix * t_final, vectorize(rho0)))
     drift = abs(np.trace(rho) - np.trace(rho0))
-    if drift > TRACE_TOL:
+    if drift > VALIDITY_TOL:
         raise NoConvergenceError(f"trace drifted by {drift:.3e} over the run")
     return rho
 
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    cutoff: int
-    n_mean: float
-    e_mean: float
-    rel_change: float   # relative change of n_mean vs the previous cutoff (nan for first)
-    converged: bool
-
-
-def convergence_scan(spec: ModelSpec, cutoffs: Sequence[int]) -> list[ConvergenceRow]:
-    """Steady-state cavity/atom excitations per Fock cutoff, flagging 1% convergence."""
-    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError(f"cutoffs must be strictly ascending, got {list(cutoffs)}")
-    rows: list[ConvergenceRow] = []
-    prev_n = None
-    for cutoff in cutoffs:
-        gen = build_liouvillian(spec.with_cutoff(cutoff))
-        rho = steady_state(gen).rho
-        n_mean = expectation(excitation_operator(gen.space, "cavity"), rho).real
-        e_mean = expectation(excitation_operator(gen.space, "atom"), rho).real
-        if prev_n is None:
-            change = math.nan
-            converged = False
-        else:
-            denom = max(abs(n_mean), 1e-300)
-            change = abs(n_mean - prev_n) / denom
-            converged = change < 0.01
-        rows.append(ConvergenceRow(cutoff, n_mean, e_mean, change, converged))
-        prev_n = n_mean
-    return rows

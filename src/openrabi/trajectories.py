@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .hilbert import CompositeSpace, DimensionError
+from .hilbert import VALIDITY_TOL, CompositeSpace, DimensionError
 from .liouville import LindbladTerm, SuperOperator
 
 _BISECT_FRACTION = 1e-3   # jump-time tolerance as a fraction of the step size
@@ -108,7 +108,7 @@ class _Propagator:
         w, v = la.eig(h_eff)
         try:
             vinv = la.inv(v)
-            ok = np.abs(v @ np.diag(w) @ vinv - h_eff).max() <= 1e-10 * max(
+            ok = np.abs(v @ np.diag(w) @ vinv - h_eff).max() <= VALIDITY_TOL * max(
                 np.abs(h_eff).max(), 1.0
             )
         except la.LinAlgError:
@@ -153,7 +153,7 @@ def _checked_start(psi0: np.ndarray, t_max: float, dt: float) -> np.ndarray:
     """``psi0`` as a complex array, once it is normalized and the times are valid."""
     psi0 = np.asarray(psi0, dtype=complex)
     norm0 = np.linalg.norm(psi0)
-    if abs(norm0 - 1.0) > 1e-10:
+    if abs(norm0 - 1.0) > VALIDITY_TOL:
         raise ValueError(f"psi0 must be normalized, got norm {norm0}")
     if dt <= 0 or t_max < 0:
         raise ValueError("need dt > 0 and t_max >= 0")

@@ -1,0 +1,28 @@
+"""The artifacts of scripts/reproduce_sweeps.py, pinned byte for byte."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import openrabi as orb
+
+ROOT = Path(__file__).resolve().parents[1]
+MANIFEST = Path(__file__).with_name("data") / "reproduce_sweeps.sha256"
+
+
+def test_reproduce_sweeps_matches_manifest(tmp_path):
+    # the manifest holds `sha256sum` lines of the 14 CSVs; any moved byte
+    # fails here, and a deliberate change records the new hashes
+    src = str(Path(orb.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_sweeps.py"), "--outdir", str(tmp_path)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    expected = dict(reversed(line.split()) for line in MANIFEST.read_text().splitlines())
+    actual = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in tmp_path.glob("*.csv")}
+    assert actual == expected

@@ -133,22 +133,28 @@ def test_distribution_report(tmp_path):
 def test_error_rows_and_exit_code(tmp_path):
     # a decoupled, undamped atom has no unique steady state; each command keeps
     # its key columns and leaves the solved columns blank in the error row
+    # in its error row, and every other point of the grid still runs
     sweep_blank = ["n_mean", "e_mean", "n1_analytic", "e1_analytic", "i_af"]
     cases = {
         "sweep-omega": (["--omega-grid", "1.0", "--cutoffs", "1", "--gamma-rate", "0"],
-                        sweep_blank),
-        "sweep-gamma": (["--gamma-grid", "0", "--cutoffs", "1"], sweep_blank),
+                        sweep_blank, 1),
+        "sweep-gamma": (["--gamma-grid", "0", "--cutoffs", "1"], sweep_blank, 1),
         "distribution": (["--kappas", "1e-6", "--omegas", "1.0", "--gamma-rate", "0"],
-                         ["n", "p_n_steady", "p_n_thermal", "i_af"]),
+                         ["n", "p_n_steady", "p_n_thermal", "i_af"], 1),
+        "convergence": (["--cutoff", "1,2,3", "--gamma-rate", "0"],
+                        ["n_mean", "e_mean", "rel_change", "converged"], 3),
     }
-    for command, (grid, columns) in cases.items():
+    for command, (grid, columns, points) in cases.items():
         out = tmp_path / f"{command}.csv"
         code = main([command, *grid, "--g", "0", "--lambda", "0", "--out", str(out)])
         assert code == 3
-        (row,) = read_rows(out)
-        assert "NonUniqueSteadyState" in row["error"]
-        filled = [key for key, value in row.items() if value != ""]
-        assert filled == [key for key in row if key not in columns], command
+        rows = read_rows(out)
+        assert len(rows) == points, command
+        for row in rows:
+            assert "NonUniqueSteadyState" in row["error"]
+            filled = [key for key, value in row.items() if value != ""]
+            assert filled == [key for key in row if key not in columns], command
+    assert [row["cutoff"] for row in rows] == ["1", "2", "3"]
 
 
 def test_trajectories_subcommand(tmp_path):
@@ -174,8 +180,11 @@ def test_convergence_subcommand(tmp_path):
     assert rows[2]["converged"] == "true"
 
 
-def test_worker_pool_matches_serial(tmp_path):
-    args = ["sweep-omega", "--omega-grid", "0.8,1.2", "--cutoffs", "1"]
+@pytest.mark.parametrize("args", [
+    pytest.param(["sweep-omega", "--omega-grid", "0.8,1.2", "--cutoffs", "1"], id="sweep-omega"),
+    pytest.param(["convergence", "--scenario", "c", "--cutoffs", "1,2,3"], id="convergence"),
+])
+def test_worker_pool_matches_serial(tmp_path, args):
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
     assert main(args + ["--out", str(serial)]) == 0
     assert main(args + ["--out", str(parallel), "--workers", "2"]) == 0
@@ -229,6 +238,9 @@ _GRID_SET = [("sweep-omega", "omega"), ("sweep-gamma", "gamma-rate"), ("damping-
     pytest.param(["distribution", "--kappas="], None, id="empty-kappas"),
     pytest.param(["sweep-gamma", "--gamma-grid=-1e-6,1e-6"], None, id="negative-gamma"),
     pytest.param(["sweep-omega", "--kappa", "nan"], None, id="nan-kappa"),
+    pytest.param(["sweep-omega", "--kappa", "abc"], "--kappa", id="bad-kappa-flag"),
+    pytest.param(["sweep-omega", "--scenario", "z"], "--scenario", id="bad-scenario-flag"),
+    pytest.param(["convergence", "--cutoff", "1,x"], "--cutoff", id="bad-cutoffs-flag"),
     pytest.param(["damping-map", "--cutoff", "0"], None, id="cutoff-zero"),
     pytest.param(["convergence", "--cutoff", "3,1"], None, id="descending-cutoffs"),
     pytest.param(["convergence", "--cutoff", "1,1"], "cutoffs", id="repeated-cutoffs"),

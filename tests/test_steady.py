@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -147,39 +148,33 @@ def test_evolve_agrees_with_steady_state():
     assert trace_distance(rho_t, steady) < 1e-6
 
 
-def test_convergence_scan_weak_coupling():
-    spec = orb.ModelSpec(params=orb.RabiParams(omega=1.0, g=0.05, **REFERENCE_RATES), cutoff=1)
-    rows = orb.convergence_scan(spec, [1, 2, 3])
-    assert [r.cutoff for r in rows] == [1, 2, 3]
-    assert np.isnan(rows[0].rel_change)
-    assert rows[1].rel_change < 0.1  # one- and two-photon results nearly coincide
-    assert rows[2].converged and rows[2].rel_change < 0.01
+def _convergence_table(tmp_path, *args):
+    """The rows of ``openrabi convergence`` at the reference parameters and ``args``."""
+    out = tmp_path / "convergence.csv"
+    assert main(["convergence", *args, "--out", str(out)]) == 0
+    with out.open(newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
-def test_convergence_scan_decoupled_gives_zero():
-    spec = orb.ModelSpec(params=orb.RabiParams(omega=1.0, g=0.0, **REFERENCE_RATES), cutoff=1)
-    rows = orb.convergence_scan(spec, [1, 2])
-    assert all(abs(r.n_mean) < 1e-12 for r in rows)
+def test_convergence_scan_weak_coupling(tmp_path):
+    rows = _convergence_table(tmp_path, "--cutoff", "1,2,3")
+    assert [r["cutoff"] for r in rows] == ["1", "2", "3"]
+    assert rows[0]["rel_change"] == "" and rows[0]["converged"] == "false"
+    assert float(rows[1]["rel_change"]) < 0.1  # one- and two-photon results nearly coincide
+    assert rows[2]["converged"] == "true" and float(rows[2]["rel_change"]) < 0.01
 
 
-def test_dephasing_degrades_one_photon_accuracy():
+def test_convergence_scan_decoupled_gives_zero(tmp_path):
+    rows = _convergence_table(tmp_path, "--g", "0", "--cutoff", "1,2")
+    assert all(abs(float(r["n_mean"])) < 1e-12 for r in rows)
+
+
+def test_dephasing_degrades_one_photon_accuracy(tmp_path):
     changes = []
-    for gamma in (2.5e-7, 4e-6):
-        spec = orb.ModelSpec(
-            params=orb.RabiParams(omega=1.0, g=0.05, kappa=1e-6, lam=1e-6, gamma=gamma),
-            cutoff=1,
-        )
-        rows = orb.convergence_scan(spec, [1, 2])
-        changes.append(rows[1].rel_change)
+    for gamma in ("2.5e-7", "4e-6"):
+        rows = _convergence_table(tmp_path, "--gamma-rate", gamma, "--cutoff", "1,2")
+        changes.append(float(rows[1]["rel_change"]))
     assert changes[1] > changes[0]
-
-
-def test_convergence_scan_rejects_unsorted():
-    spec = orb.ModelSpec(params=orb.RabiParams(omega=1.0, g=0.05, **REFERENCE_RATES), cutoff=1)
-    with pytest.raises(ValueError):
-        orb.convergence_scan(spec, [2, 1])
-    with pytest.raises(ValueError, match="strictly ascending"):
-        orb.convergence_scan(spec, [1, 1])
 
 
 def _mp_null_vector_means(gen, dps=40):
@@ -234,12 +229,10 @@ def test_printed_digits_match_40_digit_null_vector(scenario, cutoff, omega):
 def test_printed_rel_change_digits_match_40_digit_null_vector(tmp_path):
     # rel_change = |n_c - n_{c-1}| / n_c cancels about 4 digits, so the
     # convergence table prints it with 8 significant digits, each a true one
-    out = tmp_path / "convergence.csv"
-    assert main(["convergence", "--cutoff", "1,2,3", "--out", str(out)]) == 0
-    with out.open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _convergence_table(tmp_path, "--cutoff", "1,2,3")
     spec = orb.ModelSpec(params=orb.RabiParams(omega=1.0, g=0.05, **REFERENCE_RATES), cutoff=1)
-    n = [mp.mpf(_mp_null_vector_means(orb.build_liouvillian(spec.with_cutoff(c)))[0])
+    n = [mp.mpf(_mp_null_vector_means(
+             orb.build_liouvillian(dataclasses.replace(spec, cutoff=c)))[0])
          for c in (1, 2, 3)]
     assert [row["cutoff"] for row in rows] == ["1", "2", "3"]
     with mp.workdps(40):
