@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -366,8 +366,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its errors, and its subparsers', are configuration errors: ``main``
+    prints one ``error:`` line where argparse would print the usage and exit."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="openrabi",
         description="Steady-state excitation sweeps of the lossy Rabi model",
     )
@@ -433,8 +441,8 @@ def resolve_config(args: argparse.Namespace, cfg: dict[str, str], command: str) 
 
 
 def main(argv: list[str] | None = None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
     try:
+        args, extra = build_parser().parse_known_args(argv)
         if extra:
             raise ValueError(f"{args.command}: unrecognized arguments: {' '.join(extra)}")
         cfg = parse_config_file(args.config) if args.config else {}

@@ -7,9 +7,8 @@ Conventions, fixed package-wide:
 * tensor factors are ordered as listed in ``CompositeSpace``, with the
   first factor the slowest-varying index (``numpy.kron`` order).
 
-Operators are plain complex ``numpy`` arrays (or, from ``embed(...,
-sparse=True)``, sparse matrices); a ``CompositeSpace`` carries the factor
-structure needed by :func:`embed` and :func:`partial_trace`.
+Operators are plain complex ``numpy`` arrays; a ``CompositeSpace`` carries
+the factor structure needed by :func:`embed` and :func:`partial_trace`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 SQRT2 = np.sqrt(2.0)
 
@@ -148,11 +146,9 @@ def identity(space: CompositeSpace) -> np.ndarray:
     return np.eye(space.dim, dtype=complex)
 
 
-def embed(op: np.ndarray, space: CompositeSpace, position: int,
-          sparse: bool = False) -> np.ndarray | sp.csr_matrix:
+def embed(op: np.ndarray, space: CompositeSpace, position: int) -> np.ndarray:
     """Kronecker-embed a single-subsystem operator into the full space:
-    identity (x) op (x) identity, as a dense array or, if ``sparse``, a CSR
-    matrix."""
+    identity (x) op (x) identity."""
     op = np.asarray(op, dtype=complex)
     dims = space.dims
     if not 0 <= position < len(dims):
@@ -163,9 +159,7 @@ def embed(op: np.ndarray, space: CompositeSpace, position: int,
             f"{dims[position]} at position {position}"
         )
     before, after = math.prod(dims[:position]), math.prod(dims[position + 1:])
-    out = sp.kron(sp.kron(sp.identity(before, dtype=complex), sp.csr_matrix(op)),
-                  sp.identity(after, dtype=complex), format="csr")
-    return out if sparse else out.toarray()
+    return np.kron(np.kron(np.eye(before, dtype=complex), op), np.eye(after, dtype=complex))
 
 
 def basis_ket(space: CompositeSpace, occupations: Sequence[int]) -> np.ndarray:

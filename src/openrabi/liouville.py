@@ -105,8 +105,8 @@ def _check_space(op: np.ndarray, space: CompositeSpace) -> np.ndarray:
     return op
 
 
-def _hamiltonian_part(h) -> sp.csr_matrix:
-    """-i[h, .] for a dense or sparse h, which must be hermitian within tolerance."""
+def _hamiltonian_part(h: np.ndarray) -> sp.csr_matrix:
+    """-i[h, .]; h must be hermitian within tolerance."""
     scale = float(abs(h).max())
     defect = float(abs(h - h.conj().T).max())
     if defect > VALIDITY_TOL * max(scale, 1.0):
@@ -114,8 +114,8 @@ def _hamiltonian_part(h) -> sp.csr_matrix:
     return (-1j * _commutator(h)).tocsr()
 
 
-def _dissipator_part(f) -> sp.csr_matrix:
-    """rho -> F rho F^+ - {F^+ F, rho}/2 (unit rate) for a dense or sparse F."""
+def _dissipator_part(f: np.ndarray) -> sp.csr_matrix:
+    """rho -> F rho F^+ - {F^+ F, rho}/2 (unit rate)."""
     f = sp.csr_matrix(f)
     fdf = f.conj().T @ f
     return (sp.kron(f.conj(), f, format="csr") - 0.5 * _left(fdf) - 0.5 * _right(fdf)).tocsr()
@@ -172,13 +172,12 @@ class AffineGenerator:
 
 
 def affine_generator(space: CompositeSpace,
-                     operators: Sequence[tuple[bool, object]]) -> AffineGenerator:
-    """The parts of ``(dissipative, operator)`` pairs, dense or sparse, on one pattern."""
+                     operators: Sequence[tuple[bool, np.ndarray]]) -> AffineGenerator:
+    """The parts of ``(dissipative, operator)`` pairs on one pattern."""
     n = space.dim ** 2
     parts = []
     for dissipative, op in operators:
-        if op.shape != (space.dim, space.dim):
-            raise DimensionError(f"operator shape {op.shape} does not match space dim {space.dim}")
+        op = _check_space(op, space)
         part = _dissipator_part(op) if dissipative else _hamiltonian_part(op)
         part.sum_duplicates()   # one position per entry, or ``at`` would drop one
         parts.append(part)

@@ -25,7 +25,6 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hilbert import (
     SQRT2,
@@ -163,16 +162,14 @@ def _excitation(sub: Subsystem) -> np.ndarray:
 
 
 def _coupling_operator(coupling: Coupling, space: CompositeSpace, boson: Boson,
-                       qubit: Qubit) -> sp.csr_matrix:
+                       qubit: Qubit) -> np.ndarray:
     """p sigma_y (full), or a^+ s- + a s+ (rwa, at coefficient -g/sqrt2)."""
     qops = qubit_ops()
     mode, atom = space.index(boson.label), space.index(qubit.label)
     if coupling is Coupling.FULL:
-        return (embed(quadratures(boson.cutoff)[1], space, mode, sparse=True)
-                @ embed(qops.sy, space, atom, sparse=True))
-    a = embed(annihilation(boson.cutoff), space, mode, sparse=True)
-    return (a.conj().T @ embed(qops.sm, space, atom, sparse=True)
-            + a @ embed(qops.sp, space, atom, sparse=True))
+        return embed(quadratures(boson.cutoff)[1], space, mode) @ embed(qops.sy, space, atom)
+    a = embed(annihilation(boson.cutoff), space, mode)
+    return a.conj().T @ embed(qops.sm, space, atom) + a @ embed(qops.sp, space, atom)
 
 
 class _Term(NamedTuple):
@@ -181,7 +178,7 @@ class _Term(NamedTuple):
 
     dissipative: bool
     coefficient: float
-    operator: Callable[[], sp.csr_matrix]   # embedded; built only when called
+    operator: Callable[[], np.ndarray]   # embedded; built only when called
 
 
 def _terms(spec: ModelSpec) -> tuple[CompositeSpace, list[_Term]]:
@@ -196,8 +193,8 @@ def _terms(spec: ModelSpec) -> tuple[CompositeSpace, list[_Term]]:
     space, elements, couplings = _model(spec)
     qops = qubit_ops()
 
-    def local(op: np.ndarray, sub: Subsystem) -> Callable[[], sp.csr_matrix]:
-        return partial(embed, op, space, space.index(sub.label), sparse=True)
+    def local(op: np.ndarray, sub: Subsystem) -> Callable[[], np.ndarray]:
+        return partial(embed, op, space, space.index(sub.label))
 
     terms: list[_Term] = []
     for e in elements:
@@ -237,13 +234,12 @@ def build_space(spec: ModelSpec) -> CompositeSpace:
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     """Hermitian Hamiltonian on ``build_space(spec)``."""
-    return sum(t.coefficient * t.operator().toarray()
-               for t in _terms(spec)[1] if not t.dissipative)
+    return sum(t.coefficient * t.operator() for t in _terms(spec)[1] if not t.dissipative)
 
 
 def build_dissipators(spec: ModelSpec) -> list[LindbladTerm]:
     """Jump operators embedded in the full space, one term per nonzero rate."""
-    return [LindbladTerm(t.operator().toarray(), t.coefficient)
+    return [LindbladTerm(t.operator(), t.coefficient)
             for t in _terms(spec)[1] if t.dissipative and t.coefficient > 0]
 
 

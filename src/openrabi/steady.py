@@ -13,6 +13,8 @@ applies at least one correction and stops once a correction is at most
 solution, after at most ``_REFINE_ROUNDS`` rounds.  The result's diagnostics report the rounds, the
 last correction and the size of the LU factors.
 
+A failed solve is sorted by one probe: more than one zero eigenvalue of the
+generator, found by shift-invert ``eigs``, means the state is not unique.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -30,7 +31,6 @@ from .liouville import SuperOperator, devectorize, vectorize
 
 _REFINE_ROUNDS = 3
 _REFINE_STOP = np.finfo(float).eps   # largest ||dx||/||x|| (max norms) that ends refinement
-_NULLITY_SVD_DIM = 40   # largest Hilbert dimension for the dense SVD nullity probe
 
 
 class NonUniqueSteadyStateError(RuntimeError):
@@ -63,21 +63,21 @@ def _trace_replaced(mat: sp.csr_matrix, dim: int) -> tuple[np.ndarray, np.ndarra
     return indptr, indices, data
 
 
-def _probe_nullity(mat: sp.csr_matrix, dim: int) -> int:
-    """Count the singular values (dense) or eigenvalues (sparse) at most
-    ``VALIDITY_TOL`` times ||L||_F."""
+def _probe_nullity(mat: sp.csr_matrix) -> int:
+    """Count the eigenvalues at most ``VALIDITY_TOL`` times ||L||_F among the
+    four (two on a qubit) nearest zero, by shift-invert ``eigs``.  The zero
+    eigenvalue of a Lindblad generator is semisimple (``exp(L t)`` is a
+    contraction), so their number is the nullity."""
     scale = max(float(sp.linalg.norm(mat, "fro")), 1e-300)
-    if dim <= _NULLITY_SVD_DIM:
-        svals = la.svdvals(mat.toarray())
-        return int(np.sum(svals <= VALIDITY_TOL * scale))
-    shift = 1e-12 * scale
-    vals = spla.eigs(mat.tocsc(), k=4, sigma=shift, return_eigenvectors=False)
+    vals = spla.eigs(mat.tocsc(), k=min(4, mat.shape[0] - 2), sigma=1e-12 * scale,
+                     return_eigenvectors=False)
     return int(np.sum(np.abs(vals) <= VALIDITY_TOL * scale))
 
 
-def _solve_failure(mat: sp.csr_matrix, dim: int, message: str) -> RuntimeError:
-    """NonUniqueSteadyStateError if the null space is degenerate, else NoConvergenceError."""
-    nullity = _probe_nullity(mat, dim)
+def _solve_failure(mat: sp.csr_matrix, message: str) -> RuntimeError:
+    """NonUniqueSteadyStateError if the null space is degenerate, else
+    NoConvergenceError; a 1x1 generator, too small for ``eigs``, cannot be."""
+    nullity = _probe_nullity(mat) if mat.shape[0] > 1 else 0
     if nullity > 1:
         return NonUniqueSteadyStateError(
             f"estimated nullity {nullity}; the stationary state is not unique"
@@ -88,9 +88,9 @@ def _solve_failure(mat: sp.csr_matrix, dim: int, message: str) -> RuntimeError:
 def steady_state(gen: SuperOperator) -> SteadyStateResult:
     """Unique stationary density matrix of a trace-preserving generator.
 
-    Raises ``NonUniqueSteadyStateError`` when the generator's null space has
-    dimension above one, and ``NoConvergenceError`` when the solution fails
-    the residual tolerance ``VALIDITY_TOL`` or ``validate_density_matrix``.  A
+    Raises ``NonUniqueSteadyStateError`` when the eigenvalue probe finds a null
+    space above one dimension, and ``NoConvergenceError`` when the solution
+    fails the residual tolerance ``VALIDITY_TOL`` or ``validate_density_matrix``.  A
     nullity above one makes the trace-replaced system singular, so a clean
     solve implies a unique state.  ``gen`` is not modified.
     """
@@ -108,7 +108,7 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
         lu = spla.splu(sp.csr_matrix((data, indices, indptr), shape=mat.shape).tocsc())
         x = lu.solve(rhs)
     except RuntimeError as exc:
-        raise _solve_failure(mat, dim, f"factorization failed: {exc}") from exc
+        raise _solve_failure(mat, f"factorization failed: {exc}") from exc
 
     # the same system in extended precision, for the refinement residuals
     m_ext = sp.csr_matrix((data.astype(np.clongdouble), indices, indptr), shape=mat.shape)
@@ -128,7 +128,7 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     rho = 0.5 * (raw + raw.conj().T)
     residual = float(np.linalg.norm(mat @ vectorize(rho))) / norm_l
     if not residual <= VALIDITY_TOL:
-        raise _solve_failure(mat, dim, f"residual {residual:.3e} exceeds {VALIDITY_TOL:.0e}")
+        raise _solve_failure(mat, f"residual {residual:.3e} exceeds {VALIDITY_TOL:.0e}")
     try:
         margins = validate_density_matrix(raw)
     except ValueError as exc:

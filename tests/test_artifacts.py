@@ -1,4 +1,5 @@
-"""The artifacts of scripts/reproduce_sweeps.py, pinned byte for byte."""
+"""CSV artifacts pinned byte for byte: those of scripts/reproduce_sweeps.py and a
+model-mode jump ensemble."""
 
 import hashlib
 import os
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import openrabi as orb
+from openrabi.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).with_name("data") / "reproduce_sweeps.sha256"
@@ -26,3 +28,14 @@ def test_reproduce_sweeps_matches_manifest(tmp_path):
     actual = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
               for path in tmp_path.glob("*.csv")}
     assert actual == expected
+
+
+def test_model_mode_ensemble_matches_manifest(tmp_path):
+    # the reproduce manifest pins decay mode only; model mode reads the
+    # operators of build_hamiltonian and build_dissipators
+    digest, name = (MANIFEST.parent / "trajectories_model.sha256").read_text().split()
+    out = tmp_path / name
+    argv = ["trajectories", "--mode", "model", "--scenario", "c", "--cutoff", "1",
+            "--kappa", "0.5", "--lambda", "0.5", "--g", "0.3", "--n-traj", "200", "--seed", "7"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -252,6 +252,9 @@ _GRID_SET = [("sweep-omega", "omega"), ("sweep-gamma", "gamma-rate"), ("damping-
     pytest.param(["trajectories", "--config", "decay-model.cfg"], "--lambda",
                  id="decay-model-config"),
     pytest.param(["sweep-omega", "--seed", "5"], "--seed", id="seed-not-taken"),
+    pytest.param(["sweep-omega", "--kappa"], "--kappa", id="flag-without-value"),
+    pytest.param([], "command", id="no-command"),
+    pytest.param(["bogus"], "'bogus'", id="unknown-command"),
     *[pytest.param([command, f"--{flag}", "0.5"], f"--{flag}", id=f"{command}-{flag}-flag")
       for command, flag in _GRID_SET],
     *[pytest.param([command, "--config", f"{flag}.cfg"], repr(flag.replace("-", "_")),

@@ -69,7 +69,7 @@ def test_embed_identity_and_dimensions():
     assert a.shape == (6, 6)
 
 
-def test_embed_equals_kron_with_identities_dense_and_sparse():
+def test_embed_equals_kron_with_identities():
     rng = np.random.default_rng(5)
     space = orb.CompositeSpace((orb.Qubit("atom"), orb.Boson(2, "cavity"), orb.Boson(1, "extra")))
     for position, d in enumerate(space.dims):
@@ -77,9 +77,6 @@ def test_embed_equals_kron_with_identities_dense_and_sparse():
         factors = [op if i == position else np.eye(n) for i, n in enumerate(space.dims)]
         reference = np.kron(np.kron(factors[0], factors[1]), factors[2])
         np.testing.assert_array_equal(orb.embed(op, space, position), reference)
-        sparse = orb.embed(op, space, position, sparse=True)
-        assert sparse.format == "csr" and sparse.nnz == np.count_nonzero(reference)
-        np.testing.assert_array_equal(sparse.toarray(), reference)
 
 
 def test_embed_rejects_wrong_dimension():

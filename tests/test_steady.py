@@ -52,14 +52,32 @@ def test_nonunique_steady_state_detected():
         orb.steady_state(orb.build_liouvillian(spec))
 
 
-def test_nonunique_detected_on_large_sparse_space():
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5, 6])
+def test_nonunique_detected_on_large_sparse_space(cutoff):
     # damped mode with an undamped spectator mode: every spectator population
-    # is stationary; dim 49 routes through the sparse shift-invert probe
-    space = orb.CompositeSpace((orb.Boson(6, "a"), orb.Boson(6, "b")))
-    h = orb.embed(orb.number(6), space, 0) + orb.embed(orb.number(6), space, 1)
-    terms = [orb.LindbladTerm(orb.embed(orb.annihilation(6), space, 0), 0.4)]
+    # is stationary; dim 9 to 49
+    space = orb.CompositeSpace((orb.Boson(cutoff, "a"), orb.Boson(cutoff, "b")))
+    h = orb.embed(orb.number(cutoff), space, 0) + orb.embed(orb.number(cutoff), space, 1)
+    terms = [orb.LindbladTerm(orb.embed(orb.annihilation(cutoff), space, 0), 0.4)]
     with pytest.raises(NonUniqueSteadyStateError):
         orb.steady_state(orb.assemble(h, terms, space))
+
+
+def test_nonunique_detected_on_one_qubit():
+    # -i[|e><e|, .] leaves both populations stationary; at D^2 = 4 the probe
+    # asks eigs for its fewest eigenvalues, k = n - 2 = 2
+    space = orb.CompositeSpace((orb.Qubit("atom"),))
+    with pytest.raises(NonUniqueSteadyStateError):
+        orb.steady_state(orb.hamiltonian_superop(orb.qubit_ops().excited, space))
+
+
+def test_one_state_failure_is_no_convergence():
+    # a 1x1 generator that is not trace preserving: its nullity is at most
+    # one, so the failure is NoConvergenceError, without an eigenvalue probe
+    space = orb.CompositeSpace((orb.Boson(0, "mode"),))
+    gen = orb.SuperOperator(space, sp.csr_matrix(np.array([[-1.0 + 0j]])))
+    with pytest.raises(orb.NoConvergenceError):
+        orb.steady_state(gen)
 
 
 @pytest.mark.parametrize("scenario", ["bare", "a", "c"])
