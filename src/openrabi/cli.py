@@ -18,11 +18,13 @@ in the ``error`` column while the remaining rows still run.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import importlib
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn
 
@@ -169,6 +171,34 @@ def _solve(spec: ModelSpec) -> tuple[ObservableReport | None, str]:
         return None, f"{type(exc).__name__}: {exc}"
 
 
+#: the OpenBLAS copies bundled with numpy and scipy (SuperLU calls scipy's):
+#: package, library file pattern in ``<package>.libs``, thread-count setter
+_OPENBLAS = (("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+             ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"))
+
+
+def _one_blas_thread() -> None:
+    """Pool-worker initializer: one thread in each bundled OpenBLAS, so that
+    the workers do not oversubscribe the cores.  In a forked worker, setting
+    the count restarts the library's thread pool, whose idle threads then spin
+    for ~0.1 s of CPU each, so the pool is shut down again; with one thread
+    the library does not restart it.  A library or function that is not found
+    is skipped."""
+    for package, pattern, setter in _OPENBLAS:
+        site = Path(importlib.import_module(package).__file__).parents[1]
+        for path in (site / f"{package}.libs").glob(pattern):
+            lib = ctypes.CDLL(str(path))
+            set_threads = getattr(lib, setter, None)
+            if set_threads is None:
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+            shutdown = getattr(lib, "blas_thread_shutdown_", None)
+            if shutdown is not None:
+                shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                shutdown()
+
+
 def _run_grid(header: tuple[str, ...], points: Callable, rows: Callable,
               o: argparse.Namespace) -> int:
     """The grid engine.  ``points(o)`` gives (key columns, spec) pairs, all built
@@ -180,7 +210,7 @@ def _run_grid(header: tuple[str, ...], points: Callable, rows: Callable,
     if o.workers <= 1:
         results = [_solve(spec) for spec in specs]
     else:
-        with ProcessPoolExecutor(max_workers=o.workers) as pool:
+        with ProcessPoolExecutor(max_workers=o.workers, initializer=_one_blas_thread) as pool:
             results = list(pool.map(_solve, specs))
     solved = [(keys, spec, *result) for (keys, spec), result in zip(grid, results)]
     write_csv(o.out, list(header), rows(solved))
@@ -393,6 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: parsing leaves it as it was."""
+    return build_parser()
+
+
 def _cast(key: str, value: str, name: str) -> object:
     """``value`` of option ``key``, cast and checked against its choices; a bad
     value is a configuration error naming ``name``, its flag or config key."""
@@ -442,7 +478,7 @@ def resolve_config(args: argparse.Namespace, cfg: dict[str, str], command: str) 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args, extra = build_parser().parse_known_args(argv)
+        args, extra = _parser().parse_known_args(argv)
         if extra:
             raise ValueError(f"{args.command}: unrecognized arguments: {' '.join(extra)}")
         cfg = parse_config_file(args.config) if args.config else {}

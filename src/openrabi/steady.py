@@ -3,7 +3,12 @@ time-domain cross-check.
 
 The steady state is the null vector of the generator, computed by replacing
 the first scalar equation with the trace constraint and solving the resulting
-nonsingular system with one sparse LU factorization.  Iterative refinement
+nonsingular system with one sparse LU factorization.  The factorization takes
+rows and columns in the reverse Cuthill-McKee order of the system's pattern
+(``liouville.rcm_order``), with SuperLU's partial pivoting; that order is
+computed once per structure and cached on its ``liouville.AffineGenerator``,
+which passes it with every generator it builds, and a generator built without
+one gets it computed here.  Iterative refinement
 with extended-precision residuals follows.  At the extreme rate/frequency
 separations typical here (rates ~1e-6 against frequencies ~1) the replaced
 system is ill-conditioned, so a small residual does not bound the error of
@@ -27,7 +32,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .hilbert import VALIDITY_TOL, validate_density_matrix
-from .liouville import SuperOperator, devectorize, vectorize
+from .liouville import (
+    SuperOperator,
+    devectorize,
+    rcm_order,
+    trace_replaced_pattern,
+    vectorize,
+)
 
 _REFINE_ROUNDS = 3
 _REFINE_STOP = np.finfo(float).eps   # largest ||dx||/||x|| (max norms) that ends refinement
@@ -54,12 +65,8 @@ class SteadyStateResult:
 def _trace_replaced(mat: sp.csr_matrix, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR arrays (indptr, indices, data) of ``mat`` with row 0 replaced by the
     vectorized trace row; ``mat`` itself is left as it is."""
-    start = mat.indptr[1]
-    indptr = mat.indptr - start + dim
-    indptr[0] = 0
-    indices = np.concatenate([np.arange(dim, dtype=mat.indices.dtype) * (dim + 1),
-                              mat.indices[start:]])
-    data = np.concatenate([np.ones(dim, dtype=complex), mat.data[start:]])
+    indptr, indices = trace_replaced_pattern(mat.indptr, mat.indices, dim)
+    data = np.concatenate([np.ones(dim, dtype=complex), mat.data[mat.indptr[1]:]])
     return indptr, indices, data
 
 
@@ -104,9 +111,16 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     rhs = np.zeros(dim * dim, dtype=complex)
     rhs[0] = 1.0
 
+    # factor P A P^T, P taking row i to position[i]; x = y[position] solves
+    # A x = b when (P A P^T) y = b[order]
+    order = gen.lu_order if gen.lu_order is not None else rcm_order(mat.indptr, mat.indices, dim)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size, dtype=order.dtype)
+    permuted = sp.csc_matrix((data, (np.repeat(position, np.diff(indptr)), position[indices])),
+                             shape=mat.shape)
     try:
-        lu = spla.splu(sp.csr_matrix((data, indices, indptr), shape=mat.shape).tocsc())
-        x = lu.solve(rhs)
+        lu = spla.splu(permuted, permc_spec="NATURAL")
+        x = lu.solve(rhs[order])[position]
     except RuntimeError as exc:
         raise _solve_failure(mat, f"factorization failed: {exc}") from exc
 
@@ -118,7 +132,7 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     if np.all(np.isfinite(x)):
         for rounds in range(1, _REFINE_ROUNDS + 1):
             r = rhs_ext - m_ext @ x.astype(np.clongdouble)
-            dx = lu.solve(np.asarray(r, dtype=complex))
+            dx = lu.solve(np.asarray(r, dtype=complex)[order])[position]
             x = x + dx
             correction = float(np.abs(dx).max()) / max(float(np.abs(x).max()), 1e-300)
             if correction <= _REFINE_STOP:

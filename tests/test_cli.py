@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,32 @@ def _child_env():
     src = str(Path(orb.__file__).parents[1])
     return {**os.environ,
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_pool_initializer_sets_one_blas_thread():
+    # in a child process, so that this one keeps its thread count: the numpy
+    # and the scipy OpenBLAS each read back one thread, and after BLAS and
+    # LAPACK calls the process runs no thread besides its own
+    code = textwrap.dedent("""
+        import ctypes, importlib, os, pathlib
+        import numpy as np, scipy.linalg
+        from openrabi import cli
+        cli._one_blas_thread()
+        a = np.random.default_rng(0).random((300, 300))
+        scipy.linalg.lu_factor(a @ a)
+        counts = []
+        for package, pattern, setter in cli._OPENBLAS:
+            site = pathlib.Path(importlib.import_module(package).__file__).parents[1]
+            for path in (site / f"{package}.libs").glob(pattern):
+                get = getattr(ctypes.CDLL(str(path)), setter.replace("_set_", "_get_"))
+                get.restype = ctypes.c_int
+                counts.append(get())
+        print(counts, len(os.listdir("/proc/self/task")))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[1, 1] 1"
 
 
 def test_console_entry_point(tmp_path):

@@ -71,6 +71,22 @@ def test_nonunique_detected_on_one_qubit():
         orb.steady_state(orb.hamiltonian_superop(orb.qubit_ops().excited, space))
 
 
+@pytest.mark.parametrize("drive", [0.0, 0.7])
+def test_nonunique_detected_in_odd_sector(drive):
+    # qubit (x) cavity with jumps sigma_x and a has a second, traceless
+    # stationary state, so the trace-replaced system is singular; with the
+    # drive, an LU that pivots on the diagonal only misses that and returns a
+    # state, where partial pivoting meets an exactly zero pivot
+    space = orb.CompositeSpace((orb.Qubit("atom"), orb.Boson(3, "cavity")))
+    ops = orb.qubit_ops()
+    sx = orb.embed(ops.sp + ops.sm, space, 0)
+    h = orb.embed(orb.number(3), space, 1) + drive * sx
+    terms = [orb.LindbladTerm(sx, 0.37),
+             orb.LindbladTerm(orb.embed(orb.annihilation(3), space, 1), 0.41)]
+    with pytest.raises(NonUniqueSteadyStateError):
+        orb.steady_state(orb.assemble(h, terms, space))
+
+
 def test_one_state_failure_is_no_convergence():
     # a 1x1 generator that is not trace preserving: its nullity is at most
     # one, so the failure is NoConvergenceError, without an eigenvalue probe
@@ -92,6 +108,34 @@ def test_steady_state_hygiene(scenario):
     assert abs(np.trace(result.rho) - 1.0) <= 1e-10
     assert np.linalg.eigvalsh(result.rho).min() >= -1e-10
     assert np.abs(result.rho - result.rho.conj().T).max() <= 1e-10
+
+
+@pytest.mark.parametrize("cutoff, colamd_nnz, bound", [
+    (3, 201_891, 180_000), (4, 1_053_319, 850_000), (5, 3_886_380, 3_300_000)])
+def test_lu_fill_and_refinement_at_scenario_a(cutoff, colamd_nnz, bound):
+    # the bandwidth-reducing order keeps the factors well below the fill of
+    # SuperLU's default COLAMD order (colamd_nnz), and partial pivoting keeps
+    # refinement at the rounding floor within its round cap
+    spec = orb.ModelSpec(params=orb.RabiParams(omega=1.0, g=0.05, **REFERENCE_RATES),
+                         cutoff=cutoff, parasitic=orb.scenario_parasitic("a"))
+    diagnostics = orb.steady_state(orb.build_liouvillian(spec)).diagnostics
+    assert diagnostics["lu_nnz"] < bound < colamd_nnz
+    assert diagnostics["last_correction"] <= np.finfo(float).eps
+    assert diagnostics["refine_rounds"] <= 3
+
+
+def test_structure_lu_order_is_shared_and_agrees_with_solve_time_order():
+    # every point of a structure carries the one order cached with its parts;
+    # a generator without one is ordered from its own pattern at solve time
+    specs = [orb.ModelSpec(params=orb.RabiParams(omega=omega, g=0.05, **REFERENCE_RATES),
+                           cutoff=3, parasitic=orb.scenario_parasitic("a"))
+             for omega in (0.9, 1.1)]
+    gens = [orb.build_liouvillian(spec) for spec in specs]
+    assert gens[0].lu_order is gens[1].lu_order
+    assert np.array_equal(np.sort(gens[0].lu_order), np.arange(gens[0].dim ** 2))
+    bare = orb.SuperOperator(gens[0].space, gens[0].matrix)
+    np.testing.assert_allclose(orb.steady_state(bare).rho, orb.steady_state(gens[0]).rho,
+                               rtol=0, atol=1e-15)
 
 
 def test_rwa_steady_state_is_ground_vacuum():
