@@ -182,8 +182,11 @@ def _one_blas_thread() -> None:
     the workers do not oversubscribe the cores.  In a forked worker, setting
     the count restarts the library's thread pool, whose idle threads then spin
     for ~0.1 s of CPU each, so the pool is shut down again; with one thread
-    the library does not restart it.  A library or function that is not found
-    is skipped."""
+    the library does not restart it.  It finds the libraries by the layout of
+    the numpy and scipy pip wheels (a ``<package>.libs`` directory beside the
+    package) and calls them by OpenBLAS's exported names, the shutdown being
+    its internal ``blas_thread_shutdown_``; a library or function that is not
+    found, as in other installs, is skipped."""
     for package, pattern, setter in _OPENBLAS:
         site = Path(importlib.import_module(package).__file__).parents[1]
         for path in (site / f"{package}.libs").glob(pattern):

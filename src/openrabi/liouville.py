@@ -51,14 +51,15 @@ class LindbladTerm:
 class SuperOperator:
     """D^2 x D^2 sparse generator acting on column-stacked density matrices.
 
-    ``lu_order`` is the :func:`rcm_order` of a pattern that holds the
-    matrix's, shared by every generator of one structure; ``None`` leaves the
-    steady-state solve to compute it from ``matrix``.
+    ``lu_order`` caches the :func:`rcm_order` of a pattern that holds the
+    matrix's; only :meth:`AffineGenerator.at` sets it, to the order shared by
+    every generator of one structure.  ``None`` leaves the steady-state solve
+    to compute it from ``matrix``.
     """
 
     space: CompositeSpace
     matrix: sp.csr_matrix
-    lu_order: np.ndarray | None = field(default=None, repr=False, compare=False)
+    lu_order: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -203,7 +204,9 @@ class AffineGenerator:
         # the pattern is shared, and eliminate_zeros works in place
         mat = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
         mat.eliminate_zeros()
-        return SuperOperator(self.space, mat, self.lu_order)
+        gen = SuperOperator(self.space, mat)
+        object.__setattr__(gen, "lu_order", self.lu_order)   # frozen: set the cache directly
+        return gen
 
 
 def affine_generator(space: CompositeSpace,

@@ -126,7 +126,8 @@ def test_lu_fill_and_refinement_at_scenario_a(cutoff, colamd_nnz, bound):
 
 def test_structure_lu_order_is_shared_and_agrees_with_solve_time_order():
     # every point of a structure carries the one order cached with its parts;
-    # a generator without one is ordered from its own pattern at solve time
+    # a generator without one is ordered from its own pattern at solve time,
+    # and no caller can hand one in
     specs = [orb.ModelSpec(params=orb.RabiParams(omega=omega, g=0.05, **REFERENCE_RATES),
                            cutoff=3, parasitic=orb.scenario_parasitic("a"))
              for omega in (0.9, 1.1)]
@@ -134,6 +135,9 @@ def test_structure_lu_order_is_shared_and_agrees_with_solve_time_order():
     assert gens[0].lu_order is gens[1].lu_order
     assert np.array_equal(np.sort(gens[0].lu_order), np.arange(gens[0].dim ** 2))
     bare = orb.SuperOperator(gens[0].space, gens[0].matrix)
+    assert bare.lu_order is None
+    with pytest.raises(TypeError):
+        orb.SuperOperator(gens[0].space, gens[0].matrix, gens[0].lu_order)
     np.testing.assert_allclose(orb.steady_state(bare).rho, orb.steady_state(gens[0]).rho,
                                rtol=0, atol=1e-15)
 
