@@ -12,7 +12,8 @@ CSV artifacts use a header row, 12 significant digits and LF line endings,
 and are byte-for-byte deterministic for a fixed configuration and seed.
 Exit codes: 0 on success; 2 on a configuration error (one ``error:`` line,
 no CSV written); 3 when the solver failed at some grid points, each recorded
-in the ``error`` column while the remaining rows still run.
+in the ``error`` column while the remaining rows still run, or when the
+trajectory ensemble failed (one ``error:`` line, no CSV written).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .models import (
 )
 from .observables import ObservableReport, report
 from .steady import steady_state
-from .trajectories import ensemble_average, unravel
+from .trajectories import StepSizeUnderflowError, ensemble_average, unravel
 
 _FLOAT_FMT = "{:.11e}"
 # rel_change = |n_c - n_{c-1}| / n_c cancels about 4 of the 12 digits the
@@ -308,6 +309,8 @@ def _cmd_trajectories(o: argparse.Namespace) -> int:
     t_grid = np.arange(o.points) * (o.t_max / (o.points - 1))
     if o.mode == "decay":
         # single damped mode from |1>: the ensemble mean follows exp(-kappa t)
+        if o.cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {o.cutoff}")
         space = CompositeSpace((Boson(o.cutoff, "cavity"),))
         h = number(o.cutoff)
         terms = [LindbladTerm(annihilation(o.cutoff), o.kappa)]
@@ -320,7 +323,11 @@ def _cmd_trajectories(o: argparse.Namespace) -> int:
         terms = build_dissipators(spec)
         psi0 = basis_ket(space, [0] * len(space.dims))
         operators = (excitation_operator(space, "cavity"), excitation_operator(space, "atom"))
-    ens = ensemble_average(unravel(h, terms, space), psi0, t_grid, o.n_traj, o.seed, operators)
+    try:
+        ens = ensemble_average(unravel(h, terms, space), psi0, t_grid, o.n_traj, o.seed, operators)
+    except StepSizeUnderflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     columns = {"time": t_grid, "mean_n": ens.mean[0], "stderr_n": ens.stderr[0]}
     if o.mode == "decay":
         columns["exact"] = np.exp(-o.kappa * t_grid)

@@ -34,12 +34,14 @@ class NegativeRateError(ValueError):
 
 @dataclass(frozen=True)
 class LindbladTerm:
-    """A jump operator together with its non-negative rate."""
+    """A jump operator together with its finite, non-negative rate."""
 
     operator: np.ndarray
     rate: float
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate}")
         if self.rate < 0:
             raise NegativeRateError(f"rate must be >= 0, got {self.rate}")
         op = np.asarray(self.operator)

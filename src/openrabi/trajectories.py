@@ -11,14 +11,21 @@ trajectories reproduces the master-equation solution.
 ``run_trajectory`` follows one trajectory and is the reference.
 ``ensemble_average`` builds the propagator and the jump weights once per
 ensemble and steps the trajectories ``_BLOCK`` at a time: every live state of
-a block advances by one sample step in one call, and the norm-crossing
-bisection runs on all the states that crossed in that step together.  Each
-state still goes through the same BLAS calls as a lone state (one gemv per
-state, one dot per norm), so an ensemble member's samples equal its
-``run_trajectory`` observables bit for bit.  Each trajectory keeps its own
-random stream and its draw order (threshold, then channel per jump), so the
-results do not depend on the block size or on execution order.  The engine
-runs in one process; ``--workers`` does not apply to it.
+a block advances by one sample step in one call, the norm-crossing bisection
+runs on all the states that crossed in that step together, and ``_jumps``
+makes all of that step's jumps in one call (``run_trajectory`` calls it on a
+one-row block).  Each state still goes through the same BLAS calls as a lone
+state (one gemv per state, one dot per norm), so an ensemble member's samples
+equal its ``run_trajectory`` observables bit for bit.
+
+Each trajectory keeps its own random stream, that of
+``trajectory_seed(base_seed, i)``, and its draw order (threshold, then per
+jump the channel and the next threshold), so the results do not depend on
+the block size or on execution order.  The ensemble does not build those
+streams one ``SeedSequence`` at a time: ``_stream_states`` runs numpy's
+``SeedSequence`` hash and PCG64's seeding step for a whole block of spawn keys
+at once, and the states are loaded into a pool of generators built once per
+ensemble.  The engine runs in one process; ``--workers`` does not apply to it.
 
 Intended for validation at moderate times on small spaces; asymptotics are
 the steady-state solver's job.
@@ -28,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as la
@@ -37,9 +45,18 @@ from .hilbert import VALIDITY_TOL, CompositeSpace, DimensionError
 from .liouville import LindbladTerm, SuperOperator
 
 _BISECT_FRACTION = 1e-3   # jump-time tolerance as a fraction of the step size
-# trajectories stepped together; each live Generator holds ~0.9 KiB, so one
-# block of every trajectory would cost memory that the speed does not need
+# trajectories stepped together, and the size of the pool of generators that
+# every block reuses; each Generator holds ~0.9 KiB, so one generator per
+# trajectory would cost memory that the speed does not need
 _BLOCK = 1024
+
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's multiplier
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 Seed = int | np.random.SeedSequence
 
@@ -165,26 +182,31 @@ def _generator(seed: Seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _draw_channel(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """Index drawn with probabilities ``probs``: one ``rng.random()`` and the
-    arithmetic of ``rng.choice(len(probs), p=probs)``, without its checks."""
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _draw_channels(rngs: list[np.random.Generator], probs: np.ndarray) -> np.ndarray:
+    """Per row of ``probs`` (m, K) an index drawn with those probabilities from
+    that row's generator: one ``rng.random()`` and the arithmetic of
+    ``rng.choice(K, p=row)``, without its checks."""
+    cdf = np.cumsum(probs, axis=-1)
+    cdf /= cdf[:, -1:]
+    u = np.array([rng.random() for rng in rngs])
+    # the count of cdf entries <= u is searchsorted(u, side="right")
+    return (cdf <= u[:, None]).sum(-1)
 
 
-def _jump(
-    unr: Unraveling, weights: list[np.ndarray], state: np.ndarray, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Draw a channel with probability ~ <state|w_k|state> and return it with
-    the renormalized state after that jump."""
-    probs = np.array([float(np.vdot(state, w @ state).real) for w in weights])
-    total = probs.sum()
-    if total <= 0:
+def _jumps(
+    unr: Unraveling, weights: list[np.ndarray], states: np.ndarray,
+    rngs: list[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jump every row of ``states`` (m, D), row ``i`` drawing its channel
+    with probability ~ <state|w_k|state> from ``rngs[i]``; return the channels
+    and the states after those jumps, each renormalized."""
+    probs = np.stack([np.vecdot(states, _matvec(w, states)).real for w in weights], axis=-1)
+    total = probs.sum(-1)
+    if (total <= 0).any():
         raise StepSizeUnderflowError("norm decayed with no open jump channel")
-    channel = _draw_channel(rng, probs / total)
-    jumped = unr.jumps[channel] @ state
-    return channel, jumped / np.linalg.norm(jumped)
+    channels = _draw_channels(rngs, probs / total[:, None])
+    jumped = _matvec(np.stack(unr.jumps)[channels], states)
+    return channels, jumped / np.sqrt(_norm_sq(jumped))[:, None]
 
 
 def run_trajectory(
@@ -230,9 +252,10 @@ def run_trajectory(
                 else:
                     hi = mid
             tau = 0.5 * (lo + hi)
-            channel, psi = _jump(unr, weights, prop.apply(psi, tau), rng)
+            channels, jumped = _jumps(unr, weights, prop.apply(psi, tau)[None], [rng])
+            psi = jumped[0]
             record.jump_times.append(elapsed + tau)
-            record.jump_channels.append(channel)
+            record.jump_channels.append(int(channels[0]))
             threshold = rng.random()
             elapsed += tau
             remaining -= tau
@@ -258,6 +281,73 @@ def trajectory_seed(base_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
 
 
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative int as 32-bit words, least significant first, as
+    SeedSequence splits its entropy."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's multiply-xorshift hash of uint32 arrays, whose constant
+    starts at ``init`` and is multiplied by ``mult`` at every call."""
+    const = init
+
+    def hash_(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hash_
+
+
+def _stream_states(base_seed: int, keys: np.ndarray) -> list[dict]:
+    """``PCG64(trajectory_seed(base_seed, k)).state`` for every spawn key ``k``
+    in ``keys`` (each below 2**32), computed for all keys in one pass.
+
+    numpy's SeedSequence algorithm on uint32 arrays, one element per key: the
+    entropy words of ``base_seed`` padded to the pool size, then the key's word;
+    ``mix_entropy``; ``generate_state(4, uint64)``.  Then PCG64's ``srandom``
+    seeding step in Python ints, one 128-bit state and increment per key.
+    """
+    keys = np.asarray(keys, dtype=np.uint32)
+    run = _uint32_words(base_seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = [np.full(keys.shape, w, dtype=np.uint32) for w in run] + [keys]
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    generate = _hasher(_INIT_B, _MULT_B)
+    # 4 uint64 words of two halves each, low half first
+    halves = [generate(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (lo | hi << np.uint64(32)).tolist() for lo, hi in zip(halves[::2], halves[1::2])
+    )
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def _bisect(
     prop: _Propagator, psi: np.ndarray, threshold: np.ndarray, remaining: np.ndarray, tol: float
 ) -> np.ndarray:
@@ -280,13 +370,12 @@ def _run_block(
     weights: list[np.ndarray],
     psi0: np.ndarray,
     dt: float,
-    seeds: list[np.random.SeedSequence],
+    rngs: list[np.random.Generator],
     operators: tuple[np.ndarray, ...],
     out: np.ndarray,
 ) -> None:
-    """Step one trajectory per seed from ``psi0`` and write the samples of
-    sample steps 1.. into ``out`` (shape (len(seeds), n_operators, n_times))."""
-    rngs = [_generator(seed) for seed in seeds]
+    """Step one trajectory per generator from ``psi0`` and write the samples
+    of sample steps 1.. into ``out`` (shape (len(rngs), n_operators, n_times))."""
     psi = np.tile(psi0, (len(rngs), 1))
     threshold = np.array([rng.random() for rng in rngs])
     tol = dt * _BISECT_FRACTION
@@ -303,9 +392,9 @@ def _run_block(
             if not unr.jumps:
                 raise StepSizeUnderflowError("norm decayed but the unraveling has no jumps")
             tau = _bisect(prop, psi[crossed], threshold[crossed], remaining[crossed], tol)
-            for i, state in zip(crossed, prop.apply(psi[crossed], tau)):
-                _, psi[i] = _jump(unr, weights, state, rngs[i])
-                threshold[i] = rngs[i].random()
+            jumping = [rngs[i] for i in crossed]
+            _, psi[crossed] = _jumps(unr, weights, prop.apply(psi[crossed], tau), jumping)
+            threshold[crossed] = [rng.random() for rng in jumping]
             remaining[crossed] -= tau
             live = crossed[remaining[crossed] > 0]
         out[:, :, k] = _expectations(psi, operators).T
@@ -322,6 +411,8 @@ def _ensemble_samples(
     """Samples of every trajectory, shape (n_traj, n_operators, n_times); row
     ``i`` equals the observables of ``run_trajectory`` with seed
     ``trajectory_seed(base_seed, i)``."""
+    if base_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {base_seed}")
     if n_traj < 2:
         raise ValueError("n_traj must be >= 2 for meaningful error bars")
     t_grid = np.asarray(t_grid, dtype=float)
@@ -337,10 +428,15 @@ def _ensemble_samples(
     weights = [j.conj().T @ j for j in unr.jumps]
     samples = np.empty((n_traj, len(operators), t_grid.size))
     samples[:, :, 0] = _expectations(psi0, operators)
+    # one generator per row of a block; each block overwrites their states
+    placeholder = np.random.SeedSequence(base_seed)
+    pool = [np.random.Generator(np.random.PCG64(placeholder)) for _ in range(min(_BLOCK, n_traj))]
     for start in range(0, n_traj, _BLOCK):
-        stop = min(start + _BLOCK, n_traj)
-        seeds = [trajectory_seed(base_seed, i) for i in range(start, stop)]
-        _run_block(unr, prop, weights, psi0, dt, seeds, operators, samples[start:stop])
+        keys = np.arange(start, min(start + _BLOCK, n_traj), dtype=np.uint32)
+        rngs = pool[:keys.size]
+        for rng, state in zip(rngs, _stream_states(base_seed, keys)):
+            rng.bit_generator.state = state
+        _run_block(unr, prop, weights, psi0, dt, rngs, operators, samples[start:start + keys.size])
     return samples
 
 

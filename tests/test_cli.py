@@ -271,6 +271,10 @@ _GRID_SET = [("sweep-omega", "omega"), ("sweep-gamma", "gamma-rate"), ("damping-
     pytest.param(["sweep-omega", "--config", "no-equals.cfg"], None, id="no-equals"),
     pytest.param(["sweep-omega", "--config", "missing.cfg"], None, id="missing-config"),
     pytest.param(["trajectories", "--points", "1"], None, id="one-point"),
+    pytest.param(["trajectories", "--kappa", "nan"], "rate must be finite", id="decay-nan-kappa"),
+    pytest.param(["trajectories", "--kappa", "inf"], "rate must be finite", id="decay-inf-kappa"),
+    pytest.param(["trajectories", "--seed", "-1"], "seed", id="negative-seed"),
+    pytest.param(["trajectories", "--cutoff", "0"], "cutoff", id="decay-cutoff-zero"),
     pytest.param(["sweep-omega", "--omega-grid="], None, id="empty-omega-grid"),
     pytest.param(["distribution", "--kappas="], None, id="empty-kappas"),
     pytest.param(["sweep-gamma", "--gamma-grid=-1e-6,1e-6"], None, id="negative-gamma"),
@@ -316,3 +320,12 @@ def test_unknown_config_key_reports_error(tmp_path, capsys, argv, named):
     assert not out.exists()
     if named is not None:
         assert named in err
+
+
+def test_trajectory_solver_failure_reports_error(tmp_path, capsys):
+    # a step so long that the norm decays past any jump: exit 3, one line, no CSV
+    out = tmp_path / "x.csv"
+    assert main(["trajectories", "--points", "2", "--t-max", "1e308", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: norm decayed with no open jump channel\n"
+    assert not out.exists()

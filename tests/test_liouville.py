@@ -99,6 +99,12 @@ def test_dissipator_rejects_negative_rate():
         orb.LindbladTerm(orb.annihilation(1), -0.1)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+def test_dissipator_rejects_non_finite_rate(rate):
+    with pytest.raises(ValueError, match=f"rate must be finite, got {rate}"):
+        orb.LindbladTerm(orb.annihilation(1), rate)
+
+
 def test_dissipator_linear_in_rate_and_assemble_additive():
     space = orb.CompositeSpace((orb.Boson(2, "cavity"),))
     a = orb.annihilation(2)

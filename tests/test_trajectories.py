@@ -134,6 +134,8 @@ def test_ensemble_rejects_degenerate_sampling():
     psi0 = orb.basis_ket(space, [1])
     with pytest.raises(ValueError):
         orb.ensemble_average(unr, psi0, np.linspace(0, 1, 5), 1, 0, (orb.number(1),))
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        orb.ensemble_average(unr, psi0, np.linspace(0, 1, 5), 4, -1, (orb.number(1),))
     with pytest.raises(ValueError):
         orb.run_trajectory(unr, 2 * psi0, 1.0, 0.1, seed=0)
 
@@ -148,17 +150,28 @@ def test_renormalized_norm_after_jumps():
 
 
 def test_draw_channel_matches_generator_choice():
-    # the draw is Generator.choice's: same index, same stream state after it
+    # each row's draw is Generator.choice's: same index, same stream state after it
     source = np.random.default_rng(7)
-    for case in range(600):
-        w = source.random(int(source.integers(2, 6)))
-        if case % 3 == 0:
-            w[source.integers(w.size)] = 0.0   # a closed channel
-        p = w / w.sum()
-        mine = np.random.Generator(np.random.PCG64(case))
-        theirs = np.random.Generator(np.random.PCG64(case))
-        assert trajectories._draw_channel(mine, p) == theirs.choice(p.size, p=p)
-        assert mine.random() == theirs.random()
+    for case in range(120):
+        w = source.random((int(source.integers(1, 9)), int(source.integers(2, 6))))
+        # about a quarter of the channels closed, any of them, one per row kept open
+        closed = source.random(w.shape) < 0.25
+        closed[np.arange(len(w)), source.integers(w.shape[1], size=len(w))] = False
+        w[closed] = 0.0
+        p = w / w.sum(-1, keepdims=True)
+        mine = [np.random.Generator(np.random.PCG64([case, row])) for row in range(len(p))]
+        theirs = [np.random.Generator(np.random.PCG64([case, row])) for row in range(len(p))]
+        got = trajectories._draw_channels(mine, p)
+        assert got.tolist() == [rng.choice(row.size, p=row) for rng, row in zip(theirs, p)]
+        assert [rng.random() for rng in mine] == [rng.random() for rng in theirs]
+
+
+@pytest.mark.parametrize("base_seed", [0, 1, 17, 2024, 2**32 + 5, 2**70 + 3, 2**130 + 9])
+def test_block_stream_states_equal_seed_sequence(base_seed):
+    keys = [*range(0, 3000, 7), 2**32 - 1]
+    got = trajectories._stream_states(base_seed, np.array(keys, dtype=np.uint32))
+    assert got == [np.random.PCG64(np.random.SeedSequence(entropy=base_seed, spawn_key=(k,))).state
+                   for k in keys]
 
 
 def _reference_samples(unr, psi0, t_grid, n_traj, base_seed, ops):
