@@ -306,6 +306,8 @@ def _distribution_rows(spec: ModelSpec, rep: ObservableReport | None) -> list[li
 def _cmd_trajectories(o: argparse.Namespace) -> int:
     if o.points < 2:
         raise ValueError(f"points must be >= 2, got {o.points}")
+    if not (math.isfinite(o.t_max) and o.t_max >= 0):
+        raise ValueError(f"t_max must be finite and >= 0, got {o.t_max}")
     t_grid = np.arange(o.points) * (o.t_max / (o.points - 1))
     if o.mode == "decay":
         # single damped mode from |1>: the ensemble mean follows exp(-kappa t)

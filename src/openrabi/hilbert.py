@@ -86,8 +86,12 @@ class CompositeSpace:
         return out
 
     def index(self, subsystem: int | str) -> int:
-        """Position of the subsystem with this label; a position is returned as is."""
+        """Position of the subsystem with this label; a position in
+        ``[0, len(subsystems))`` is returned as is."""
         if not isinstance(subsystem, str):
+            if not 0 <= subsystem < len(self.subsystems):
+                raise DimensionError(
+                    f"position {subsystem} out of range for {len(self.subsystems)} factors")
             return subsystem
         for i, s in enumerate(self.subsystems):
             if s.label == subsystem:

@@ -7,7 +7,7 @@ so ``vec(A rho B) = (B^T kron A) vec(rho)``. Every generator built here has
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,17 +51,10 @@ class LindbladTerm:
 
 @dataclass(frozen=True)
 class SuperOperator:
-    """D^2 x D^2 sparse generator acting on column-stacked density matrices.
-
-    ``lu_order`` caches the :func:`rcm_order` of a pattern that holds the
-    matrix's; only :meth:`AffineGenerator.at` sets it, to the order shared by
-    every generator of one structure.  ``None`` leaves the steady-state solve
-    to compute it from ``matrix``.
-    """
+    """D^2 x D^2 sparse generator acting on column-stacked density matrices."""
 
     space: CompositeSpace
     matrix: sp.csr_matrix
-    lu_order: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -85,32 +78,6 @@ def devectorize(v: np.ndarray) -> np.ndarray:
     if d * d != v.size:
         raise DimensionError(f"vector length {v.size} is not a perfect square")
     return v.reshape(d, d, order="F")
-
-
-def trace_replaced_pattern(indptr: np.ndarray, indices: np.ndarray,
-                           dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) of a D^2 x D^2 pattern with row 0 replaced by the
-    vectorized trace row, whose entries sit at the populations ``rho[k, k]``."""
-    start = indptr[1]
-    new_indptr = indptr - start + dim
-    new_indptr[0] = 0
-    new_indices = np.concatenate([np.arange(dim, dtype=indices.dtype) * (dim + 1),
-                                  indices[start:]])
-    return new_indptr, new_indices
-
-
-def rcm_order(indptr: np.ndarray, indices: np.ndarray, dim: int) -> np.ndarray:
-    """Reverse Cuthill-McKee order (Cuthill & McKee 1969, reversed as George
-    1971) of the trace-replaced pattern made symmetric: the order in which the
-    steady-state solve factors that system.  It depends on the pattern alone."""
-    # imported here: a process that never factors (the jump engine) skips it
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    n = dim * dim
-    indptr, indices = trace_replaced_pattern(indptr, indices, dim)
-    pattern = sp.csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr),
-                            shape=(n, n))
-    return reverse_cuthill_mckee((pattern + pattern.T).tocsr(), symmetric_mode=True)
 
 
 def _left(a: np.ndarray) -> sp.csr_matrix:
@@ -181,8 +148,6 @@ class AffineGenerator:
 
     A part is ``-i[h_k, .]`` or, if ``dissipative[k]``, the unit-rate
     dissipator of a jump operator, whose coefficient is then a rate.
-    ``lu_order`` is the :func:`rcm_order` of the shared pattern, passed with
-    every generator built here.
     """
 
     space: CompositeSpace
@@ -191,7 +156,6 @@ class AffineGenerator:
     positions: tuple[np.ndarray, ...]
     values: tuple[np.ndarray, ...]
     dissipative: tuple[bool, ...]
-    lu_order: np.ndarray
 
     def at(self, coefficients: Sequence[float]) -> SuperOperator:
         """The generator with coefficient ``coefficients[k]`` on part k."""
@@ -206,9 +170,7 @@ class AffineGenerator:
         # the pattern is shared, and eliminate_zeros works in place
         mat = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
         mat.eliminate_zeros()
-        gen = SuperOperator(self.space, mat)
-        object.__setattr__(gen, "lu_order", self.lu_order)   # frozen: set the cache directly
-        return gen
+        return SuperOperator(self.space, mat)
 
 
 def affine_generator(space: CompositeSpace,
@@ -230,11 +192,10 @@ def affine_generator(space: CompositeSpace,
     indices = cols.astype(np.int32)
     positions = [np.searchsorted(pattern, k) for k in keys]
     values = [p.data for p in parts]
-    order = rcm_order(indptr, indices, space.dim)
-    for arr in (indptr, indices, *positions, *values, order):
+    for arr in (indptr, indices, *positions, *values):
         arr.flags.writeable = False   # shared by every generator built from these parts
     return AffineGenerator(space, indptr, indices, tuple(positions), tuple(values),
-                           tuple(d for d, _ in operators), order)
+                           tuple(d for d, _ in operators))
 
 
 def trace_preservation_defect(gen: SuperOperator) -> float:

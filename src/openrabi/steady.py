@@ -4,19 +4,18 @@ time-domain cross-check.
 The steady state is the null vector of the generator, computed by replacing
 the first scalar equation with the trace constraint and solving the resulting
 nonsingular system with one sparse LU factorization.  The factorization takes
-rows and columns in the reverse Cuthill-McKee order of the system's pattern
-(``liouville.rcm_order``), with SuperLU's partial pivoting; that order is
-computed once per structure and cached on its ``liouville.AffineGenerator``,
-which passes it with every generator it builds, and a generator built without
-one gets it computed here.  Iterative refinement
-with extended-precision residuals follows.  At the extreme rate/frequency
-separations typical here (rates ~1e-6 against frequencies ~1) the replaced
-system is ill-conditioned, so a small residual does not bound the error of
-the solution; the size of the correction does.  Refinement therefore always
-applies at least one correction and stops once a correction is at most
-``_REFINE_STOP`` (2^-52, the rounding floor of double precision) of the
-solution, after at most ``_REFINE_ROUNDS`` rounds.  The result's diagnostics report the rounds, the
-last correction and the size of the LU factors.
+rows and columns in the reverse Cuthill-McKee order of the system's sparsity
+pattern, with SuperLU's partial pivoting; that order depends on the pattern
+alone, so ``_rcm_order`` computes it once per pattern and caches it.
+Iterative refinement with extended-precision residuals follows.  At the
+extreme rate/frequency separations typical here (rates ~1e-6 against
+frequencies ~1) the replaced system is ill-conditioned, so a small residual
+does not bound the error of the solution; the size of the correction does.
+Refinement therefore always applies at least one correction and stops once a
+correction is at most ``_REFINE_STOP`` (2^-52, the rounding floor of double
+precision) of the solution, after at most ``_REFINE_ROUNDS`` rounds.  The
+result's diagnostics report the rounds, the last correction and the size of
+the LU factors.
 
 A failed solve is sorted by one probe: more than one zero eigenvalue of the
 generator, found by shift-invert ``eigs``, means the state is not unique.
@@ -26,19 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .hilbert import VALIDITY_TOL, validate_density_matrix
-from .liouville import (
-    SuperOperator,
-    devectorize,
-    rcm_order,
-    trace_replaced_pattern,
-    vectorize,
-)
+from .liouville import SuperOperator, devectorize, vectorize
 
 _REFINE_ROUNDS = 3
 _REFINE_STOP = np.finfo(float).eps   # largest ||dx||/||x|| (max norms) that ends refinement
@@ -64,10 +58,31 @@ class SteadyStateResult:
 
 def _trace_replaced(mat: sp.csr_matrix, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR arrays (indptr, indices, data) of ``mat`` with row 0 replaced by the
-    vectorized trace row; ``mat`` itself is left as it is."""
-    indptr, indices = trace_replaced_pattern(mat.indptr, mat.indices, dim)
-    data = np.concatenate([np.ones(dim, dtype=complex), mat.data[mat.indptr[1]:]])
+    vectorized trace row, whose entries sit at the populations ``rho[k, k]``.
+    The index arrays are int32; ``mat`` itself is left as it is."""
+    start = mat.indptr[1]
+    indptr = (mat.indptr - start + dim).astype(np.int32, copy=False)
+    indptr[0] = 0
+    indices = np.concatenate([np.arange(dim) * (dim + 1), mat.indices[start:]], dtype=np.int32)
+    data = np.concatenate([np.ones(dim, dtype=complex), mat.data[start:]])
     return indptr, indices, data
+
+
+@lru_cache(maxsize=16)
+def _rcm_order(n: int, indptr: bytes, indices: bytes) -> np.ndarray:
+    """Reverse Cuthill-McKee order (Cuthill & McKee 1969, reversed as George
+    1971) of the n x n CSR pattern with int32 arrays ``indptr`` and
+    ``indices``, made symmetric.  It depends on the pattern alone, so it is
+    cached on the pattern's bytes; the returned array is read-only."""
+    # imported here: a process that never factors (the jump engine) skips it
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    indices = np.frombuffer(indices, dtype=np.int32)
+    pattern = sp.csr_matrix((np.ones(indices.size, dtype=np.int8), indices,
+                             np.frombuffer(indptr, dtype=np.int32)), shape=(n, n))
+    order = reverse_cuthill_mckee((pattern + pattern.T).tocsr(), symmetric_mode=True)
+    order.flags.writeable = False
+    return order
 
 
 def _probe_nullity(mat: sp.csr_matrix) -> int:
@@ -113,7 +128,7 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
 
     # factor P A P^T, P taking row i to position[i]; x = y[position] solves
     # A x = b when (P A P^T) y = b[order]
-    order = gen.lu_order if gen.lu_order is not None else rcm_order(mat.indptr, mat.indices, dim)
+    order = _rcm_order(dim * dim, indptr.tobytes(), indices.tobytes())
     position = np.empty_like(order)
     position[order] = np.arange(order.size, dtype=order.dtype)
     permuted = sp.csc_matrix((data, (np.repeat(position, np.diff(indptr)), position[indices])),

@@ -460,8 +460,8 @@ def ensemble_average(
     for j in range(len(operators)):
         for k in range(samples.shape[2]):
             column = samples[:, j, k]
-            m = math.fsum(column) / n_traj
-            var = math.fsum((column - m) ** 2) / (n_traj - 1)
+            m = math.fsum(column.tolist()) / n_traj
+            var = math.fsum(((column - m) ** 2).tolist()) / (n_traj - 1)
             mean[j, k] = m
             stderr[j, k] = math.sqrt(var / n_traj)
     return EnsembleResult(times=np.asarray(t_grid, dtype=float), mean=mean, stderr=stderr,

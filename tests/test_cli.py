@@ -249,9 +249,12 @@ def test_console_entry_point(tmp_path):
 
 
 def test_import_leaves_integrators_unloaded():
-    # the CLI and the library load neither scipy.integrate nor scipy.optimize
+    # the CLI and the library load neither scipy.integrate nor scipy.optimize,
+    # and the order of the steady-state LU loads scipy.sparse.csgraph only
+    # when a solve needs it
     code = ("import sys, openrabi.cli; openrabi.cli.build_parser(); "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
+            "'scipy.sparse.csgraph') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
@@ -273,6 +276,8 @@ _GRID_SET = [("sweep-omega", "omega"), ("sweep-gamma", "gamma-rate"), ("damping-
     pytest.param(["trajectories", "--points", "1"], None, id="one-point"),
     pytest.param(["trajectories", "--kappa", "nan"], "rate must be finite", id="decay-nan-kappa"),
     pytest.param(["trajectories", "--kappa", "inf"], "rate must be finite", id="decay-inf-kappa"),
+    pytest.param(["trajectories", "--t-max", "nan"], "t_max", id="nan-t-max"),
+    pytest.param(["trajectories", "--t-max", "inf"], "t_max", id="inf-t-max"),
     pytest.param(["trajectories", "--seed", "-1"], "seed", id="negative-seed"),
     pytest.param(["trajectories", "--cutoff", "0"], "cutoff", id="decay-cutoff-zero"),
     pytest.param(["sweep-omega", "--omega-grid="], None, id="empty-omega-grid"),

@@ -212,6 +212,17 @@ def test_space_requires_unique_labels():
         orb.Boson(-1, "bad")
 
 
+@pytest.mark.parametrize("position", [2, 5, -1])
+def test_subsystem_position_out_of_range_rejected(position):
+    space = orb.CompositeSpace((orb.Qubit("atom"), orb.Boson(2, "cavity")))
+    rho = np.eye(space.dim, dtype=complex) / space.dim
+    for call in (lambda: space.index(position),
+                 lambda: orb.photon_distribution(rho, space, position),
+                 lambda: orb.excitation_operator(space, position)):
+        with pytest.raises(DimensionError, match="out of range"):
+            call()
+
+
 def test_basis_ket_indexing():
     space = orb.CompositeSpace((orb.Qubit("atom"), orb.Boson(2, "cavity")))
     ket = orb.basis_ket(space, [1, 2])

@@ -11,6 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 import openrabi as orb
+from openrabi import steady
 from openrabi.cli import main
 from openrabi.steady import NonUniqueSteadyStateError
 from util import REFERENCE_RATES, cavity_only_generator, steady_means, trace_distance
@@ -124,22 +125,25 @@ def test_lu_fill_and_refinement_at_scenario_a(cutoff, colamd_nnz, bound):
     assert diagnostics["refine_rounds"] <= 3
 
 
-def test_structure_lu_order_is_shared_and_agrees_with_solve_time_order():
-    # every point of a structure carries the one order cached with its parts;
-    # a generator without one is ordered from its own pattern at solve time,
-    # and no caller can hand one in
+def test_lu_order_is_cached_per_sparsity_pattern():
+    # two points of one structure share a pattern, so the second solve reuses
+    # the first one's order; a hand-built generator of that pattern gets it too
     specs = [orb.ModelSpec(params=orb.RabiParams(omega=omega, g=0.05, **REFERENCE_RATES),
                            cutoff=3, parasitic=orb.scenario_parasitic("a"))
              for omega in (0.9, 1.1)]
     gens = [orb.build_liouvillian(spec) for spec in specs]
-    assert gens[0].lu_order is gens[1].lu_order
-    assert np.array_equal(np.sort(gens[0].lu_order), np.arange(gens[0].dim ** 2))
-    bare = orb.SuperOperator(gens[0].space, gens[0].matrix)
-    assert bare.lu_order is None
-    with pytest.raises(TypeError):
-        orb.SuperOperator(gens[0].space, gens[0].matrix, gens[0].lu_order)
-    np.testing.assert_allclose(orb.steady_state(bare).rho, orb.steady_state(gens[0]).rho,
-                               rtol=0, atol=1e-15)
+    steady._rcm_order.cache_clear()
+    results = [orb.steady_state(gen) for gen in gens]
+    info = steady._rcm_order.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    n = gens[0].dim ** 2
+    indptr, indices, _ = steady._trace_replaced(gens[0].matrix, gens[0].dim)
+    order = steady._rcm_order(n, indptr.tobytes(), indices.tobytes())
+    assert steady._rcm_order.cache_info().hits == 2
+    assert np.array_equal(np.sort(order), np.arange(n))
+    assert not order.flags.writeable
+    bare = orb.SuperOperator(gens[0].space, gens[0].matrix.copy())
+    np.testing.assert_allclose(orb.steady_state(bare).rho, results[0].rho, rtol=0, atol=1e-15)
 
 
 def test_rwa_steady_state_is_ground_vacuum():
