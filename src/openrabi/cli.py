@@ -172,7 +172,7 @@ def _solve(spec: ModelSpec) -> tuple[ObservableReport | None, str]:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-#: the OpenBLAS copies bundled with numpy and scipy (SuperLU calls scipy's):
+#: the OpenBLAS copies bundled with numpy and scipy (the banded LU calls scipy's):
 #: package, library file pattern in ``<package>.libs``, thread-count setter
 _OPENBLAS = (("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
              ("scipy", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"))
@@ -306,8 +306,8 @@ def _distribution_rows(spec: ModelSpec, rep: ObservableReport | None) -> list[li
 def _cmd_trajectories(o: argparse.Namespace) -> int:
     if o.points < 2:
         raise ValueError(f"points must be >= 2, got {o.points}")
-    if not (math.isfinite(o.t_max) and o.t_max >= 0):
-        raise ValueError(f"t_max must be finite and >= 0, got {o.t_max}")
+    if not (math.isfinite(o.t_max) and o.t_max > 0):
+        raise ValueError(f"--t-max (t_max) must be finite and > 0, got {o.t_max}")
     t_grid = np.arange(o.points) * (o.t_max / (o.points - 1))
     if o.mode == "decay":
         # single damped mode from |1>: the ensemble mean follows exp(-kappa t)

@@ -3,10 +3,16 @@ time-domain cross-check.
 
 The steady state is the null vector of the generator, computed by replacing
 the first scalar equation with the trace constraint and solving the resulting
-nonsingular system with one sparse LU factorization.  The factorization takes
-rows and columns in the reverse Cuthill-McKee order of the system's sparsity
-pattern, with SuperLU's partial pivoting; that order depends on the pattern
-alone, so ``_rcm_order`` computes it once per pattern and caches it.
+nonsingular system by LAPACK's banded LU with partial pivoting
+(``zgbtrf``/``zgbtrs``).  The rows and columns are taken in the reverse
+Cuthill-McKee order of the system's sparsity pattern, under which the system
+is a band, and the pattern splits into connected blocks (the superparity
+sectors of a Rabi model) that the order keeps contiguous.  Each block is
+factored on its own: every block without the trace row has a zero right-hand
+side, so its part of the solution is exactly zero, and it is factored only to
+show that it is nonsingular and then freed; the trace row's block is factored
+last and kept.  Order, blocks and bandwidths depend on the pattern alone, so
+``_band_structure`` computes them once per pattern and caches them.
 Iterative refinement with extended-precision residuals follows.  At the
 extreme rate/frequency separations typical here (rates ~1e-6 against
 frequencies ~1) the replaced system is ill-conditioned, so a small residual
@@ -14,8 +20,8 @@ does not bound the error of the solution; the size of the correction does.
 Refinement therefore always applies at least one correction and stops once a
 correction is at most ``_REFINE_STOP`` (2^-52, the rounding floor of double
 precision) of the solution, after at most ``_REFINE_ROUNDS`` rounds.  The
-result's diagnostics report the rounds, the last correction and the size of
-the LU factors.
+result's diagnostics report the rounds, the last correction, the blocks and
+the size of the kept factor.
 
 A failed solve is sorted by one probe: more than one zero eigenvalue of the
 generator, found by shift-invert ``eigs``, means the state is not unique.
@@ -30,6 +36,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .hilbert import VALIDITY_TOL, validate_density_matrix
 from .liouville import SuperOperator, devectorize, vectorize
@@ -50,9 +57,10 @@ class NoConvergenceError(RuntimeError):
 class SteadyStateResult:
     rho: np.ndarray
     residual: float             # ||L vec(rho)|| / ||L||_F
-    # method ("sparse-lu"), refine_rounds, last_correction (||dx||/||x|| of
-    # the last round), lu_nnz (nonzeros stored for the LU factors; reading
-    # lu.L and lu.U instead would copy both) and the validity margins
+    # method ("banded-lu"), refine_rounds, last_correction (||dx||/||x|| of
+    # the last round), blocks (the connected blocks factored), bandwidth
+    # ((kl, ku) of the trace row's block), lu_nnz (entries stored in that
+    # block's band factor, n_block * (2 kl + ku + 1)) and the validity margins
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -68,21 +76,67 @@ def _trace_replaced(mat: sp.csr_matrix, dim: int) -> tuple[np.ndarray, np.ndarra
     return indptr, indices, data
 
 
-@lru_cache(maxsize=16)
-def _rcm_order(n: int, indptr: bytes, indices: bytes) -> np.ndarray:
-    """Reverse Cuthill-McKee order (Cuthill & McKee 1969, reversed as George
-    1971) of the n x n CSR pattern with int32 arrays ``indptr`` and
-    ``indices``, made symmetric.  It depends on the pattern alone, so it is
-    cached on the pattern's bytes; the returned array is read-only."""
-    # imported here: a process that never factors (the jump engine) skips it
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
+@dataclass(frozen=True)
+class _BandStructure:
+    """The banded LU's view of one n x n sparsity pattern; every array is
+    read-only.  Block b holds the ordered positions ``starts[b]:starts[b+1]``
+    and has ``kl[b]`` sub- and ``ku[b]`` superdiagonals; its stored entries
+    are ``entries[first[b]:first[b+1]]`` (indices into the CSR data), which go
+    to ``slots`` of the same range in its Fortran-ordered band, flattened."""
 
+    order: np.ndarray         # order[p]: the row and column at ordered position p
+    starts: np.ndarray
+    kl: np.ndarray
+    ku: np.ndarray
+    first: np.ndarray
+    entries: np.ndarray
+    slots: np.ndarray
+    trace_block: int          # the block that holds row 0
+
+
+@lru_cache(maxsize=16)
+def _band_structure(n: int, indptr: bytes, indices: bytes) -> _BandStructure:
+    """Band structure of the n x n CSR pattern with int32 arrays ``indptr``
+    and ``indices``, made symmetric: its reverse Cuthill-McKee order
+    (Cuthill & McKee 1969, reversed as George 1971), its connected blocks,
+    each contiguous in that order, and each block's bandwidths and band slots.
+    It depends on the pattern alone, so it is cached on the pattern's bytes."""
+    # imported here: a process that never factors (the jump engine) skips it
+    from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
+
+    indptr = np.frombuffer(indptr, dtype=np.int32)
     indices = np.frombuffer(indices, dtype=np.int32)
-    pattern = sp.csr_matrix((np.ones(indices.size, dtype=np.int8), indices,
-                             np.frombuffer(indptr, dtype=np.int32)), shape=(n, n))
-    order = reverse_cuthill_mckee((pattern + pattern.T).tocsr(), symmetric_mode=True)
-    order.flags.writeable = False
-    return order
+    pattern = sp.csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr),
+                            shape=(n, n))
+    pattern = (pattern + pattern.T).tocsr()
+    count, labels = connected_components(pattern, directed=False)
+    # RCM visits one component at a time; the stable sort only makes the
+    # blocks' contiguity independent of that
+    order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    order = order[np.argsort(labels[order], kind="stable")]
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    starts = np.zeros(count + 1, dtype=np.intp)
+    np.cumsum(np.bincount(labels, minlength=count), out=starts[1:])
+
+    block = np.repeat(labels, np.diff(indptr))          # block of each entry
+    row = np.repeat(position, np.diff(indptr)) - starts[block]
+    col = position[indices] - starts[block]
+    kl = np.zeros(count, dtype=np.intp)
+    ku = np.zeros(count, dtype=np.intp)
+    np.maximum.at(kl, block, row - col)
+    np.maximum.at(ku, block, col - row)
+    # A[row, col] sits at band row kl + ku + row - col of column col
+    slots = col * (2 * kl + ku + 1)[block] + (kl + ku)[block] + row - col
+    entries = np.argsort(block, kind="stable")
+    first = np.zeros(count + 1, dtype=np.intp)
+    np.cumsum(np.bincount(block, minlength=count), out=first[1:])
+    structure = _BandStructure(order=order, starts=starts, kl=kl, ku=ku, first=first,
+                               entries=entries, slots=slots[entries],
+                               trace_block=int(labels[0]))
+    for array in (order, starts, kl, ku, first, entries, structure.slots):
+        array.flags.writeable = False
+    return structure
 
 
 def _probe_nullity(mat: sp.csr_matrix) -> int:
@@ -107,6 +161,25 @@ def _solve_failure(mat: sp.csr_matrix, message: str) -> RuntimeError:
     return NoConvergenceError(message)
 
 
+def _factor(structure: _BandStructure, b: int, data: np.ndarray,
+            mat: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(lu, ipiv) of ``zgbtrf`` on block b of the system with CSR values
+    ``data``, factored in place in its ``(2 kl + ku + 1, n_block)`` band,
+    built here.  An exactly zero pivot raises the failure of the generator
+    ``mat``."""
+    kl, ku = int(structure.kl[b]), int(structure.ku[b])
+    size = int(structure.starts[b + 1] - structure.starts[b])
+    span = slice(structure.first[b], structure.first[b + 1])
+    ab = np.zeros((2 * kl + ku + 1) * size, dtype=complex)
+    ab[structure.slots[span]] = data[structure.entries[span]]
+    lu, ipiv, info = zgbtrf(ab.reshape((2 * kl + ku + 1, size), order="F"), kl, ku,
+                            overwrite_ab=1)
+    if info > 0:
+        raise _solve_failure(mat, f"factorization failed: exactly zero pivot in block {b} "
+                                  f"of {structure.starts.size - 1}")
+    return lu, ipiv
+
+
 def steady_state(gen: SuperOperator) -> SteadyStateResult:
     """Unique stationary density matrix of a trace-preserving generator.
 
@@ -126,18 +199,23 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     rhs = np.zeros(dim * dim, dtype=complex)
     rhs[0] = 1.0
 
-    # factor P A P^T, P taking row i to position[i]; x = y[position] solves
-    # A x = b when (P A P^T) y = b[order]
-    order = _rcm_order(dim * dim, indptr.tobytes(), indices.tobytes())
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size, dtype=order.dtype)
-    permuted = sp.csc_matrix((data, (np.repeat(position, np.diff(indptr)), position[indices])),
-                             shape=mat.shape)
-    try:
-        lu = spla.splu(permuted, permc_spec="NATURAL")
-        x = lu.solve(rhs[order])[position]
-    except RuntimeError as exc:
-        raise _solve_failure(mat, f"factorization failed: {exc}") from exc
+    # factor the blocks in the order of the structure; the trace row's block
+    # last, the only one kept, and the only one with a nonzero right-hand side
+    structure = _band_structure(dim * dim, indptr.tobytes(), indices.tobytes())
+    last = structure.trace_block
+    for b in range(structure.starts.size - 1):
+        if b != last:   # factored only to show it is nonsingular, then freed
+            _factor(structure, b, data, mat)
+    lu, ipiv = _factor(structure, last, data, mat)
+    kl, ku = int(structure.kl[last]), int(structure.ku[last])
+    rows = structure.order[structure.starts[last]:structure.starts[last + 1]]
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        x = np.zeros(dim * dim, dtype=complex)
+        x[rows] = zgbtrs(lu, kl, ku, r[rows], ipiv)[0]
+        return x
+
+    x = solve(rhs)
 
     # the same system in extended precision, for the refinement residuals
     m_ext = sp.csr_matrix((data.astype(np.clongdouble), indices, indptr), shape=mat.shape)
@@ -147,7 +225,7 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     if np.all(np.isfinite(x)):
         for rounds in range(1, _REFINE_ROUNDS + 1):
             r = rhs_ext - m_ext @ x.astype(np.clongdouble)
-            dx = lu.solve(np.asarray(r, dtype=complex)[order])[position]
+            dx = solve(np.asarray(r, dtype=complex))
             x = x + dx
             correction = float(np.abs(dx).max()) / max(float(np.abs(x).max()), 1e-300)
             if correction <= _REFINE_STOP:
@@ -167,10 +245,12 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
         rho=rho,
         residual=residual,
         diagnostics={
-            "method": "sparse-lu",
+            "method": "banded-lu",
             "refine_rounds": rounds,
             "last_correction": correction,
-            "lu_nnz": lu.nnz,
+            "blocks": structure.starts.size - 1,
+            "bandwidth": (kl, ku),
+            "lu_nnz": lu.size,
             **margins,
         },
     )

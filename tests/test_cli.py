@@ -278,6 +278,7 @@ _GRID_SET = [("sweep-omega", "omega"), ("sweep-gamma", "gamma-rate"), ("damping-
     pytest.param(["trajectories", "--kappa", "inf"], "rate must be finite", id="decay-inf-kappa"),
     pytest.param(["trajectories", "--t-max", "nan"], "t_max", id="nan-t-max"),
     pytest.param(["trajectories", "--t-max", "inf"], "t_max", id="inf-t-max"),
+    pytest.param(["trajectories", "--t-max", "0"], "--t-max", id="zero-t-max"),
     pytest.param(["trajectories", "--seed", "-1"], "seed", id="negative-seed"),
     pytest.param(["trajectories", "--cutoff", "0"], "cutoff", id="decay-cutoff-zero"),
     pytest.param(["sweep-omega", "--omega-grid="], None, id="empty-omega-grid"),

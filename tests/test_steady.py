@@ -9,6 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import openrabi as orb
 from openrabi import steady
@@ -111,39 +112,89 @@ def test_steady_state_hygiene(scenario):
     assert np.abs(result.rho - result.rho.conj().T).max() <= 1e-10
 
 
-@pytest.mark.parametrize("cutoff, colamd_nnz, bound", [
-    (3, 201_891, 180_000), (4, 1_053_319, 850_000), (5, 3_886_380, 3_300_000)])
-def test_lu_fill_and_refinement_at_scenario_a(cutoff, colamd_nnz, bound):
-    # the bandwidth-reducing order keeps the factors well below the fill of
-    # SuperLU's default COLAMD order (colamd_nnz), and partial pivoting keeps
-    # refinement at the rounding floor within its round cap
-    spec = orb.ModelSpec(params=orb.RabiParams(omega=1.0, g=0.05, **REFERENCE_RATES),
-                         cutoff=cutoff, parasitic=orb.scenario_parasitic("a"))
-    diagnostics = orb.steady_state(orb.build_liouvillian(spec)).diagnostics
-    assert diagnostics["lu_nnz"] < bound < colamd_nnz
+def _scenario_a(cutoff, omega=1.0):
+    return orb.build_liouvillian(orb.ModelSpec(
+        params=orb.RabiParams(omega=omega, g=0.05, **REFERENCE_RATES), cutoff=cutoff,
+        parasitic=orb.scenario_parasitic("a")))
+
+
+@pytest.mark.parametrize("cutoff", [3, 4, 5])
+def test_band_blocks_and_refinement_at_scenario_a(cutoff):
+    # the pattern splits into the two superparity sectors, of D^2 / 2 unknowns
+    # each; the kept factor is the trace row's band, and partial pivoting
+    # keeps refinement at the rounding floor within its round cap
+    gen = _scenario_a(cutoff)
+    diagnostics = orb.steady_state(gen).diagnostics
+    indptr, indices, _ = steady._trace_replaced(gen.matrix, gen.dim)
+    structure = steady._band_structure(gen.dim ** 2, indptr.tobytes(), indices.tobytes())
+    assert diagnostics["blocks"] == 2
+    assert np.array_equal(structure.starts, [0, gen.dim ** 2 // 2, gen.dim ** 2])
+    kl, ku = diagnostics["bandwidth"]
+    assert (kl, ku) == (structure.kl[structure.trace_block], structure.ku[structure.trace_block])
+    assert diagnostics["lu_nnz"] == gen.dim ** 2 // 2 * (2 * kl + ku + 1)
     assert diagnostics["last_correction"] <= np.finfo(float).eps
     assert diagnostics["refine_rounds"] <= 3
 
 
 def test_lu_order_is_cached_per_sparsity_pattern():
     # two points of one structure share a pattern, so the second solve reuses
-    # the first one's order; a hand-built generator of that pattern gets it too
-    specs = [orb.ModelSpec(params=orb.RabiParams(omega=omega, g=0.05, **REFERENCE_RATES),
-                           cutoff=3, parasitic=orb.scenario_parasitic("a"))
-             for omega in (0.9, 1.1)]
-    gens = [orb.build_liouvillian(spec) for spec in specs]
-    steady._rcm_order.cache_clear()
+    # the first one's order and blocks; a hand-built generator of that
+    # pattern gets them too
+    gens = [_scenario_a(3, omega) for omega in (0.9, 1.1)]
+    steady._band_structure.cache_clear()
     results = [orb.steady_state(gen) for gen in gens]
-    info = steady._rcm_order.cache_info()
+    info = steady._band_structure.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     n = gens[0].dim ** 2
     indptr, indices, _ = steady._trace_replaced(gens[0].matrix, gens[0].dim)
-    order = steady._rcm_order(n, indptr.tobytes(), indices.tobytes())
-    assert steady._rcm_order.cache_info().hits == 2
-    assert np.array_equal(np.sort(order), np.arange(n))
-    assert not order.flags.writeable
+    structure = steady._band_structure(n, indptr.tobytes(), indices.tobytes())
+    assert steady._band_structure.cache_info().hits == 2
+    assert np.array_equal(np.sort(structure.order), np.arange(n))
+    arrays = [getattr(structure, f.name) for f in dataclasses.fields(structure)
+              if isinstance(getattr(structure, f.name), np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
     bare = orb.SuperOperator(gens[0].space, gens[0].matrix.copy())
     np.testing.assert_allclose(orb.steady_state(bare).rho, results[0].rho, rtol=0, atol=1e-15)
+
+
+def _qubit_cavity_damped():
+    space = orb.CompositeSpace((orb.Qubit("atom"), orb.Boson(3, "cavity")))
+    ops = orb.qubit_ops()
+    h = orb.embed(orb.number(3), space, 1) + 0.7 * orb.embed(ops.sp + ops.sm, space, 0)
+    terms = [orb.LindbladTerm(orb.embed(ops.sm, space, 0), 0.37),
+             orb.LindbladTerm(orb.embed(orb.annihilation(3), space, 1), 0.41)]
+    return orb.assemble(h, terms, space)
+
+
+def _two_damped_bosons():
+    space = orb.CompositeSpace((orb.Boson(3, "a"), orb.Boson(3, "b")))
+    h = orb.embed(orb.number(3), space, 0) + orb.embed(orb.number(3), space, 1)
+    terms = [orb.LindbladTerm(orb.embed(orb.annihilation(3), space, k), 0.4) for k in (0, 1)]
+    return orb.assemble(h, terms, space)
+
+
+@pytest.mark.parametrize("build, blocks, tol", [
+    (_qubit_cavity_damped, 7, 1e-14),
+    (_two_damped_bosons, 49, 1e-14),
+    # ill-conditioned, and spsolve does not refine
+    (lambda: _scenario_a(2), 2, 1e-11),
+], ids=["qubit-cavity", "two-bosons", "scenario-a"])
+def test_banded_solve_agrees_with_spsolve(build, blocks, tol):
+    # an independent solve of the same trace-replaced system: SuperLU under
+    # its own order, whole, unrefined, then symmetrized and normalized as
+    # steady_state does
+    gen = build()
+    result = orb.steady_state(gen)
+    assert result.diagnostics["blocks"] == blocks
+    n = gen.dim ** 2
+    indptr, indices, data = steady._trace_replaced(gen.matrix, gen.dim)
+    rhs = np.zeros(n, dtype=complex)
+    rhs[0] = 1.0
+    raw = orb.devectorize(spla.spsolve(sp.csc_matrix(
+        sp.csr_matrix((data, indices, indptr), shape=(n, n))), rhs))
+    ref = 0.5 * (raw + raw.conj().T)
+    ref /= np.trace(ref).real
+    assert np.abs(result.rho - ref).max() <= tol
 
 
 def test_rwa_steady_state_is_ground_vacuum():
@@ -175,15 +226,15 @@ def test_weak_coupling_quadratic_scaling():
 
 
 def test_small_and_large_systems_agree_on_the_sparse_path():
-    # every solve is one sparse LU, from dim 18 (cutoff 2) to dim 72 (cutoff 5)
+    # every solve is one banded LU per block, from dim 18 (cutoff 2) to dim 72 (cutoff 5)
     params = orb.RabiParams(omega=1.0, g=0.05, kappa=1e-4, lam=1e-4, gamma=2.5e-5)
     big = orb.ModelSpec(params=params, cutoff=5, parasitic=orb.scenario_parasitic("a"))
     result = orb.steady_state(orb.build_liouvillian(big))
-    assert result.diagnostics["method"] == "sparse-lu"
+    assert result.diagnostics["method"] == "banded-lu"
     assert result.residual <= 1e-10
     small = orb.ModelSpec(params=params, cutoff=2, parasitic=orb.scenario_parasitic("a"))
     n_small, _, small_result = steady_means(small)
-    assert small_result.diagnostics["method"] == "sparse-lu"
+    assert small_result.diagnostics["method"] == "banded-lu"
     space = orb.build_space(big)
     n_big = orb.expectation(orb.excitation_operator(space, "cavity"), result.rho).real
     assert n_big == pytest.approx(n_small, rel=1e-3)
@@ -331,16 +382,18 @@ def test_non_canonical_generator_solves_and_is_left_unchanged():
 
 
 def test_sweep_bytes_independent_of_blas_threads(tmp_path):
+    # scenario a at cutoff 5 has a band wide enough for OpenBLAS to thread
     src = str(Path(orb.__file__).parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.csv"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "openrabi.cli", "sweep-omega", "--scenario", "c",
-             "--cutoff", "1,2,3,4", "--out", str(out)],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    commands = [["sweep-omega", "--scenario", "c", "--cutoff", "1,2,3,4"],
+                ["convergence", "--scenario", "a", "--cutoff", "5"]]
+    for command in commands:
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-m", "openrabi.cli", *command,
+                                   "--out", str(out)], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
