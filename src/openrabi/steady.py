@@ -3,25 +3,34 @@ time-domain cross-check.
 
 The steady state is the null vector of the generator, computed by replacing
 the first scalar equation with the trace constraint and solving the resulting
-nonsingular system by LAPACK's banded LU with partial pivoting
-(``zgbtrf``/``zgbtrs``).  The rows and columns are taken in the reverse
-Cuthill-McKee order of the system's sparsity pattern, under which the system
-is a band, and the pattern splits into connected blocks (the superparity
-sectors of a Rabi model) that the order keeps contiguous.  Each block is
-factored on its own: every block without the trace row has a zero right-hand
-side, so its part of the solution is exactly zero, and it is factored only to
-show that it is nonsingular and then freed; the trace row's block is factored
-last and kept.  Order, blocks and bandwidths depend on the pattern alone, so
-``_band_structure`` computes them once per pattern and caches them.
-Iterative refinement with extended-precision residuals follows.  At the
-extreme rate/frequency separations typical here (rates ~1e-6 against
-frequencies ~1) the replaced system is ill-conditioned, so a small residual
-does not bound the error of the solution; the size of the correction does.
-Refinement therefore always applies at least one correction and stops once a
-correction is at most ``_REFINE_STOP`` (2^-52, the rounding floor of double
-precision) of the solution, after at most ``_REFINE_ROUNDS`` rounds.  The
-result's diagnostics report the rounds, the last correction, the blocks and
-the size of the kept factor.
+nonsingular system T.  ``_band_structure`` takes the rows and columns in the
+reverse Cuthill-McKee order of T's sparsity pattern, under which T is a band,
+and splits the pattern into connected blocks (the superparity sectors of a
+Rabi model) that the order keeps contiguous; it depends on the pattern alone,
+so it is cached per pattern.  Its estimate of the banded LU's work picks one
+of two solvers:
+
+* GMRES, without restart and right-preconditioned by the inverse of the
+  Sylvester part ``S(X) = A X + X A^+`` of the generator, where ``A`` is read
+  off the generator itself.  A fixed-seed random right-hand side certifies T
+  nonsingular first; a system that fails the certificate, a GMRES run that
+  stalls, or an ``eig`` that raises sends the point to the banded LU.
+* LAPACK's banded LU with partial pivoting (``zgbtrf``/``zgbtrs``), one block
+  at a time: every block without the trace row has a zero right-hand side,
+  so its part of the solution is exactly zero, and it is factored only to
+  show that it is nonsingular and then freed; the trace row's block is
+  factored last and kept.
+
+Iterative refinement with extended-precision residuals follows, on either
+solver.  At the extreme rate/frequency separations typical here (rates ~1e-6
+against frequencies ~1) the replaced system is ill-conditioned, so a small
+residual does not bound the error of the solution; the size of the
+correction does.  Refinement therefore always applies at least one
+correction and stops once a correction is at most ``_REFINE_STOP`` (2^-52,
+the rounding floor of double precision) of the solution, after at most
+``_REFINE_ROUNDS`` rounds.  The result's diagnostics report the solver, the
+GMRES iterations, the certificate, the rounds, the last correction and, for
+the band, the blocks and the size of the kept factor.
 
 A failed solve is sorted by one probe: more than one zero eigenvalue of the
 generator, found by shift-invert ``eigs``, means the state is not unique.
@@ -32,10 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .hilbert import VALIDITY_TOL, validate_density_matrix
@@ -43,6 +54,12 @@ from .liouville import SuperOperator, devectorize, vectorize
 
 _REFINE_ROUNDS = 3
 _REFINE_STOP = np.finfo(float).eps   # largest ||dx||/||x|| (max norms) that ends refinement
+_KRYLOV_MIN_WORK = 5e7      # GMRES solves a system whose band factors cost this (work) or more
+_KRYLOV_MAX = 100           # GMRES iterations (basis vectors) before a solve counts as stalled
+_KRYLOV_TOL = 1e-12         # relative residual of each GMRES solve
+_CERTIFICATE_TOL = 1e-6     # relative residual, and error bound, of the random-rhs solve
+_CERTIFICATE_SEED = 20100   # seeds the random right-hand side
+_DARK_FLOOR = 1e-3          # smallest |lambda_i + conj(lambda_j)|, in units of the smallest rate
 
 
 class NonUniqueSteadyStateError(RuntimeError):
@@ -57,10 +74,13 @@ class NoConvergenceError(RuntimeError):
 class SteadyStateResult:
     rho: np.ndarray
     residual: float             # ||L vec(rho)|| / ||L||_F
-    # method ("banded-lu"), refine_rounds, last_correction (||dx||/||x|| of
-    # the last round), blocks (the connected blocks factored), bandwidth
-    # ((kl, ku) of the trace row's block), lu_nnz (entries stored in that
-    # block's band factor, n_block * (2 kl + ku + 1)) and the validity margins
+    # method ("gmres" or "banded-lu"), krylov_iterations (of every GMRES run,
+    # certificate included), certified (whether the random right-hand side
+    # certified the system nonsingular), refine_rounds, last_correction
+    # (||dx||/||x|| of the last round) and the validity margins; the band
+    # alone adds blocks (the connected blocks factored), bandwidth ((kl, ku)
+    # of the trace row's block) and lu_nnz (entries stored in that block's
+    # band factor, n_block * (2 kl + ku + 1))
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -92,6 +112,7 @@ class _BandStructure:
     entries: np.ndarray
     slots: np.ndarray
     trace_block: int          # the block that holds row 0
+    work: float               # about the factors' multiply-adds: sum of n_block kl (kl + ku + 1)
 
 
 @lru_cache(maxsize=16)
@@ -133,7 +154,8 @@ def _band_structure(n: int, indptr: bytes, indices: bytes) -> _BandStructure:
     np.cumsum(np.bincount(block, minlength=count), out=first[1:])
     structure = _BandStructure(order=order, starts=starts, kl=kl, ku=ku, first=first,
                                entries=entries, slots=slots[entries],
-                               trace_block=int(labels[0]))
+                               trace_block=int(labels[0]),
+                               work=float(np.sum(np.diff(starts) * kl * (kl + ku + 1))))
     for array in (order, starts, kl, ku, first, entries, structure.slots):
         array.flags.writeable = False
     return structure
@@ -180,6 +202,176 @@ def _factor(structure: _BandStructure, b: int, data: np.ndarray,
     return lu, ipiv
 
 
+def _band_solver(structure: _BandStructure, mat: sp.csr_matrix,
+                 data: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], dict]:
+    """The solve of the trace-replaced generator ``mat``, of CSR values
+    ``data`` and band structure ``structure``, by the banded LU of its trace
+    row's block, and its diagnostics.  Every other block is factored first,
+    only to show it is nonsingular."""
+    last = structure.trace_block
+    for b in range(structure.starts.size - 1):
+        if b != last:   # factored only to show it is nonsingular, then freed
+            _factor(structure, b, data, mat)
+    lu, ipiv = _factor(structure, last, data, mat)
+    kl, ku = int(structure.kl[last]), int(structure.ku[last])
+    rows = structure.order[structure.starts[last]:structure.starts[last + 1]]
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        x = np.zeros(structure.order.size, dtype=complex)
+        x[rows] = zgbtrs(lu, kl, ku, r[rows], ipiv)[0]
+        return x
+
+    return solve, {"method": "banded-lu", "blocks": structure.starts.size - 1,
+                   "bandwidth": (kl, ku), "lu_nnz": lu.size}
+
+
+def _sylvester_part(mat: sp.csr_matrix, dim: int) -> np.ndarray:
+    """``A`` of the part ``S(X) = A X + X A^+`` of the generator ``mat`` that
+    acts on one side of X alone, read off ``mat`` by its left partial trace.
+
+    With column stacking, ``L = 1 kron A + conj(A) kron 1 + sum_k conj(F_k)
+    kron F_k``, so ``(1/D) sum_j L[(i,j),(k,j)] = A + conj(tr A)/D 1`` when
+    every ``F_k`` is traceless; taking away half the trace of that leaves
+    ``A - i Im(tr A)/D 1``, and an imaginary multiple of 1 drops out of S.
+    """
+    rows = np.repeat(np.arange(dim * dim), np.diff(mat.indptr))
+    keep = rows // dim == mat.indices // dim
+    a = sp.coo_matrix((mat.data[keep], (rows[keep] % dim, mat.indices[keep] % dim)),
+                      shape=(dim, dim)).toarray() / dim
+    a[np.diag_indices(dim)] -= np.trace(a) / (2 * dim)
+    return a
+
+
+def _sylvester_inverse(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """vec(X) -> vec(S^-1(X)) for ``S(X) = A X + X A^+``, by one
+    eigendecomposition ``A = V diag(lambda) V^-1`` (after Bartels & Stewart,
+    Commun. ACM 15, 820 (1972)): ``S^-1(B) = V [(V^-1 B V^-+) / (lambda_i +
+    conj(lambda_j))] V^+``.  A dark state makes a denominator vanish, so
+    every denominator is floored at ``_DARK_FLOOR`` times the smallest decay
+    rate ``-2 Re lambda``.  Raises ``LinAlgError`` if ``eig`` or ``inv`` does."""
+    dim = a.shape[0]
+    lam, v = np.linalg.eig(a)
+    w = np.linalg.inv(v)
+    rates = -2.0 * lam.real
+    scale = float(np.abs(lam).max())
+    floor = _DARK_FLOOR * np.min(rates[rates > dim * np.finfo(float).eps * scale],
+                                 initial=scale)
+    denominators = lam[:, None] + lam.conj()[None, :]
+    denominators[np.abs(denominators) < floor] = -floor
+    w_h, v_h = w.conj().T, v.conj().T
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        b = x.reshape(dim, dim, order="F")
+        return (v @ ((w @ b @ w_h) / denominators) @ v_h).reshape(-1, order="F")
+
+    return apply
+
+
+def _gmres(system: sp.csr_matrix, precondition: Callable[[np.ndarray], np.ndarray],
+           b: np.ndarray, tol: float) -> tuple[np.ndarray | None, int]:
+    """(x, iterations) with ``||b - system x|| <= tol ||b||`` (as GMRES
+    estimates it), by GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
+    856 (1986)) right-preconditioned by ``precondition``, without restart;
+    x is None if ``_KRYLOV_MAX`` iterations do not reach ``tol``."""
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b), 0
+    m = min(_KRYLOV_MAX, b.size)
+    basis = np.empty((m + 1, b.size), dtype=complex)
+    h = np.zeros((m + 1, m), dtype=complex)   # Hessenberg, rotated to triangular
+    cos = np.zeros(m)
+    sin = np.zeros(m, dtype=complex)
+    g = np.zeros(m + 1, dtype=complex)        # beta e_1, rotated alike
+    g[0] = beta
+    basis[0] = b / beta
+    for k in range(m):
+        w = system @ precondition(basis[k])
+        col = h[:k + 1, k]
+        for _ in range(2):   # classical Gram-Schmidt, twice for orthogonality
+            c = (basis[:k + 1] @ w.conj()).conj()
+            w -= c @ basis[:k + 1]
+            col[:k + 1] += c
+        norm_w = float(np.linalg.norm(w))
+        for j in range(k):
+            col[j], col[j + 1] = (cos[j] * col[j] + sin[j] * col[j + 1],
+                                  -sin[j].conjugate() * col[j] + cos[j] * col[j + 1])
+        top = complex(col[k])
+        radius = math.hypot(abs(top), norm_w)
+        if radius == 0.0:   # the preconditioned system is singular on the basis
+            return None, k + 1
+        phase = top / abs(top) if top else 1.0
+        cos[k] = abs(top) / radius
+        sin[k] = phase * norm_w / radius
+        col[k] = phase * radius   # and h[k + 1, k], never stored, is rotated to 0
+        g[k + 1] = -sin[k].conjugate() * g[k]
+        g[k] *= cos[k]
+        if abs(g[k + 1]) <= tol * beta:
+            y = solve_triangular(h[:k + 1, :k + 1], g[:k + 1])
+            return precondition(y @ basis[:k + 1]), k + 1
+        basis[k + 1] = w / norm_w
+    return None, m
+
+
+def _krylov_solver(mat: sp.csr_matrix, dim: int, system: sp.csr_matrix,
+                   iterations: list[int]) -> Callable[[np.ndarray], np.ndarray | None] | None:
+    """The solve of ``system``, the trace-replaced generator ``mat``, by GMRES
+    preconditioned by the inverse Sylvester part, or None if the system is
+    not certified nonsingular.  The solve returns None where GMRES stalls.
+    Each GMRES run appends its iterations to ``iterations``.
+
+    The certificate solves for a fixed-seed random right-hand side r and
+    asks ``||r - T x|| <= tol ||r||`` and ``eps ||T||_F ||x|| <= tol ||r||``.
+    A singular T leaves a part of r of about ``1/sqrt(n)`` that no x
+    removes, so a singular T passes with probability about ``n tol^2``.
+    """
+    try:
+        precondition = _sylvester_inverse(_sylvester_part(mat, dim))
+    except np.linalg.LinAlgError:
+        return None
+    rng = np.random.default_rng(_CERTIFICATE_SEED)
+    r = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
+    # half the tolerance, so that the true residual meets it too
+    x, k = _gmres(system, precondition, r, _CERTIFICATE_TOL / 2)
+    iterations.append(k)
+    if x is None:
+        return None
+    bound = _CERTIFICATE_TOL * float(np.linalg.norm(r))
+    error = np.finfo(float).eps * float(np.linalg.norm(system.data)) * float(np.linalg.norm(x))
+    if not (float(np.linalg.norm(r - system @ x)) <= bound and error <= bound):
+        return None
+
+    def solve(b: np.ndarray) -> np.ndarray | None:
+        x, k = _gmres(system, precondition, b, _KRYLOV_TOL)
+        iterations.append(k)
+        return x
+
+    return solve
+
+
+def _refine(solve: Callable[[np.ndarray], np.ndarray | None], rhs: np.ndarray,
+            m_ext: sp.csr_matrix) -> tuple[np.ndarray, int, float] | None:
+    """(x, rounds, last correction): ``solve(rhs)``, refined with the
+    residuals of the extended-precision system ``m_ext``; None if a solve
+    returns None."""
+    x = solve(rhs)
+    if x is None:
+        return None
+    rhs_ext = rhs.astype(np.clongdouble)
+    rounds = 0
+    correction = math.inf
+    if np.all(np.isfinite(x)):
+        for rounds in range(1, _REFINE_ROUNDS + 1):
+            r = rhs_ext - m_ext @ x.astype(np.clongdouble)
+            dx = solve(np.asarray(r, dtype=complex))
+            if dx is None:
+                return None
+            x = x + dx
+            correction = float(np.abs(dx).max()) / max(float(np.abs(x).max()), 1e-300)
+            if correction <= _REFINE_STOP:
+                break
+    return x, rounds, correction
+
+
 def steady_state(gen: SuperOperator) -> SteadyStateResult:
     """Unique stationary density matrix of a trace-preserving generator.
 
@@ -198,38 +390,23 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     indptr, indices, data = _trace_replaced(mat, dim)
     rhs = np.zeros(dim * dim, dtype=complex)
     rhs[0] = 1.0
-
-    # factor the blocks in the order of the structure; the trace row's block
-    # last, the only one kept, and the only one with a nonzero right-hand side
-    structure = _band_structure(dim * dim, indptr.tobytes(), indices.tobytes())
-    last = structure.trace_block
-    for b in range(structure.starts.size - 1):
-        if b != last:   # factored only to show it is nonsingular, then freed
-            _factor(structure, b, data, mat)
-    lu, ipiv = _factor(structure, last, data, mat)
-    kl, ku = int(structure.kl[last]), int(structure.ku[last])
-    rows = structure.order[structure.starts[last]:structure.starts[last + 1]]
-
-    def solve(r: np.ndarray) -> np.ndarray:
-        x = np.zeros(dim * dim, dtype=complex)
-        x[rows] = zgbtrs(lu, kl, ku, r[rows], ipiv)[0]
-        return x
-
-    x = solve(rhs)
-
     # the same system in extended precision, for the refinement residuals
     m_ext = sp.csr_matrix((data.astype(np.clongdouble), indices, indptr), shape=mat.shape)
-    rhs_ext = rhs.astype(np.clongdouble)
-    rounds = 0
-    correction = math.inf
-    if np.all(np.isfinite(x)):
-        for rounds in range(1, _REFINE_ROUNDS + 1):
-            r = rhs_ext - m_ext @ x.astype(np.clongdouble)
-            dx = solve(np.asarray(r, dtype=complex))
-            x = x + dx
-            correction = float(np.abs(dx).max()) / max(float(np.abs(x).max()), 1e-300)
-            if correction <= _REFINE_STOP:
-                break
+
+    structure = _band_structure(dim * dim, indptr.tobytes(), indices.tobytes())
+    iterations: list[int] = []
+    refined = solve = None
+    if structure.work >= _KRYLOV_MIN_WORK:
+        system = sp.csr_matrix((data, indices, indptr), shape=mat.shape)
+        solve = _krylov_solver(mat, dim, system, iterations)
+        if solve is not None:
+            refined = _refine(solve, rhs, m_ext)
+    if refined is None:   # a cheap band, an uncertified system or a stall
+        band_solve, details = _band_solver(structure, mat, data)
+        refined = _refine(band_solve, rhs, m_ext)
+    else:
+        details = {"method": "gmres"}
+    x, rounds, correction = refined
 
     raw = devectorize(x)
     rho = 0.5 * (raw + raw.conj().T)
@@ -245,12 +422,11 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
         rho=rho,
         residual=residual,
         diagnostics={
-            "method": "banded-lu",
+            **details,
+            "krylov_iterations": sum(iterations),
+            "certified": solve is not None,
             "refine_rounds": rounds,
             "last_correction": correction,
-            "blocks": structure.starts.size - 1,
-            "bandwidth": (kl, ku),
-            "lu_nnz": lu.size,
             **margins,
         },
     )

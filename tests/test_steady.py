@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import gc
+import math
 import os
 import subprocess
 import sys
@@ -44,49 +46,63 @@ def test_cutoff_one_matches_closed_form():
     assert e == pytest.approx(ref.e_mean, rel=1e-6)
 
 
-def test_nonunique_steady_state_detected():
+def _decoupled_atom():
     # decoupled atom with no atomic dissipation: any atom population mix is stationary
-    spec = orb.ModelSpec(
-        params=orb.RabiParams(omega=1.0, g=0.0, kappa=0.5, lam=0.0, gamma=0.0),
-        cutoff=1,
-    )
-    with pytest.raises(NonUniqueSteadyStateError):
-        orb.steady_state(orb.build_liouvillian(spec))
+    return orb.build_liouvillian(orb.ModelSpec(
+        params=orb.RabiParams(omega=1.0, g=0.0, kappa=0.5, lam=0.0, gamma=0.0), cutoff=1))
 
 
-@pytest.mark.parametrize("cutoff", [2, 3, 4, 5, 6])
-def test_nonunique_detected_on_large_sparse_space(cutoff):
+def _undamped_spectator(cutoff):
     # damped mode with an undamped spectator mode: every spectator population
     # is stationary; dim 9 to 49
     space = orb.CompositeSpace((orb.Boson(cutoff, "a"), orb.Boson(cutoff, "b")))
     h = orb.embed(orb.number(cutoff), space, 0) + orb.embed(orb.number(cutoff), space, 1)
     terms = [orb.LindbladTerm(orb.embed(orb.annihilation(cutoff), space, 0), 0.4)]
-    with pytest.raises(NonUniqueSteadyStateError):
-        orb.steady_state(orb.assemble(h, terms, space))
+    return orb.assemble(h, terms, space)
 
 
-def test_nonunique_detected_on_one_qubit():
-    # -i[|e><e|, .] leaves both populations stationary; at D^2 = 4 the probe
-    # asks eigs for its fewest eigenvalues, k = n - 2 = 2
-    space = orb.CompositeSpace((orb.Qubit("atom"),))
-    with pytest.raises(NonUniqueSteadyStateError):
-        orb.steady_state(orb.hamiltonian_superop(orb.qubit_ops().excited, space))
+def _one_qubit():
+    # -i[|e><e|, .] leaves both populations stationary
+    return orb.hamiltonian_superop(orb.qubit_ops().excited,
+                                   orb.CompositeSpace((orb.Qubit("atom"),)))
 
 
-@pytest.mark.parametrize("drive", [0.0, 0.7])
-def test_nonunique_detected_in_odd_sector(drive):
+def _odd_sector(drive):
     # qubit (x) cavity with jumps sigma_x and a has a second, traceless
-    # stationary state, so the trace-replaced system is singular; with the
-    # drive, an LU that pivots on the diagonal only misses that and returns a
-    # state, where partial pivoting meets an exactly zero pivot
+    # stationary state, so the trace-replaced system is singular
     space = orb.CompositeSpace((orb.Qubit("atom"), orb.Boson(3, "cavity")))
     ops = orb.qubit_ops()
     sx = orb.embed(ops.sp + ops.sm, space, 0)
     h = orb.embed(orb.number(3), space, 1) + drive * sx
     terms = [orb.LindbladTerm(sx, 0.37),
              orb.LindbladTerm(orb.embed(orb.annihilation(3), space, 1), 0.41)]
+    return orb.assemble(h, terms, space)
+
+
+def test_nonunique_steady_state_detected():
     with pytest.raises(NonUniqueSteadyStateError):
-        orb.steady_state(orb.assemble(h, terms, space))
+        orb.steady_state(_decoupled_atom())
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5, 6])
+def test_nonunique_detected_on_large_sparse_space(cutoff):
+    with pytest.raises(NonUniqueSteadyStateError):
+        orb.steady_state(_undamped_spectator(cutoff))
+
+
+def test_nonunique_detected_on_one_qubit():
+    # at D^2 = 4 the probe asks eigs for its fewest eigenvalues, k = n - 2 = 2
+    with pytest.raises(NonUniqueSteadyStateError):
+        orb.steady_state(_one_qubit())
+
+
+@pytest.mark.parametrize("drive", [0.0, 0.7])
+def test_nonunique_detected_in_odd_sector(drive):
+    # with the drive, an LU that pivots on the diagonal only misses the
+    # singularity and returns a state, where partial pivoting meets an
+    # exactly zero pivot
+    with pytest.raises(NonUniqueSteadyStateError):
+        orb.steady_state(_odd_sector(drive))
 
 
 def test_one_state_failure_is_no_convergence():
@@ -119,10 +135,12 @@ def _scenario_a(cutoff, omega=1.0):
 
 
 @pytest.mark.parametrize("cutoff", [3, 4, 5])
-def test_band_blocks_and_refinement_at_scenario_a(cutoff):
+def test_band_blocks_and_refinement_at_scenario_a(cutoff, monkeypatch):
     # the pattern splits into the two superparity sectors, of D^2 / 2 unknowns
     # each; the kept factor is the trace row's band, and partial pivoting
-    # keeps refinement at the rounding floor within its round cap
+    # keeps refinement at the rounding floor within its round cap.  Cutoffs
+    # 4 and 5 would take GMRES, so the band is forced
+    monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
     gen = _scenario_a(cutoff)
     diagnostics = orb.steady_state(gen).diagnostics
     indptr, indices, _ = steady._trace_replaced(gen.matrix, gen.dim)
@@ -155,6 +173,112 @@ def test_lu_order_is_cached_per_sparsity_pattern():
     assert arrays and not any(a.flags.writeable for a in arrays)
     bare = orb.SuperOperator(gens[0].space, gens[0].matrix.copy())
     np.testing.assert_allclose(orb.steady_state(bare).rho, results[0].rho, rtol=0, atol=1e-15)
+
+
+@pytest.fixture
+def krylov(monkeypatch):
+    """Every solve starts on the GMRES path; returns the outcomes of the
+    certificate, True where it passed."""
+    monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", 0.0)
+    outcomes = []
+    solver = steady._krylov_solver
+
+    def spy(*args):
+        solve = solver(*args)
+        outcomes.append(solve is not None)
+        return solve
+
+    monkeypatch.setattr(steady, "_krylov_solver", spy)
+    return outcomes
+
+
+@pytest.mark.parametrize("build", [
+    _decoupled_atom,
+    *[lambda c=c: _undamped_spectator(c) for c in (2, 3, 4, 5, 6)],
+    _one_qubit,
+    *[lambda d=d: _odd_sector(d) for d in (0.0, 0.7)],
+], ids=["decoupled-atom", *[f"spectator-{c}" for c in (2, 3, 4, 5, 6)], "one-qubit",
+        "odd-sector-0.0", "odd-sector-0.7"])
+def test_nonunique_fails_the_certificate_and_falls_back_to_the_band(build, krylov):
+    gen = build()
+    with pytest.raises(NonUniqueSteadyStateError):
+        orb.steady_state(gen)
+    assert krylov == [False]
+
+
+@pytest.mark.parametrize("scenario", ["bare", "a", "b", "c", "d"])
+@pytest.mark.parametrize("coupling", [orb.Coupling.FULL, orb.Coupling.RWA])
+@pytest.mark.parametrize("nbar", [0.0, 0.3])
+def test_gmres_agrees_with_the_band(scenario, coupling, nbar, krylov, monkeypatch):
+    # RWA at nbar 0 has a dark state, which the preconditioner's floor covers
+    gen = orb.build_liouvillian(orb.ModelSpec(
+        params=orb.RabiParams(omega=1.0, g=0.05, nbar=nbar, **REFERENCE_RATES), cutoff=3,
+        coupling=coupling, parasitic=orb.scenario_parasitic(scenario)))
+    result = orb.steady_state(gen)
+    assert krylov == [True]
+    diagnostics = result.diagnostics
+    assert diagnostics["method"] == "gmres" and diagnostics["certified"]
+    assert diagnostics["krylov_iterations"] > 0
+    assert not {"blocks", "bandwidth", "lu_nnz"} & diagnostics.keys()
+    assert diagnostics["last_correction"] <= np.finfo(float).eps
+    monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
+    band = orb.steady_state(gen)
+    assert band.diagnostics["method"] == "banded-lu" and not band.diagnostics["certified"]
+    assert band.diagnostics["krylov_iterations"] == 0
+    np.testing.assert_allclose(result.rho, band.rho, rtol=0, atol=1e-15)
+
+
+def _stall_the_solves(monkeypatch):
+    # GMRES runs only for the certificate, whose tolerance is the looser
+    gmres = steady._gmres
+    monkeypatch.setattr(steady, "_gmres", lambda system, precondition, b, tol: (
+        gmres(system, precondition, b, tol) if tol > steady._KRYLOV_TOL else (None, 1)))
+
+
+@pytest.mark.parametrize("break_it, certified", [
+    (_stall_the_solves, True),
+    # the certificate stalls
+    (lambda mp: mp.setattr(steady, "_KRYLOV_MAX", 1), False),
+    # eig raises
+    (lambda mp: mp.setattr(steady, "_sylvester_part",
+                           lambda mat, dim: np.full((dim, dim), np.nan)), False),
+], ids=["solve-stalls", "certificate-stalls", "eig-raises"])
+def test_gmres_failures_fall_back_to_the_band(break_it, certified, krylov, monkeypatch):
+    gen = _scenario_a(3)
+    break_it(monkeypatch)
+    diagnostics = orb.steady_state(gen).diagnostics
+    assert diagnostics["method"] == "banded-lu" and diagnostics["blocks"] == 2
+    assert diagnostics["certified"] is certified
+
+
+@pytest.mark.parametrize("spec", [
+    orb.ModelSpec(params=orb.RabiParams(omega=0.9, g=0.05, nbar=0.3, **REFERENCE_RATES),
+                  cutoff=2, parasitic=orb.scenario_parasitic("a")),
+    orb.ModelSpec(params=orb.RabiParams(omega=1.3, g=0.05, **REFERENCE_RATES), cutoff=3,
+                  coupling=orb.Coupling.RWA, parasitic=orb.scenario_parasitic("c")),
+], ids=["a-full-heat", "c-rwa"])
+def test_sylvester_part_read_off_the_generator_is_minus_i_h_eff(spec):
+    # A of A X + X A^+ equals -i H_eff, up to an imaginary multiple of 1
+    space = orb.build_space(spec)
+    h_eff = orb.unravel(orb.build_hamiltonian(spec), orb.build_dissipators(spec), space).h_eff
+    diff = steady._sylvester_part(orb.build_liouvillian(spec).matrix, space.dim) + 1j * h_eff
+    shift = diff[0, 0]
+    assert abs(shift.real) <= 1e-15
+    np.testing.assert_allclose(diff, shift * np.eye(space.dim), rtol=0, atol=2e-15)
+
+
+def test_gmres_solve_makes_no_reference_cycles(krylov):
+    gen = _scenario_a(3)
+    orb.steady_state(gen)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            orb.steady_state(gen)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert krylov == [True] * 4
 
 
 def _qubit_cavity_damped():
@@ -226,11 +350,11 @@ def test_weak_coupling_quadratic_scaling():
 
 
 def test_small_and_large_systems_agree_on_the_sparse_path():
-    # every solve is one banded LU per block, from dim 18 (cutoff 2) to dim 72 (cutoff 5)
+    # dim 18 (cutoff 2) takes the banded LU, dim 72 (cutoff 5) GMRES
     params = orb.RabiParams(omega=1.0, g=0.05, kappa=1e-4, lam=1e-4, gamma=2.5e-5)
     big = orb.ModelSpec(params=params, cutoff=5, parasitic=orb.scenario_parasitic("a"))
     result = orb.steady_state(orb.build_liouvillian(big))
-    assert result.diagnostics["method"] == "banded-lu"
+    assert result.diagnostics["method"] == "gmres"
     assert result.residual <= 1e-10
     small = orb.ModelSpec(params=params, cutoff=2, parasitic=orb.scenario_parasitic("a"))
     n_small, _, small_result = steady_means(small)
