@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ SQRT2 = np.sqrt(2.0)
 
 #: the tolerance of every validity check in the package: a density matrix's
 #: trace, hermiticity and positivity, a Hamiltonian's hermiticity, a steady
-#: state's residual and nullity, a ket's norm and an eigendecomposition
+#: state's residual, a ket's norm and an eigendecomposition
 VALIDITY_TOL = 1e-10
 
 
@@ -74,16 +75,14 @@ class CompositeSpace:
         if len(set(labels)) != len(labels):
             raise ValueError(f"subsystem labels must be unique, got {labels}")
 
-    @property
+    # computed on first use and kept: a space is immutable
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.subsystems)
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return math.prod(self.dims)
 
     def index(self, subsystem: int | str) -> int:
         """Position of the subsystem with this label; a position in

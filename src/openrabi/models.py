@@ -161,6 +161,11 @@ def _excitation(sub: Subsystem) -> np.ndarray:
     return number(sub.cutoff) if isinstance(sub, Boson) else qubit_ops().excited
 
 
+def _lowering(sub: Subsystem) -> np.ndarray:
+    """Annihilation operator (boson) or sigma_minus (qubit)."""
+    return annihilation(sub.cutoff) if isinstance(sub, Boson) else qubit_ops().sm
+
+
 def _coupling_operator(coupling: Coupling, space: CompositeSpace, boson: Boson,
                        qubit: Qubit) -> np.ndarray:
     """p sigma_y (full), or a^+ s- + a s+ (rwa, at coefficient -g/sqrt2)."""
@@ -191,20 +196,19 @@ def _terms(spec: ModelSpec) -> tuple[CompositeSpace, list[_Term]]:
     cutoff); the parameters enter through the coefficients alone.
     """
     space, elements, couplings = _model(spec)
-    qops = qubit_ops()
 
-    def local(op: np.ndarray, sub: Subsystem) -> Callable[[], np.ndarray]:
-        return partial(embed, op, space, space.index(sub.label))
+    # the local operator, too, is built only when the term's operator is called
+    def local(make: Callable[[Subsystem], np.ndarray], sub: Subsystem) -> Callable[[], np.ndarray]:
+        return lambda: embed(make(sub), space, space.index(sub.label))
 
     terms: list[_Term] = []
     for e in elements:
         sub = e.subsystem
-        lower = annihilation(sub.cutoff) if isinstance(sub, Boson) else qops.sm
-        terms += [_Term(False, e.frequency, local(_excitation(sub), sub)),
-                  _Term(True, e.decay * (e.nbar + 1), local(lower, sub)),
-                  _Term(True, e.decay * e.nbar, local(lower.conj().T, sub))]
+        terms += [_Term(False, e.frequency, local(_excitation, sub)),
+                  _Term(True, e.decay * (e.nbar + 1), local(_lowering, sub)),
+                  _Term(True, e.decay * e.nbar, local(lambda s: _lowering(s).conj().T, sub))]
         if isinstance(sub, Qubit):
-            terms.append(_Term(True, e.dephasing / 2, local(qops.sz, sub)))
+            terms.append(_Term(True, e.dephasing / 2, local(lambda s: qubit_ops().sz, sub)))
     for boson, qubit, g in couplings:
         terms.append(_Term(False, g if spec.coupling is Coupling.FULL else -(g / SQRT2),
                            partial(_coupling_operator, spec.coupling, space, boson, qubit)))

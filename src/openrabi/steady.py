@@ -12,14 +12,20 @@ of two solvers:
 
 * GMRES, without restart and right-preconditioned by the inverse of the
   Sylvester part ``S(X) = A X + X A^+`` of the generator, where ``A`` is read
-  off the generator itself.  A fixed-seed random right-hand side certifies T
-  nonsingular first; a system that fails the certificate, a GMRES run that
-  stalls, or an ``eig`` that raises sends the point to the banded LU.
+  off the generator itself.  A GMRES run that stalls, or an ``eig`` that
+  raises, sends the point to the banded LU.
 * LAPACK's banded LU with partial pivoting (``zgbtrf``/``zgbtrs``), one block
-  at a time: every block without the trace row has a zero right-hand side,
-  so its part of the solution is exactly zero, and it is factored only to
-  show that it is nonsingular and then freed; the trace row's block is
-  factored last and kept.
+  at a time: each solves its part of the certificate's right-hand side and is
+  freed, but the trace row's, the only one the steady state's reaches, is kept.
+
+One certificate of uniqueness serves both: the solver's solution x for a
+fixed-seed random right-hand side r must have ``||r - T x|| <= tol ||r||``
+and ``eps ||T||_F ||x|| <= tol ||r||``.  ``vec(1)^T L = 0`` makes row 0 of L
+minus the sum of its other diagonal rows, so ``T x = 0`` exactly when
+``L x = 0`` and ``tr x = 0``; as every Lindblad null space holds a state of
+trace 1, T is singular exactly when the state is not unique.  A singular T
+leaves a part of r of about ``1/sqrt(n)`` that no x removes, so it passes
+with probability about ``n tol^2``; an exactly zero pivot is its limit.
 
 Iterative refinement with extended-precision residuals follows, on either
 solver.  At the extreme rate/frequency separations typical here (rates ~1e-6
@@ -29,11 +35,8 @@ correction does.  Refinement therefore always applies at least one
 correction and stops once a correction is at most ``_REFINE_STOP`` (2^-52,
 the rounding floor of double precision) of the solution, after at most
 ``_REFINE_ROUNDS`` rounds.  The result's diagnostics report the solver, the
-GMRES iterations, the certificate, the rounds, the last correction and, for
-the band, the blocks and the size of the kept factor.
-
-A failed solve is sorted by one probe: more than one zero eigenvalue of the
-generator, found by shift-invert ``eigs``, means the state is not unique.
+GMRES iterations, the certificate's margin, the rounds, the last correction
+and, for the band, the blocks and the size of the kept factor.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ class SteadyStateResult:
     rho: np.ndarray
     residual: float             # ||L vec(rho)|| / ||L||_F
     # method ("gmres" or "banded-lu"), krylov_iterations (of every GMRES run,
-    # certificate included), certified (whether the random right-hand side
-    # certified the system nonsingular), refine_rounds, last_correction
+    # certificate included), certificate (its margin: the larger of its
+    # relative residual and error bound), refine_rounds, last_correction
     # (||dx||/||x|| of the last round) and the validity margins; the band
     # alone adds blocks (the connected blocks factored), bandwidth ((kl, ku)
     # of the trace row's block) and lu_nnz (entries stored in that block's
@@ -161,34 +164,36 @@ def _band_structure(n: int, indptr: bytes, indices: bytes) -> _BandStructure:
     return structure
 
 
-def _probe_nullity(mat: sp.csr_matrix) -> int:
-    """Count the eigenvalues at most ``VALIDITY_TOL`` times ||L||_F among the
-    four (two on a qubit) nearest zero, by shift-invert ``eigs``.  The zero
-    eigenvalue of a Lindblad generator is semisimple (``exp(L t)`` is a
-    contraction), so their number is the nullity."""
-    scale = max(float(sp.linalg.norm(mat, "fro")), 1e-300)
-    vals = spla.eigs(mat.tocsc(), k=min(4, mat.shape[0] - 2), sigma=1e-12 * scale,
-                     return_eigenvectors=False)
-    return int(np.sum(np.abs(vals) <= VALIDITY_TOL * scale))
+@lru_cache(maxsize=16)
+def _certificate_rhs(n: int) -> np.ndarray:
+    """The certificate's fixed-seed random right-hand side of length n, read-only."""
+    rng = np.random.default_rng(_CERTIFICATE_SEED)
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    r.flags.writeable = False
+    return r
 
 
-def _solve_failure(mat: sp.csr_matrix, message: str) -> RuntimeError:
-    """NonUniqueSteadyStateError if the null space is degenerate, else
-    NoConvergenceError; a 1x1 generator, too small for ``eigs``, cannot be."""
-    nullity = _probe_nullity(mat) if mat.shape[0] > 1 else 0
-    if nullity > 1:
-        return NonUniqueSteadyStateError(
-            f"estimated nullity {nullity}; the stationary state is not unique"
-        )
-    return NoConvergenceError(message)
+def _certify(system: sp.csr_matrix, r: np.ndarray, x: np.ndarray) -> float:
+    """The certificate's margin, the larger of ``||r - T x|| / ||r||`` and
+    ``eps ||T||_F ||x|| / ||r||`` for ``x``, a solution of ``T x = r``.  Raises
+    ``NonUniqueSteadyStateError`` if it exceeds ``_CERTIFICATE_TOL``."""
+    scale = float(np.linalg.norm(r))
+    residual = float(np.linalg.norm(r - system @ x)) / scale
+    error = np.finfo(float).eps * float(np.linalg.norm(system.data) * np.linalg.norm(x)) / scale
+    margin = max(residual, error)
+    if not margin <= _CERTIFICATE_TOL:   # NaN fails too
+        raise NonUniqueSteadyStateError(
+            f"certificate failed: relative residual {residual:.1e}, error bound {error:.1e} "
+            f"(tolerance {_CERTIFICATE_TOL:.0e}); the stationary state is not unique")
+    return margin
 
 
-def _factor(structure: _BandStructure, b: int, data: np.ndarray,
-            mat: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """(lu, ipiv) of ``zgbtrf`` on block b of the system with CSR values
-    ``data``, factored in place in its ``(2 kl + ku + 1, n_block)`` band,
-    built here.  An exactly zero pivot raises the failure of the generator
-    ``mat``."""
+def _factor(structure: _BandStructure, b: int,
+            data: np.ndarray) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], int]:
+    """``solve(r, x)``, which sets block b's part of x to that of the solution
+    for r and returns x, by ``zgbtrf`` of the block of CSR values ``data`` in
+    its ``(2 kl + ku + 1, n_block)`` band; and the entries that band stores.
+    An exactly zero pivot raises ``NonUniqueSteadyStateError``."""
     kl, ku = int(structure.kl[b]), int(structure.ku[b])
     size = int(structure.starts[b + 1] - structure.starts[b])
     span = slice(structure.first[b], structure.first[b + 1])
@@ -197,32 +202,37 @@ def _factor(structure: _BandStructure, b: int, data: np.ndarray,
     lu, ipiv, info = zgbtrf(ab.reshape((2 * kl + ku + 1, size), order="F"), kl, ku,
                             overwrite_ab=1)
     if info > 0:
-        raise _solve_failure(mat, f"factorization failed: exactly zero pivot in block {b} "
-                                  f"of {structure.starts.size - 1}")
-    return lu, ipiv
+        raise NonUniqueSteadyStateError(
+            f"exactly zero pivot in block {b} of {structure.starts.size - 1}; "
+            f"the stationary state is not unique")
+    rows = structure.order[structure.starts[b]:structure.starts[b + 1]]
 
-
-def _band_solver(structure: _BandStructure, mat: sp.csr_matrix,
-                 data: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], dict]:
-    """The solve of the trace-replaced generator ``mat``, of CSR values
-    ``data`` and band structure ``structure``, by the banded LU of its trace
-    row's block, and its diagnostics.  Every other block is factored first,
-    only to show it is nonsingular."""
-    last = structure.trace_block
-    for b in range(structure.starts.size - 1):
-        if b != last:   # factored only to show it is nonsingular, then freed
-            _factor(structure, b, data, mat)
-    lu, ipiv = _factor(structure, last, data, mat)
-    kl, ku = int(structure.kl[last]), int(structure.ku[last])
-    rows = structure.order[structure.starts[last]:structure.starts[last + 1]]
-
-    def solve(r: np.ndarray) -> np.ndarray:
-        x = np.zeros(structure.order.size, dtype=complex)
+    def solve(r: np.ndarray, x: np.ndarray) -> np.ndarray:
         x[rows] = zgbtrs(lu, kl, ku, r[rows], ipiv)[0]
         return x
 
-    return solve, {"method": "banded-lu", "blocks": structure.starts.size - 1,
-                   "bandwidth": (kl, ku), "lu_nnz": lu.size}
+    return solve, lu.size
+
+
+def _band_solver(structure: _BandStructure, data: np.ndarray, r: np.ndarray
+                 ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray, dict]:
+    """The solve of the trace-replaced system, of CSR values ``data``, by the
+    banded LU of its trace row's block; its solution for ``r``, from every
+    block in turn; and its diagnostics."""
+    last = structure.trace_block
+    x_r = np.empty(structure.order.size, dtype=complex)
+    for b in range(structure.starts.size - 1):
+        if b != last:   # its factor is freed as soon as it has solved
+            _factor(structure, b, data)[0](r, x_r)
+    block_solve, lu_nnz = _factor(structure, last, data)
+    block_solve(r, x_r)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return block_solve(rhs, np.zeros_like(x_r))
+
+    return solve, x_r, {"method": "banded-lu", "blocks": structure.starts.size - 1,
+                        "bandwidth": (int(structure.kl[last]), int(structure.ku[last])),
+                        "lu_nnz": lu_nnz}
 
 
 def _sylvester_part(mat: sp.csr_matrix, dim: int) -> np.ndarray:
@@ -312,32 +322,20 @@ def _gmres(system: sp.csr_matrix, precondition: Callable[[np.ndarray], np.ndarra
     return None, m
 
 
-def _krylov_solver(mat: sp.csr_matrix, dim: int, system: sp.csr_matrix,
-                   iterations: list[int]) -> Callable[[np.ndarray], np.ndarray | None] | None:
-    """The solve of ``system``, the trace-replaced generator ``mat``, by GMRES
-    preconditioned by the inverse Sylvester part, or None if the system is
-    not certified nonsingular.  The solve returns None where GMRES stalls.
-    Each GMRES run appends its iterations to ``iterations``.
-
-    The certificate solves for a fixed-seed random right-hand side r and
-    asks ``||r - T x|| <= tol ||r||`` and ``eps ||T||_F ||x|| <= tol ||r||``.
-    A singular T leaves a part of r of about ``1/sqrt(n)`` that no x
-    removes, so a singular T passes with probability about ``n tol^2``.
-    """
+def _krylov_solver(mat: sp.csr_matrix, dim: int, system: sp.csr_matrix, r: np.ndarray,
+                   iterations: list[int]) -> tuple[Callable, np.ndarray, dict] | None:
+    """As ``_band_solver``, by GMRES on ``system``, the trace-replaced ``mat``,
+    preconditioned by the inverse Sylvester part; the solve returns None where
+    GMRES stalls.  The solution for ``r`` is to half the certificate's
+    tolerance, so that the true residual meets it; None if ``eig`` raises or
+    it stalls.  Each GMRES run appends its iterations to ``iterations``."""
     try:
         precondition = _sylvester_inverse(_sylvester_part(mat, dim))
     except np.linalg.LinAlgError:
         return None
-    rng = np.random.default_rng(_CERTIFICATE_SEED)
-    r = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
-    # half the tolerance, so that the true residual meets it too
-    x, k = _gmres(system, precondition, r, _CERTIFICATE_TOL / 2)
+    x_r, k = _gmres(system, precondition, r, _CERTIFICATE_TOL / 2)
     iterations.append(k)
-    if x is None:
-        return None
-    bound = _CERTIFICATE_TOL * float(np.linalg.norm(r))
-    error = np.finfo(float).eps * float(np.linalg.norm(system.data)) * float(np.linalg.norm(x))
-    if not (float(np.linalg.norm(r - system @ x)) <= bound and error <= bound):
+    if x_r is None:
         return None
 
     def solve(b: np.ndarray) -> np.ndarray | None:
@@ -345,7 +343,7 @@ def _krylov_solver(mat: sp.csr_matrix, dim: int, system: sp.csr_matrix,
         iterations.append(k)
         return x
 
-    return solve
+    return solve, x_r, {"method": "gmres"}
 
 
 def _refine(solve: Callable[[np.ndarray], np.ndarray | None], rhs: np.ndarray,
@@ -375,44 +373,45 @@ def _refine(solve: Callable[[np.ndarray], np.ndarray | None], rhs: np.ndarray,
 def steady_state(gen: SuperOperator) -> SteadyStateResult:
     """Unique stationary density matrix of a trace-preserving generator.
 
-    Raises ``NonUniqueSteadyStateError`` when the eigenvalue probe finds a null
-    space above one dimension, and ``NoConvergenceError`` when the solution
-    fails the residual tolerance ``VALIDITY_TOL`` or ``validate_density_matrix``.  A
-    nullity above one makes the trace-replaced system singular, so a clean
-    solve implies a unique state.  ``gen`` is not modified.
+    Raises ``NonUniqueSteadyStateError`` when the trace-replaced system fails
+    the certificate, and ``NoConvergenceError`` when the solution of a
+    certified system fails the residual tolerance ``VALIDITY_TOL`` or
+    ``validate_density_matrix``.  ``gen`` is not modified.
     """
     dim = gen.dim
     mat = gen.matrix.tocsr()
     if not mat.has_canonical_format:   # duplicate or unsorted entries: sum them in a copy
         mat = mat.copy()
         mat.sum_duplicates()
-    norm_l = max(float(sp.linalg.norm(mat, "fro")), 1e-300)
+    norm_l = max(float(np.linalg.norm(mat.data)), 1e-300)   # Frobenius, as mat is canonical
     indptr, indices, data = _trace_replaced(mat, dim)
+    system = sp.csr_matrix((data, indices, indptr), shape=mat.shape)
     rhs = np.zeros(dim * dim, dtype=complex)
     rhs[0] = 1.0
+    r = _certificate_rhs(dim * dim)
     # the same system in extended precision, for the refinement residuals
     m_ext = sp.csr_matrix((data.astype(np.clongdouble), indices, indptr), shape=mat.shape)
 
     structure = _band_structure(dim * dim, indptr.tobytes(), indices.tobytes())
     iterations: list[int] = []
-    refined = solve = None
+    refined = None
     if structure.work >= _KRYLOV_MIN_WORK:
-        system = sp.csr_matrix((data, indices, indptr), shape=mat.shape)
-        solve = _krylov_solver(mat, dim, system, iterations)
-        if solve is not None:
+        krylov = _krylov_solver(mat, dim, system, r, iterations)
+        if krylov is not None:
+            solve, x_r, details = krylov
+            margin = _certify(system, r, x_r)
             refined = _refine(solve, rhs, m_ext)
-    if refined is None:   # a cheap band, an uncertified system or a stall
-        band_solve, details = _band_solver(structure, mat, data)
-        refined = _refine(band_solve, rhs, m_ext)
-    else:
-        details = {"method": "gmres"}
+    if refined is None:   # a cheap band, or GMRES that could not start or stalled
+        solve, x_r, details = _band_solver(structure, data, r)
+        margin = _certify(system, r, x_r)
+        refined = _refine(solve, rhs, m_ext)
     x, rounds, correction = refined
 
     raw = devectorize(x)
     rho = 0.5 * (raw + raw.conj().T)
     residual = float(np.linalg.norm(mat @ vectorize(rho))) / norm_l
     if not residual <= VALIDITY_TOL:
-        raise _solve_failure(mat, f"residual {residual:.3e} exceeds {VALIDITY_TOL:.0e}")
+        raise NoConvergenceError(f"residual {residual:.3e} exceeds {VALIDITY_TOL:.0e}")
     try:
         margins = validate_density_matrix(raw)
     except ValueError as exc:
@@ -424,7 +423,7 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
         diagnostics={
             **details,
             "krylov_iterations": sum(iterations),
-            "certified": solve is not None,
+            "certificate": margin,
             "refine_rounds": rounds,
             "last_correction": correction,
             **margins,

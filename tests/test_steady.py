@@ -91,7 +91,7 @@ def test_nonunique_detected_on_large_sparse_space(cutoff):
 
 
 def test_nonunique_detected_on_one_qubit():
-    # at D^2 = 4 the probe asks eigs for its fewest eigenvalues, k = n - 2 = 2
+    # the smallest non-unique system, D^2 = 4
     with pytest.raises(NonUniqueSteadyStateError):
         orb.steady_state(_one_qubit())
 
@@ -105,9 +105,35 @@ def test_nonunique_detected_in_odd_sector(drive):
         orb.steady_state(_odd_sector(drive))
 
 
+@pytest.mark.parametrize("cutoff", range(1, 8))
+def test_nonunique_detected_with_stationary_atom_populations(cutoff):
+    # scenario a with the atom decoupled and undamped: both atom populations
+    # are stationary.  At cutoffs 5 and 6 the band meets no exactly zero
+    # pivot, and the certificate alone finds the singular system
+    gen = orb.build_liouvillian(orb.ModelSpec(
+        params=orb.RabiParams(omega=1.0, g=0.0, kappa=1e-6, lam=0.0, gamma=0.0),
+        cutoff=cutoff, parasitic=orb.scenario_parasitic("a")))
+    with pytest.raises(NonUniqueSteadyStateError,
+                       match=r"zero pivot in block \d+ of \d+|relative residual \S+, error bound"):
+        orb.steady_state(gen)
+
+
+@pytest.mark.parametrize("scenario", ["bare", "a", "c"])
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_closed_system_is_nonunique(scenario, cutoff):
+    # no dissipation: every eigenprojector of H is stationary.  Where the band
+    # meets no exactly zero pivot, its solution is no state, which is the
+    # certificate's failure and not a failure to converge
+    gen = orb.build_liouvillian(orb.ModelSpec(
+        params=orb.RabiParams(omega=1.0, g=0.05), cutoff=cutoff,
+        parasitic=orb.scenario_parasitic(scenario)))
+    with pytest.raises(NonUniqueSteadyStateError):
+        orb.steady_state(gen)
+
+
 def test_one_state_failure_is_no_convergence():
-    # a 1x1 generator that is not trace preserving: its nullity is at most
-    # one, so the failure is NoConvergenceError, without an eigenvalue probe
+    # a 1x1 generator that is not trace preserving: its trace-replaced system
+    # [[1]] passes the certificate, so the failed residual is NoConvergenceError
     space = orb.CompositeSpace((orb.Boson(0, "mode"),))
     gen = orb.SuperOperator(space, sp.csr_matrix(np.array([[-1.0 + 0j]])))
     with pytest.raises(orb.NoConvergenceError):
@@ -178,17 +204,21 @@ def test_lu_order_is_cached_per_sparsity_pattern():
 @pytest.fixture
 def krylov(monkeypatch):
     """Every solve starts on the GMRES path; returns the outcomes of the
-    certificate, True where it passed."""
+    certificates, of either solver, True where one passed."""
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", 0.0)
     outcomes = []
-    solver = steady._krylov_solver
+    certify = steady._certify
 
     def spy(*args):
-        solve = solver(*args)
-        outcomes.append(solve is not None)
-        return solve
+        try:
+            margin = certify(*args)
+        except NonUniqueSteadyStateError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return margin
 
-    monkeypatch.setattr(steady, "_krylov_solver", spy)
+    monkeypatch.setattr(steady, "_certify", spy)
     return outcomes
 
 
@@ -199,11 +229,16 @@ def krylov(monkeypatch):
     *[lambda d=d: _odd_sector(d) for d in (0.0, 0.7)],
 ], ids=["decoupled-atom", *[f"spectator-{c}" for c in (2, 3, 4, 5, 6)], "one-qubit",
         "odd-sector-0.0", "odd-sector-0.7"])
-def test_nonunique_fails_the_certificate_and_falls_back_to_the_band(build, krylov):
+def test_nonunique_fails_the_certificate_and_falls_back_to_the_band(build, krylov, monkeypatch):
+    # GMRES's certificate fails and raises, with no fallback; the band, forced,
+    # raises on its own certificate or an exactly zero pivot
     gen = build()
     with pytest.raises(NonUniqueSteadyStateError):
         orb.steady_state(gen)
     assert krylov == [False]
+    monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
+    with pytest.raises(NonUniqueSteadyStateError):
+        orb.steady_state(gen)
 
 
 @pytest.mark.parametrize("scenario", ["bare", "a", "b", "c", "d"])
@@ -217,13 +252,15 @@ def test_gmres_agrees_with_the_band(scenario, coupling, nbar, krylov, monkeypatc
     result = orb.steady_state(gen)
     assert krylov == [True]
     diagnostics = result.diagnostics
-    assert diagnostics["method"] == "gmres" and diagnostics["certified"]
+    assert diagnostics["method"] == "gmres"
     assert diagnostics["krylov_iterations"] > 0
+    assert diagnostics["certificate"] <= steady._CERTIFICATE_TOL
     assert not {"blocks", "bandwidth", "lu_nnz"} & diagnostics.keys()
     assert diagnostics["last_correction"] <= np.finfo(float).eps
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
     band = orb.steady_state(gen)
-    assert band.diagnostics["method"] == "banded-lu" and not band.diagnostics["certified"]
+    assert band.diagnostics["method"] == "banded-lu"
+    assert band.diagnostics["certificate"] <= steady._CERTIFICATE_TOL
     assert band.diagnostics["krylov_iterations"] == 0
     np.testing.assert_allclose(result.rho, band.rho, rtol=0, atol=1e-15)
 
@@ -235,20 +272,19 @@ def _stall_the_solves(monkeypatch):
         gmres(system, precondition, b, tol) if tol > steady._KRYLOV_TOL else (None, 1)))
 
 
-@pytest.mark.parametrize("break_it, certified", [
-    (_stall_the_solves, True),
+@pytest.mark.parametrize("break_it", [
+    _stall_the_solves,
     # the certificate stalls
-    (lambda mp: mp.setattr(steady, "_KRYLOV_MAX", 1), False),
+    lambda mp: mp.setattr(steady, "_KRYLOV_MAX", 1),
     # eig raises
-    (lambda mp: mp.setattr(steady, "_sylvester_part",
-                           lambda mat, dim: np.full((dim, dim), np.nan)), False),
+    lambda mp: mp.setattr(steady, "_sylvester_part",
+                          lambda mat, dim: np.full((dim, dim), np.nan)),
 ], ids=["solve-stalls", "certificate-stalls", "eig-raises"])
-def test_gmres_failures_fall_back_to_the_band(break_it, certified, krylov, monkeypatch):
+def test_gmres_failures_fall_back_to_the_band(break_it, krylov, monkeypatch):
     gen = _scenario_a(3)
     break_it(monkeypatch)
     diagnostics = orb.steady_state(gen).diagnostics
     assert diagnostics["method"] == "banded-lu" and diagnostics["blocks"] == 2
-    assert diagnostics["certified"] is certified
 
 
 @pytest.mark.parametrize("spec", [
