@@ -12,20 +12,23 @@ of two solvers:
 
 * GMRES, without restart and right-preconditioned by the inverse of the
   Sylvester part ``S(X) = A X + X A^+`` of the generator, where ``A`` is read
-  off the generator itself.  A GMRES run that stalls, or an ``eig`` that
-  raises, sends the point to the banded LU.
+  off the generator itself.  A GMRES run that stalls, an ``eig`` that
+  raises, or a solution that fails the certificate sends the point to the
+  banded LU.
 * LAPACK's banded LU with partial pivoting (``zgbtrf``/``zgbtrs``), one block
   at a time: each solves its part of the certificate's right-hand side and is
   freed, but the trace row's, the only one the steady state's reaches, is kept.
 
-One certificate of uniqueness serves both: the solver's solution x for a
-fixed-seed random right-hand side r must have ``||r - T x|| <= tol ||r||``
-and ``eps ||T||_F ||x|| <= tol ||r||``.  ``vec(1)^T L = 0`` makes row 0 of L
-minus the sum of its other diagonal rows, so ``T x = 0`` exactly when
-``L x = 0`` and ``tr x = 0``; as every Lindblad null space holds a state of
-trace 1, T is singular exactly when the state is not unique.  A singular T
-leaves a part of r of about ``1/sqrt(n)`` that no x removes, so it passes
-with probability about ``n tol^2``; an exactly zero pivot is its limit.
+One certificate of uniqueness serves both: the solution x for a fixed-seed
+random right-hand side r must have ``||r - T x|| <= tol ||r||``.  As
+``vec(1)^T L = 0``, ``T x = 0`` exactly when ``L x = 0`` and ``tr x = 0``,
+and every Lindblad null space holds a state of trace 1, so T is singular
+exactly when the state is not unique; a singular T then leaves a residual of
+about ``||r|| / sqrt(n)`` whatever x is.  An x is taken unrefined only if
+``eps ||T||_F ||x|| <= tol ||r||`` too.  Otherwise (T ill-conditioned, at
+rates below ~1e-8, or singular) the band solves again, refining each block's
+part of x in extended precision, and judges its residual there; a failure, or
+an exactly zero pivot, means the state is not unique.
 
 Iterative refinement with extended-precision residuals follows, on either
 solver.  At the extreme rate/frequency separations typical here (rates ~1e-6
@@ -34,9 +37,7 @@ residual does not bound the error of the solution; the size of the
 correction does.  Refinement therefore always applies at least one
 correction and stops once a correction is at most ``_REFINE_STOP`` (2^-52,
 the rounding floor of double precision) of the solution, after at most
-``_REFINE_ROUNDS`` rounds.  The result's diagnostics report the solver, the
-GMRES iterations, the certificate's margin, the rounds, the last correction
-and, for the band, the blocks and the size of the kept factor.
+``_REFINE_ROUNDS`` rounds; ``SteadyStateResult`` lists the diagnostics.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ class SteadyStateResult:
     rho: np.ndarray
     residual: float             # ||L vec(rho)|| / ||L||_F
     # method ("gmres" or "banded-lu"), krylov_iterations (of every GMRES run,
-    # certificate included), certificate (its margin: the larger of its
-    # relative residual and error bound), refine_rounds, last_correction
+    # certificate included), certificate (the margin that passed, see
+    # _certify), refine_rounds, last_correction
     # (||dx||/||x|| of the last round) and the validity margins; the band
     # alone adds blocks (the connected blocks factored), bandwidth ((kl, ku)
     # of the trace row's block) and lu_nnz (entries stored in that block's
@@ -164,36 +165,25 @@ def _band_structure(n: int, indptr: bytes, indices: bytes) -> _BandStructure:
     return structure
 
 
-@lru_cache(maxsize=16)
-def _certificate_rhs(n: int) -> np.ndarray:
-    """The certificate's fixed-seed random right-hand side of length n, read-only."""
-    rng = np.random.default_rng(_CERTIFICATE_SEED)
-    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    r.flags.writeable = False
-    return r
-
-
-def _certify(system: sp.csr_matrix, r: np.ndarray, x: np.ndarray) -> float:
-    """The certificate's margin, the larger of ``||r - T x|| / ||r||`` and
-    ``eps ||T||_F ||x|| / ||r||`` for ``x``, a solution of ``T x = r``.  Raises
-    ``NonUniqueSteadyStateError`` if it exceeds ``_CERTIFICATE_TOL``."""
+def _certify(system: sp.csr_matrix, r: np.ndarray, x: np.ndarray,
+             m_ext: sp.csr_matrix | None = None) -> float:
+    """The certificate's margin for ``x``, a solution of ``T x = r``: the larger
+    of ``||r - T x|| / ||r||`` and ``eps ||T||_F ||x|| / ||r||``, or the first
+    alone, in extended precision, where ``m_ext`` (T in it) is given."""
     scale = float(np.linalg.norm(r))
+    if m_ext is not None:
+        return float(np.linalg.norm(r - m_ext @ x.astype(np.clongdouble))) / scale
     residual = float(np.linalg.norm(r - system @ x)) / scale
     error = np.finfo(float).eps * float(np.linalg.norm(system.data) * np.linalg.norm(x)) / scale
-    margin = max(residual, error)
-    if not margin <= _CERTIFICATE_TOL:   # NaN fails too
-        raise NonUniqueSteadyStateError(
-            f"certificate failed: relative residual {residual:.1e}, error bound {error:.1e} "
-            f"(tolerance {_CERTIFICATE_TOL:.0e}); the stationary state is not unique")
-    return margin
+    return max(residual, error)
 
 
 def _factor(structure: _BandStructure, b: int,
-            data: np.ndarray) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], int]:
-    """``solve(r, x)``, which sets block b's part of x to that of the solution
-    for r and returns x, by ``zgbtrf`` of the block of CSR values ``data`` in
-    its ``(2 kl + ku + 1, n_block)`` band; and the entries that band stores.
-    An exactly zero pivot raises ``NonUniqueSteadyStateError``."""
+            data: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """The solve of block b, which maps r to block b's part of the solution
+    for r (zero elsewhere), by ``zgbtrf`` of the block of CSR values ``data``
+    in its ``(2 kl + ku + 1, n_block)`` band; and the entries that band
+    stores.  An exactly zero pivot raises ``NonUniqueSteadyStateError``."""
     kl, ku = int(structure.kl[b]), int(structure.ku[b])
     size = int(structure.starts[b + 1] - structure.starts[b])
     span = slice(structure.first[b], structure.first[b + 1])
@@ -207,29 +197,27 @@ def _factor(structure: _BandStructure, b: int,
             f"the stationary state is not unique")
     rows = structure.order[structure.starts[b]:structure.starts[b + 1]]
 
-    def solve(r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def solve(r: np.ndarray) -> np.ndarray:
+        x = np.zeros_like(r)
         x[rows] = zgbtrs(lu, kl, ku, r[rows], ipiv)[0]
         return x
 
     return solve, lu.size
 
 
-def _band_solver(structure: _BandStructure, data: np.ndarray, r: np.ndarray
-                 ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray, dict]:
+def _band_solver(structure: _BandStructure, data: np.ndarray, r: np.ndarray,
+                 m_ext: sp.csr_matrix | None = None) -> tuple[Callable, np.ndarray, dict]:
     """The solve of the trace-replaced system, of CSR values ``data``, by the
     banded LU of its trace row's block; its solution for ``r``, from every
-    block in turn; and its diagnostics."""
+    block in turn, each part refined with the residuals of ``m_ext`` where
+    that is given; and its diagnostics."""
     last = structure.trace_block
-    x_r = np.empty(structure.order.size, dtype=complex)
-    for b in range(structure.starts.size - 1):
-        if b != last:   # its factor is freed as soon as it has solved
-            _factor(structure, b, data)[0](r, x_r)
-    block_solve, lu_nnz = _factor(structure, last, data)
-    block_solve(r, x_r)
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        return block_solve(rhs, np.zeros_like(x_r))
-
+    x_r = np.zeros(r.size, dtype=complex if m_ext is None else np.clongdouble)
+    for b in sorted(range(structure.starts.size - 1), key=lambda b: b == last):
+        solve, lu_nnz = _factor(structure, b, data)
+        x_r += solve(r) if m_ext is None else _refine(solve, r, m_ext, np.clongdouble)[0]
+        if b != last:
+            del solve   # freed before the next block is factored; the trace row's is kept
     return solve, x_r, {"method": "banded-lu", "blocks": structure.starts.size - 1,
                         "bandwidth": (int(structure.kl[last]), int(structure.ku[last])),
                         "lu_nnz": lu_nnz}
@@ -326,9 +314,9 @@ def _krylov_solver(mat: sp.csr_matrix, dim: int, system: sp.csr_matrix, r: np.nd
                    iterations: list[int]) -> tuple[Callable, np.ndarray, dict] | None:
     """As ``_band_solver``, by GMRES on ``system``, the trace-replaced ``mat``,
     preconditioned by the inverse Sylvester part; the solve returns None where
-    GMRES stalls.  The solution for ``r`` is to half the certificate's
-    tolerance, so that the true residual meets it; None if ``eig`` raises or
-    it stalls.  Each GMRES run appends its iterations to ``iterations``."""
+    GMRES stalls, and the solution for ``r`` is to half the certificate's
+    tolerance.  None if ``eig`` raises or that solution stalls.  Each GMRES
+    run appends its iterations to ``iterations``."""
     try:
         precondition = _sylvester_inverse(_sylvester_part(mat, dim))
     except np.linalg.LinAlgError:
@@ -347,13 +335,14 @@ def _krylov_solver(mat: sp.csr_matrix, dim: int, system: sp.csr_matrix, r: np.nd
 
 
 def _refine(solve: Callable[[np.ndarray], np.ndarray | None], rhs: np.ndarray,
-            m_ext: sp.csr_matrix) -> tuple[np.ndarray, int, float] | None:
+            m_ext: sp.csr_matrix, dtype: type = complex) -> tuple[np.ndarray, int, float] | None:
     """(x, rounds, last correction): ``solve(rhs)``, refined with the
-    residuals of the extended-precision system ``m_ext``; None if a solve
-    returns None."""
+    residuals of the extended-precision system ``m_ext`` and summed in
+    ``dtype``; None if a solve returns None."""
     x = solve(rhs)
     if x is None:
         return None
+    x = x.astype(dtype, copy=False)
     rhs_ext = rhs.astype(np.clongdouble)
     rounds = 0
     correction = math.inf
@@ -388,22 +377,30 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     system = sp.csr_matrix((data, indices, indptr), shape=mat.shape)
     rhs = np.zeros(dim * dim, dtype=complex)
     rhs[0] = 1.0
-    r = _certificate_rhs(dim * dim)
+    rng = np.random.default_rng(_CERTIFICATE_SEED)
+    r = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
     # the same system in extended precision, for the refinement residuals
     m_ext = sp.csr_matrix((data.astype(np.clongdouble), indices, indptr), shape=mat.shape)
 
     structure = _band_structure(dim * dim, indptr.tobytes(), indices.tobytes())
     iterations: list[int] = []
     refined = None
-    if structure.work >= _KRYLOV_MIN_WORK:
-        krylov = _krylov_solver(mat, dim, system, r, iterations)
-        if krylov is not None:
-            solve, x_r, details = krylov
-            margin = _certify(system, r, x_r)
-            refined = _refine(solve, rhs, m_ext)
-    if refined is None:   # a cheap band, or GMRES that could not start or stalled
-        solve, x_r, details = _band_solver(structure, data, r)
+    krylov = structure.work >= _KRYLOV_MIN_WORK
+    if krylov and (gmres := _krylov_solver(mat, dim, system, r, iterations)) is not None:
+        solve, x_r, details = gmres
         margin = _certify(system, r, x_r)
+        if margin <= _CERTIFICATE_TOL:
+            refined = _refine(solve, rhs, m_ext)
+    if refined is None:   # the band: plain, then refined; at once refined where GMRES failed
+        for ext in (m_ext,) if krylov else (None, m_ext):
+            solve, x_r, details = _band_solver(structure, data, r, ext)
+            margin = _certify(system, r, x_r, ext)
+            if margin <= _CERTIFICATE_TOL:
+                break
+        else:   # NaN fails too
+            raise NonUniqueSteadyStateError(
+                f"certificate failed: relative residual {margin:.1e} after refinement "
+                f"(tolerance {_CERTIFICATE_TOL:.0e}); the stationary state is not unique")
         refined = _refine(solve, rhs, m_ext)
     x, rounds, correction = refined
 
