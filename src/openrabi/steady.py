@@ -106,7 +106,8 @@ class _BandStructure:
     read-only.  Block b holds the ordered positions ``starts[b]:starts[b+1]``
     and has ``kl[b]`` sub- and ``ku[b]`` superdiagonals; its stored entries
     are ``entries[first[b]:first[b+1]]`` (indices into the CSR data), which go
-    to ``slots`` of the same range in its Fortran-ordered band, flattened."""
+    to ``slots`` of the same range in its Fortran-ordered band, flattened.
+    It also holds the certificate's right-hand side, which depends on n alone."""
 
     order: np.ndarray         # order[p]: the row and column at ordered position p
     starts: np.ndarray
@@ -117,6 +118,7 @@ class _BandStructure:
     slots: np.ndarray
     trace_block: int          # the block that holds row 0
     work: float               # about the factors' multiply-adds: sum of n_block kl (kl + ku + 1)
+    rhs: np.ndarray           # fixed-seed random, of length n
 
 
 @lru_cache(maxsize=16)
@@ -156,11 +158,13 @@ def _band_structure(n: int, indptr: bytes, indices: bytes) -> _BandStructure:
     entries = np.argsort(block, kind="stable")
     first = np.zeros(count + 1, dtype=np.intp)
     np.cumsum(np.bincount(block, minlength=count), out=first[1:])
+    rng = np.random.default_rng(_CERTIFICATE_SEED)
     structure = _BandStructure(order=order, starts=starts, kl=kl, ku=ku, first=first,
                                entries=entries, slots=slots[entries],
                                trace_block=int(labels[0]),
-                               work=float(np.sum(np.diff(starts) * kl * (kl + ku + 1))))
-    for array in (order, starts, kl, ku, first, entries, structure.slots):
+                               work=float(np.sum(np.diff(starts) * kl * (kl + ku + 1))),
+                               rhs=rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    for array in (order, starts, kl, ku, first, entries, structure.slots, structure.rhs):
         array.flags.writeable = False
     return structure
 
@@ -377,12 +381,11 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     system = sp.csr_matrix((data, indices, indptr), shape=mat.shape)
     rhs = np.zeros(dim * dim, dtype=complex)
     rhs[0] = 1.0
-    rng = np.random.default_rng(_CERTIFICATE_SEED)
-    r = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
     # the same system in extended precision, for the refinement residuals
     m_ext = sp.csr_matrix((data.astype(np.clongdouble), indices, indptr), shape=mat.shape)
 
     structure = _band_structure(dim * dim, indptr.tobytes(), indices.tobytes())
+    r = structure.rhs
     iterations: list[int] = []
     refined = None
     krylov = structure.work >= _KRYLOV_MIN_WORK
