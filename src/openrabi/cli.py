@@ -22,6 +22,7 @@ import argparse
 import ctypes
 import importlib
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -179,8 +180,9 @@ _OPENBLAS = (("numpy", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threa
 
 
 def _one_blas_thread() -> None:
-    """Pool-worker initializer: one thread in each bundled OpenBLAS, so that
-    the workers do not oversubscribe the cores.  In a forked worker, setting
+    """One thread in each bundled OpenBLAS: the pool workers' initializer, so
+    that the workers do not oversubscribe the cores, and ``_serial_blas``'s
+    setting for the calling process.  In a forked worker, setting
     the count restarts the library's thread pool, whose idle threads then spin
     for ~0.1 s of CPU each, so the pool is shut down again; with one thread
     the library does not restart it.  It finds the libraries by the layout of
@@ -201,6 +203,17 @@ def _one_blas_thread() -> None:
             if shutdown is not None:
                 shutdown.argtypes, shutdown.restype = [], ctypes.c_int
                 shutdown()
+
+
+@cache
+def _serial_blas() -> None:
+    """One BLAS thread in this process as well, set once, unless
+    ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` sets the count.  numpy and
+    scipy each bundle an OpenBLAS whose idle threads busy-wait, and with the
+    default count on each the two pools contend for the cores: on 2 cores the
+    scenario-``a`` cutoff ladder ran at half the speed of one thread each."""
+    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        _one_blas_thread()
 
 
 def _run_grid(header: tuple[str, ...], points: Callable, rows: Callable,
@@ -494,7 +507,9 @@ def main(argv: list[str] | None = None) -> int:
         if extra:
             raise ValueError(f"{args.command}: unrecognized arguments: {' '.join(extra)}")
         cfg = parse_config_file(args.config) if args.config else {}
-        return _COMMANDS[args.command].run(resolve_config(args, cfg, args.command))
+        config = resolve_config(args, cfg, args.command)
+        _serial_blas()
+        return _COMMANDS[args.command].run(config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -169,6 +169,81 @@ def _band_structure(n: int, indptr: bytes, indices: bytes) -> _BandStructure:
     return structure
 
 
+@dataclass(frozen=True)
+class _Sector:
+    """One connected block of T as GMRES solves it; every array is read-only.
+    Its unknowns are the entries of ``X_pq`` (rho's rows of Hilbert class p
+    and columns of class q) for each class pair (p, q) in ``pairs``, chunk
+    after chunk, each chunk column-major; ``unknowns`` holds their vec
+    indices in that order.  In that layout its CSR submatrix has the values
+    ``data[gather]`` of the trace-replaced system's values ``data``, the
+    columns ``indices`` and the row pointers ``indptr``."""
+
+    pairs: tuple[tuple[int, int], ...]
+    unknowns: np.ndarray
+    gather: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    def matrix(self, data: np.ndarray, dtype: type = complex) -> sp.csr_matrix:
+        n = self.unknowns.size
+        return sp.csr_matrix((data[self.gather].astype(dtype, copy=False), self.indices,
+                              self.indptr), shape=(n, n))
+
+
+@dataclass(frozen=True)
+class _Sectors:
+    """GMRES's view of a D^2 x D^2 sparsity pattern: its Hilbert classes (the
+    states of each, ascending), its connected blocks, and the block that
+    holds row 0."""
+
+    classes: tuple[np.ndarray, ...]
+    blocks: tuple[_Sector, ...]
+    trace_block: int
+
+
+@lru_cache(maxsize=16)
+def _sectors(dim: int, indptr: bytes, indices: bytes) -> _Sectors:
+    """The sectors of the D^2 x D^2 CSR pattern of ``_band_structure``'s
+    arguments.  State i belongs to the class of the block that holds vec
+    index i (rho[i, 0]); class pair (p, q) goes to the block of its entries.
+    Should a block split some ``X_pq``, the states form one class and the
+    system one block.  Cached on the pattern's bytes, as its blocks are."""
+    structure = _band_structure(dim * dim, indptr, indices)
+    indptr = np.frombuffer(indptr, dtype=np.int32)
+    indices = np.frombuffer(indices, dtype=np.int32)
+    block = np.empty(dim * dim, dtype=np.intp)
+    block[structure.order] = np.repeat(np.arange(structure.starts.size - 1),
+                                       np.diff(structure.starts))
+    block = block.reshape(dim, dim, order="F")   # block[i, j]: the block of rho[i, j]
+    label = np.unique(block[:, 0], return_inverse=True)[1]
+    pair_block = np.zeros((label.max() + 1,) * 2, dtype=np.intp)
+    pair_block[label[:, None], label[None, :]] = block
+    if not np.array_equal(pair_block[label[:, None], label[None, :]], block):
+        label = np.zeros(dim, dtype=np.intp)
+        pair_block = np.zeros((1, 1), dtype=np.intp)
+    classes = tuple(np.flatnonzero(label == p) for p in range(pair_block.shape[0]))
+    position = np.empty(dim * dim, dtype=np.int32)   # each unknown's place in its block
+    blocks = []
+    for b in np.unique(pair_block):
+        pairs = tuple((int(p), int(q)) for p, q in zip(*np.nonzero(pair_block == b)))
+        unknowns = np.concatenate([(classes[p][:, None] + dim * classes[q]).ravel(order="F")
+                                   for p, q in pairs])
+        position[unknowns] = np.arange(unknowns.size)
+        lengths = indptr[unknowns + 1] - indptr[unknowns]
+        local = np.zeros(unknowns.size + 1, dtype=np.int32)
+        np.cumsum(lengths, out=local[1:])
+        gather = np.repeat(indptr[unknowns] - local[:-1], lengths) + np.arange(local[-1])
+        blocks.append(_Sector(pairs=pairs, unknowns=unknowns, gather=gather,
+                              indices=position[indices[gather]], indptr=local))
+    for array in (*classes, *(getattr(s, f) for s in blocks
+                              for f in ("unknowns", "gather", "indices", "indptr"))):
+        array.flags.writeable = False
+    trace = pair_block[label[0], label[0]]
+    return _Sectors(classes=classes, blocks=tuple(blocks),
+                    trace_block=int(np.searchsorted(np.unique(pair_block), trace)))
+
+
 def _certify(system: sp.csr_matrix, r: np.ndarray, x: np.ndarray,
              m_ext: sp.csr_matrix | None = None) -> float:
     """The certificate's margin for ``x``, a solution of ``T x = r``: the larger
@@ -244,29 +319,48 @@ def _sylvester_part(mat: sp.csr_matrix, dim: int) -> np.ndarray:
     return a
 
 
-def _sylvester_inverse(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """vec(X) -> vec(S^-1(X)) for ``S(X) = A X + X A^+``, by one
-    eigendecomposition ``A = V diag(lambda) V^-1`` (after Bartels & Stewart,
-    Commun. ACM 15, 820 (1972)): ``S^-1(B) = V [(V^-1 B V^-+) / (lambda_i +
-    conj(lambda_j))] V^+``.  A dark state makes a denominator vanish, so
-    every denominator is floored at ``_DARK_FLOOR`` times the smallest decay
-    rate ``-2 Re lambda``.  Raises ``LinAlgError`` if ``eig`` or ``inv`` does."""
+def _sylvester_inverse(a: np.ndarray, classes: tuple[np.ndarray, ...],
+                       pairs: list[tuple[tuple[int, int], ...]]) -> list[Callable]:
+    """For each block, whose unknowns are the chunks vec(X_pq) of its class
+    pairs ``pairs[b]`` (as ``_Sector`` lays them out), the map of its part of
+    vec(X) to its part of vec(S^-1(X)) for ``S(X) = A X + X A^+``, with the
+    entries of A between the ``classes`` dropped.  One eigendecomposition
+    ``A_pp = V_p diag(lambda_p) W_p``, ``W_p = V_p^-1``, per class (after
+    Bartels & Stewart, Commun. ACM 15, 820 (1972)) gives ``S^-1(B)_pq =
+    V_p [(W_p B_pq W_q^+) / (lambda_p,i + conj(lambda_q,j))] V_q^+``.  A dark
+    state makes a denominator vanish, so every denominator is floored at
+    ``_DARK_FLOOR`` times the smallest decay rate ``-2 Re lambda`` of all
+    classes.  Raises ``LinAlgError`` if ``eig`` or ``inv`` does."""
     dim = a.shape[0]
-    lam, v = np.linalg.eig(a)
-    w = np.linalg.inv(v)
+    eigs = [np.linalg.eig(a[np.ix_(c, c)]) for c in classes]
+    lam = np.concatenate([values for values, _ in eigs])
     rates = -2.0 * lam.real
     scale = float(np.abs(lam).max())
     floor = _DARK_FLOOR * np.min(rates[rates > dim * np.finfo(float).eps * scale],
                                  initial=scale)
-    denominators = lam[:, None] + lam.conj()[None, :]
-    denominators[np.abs(denominators) < floor] = -floor
-    w_h, v_h = w.conj().T, v.conj().T
+    v = [vectors for _, vectors in eigs]
+    w = [np.linalg.inv(vectors) for vectors in v]
+    w_h, v_h = [m.conj().T for m in w], [m.conj().T for m in v]
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        b = x.reshape(dim, dim, order="F")
-        return (v @ ((w @ b @ w_h) / denominators) @ v_h).reshape(-1, order="F")
+    def block(block_pairs: tuple[tuple[int, int], ...]) -> Callable[[np.ndarray], np.ndarray]:
+        chunks, start = [], 0
+        for p, q in block_pairs:
+            denominators = eigs[p][0][:, None] + eigs[q][0].conj()[None, :]
+            denominators[np.abs(denominators) < floor] = -floor
+            stop = start + denominators.size
+            chunks.append((slice(start, stop), v[p], w[p], w_h[q], v_h[q], 1.0 / denominators))
+            start = stop
 
-    return apply
+        def apply(x: np.ndarray) -> np.ndarray:
+            y = np.empty_like(x)
+            for span, v_p, w_p, w_h_q, v_h_q, inverses in chunks:
+                b = x[span].reshape(inverses.shape, order="F")
+                y[span] = (v_p @ ((w_p @ (b @ w_h_q)) * inverses) @ v_h_q).reshape(-1, order="F")
+            return y
+
+        return apply
+
+    return [block(block_pairs) for block_pairs in pairs]
 
 
 def _gmres(system: sp.csr_matrix, precondition: Callable[[np.ndarray], np.ndarray],
@@ -314,28 +408,38 @@ def _gmres(system: sp.csr_matrix, precondition: Callable[[np.ndarray], np.ndarra
     return None, m
 
 
-def _krylov_solver(mat: sp.csr_matrix, dim: int, system: sp.csr_matrix, r: np.ndarray,
-                   iterations: list[int]) -> tuple[Callable, np.ndarray, dict] | None:
-    """As ``_band_solver``, by GMRES on ``system``, the trace-replaced ``mat``,
-    preconditioned by the inverse Sylvester part; the solve returns None where
-    GMRES stalls, and the solution for ``r`` is to half the certificate's
-    tolerance.  None if ``eig`` raises or that solution stalls.  Each GMRES
-    run appends its iterations to ``iterations``."""
+def _krylov_solver(mat: sp.csr_matrix, dim: int, sectors: _Sectors, data: np.ndarray,
+                   r: np.ndarray, iterations: list[int]
+                   ) -> tuple[Callable, np.ndarray, dict, _Sector] | None:
+    """As ``_band_solver``, by GMRES on each block of ``sectors`` of the
+    trace-replaced system (CSR values ``data``) of ``mat``, preconditioned by
+    the inverse Sylvester part; plus the trace row's block.  The solve maps
+    that block's part of a right-hand side to its part of the solution, or
+    to None where GMRES stalls; the solution for ``r`` is to half the
+    certificate's tolerance.  None if ``eig`` raises or a block's part of
+    that solution stalls.  Each GMRES run appends its iterations to
+    ``iterations``."""
     try:
-        precondition = _sylvester_inverse(_sylvester_part(mat, dim))
+        preconditioners = _sylvester_inverse(_sylvester_part(mat, dim), sectors.classes,
+                                             [sector.pairs for sector in sectors.blocks])
     except np.linalg.LinAlgError:
         return None
-    x_r, k = _gmres(system, precondition, r, _CERTIFICATE_TOL / 2)
-    iterations.append(k)
-    if x_r is None:
-        return None
+    systems = [sector.matrix(data) for sector in sectors.blocks]
+    x_r = np.zeros_like(r)
+    for sector, system, precondition in zip(sectors.blocks, systems, preconditioners):
+        x, k = _gmres(system, precondition, r[sector.unknowns], _CERTIFICATE_TOL / 2)
+        iterations.append(k)
+        if x is None:
+            return None
+        x_r[sector.unknowns] = x
+    system, precondition = systems[sectors.trace_block], preconditioners[sectors.trace_block]
 
     def solve(b: np.ndarray) -> np.ndarray | None:
         x, k = _gmres(system, precondition, b, _KRYLOV_TOL)
         iterations.append(k)
         return x
 
-    return solve, x_r, {"method": "gmres"}
+    return solve, x_r, {"method": "gmres"}, sectors.blocks[sectors.trace_block]
 
 
 def _refine(solve: Callable[[np.ndarray], np.ndarray | None], rhs: np.ndarray,
@@ -381,20 +485,24 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     system = sp.csr_matrix((data, indices, indptr), shape=mat.shape)
     rhs = np.zeros(dim * dim, dtype=complex)
     rhs[0] = 1.0
-    # the same system in extended precision, for the refinement residuals
-    m_ext = sp.csr_matrix((data.astype(np.clongdouble), indices, indptr), shape=mat.shape)
-
-    structure = _band_structure(dim * dim, indptr.tobytes(), indices.tobytes())
+    key = (indptr.tobytes(), indices.tobytes())
+    structure = _band_structure(dim * dim, *key)
     r = structure.rhs
     iterations: list[int] = []
     refined = None
     krylov = structure.work >= _KRYLOV_MIN_WORK
-    if krylov and (gmres := _krylov_solver(mat, dim, system, r, iterations)) is not None:
-        solve, x_r, details = gmres
+    if krylov and (gmres := _krylov_solver(mat, dim, _sectors(dim, *key), data, r,
+                                           iterations)) is not None:
+        solve, x_r, details, trace = gmres
         margin = _certify(system, r, x_r)
         if margin <= _CERTIFICATE_TOL:
-            refined = _refine(solve, rhs, m_ext)
+            # T is block-diagonal, so x is exactly 0 outside the trace row's block
+            unknowns = trace.unknowns
+            refined = _refine(solve, rhs[unknowns], trace.matrix(data, np.clongdouble))
     if refined is None:   # the band: plain, then refined; at once refined where GMRES failed
+        unknowns = slice(None)
+        # the same system in extended precision, for the refinement residuals
+        m_ext = sp.csr_matrix((data.astype(np.clongdouble), indices, indptr), shape=mat.shape)
         for ext in (m_ext,) if krylov else (None, m_ext):
             solve, x_r, details = _band_solver(structure, data, r, ext)
             margin = _certify(system, r, x_r, ext)
@@ -405,7 +513,9 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
                 f"certificate failed: relative residual {margin:.1e} after refinement "
                 f"(tolerance {_CERTIFICATE_TOL:.0e}); the stationary state is not unique")
         refined = _refine(solve, rhs, m_ext)
-    x, rounds, correction = refined
+    part, rounds, correction = refined
+    x = np.zeros(dim * dim, dtype=complex)
+    x[unknowns] = part
 
     raw = devectorize(x)
     rho = 0.5 * (raw + raw.conj().T)

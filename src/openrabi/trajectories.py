@@ -25,7 +25,7 @@ the block size or on execution order.  The ensemble does not build those
 streams one ``SeedSequence`` at a time: ``_stream_states`` runs numpy's
 ``SeedSequence`` hash and PCG64's seeding step for a whole block of spawn keys
 at once, and the states are loaded into a pool of generators built once per
-ensemble.  The engine runs in one process; ``--workers`` does not apply to it.
+process.  The engine runs in one process; ``--workers`` does not apply to it.
 
 Intended for validation at moderate times on small spaces; asymptotics are
 the steady-state solver's job.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -400,6 +401,16 @@ def _run_block(
         out[:, :, k] = _expectations(psi, operators).T
 
 
+@cache
+def _generator_pool(size: int) -> list[np.random.Generator]:
+    """``size`` generators, built once per process, that every ensemble's
+    blocks load their streams into (building 1024 takes ~8 ms).  Not
+    thread-safe: ensembles run at once in threads of one process would share
+    them."""
+    placeholder = np.random.SeedSequence(0)
+    return [np.random.Generator(np.random.PCG64(placeholder)) for _ in range(size)]
+
+
 def _ensemble_samples(
     unr: Unraveling,
     psi0: np.ndarray,
@@ -429,8 +440,7 @@ def _ensemble_samples(
     samples = np.empty((n_traj, len(operators), t_grid.size))
     samples[:, :, 0] = _expectations(psi0, operators)
     # one generator per row of a block; each block overwrites their states
-    placeholder = np.random.SeedSequence(base_seed)
-    pool = [np.random.Generator(np.random.PCG64(placeholder)) for _ in range(min(_BLOCK, n_traj))]
+    pool = _generator_pool(_BLOCK)
     for start in range(0, n_traj, _BLOCK):
         keys = np.arange(start, min(start + _BLOCK, n_traj), dtype=np.uint32)
         rngs = pool[:keys.size]

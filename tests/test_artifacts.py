@@ -1,5 +1,5 @@
-"""CSV artifacts pinned byte for byte: those of scripts/reproduce_sweeps.py and a
-model-mode jump ensemble."""
+"""CSV artifacts pinned byte for byte: those of scripts/reproduce_sweeps.py, a
+model-mode jump ensemble and the scenario-a cutoff ladder."""
 
 import hashlib
 import os
@@ -37,5 +37,15 @@ def test_model_mode_ensemble_matches_manifest(tmp_path):
     out = tmp_path / name
     argv = ["trajectories", "--mode", "model", "--scenario", "c", "--cutoff", "1",
             "--kappa", "0.5", "--lambda", "0.5", "--g", "0.3", "--n-traj", "200", "--seed", "7"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cutoff_ladder_matches_manifest(tmp_path):
+    # scenario a at cutoffs 1-6, the benchmark's cutoff-ladder command: its
+    # cutoffs 4-6 take GMRES, which no reproduce artifact reaches
+    digest, name = (MANIFEST.parent / "cutoff_ladder.sha256").read_text().split()
+    out = tmp_path / name
+    argv = ["convergence", "--scenario", "a", "--cutoff", "1,2,3,4,5,6"]
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -235,6 +235,43 @@ def test_pool_initializer_sets_one_blas_thread():
         assert found["threads"] == 1
 
 
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_main_runs_one_blas_thread_unless_the_count_is_set(tmp_path, threads):
+    # in a child process: after a command, each bundled OpenBLAS found reads
+    # back one thread; with OPENBLAS_NUM_THREADS set, the count it started with
+    code = textwrap.dedent("""
+        import ctypes, importlib, json, pathlib, sys
+        from openrabi import cli
+        getters = []
+        for package, pattern, setter in cli._OPENBLAS:
+            site = pathlib.Path(importlib.import_module(package).__file__).parents[1]
+            for path in (site / f"{package}.libs").glob(pattern):
+                get = getattr(ctypes.CDLL(str(path)), setter.replace("_set_", "_get_"), None)
+                if get is not None:
+                    get.restype = ctypes.c_int
+                    getters.append(get)
+        before = [get() for get in getters]
+        assert cli.main(["convergence", "--cutoff", "1", "--out", sys.argv[1]]) == 0
+        print(json.dumps({"before": before, "after": [get() for get in getters]}))
+    """)
+    env = {k: v for k, v in _child_env().items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    if not found["after"]:
+        pytest.skip("no bundled OpenBLAS in this install")
+    if threads is None:
+        assert found["after"] == [1] * len(found["after"])
+    else:
+        assert found["after"] == found["before"]
+        if (os.cpu_count() or 1) >= 2:
+            assert found["after"] == [2] * len(found["after"])
+
+
 def test_console_entry_point(tmp_path):
     out = tmp_path / "cli.csv"
     proc = subprocess.run(

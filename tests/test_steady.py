@@ -336,6 +336,149 @@ def test_sylvester_part_read_off_the_generator_is_minus_i_h_eff(spec):
     np.testing.assert_allclose(diff, shift * np.eye(space.dim), rtol=0, atol=2e-15)
 
 
+def _sectors(gen):
+    """The GMRES layout of ``gen``'s trace-replaced system, and that system."""
+    indptr, indices, data = steady._trace_replaced(gen.matrix, gen.dim)
+    n = gen.dim ** 2
+    return (steady._sectors(gen.dim, indptr.tobytes(), indices.tobytes()),
+            sp.csr_matrix((data, indices, indptr), shape=(n, n)))
+
+
+def _one_block():
+    # the Rabi coupling and a cavity drive leave no symmetry: one block, one class
+    space = orb.CompositeSpace((orb.Qubit("atom"), orb.Boson(3, "cavity")))
+    ops = orb.qubit_ops()
+    x = orb.embed(orb.annihilation(3) + orb.annihilation(3).conj().T, space, 1)
+    h = (orb.embed(orb.number(3), space, 1) + 0.5 * orb.embed(ops.excited, space, 0)
+         + 0.3 * orb.embed(ops.sp + ops.sm, space, 0) @ x + 0.2 * x)
+    terms = [orb.LindbladTerm(orb.embed(ops.sm, space, 0), 0.37),
+             orb.LindbladTerm(orb.embed(orb.annihilation(3), space, 1), 0.41)]
+    return orb.assemble(h, terms, space)
+
+
+def _rwa_c(nbar=0.0):
+    return orb.build_liouvillian(orb.ModelSpec(
+        params=orb.RabiParams(omega=1.0, g=0.05, nbar=nbar, **REFERENCE_RATES), cutoff=3,
+        coupling=orb.Coupling.RWA, parasitic=orb.scenario_parasitic("c")))
+
+
+def test_sectors_lay_out_each_block_by_class_pairs():
+    # scenario a: two classes of D/2 states (the superparity of the state),
+    # and two blocks of D^2/2 unknowns, each the chunks vec(X_pq) of two pairs
+    gen = _scenario_a(3)
+    d = gen.dim
+    sectors, system = _sectors(gen)
+    assert [c.size for c in sectors.classes] == [d // 2, d // 2]
+    assert [s.pairs for s in sectors.blocks] == [((0, 0), (1, 1)), ((0, 1), (1, 0))]
+    assert 0 in sectors.blocks[sectors.trace_block].unknowns
+    assert np.array_equal(np.sort(np.concatenate([s.unknowns for s in sectors.blocks])),
+                          np.arange(d * d))
+    for sector in sectors.blocks:
+        start = 0
+        for p, q in sector.pairs:
+            rows, cols = sectors.classes[p], sectors.classes[q]
+            stop = start + rows.size * cols.size
+            np.testing.assert_array_equal(sector.unknowns[start:stop],
+                                          (rows[:, None] + d * cols).ravel(order="F"))
+            start = stop
+        part = system[sector.unknowns]
+        sub = part[:, sector.unknowns]
+        assert sub.nnz == part.nnz   # no entry of the block's rows leaves it
+        np.testing.assert_array_equal(sector.matrix(system.data).toarray(), sub.toarray())
+        assert sector.matrix(system.data, np.clongdouble).dtype == np.clongdouble
+
+
+def test_a_block_that_splits_a_class_pair_makes_one_class(monkeypatch):
+    # a qutrit whose jump |0><0| + |1><2| joins rho[1, 0] and rho[2, 0] but
+    # leaves rho[2, 1] alone: the layout falls back to one class and one
+    # block, today's whole-system GMRES, and agrees with the band
+    space = orb.CompositeSpace((orb.Boson(2, "qutrit"),))
+    ket = np.eye(3, dtype=complex)
+    terms = [orb.LindbladTerm(np.outer(ket[0], ket[0]) + np.outer(ket[1], ket[2]), 0.3),
+             orb.LindbladTerm(np.outer(ket[0], ket[1]), 0.5)]
+    gen = orb.assemble(np.diag([0.0, 1.0, 2.3]).astype(complex), terms, space)
+    sectors, _ = _sectors(gen)
+    assert len(sectors.classes) == 1 and len(sectors.blocks) == 1
+    assert sectors.blocks[0].pairs == ((0, 0),)
+    np.testing.assert_array_equal(sectors.blocks[0].unknowns, np.arange(9))
+    monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", 0.0)
+    result = orb.steady_state(gen)
+    assert result.diagnostics["method"] == "gmres"
+    monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
+    np.testing.assert_allclose(result.rho, orb.steady_state(gen).rho, rtol=0, atol=1e-15)
+
+
+def test_sectors_are_built_for_gmres_patterns_alone():
+    # a band point pays nothing for the layout; a GMRES point builds it once
+    steady._sectors.cache_clear()
+    orb.steady_state(_scenario_a(3))
+    assert steady._sectors.cache_info().currsize == 0
+    for omega in (0.9, 1.1):
+        assert orb.steady_state(_scenario_a(4, omega)).diagnostics["method"] == "gmres"
+    info = steady._sectors.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("scenario", ["a", "c"])
+@pytest.mark.parametrize("coupling", [orb.Coupling.FULL, orb.Coupling.RWA])
+def test_sylvester_part_has_no_entry_between_classes(scenario, coupling):
+    # so that the per-class preconditioner drops nothing on these models
+    gen = orb.build_liouvillian(orb.ModelSpec(
+        params=orb.RabiParams(omega=1.0, g=0.05, nbar=0.3, **REFERENCE_RATES), cutoff=3,
+        coupling=coupling, parasitic=orb.scenario_parasitic(scenario)))
+    sectors, _ = _sectors(gen)
+    label = np.empty(gen.dim, dtype=int)
+    for p, states in enumerate(sectors.classes):
+        label[states] = p
+    assert label.max() >= (1 if coupling is orb.Coupling.FULL else 3)
+    a = steady._sylvester_part(gen.matrix, gen.dim)
+    assert not np.any(a[label[:, None] != label[None, :]])
+
+
+@pytest.mark.parametrize("build, classes", [
+    (lambda: _scenario_a(3), 2), (lambda: _rwa_c(nbar=0.3), 6), (_one_block, 1),
+], ids=["scenario-a", "rwa-c", "one-block"])
+def test_per_class_preconditioner_equals_the_whole_one(build, classes):
+    # on each block, S^-1 by one eigendecomposition per class inverts S to
+    # rounding, and equals S^-1 by one eigendecomposition of the whole A,
+    # restricted to that block, to 1e-13 times the condition of S,
+    # max |lambda| / min |lambda_i + conj(lambda_j)|: at rates ~1e-6 against
+    # frequencies ~1 both carry the eigenvalues' rounding that far
+    gen = build()
+    d = gen.dim
+    sectors, _ = _sectors(gen)
+    assert len(sectors.classes) == classes
+    a = steady._sylvester_part(gen.matrix, d)
+    lam = np.linalg.eigvals(a)
+    condition = np.abs(lam).max() / np.abs(lam[:, None] + lam.conj()).min()
+    per_class = steady._sylvester_inverse(a, sectors.classes,
+                                          [s.pairs for s in sectors.blocks])
+    (whole,) = steady._sylvester_inverse(a, (np.arange(d),), [((0, 0),)])
+    rng = np.random.default_rng(5)
+    for sector, apply in zip(sectors.blocks, per_class):
+        x = np.zeros(d * d, dtype=complex)
+        x[sector.unknowns] = [1, 1j] @ rng.standard_normal((2, sector.unknowns.size))
+        y = np.zeros(d * d, dtype=complex)
+        y[sector.unknowns] = apply(x[sector.unknowns])
+        ref = whole(x)
+        assert np.linalg.norm(y - ref) <= 1e-13 * condition * np.linalg.norm(ref)
+        big_y, big_x = y.reshape(d, d, order="F"), x.reshape(d, d, order="F")
+        backward = np.linalg.norm(a @ big_y + big_y @ a.conj().T - big_x)
+        assert backward <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(big_y)
+
+
+@pytest.mark.parametrize("cutoff", [4, 5, 6])
+def test_gmres_by_sector_agrees_with_the_band_at_large_cutoffs(cutoff, krylov, monkeypatch):
+    # the cutoffs that take GMRES by default; one certificate per solve
+    gen = _scenario_a(cutoff)
+    result = orb.steady_state(gen)
+    assert result.diagnostics["method"] == "gmres" and krylov == [True]
+    monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
+    band = orb.steady_state(gen)
+    assert band.diagnostics["method"] == "banded-lu"
+    np.testing.assert_allclose(result.rho, band.rho, rtol=0, atol=1e-15)
+
+
 def test_gmres_solve_makes_no_reference_cycles(krylov):
     gen = _scenario_a(3)
     orb.steady_state(gen)
