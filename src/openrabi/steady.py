@@ -10,11 +10,18 @@ Rabi model) that the order keeps contiguous; it depends on the pattern alone,
 so it is cached per pattern.  Its estimate of the banded LU's work picks one
 of two solvers:
 
-* GMRES, without restart and right-preconditioned by the inverse of the
-  Sylvester part ``S(X) = A X + X A^+`` of the generator, where ``A`` is read
-  off the generator itself.  A GMRES run that stalls, an ``eig`` that
-  raises, or a solution that fails the certificate sends the point to the
-  banded LU.
+* GMRES, without restart, one connected block at a time, right-
+  preconditioned by the inverse of the Sylvester part ``S(X) = A X + X A^+``
+  of the generator, where ``A`` is read off the generator itself.
+  ``_sectors``, cached per pattern and built only for patterns that take
+  GMRES, puts state i in the Hilbert class of the block that holds
+  ``rho[i, 0]`` and lays out each block's unknowns as the column-major
+  chunks ``vec(X_pq)`` of its class pairs, so that ``S^-1`` takes one
+  eigendecomposition per class and acts chunk by chunk.  Each block solves
+  its part of the certificate's right-hand side; as T is block-diagonal, the
+  steady state's solve and its refinement run on the trace row's block
+  alone.  A GMRES run that stalls, an ``eig`` that raises, or a solution
+  that fails the certificate sends the point to the banded LU.
 * LAPACK's banded LU with partial pivoting (``zgbtrf``/``zgbtrs``), one block
   at a time: each solves its part of the certificate's right-hand side and is
   freed, but the trace row's, the only one the steady state's reaches, is kept.
@@ -78,13 +85,13 @@ class NoConvergenceError(RuntimeError):
 class SteadyStateResult:
     rho: np.ndarray
     residual: float             # ||L vec(rho)|| / ||L||_F
-    # method ("gmres" or "banded-lu"), krylov_iterations (of every GMRES run,
-    # certificate included), certificate (the margin that passed, see
-    # _certify), refine_rounds, last_correction
-    # (||dx||/||x|| of the last round) and the validity margins; the band
-    # alone adds blocks (the connected blocks factored), bandwidth ((kl, ku)
-    # of the trace row's block) and lu_nnz (entries stored in that block's
-    # band factor, n_block * (2 kl + ku + 1))
+    # method ("gmres" or "banded-lu"), krylov_iterations (of every GMRES run:
+    # one per block for the certificate, then the trace row's block's solve
+    # and refinement), certificate (the margin that passed, see _certify),
+    # refine_rounds, last_correction (||dx||/||x|| of the last round) and the
+    # validity margins; the band alone adds blocks (the connected blocks
+    # factored), bandwidth ((kl, ku) of the trace row's block) and lu_nnz
+    # (entries stored in that block's band factor, n_block * (2 kl + ku + 1))
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -224,8 +231,9 @@ def _sectors(dim: int, indptr: bytes, indices: bytes) -> _Sectors:
         pair_block = np.zeros((1, 1), dtype=np.intp)
     classes = tuple(np.flatnonzero(label == p) for p in range(pair_block.shape[0]))
     position = np.empty(dim * dim, dtype=np.int32)   # each unknown's place in its block
+    labels = np.unique(pair_block)
     blocks = []
-    for b in np.unique(pair_block):
+    for b in labels:
         pairs = tuple((int(p), int(q)) for p, q in zip(*np.nonzero(pair_block == b)))
         unknowns = np.concatenate([(classes[p][:, None] + dim * classes[q]).ravel(order="F")
                                    for p, q in pairs])
@@ -239,9 +247,8 @@ def _sectors(dim: int, indptr: bytes, indices: bytes) -> _Sectors:
     for array in (*classes, *(getattr(s, f) for s in blocks
                               for f in ("unknowns", "gather", "indices", "indptr"))):
         array.flags.writeable = False
-    trace = pair_block[label[0], label[0]]
     return _Sectors(classes=classes, blocks=tuple(blocks),
-                    trace_block=int(np.searchsorted(np.unique(pair_block), trace)))
+                    trace_block=int(np.searchsorted(labels, pair_block[label[0], label[0]])))
 
 
 def _certify(system: sp.csr_matrix, r: np.ndarray, x: np.ndarray,
@@ -327,25 +334,25 @@ def _sylvester_inverse(a: np.ndarray, classes: tuple[np.ndarray, ...],
     entries of A between the ``classes`` dropped.  One eigendecomposition
     ``A_pp = V_p diag(lambda_p) W_p``, ``W_p = V_p^-1``, per class (after
     Bartels & Stewart, Commun. ACM 15, 820 (1972)) gives ``S^-1(B)_pq =
-    V_p [(W_p B_pq W_q^+) / (lambda_p,i + conj(lambda_q,j))] V_q^+``.  A dark
-    state makes a denominator vanish, so every denominator is floored at
-    ``_DARK_FLOOR`` times the smallest decay rate ``-2 Re lambda`` of all
-    classes.  Raises ``LinAlgError`` if ``eig`` or ``inv`` does."""
+    V_p [(W_p B_pq W_q^+) / (lambda_p,i + conj(lambda_q,j))] V_q^+``, the
+    division a product with reciprocals taken once.  A dark state makes a
+    denominator vanish, so every denominator is floored at ``_DARK_FLOOR``
+    times the smallest decay rate ``-2 Re lambda`` of all classes.  Raises
+    ``LinAlgError`` if ``eig`` or ``inv`` does."""
     dim = a.shape[0]
-    eigs = [np.linalg.eig(a[np.ix_(c, c)]) for c in classes]
-    lam = np.concatenate([values for values, _ in eigs])
+    values, v = zip(*(np.linalg.eig(a[np.ix_(c, c)]) for c in classes))
+    lam = np.concatenate(values)
     rates = -2.0 * lam.real
     scale = float(np.abs(lam).max())
     floor = _DARK_FLOOR * np.min(rates[rates > dim * np.finfo(float).eps * scale],
                                  initial=scale)
-    v = [vectors for _, vectors in eigs]
     w = [np.linalg.inv(vectors) for vectors in v]
     w_h, v_h = [m.conj().T for m in w], [m.conj().T for m in v]
 
     def block(block_pairs: tuple[tuple[int, int], ...]) -> Callable[[np.ndarray], np.ndarray]:
         chunks, start = [], 0
         for p, q in block_pairs:
-            denominators = eigs[p][0][:, None] + eigs[q][0].conj()[None, :]
+            denominators = values[p][:, None] + values[q].conj()[None, :]
             denominators[np.abs(denominators) < floor] = -floor
             stop = start + denominators.size
             chunks.append((slice(start, stop), v[p], w[p], w_h[q], v_h[q], 1.0 / denominators))

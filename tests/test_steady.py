@@ -336,7 +336,7 @@ def test_sylvester_part_read_off_the_generator_is_minus_i_h_eff(spec):
     np.testing.assert_allclose(diff, shift * np.eye(space.dim), rtol=0, atol=2e-15)
 
 
-def _sectors(gen):
+def _layout(gen):
     """The GMRES layout of ``gen``'s trace-replaced system, and that system."""
     indptr, indices, data = steady._trace_replaced(gen.matrix, gen.dim)
     n = gen.dim ** 2
@@ -367,7 +367,7 @@ def test_sectors_lay_out_each_block_by_class_pairs():
     # and two blocks of D^2/2 unknowns, each the chunks vec(X_pq) of two pairs
     gen = _scenario_a(3)
     d = gen.dim
-    sectors, system = _sectors(gen)
+    sectors, system = _layout(gen)
     assert [c.size for c in sectors.classes] == [d // 2, d // 2]
     assert [s.pairs for s in sectors.blocks] == [((0, 0), (1, 1)), ((0, 1), (1, 0))]
     assert 0 in sectors.blocks[sectors.trace_block].unknowns
@@ -397,7 +397,7 @@ def test_a_block_that_splits_a_class_pair_makes_one_class(monkeypatch):
     terms = [orb.LindbladTerm(np.outer(ket[0], ket[0]) + np.outer(ket[1], ket[2]), 0.3),
              orb.LindbladTerm(np.outer(ket[0], ket[1]), 0.5)]
     gen = orb.assemble(np.diag([0.0, 1.0, 2.3]).astype(complex), terms, space)
-    sectors, _ = _sectors(gen)
+    sectors, _ = _layout(gen)
     assert len(sectors.classes) == 1 and len(sectors.blocks) == 1
     assert sectors.blocks[0].pairs == ((0, 0),)
     np.testing.assert_array_equal(sectors.blocks[0].unknowns, np.arange(9))
@@ -426,7 +426,7 @@ def test_sylvester_part_has_no_entry_between_classes(scenario, coupling):
     gen = orb.build_liouvillian(orb.ModelSpec(
         params=orb.RabiParams(omega=1.0, g=0.05, nbar=0.3, **REFERENCE_RATES), cutoff=3,
         coupling=coupling, parasitic=orb.scenario_parasitic(scenario)))
-    sectors, _ = _sectors(gen)
+    sectors, _ = _layout(gen)
     label = np.empty(gen.dim, dtype=int)
     for p, states in enumerate(sectors.classes):
         label[states] = p
@@ -446,7 +446,7 @@ def test_per_class_preconditioner_equals_the_whole_one(build, classes):
     # frequencies ~1 both carry the eigenvalues' rounding that far
     gen = build()
     d = gen.dim
-    sectors, _ = _sectors(gen)
+    sectors, _ = _layout(gen)
     assert len(sectors.classes) == classes
     a = steady._sylvester_part(gen.matrix, d)
     lam = np.linalg.eigvals(a)
