@@ -3,48 +3,50 @@ time-domain cross-check.
 
 The steady state is the null vector of the generator, computed by replacing
 the first scalar equation with the trace constraint and solving the resulting
-nonsingular system T.  ``_band_structure`` takes the rows and columns in the
-reverse Cuthill-McKee order of T's sparsity pattern, under which T is a band,
-and splits the pattern into connected blocks (the superparity sectors of a
-Rabi model) that the order keeps contiguous; it depends on the pattern alone,
-so it is cached per pattern.  Its estimate of the banded LU's work picks one
-of two solvers:
+nonsingular system T.  T splits into connected blocks (the superparity
+sectors of a Rabi model), and a ``_Block`` is one of them with its unknowns
+in a layout of its own, plus the slice of T's CSR arrays that is its
+submatrix in that layout.  Two layouts, each cached per sparsity pattern,
+serve two solvers:
 
-* GMRES, without restart, one connected block at a time, right-
-  preconditioned by the inverse of the Sylvester part ``S(X) = A X + X A^+``
-  of the generator, where ``A`` is read off the generator itself.
-  ``_sectors``, cached per pattern and built only for patterns that take
-  GMRES, puts state i in the Hilbert class of the block that holds
-  ``rho[i, 0]`` and lays out each block's unknowns as the column-major
-  chunks ``vec(X_pq)`` of its class pairs, so that ``S^-1`` takes one
-  eigendecomposition per class and acts chunk by chunk.  Each block solves
-  its part of the certificate's right-hand side; as T is block-diagonal, the
-  steady state's solve and its refinement run on the trace row's block
-  alone.  A GMRES run that stalls, an ``eig`` that raises, or a solution
-  that fails the certificate sends the point to the banded LU.
-* LAPACK's banded LU with partial pivoting (``zgbtrf``/``zgbtrs``), one block
-  at a time: each solves its part of the certificate's right-hand side and is
-  freed, but the trace row's, the only one the steady state's reaches, is kept.
+* ``_band_structure`` lays out each block in the reverse Cuthill-McKee order
+  of T's pattern, under which the block is a band, for LAPACK's banded LU
+  with partial pivoting (``zgbtrf``/``zgbtrs``); its estimate of the LU's
+  work picks the solver.
+* ``_sectors``, built only for patterns that take GMRES, puts state i in the
+  Hilbert class of the block that holds ``rho[i, 0]`` and lays out each
+  block as the column-major chunks ``vec(X_pq)`` of its class pairs, for
+  GMRES without restart, right-preconditioned by the inverse of the
+  Sylvester part ``S(X) = A X + X A^+`` of the generator (``A`` read off the
+  generator itself), which takes one eigendecomposition per class and acts
+  chunk by chunk.
 
-One certificate of uniqueness serves both: the solution x for a fixed-seed
-random right-hand side r must have ``||r - T x|| <= tol ||r||``.  As
+An attempt solves every block on its own unknowns, the trace row's block
+last; the others' factors are freed as it goes.  One certificate of
+uniqueness judges every attempt: the solution x for a fixed-seed random
+right-hand side r must have ``||r - T x|| <= tol ||r||``.  As
 ``vec(1)^T L = 0``, ``T x = 0`` exactly when ``L x = 0`` and ``tr x = 0``,
 and every Lindblad null space holds a state of trace 1, so T is singular
 exactly when the state is not unique; a singular T then leaves a residual of
 about ``||r|| / sqrt(n)`` whatever x is.  An x is taken unrefined only if
-``eps ||T||_F ||x|| <= tol ||r||`` too.  Otherwise (T ill-conditioned, at
-rates below ~1e-8, or singular) the band solves again, refining each block's
-part of x in extended precision, and judges its residual there; a failure, or
-an exactly zero pivot, means the state is not unique.
+``eps ||T||_F ||x|| <= tol ||r||`` too.  The first attempt is GMRES's, or the
+band's where GMRES is not picked; a GMRES run that stalls, an ``eig`` that
+raises, or a failed certificate moves on to the last attempt.  That one
+(for T ill-conditioned, at rates below ~1e-8, or singular) is the band's
+again, refining each block's part of x in extended precision and judging
+the residual in it; a failure there, or an exactly zero pivot, means the
+state is not unique.
 
-Iterative refinement with extended-precision residuals follows, on either
-solver.  At the extreme rate/frequency separations typical here (rates ~1e-6
-against frequencies ~1) the replaced system is ill-conditioned, so a small
-residual does not bound the error of the solution; the size of the
-correction does.  Refinement therefore always applies at least one
-correction and stops once a correction is at most ``_REFINE_STOP`` (2^-52,
-the rounding floor of double precision) of the solution, after at most
-``_REFINE_ROUNDS`` rounds; ``SteadyStateResult`` lists the diagnostics.
+As T is block-diagonal, the steady state's right-hand side meets the trace
+row's block alone, and iterative refinement with extended-precision
+residuals runs on that block with the certified attempt's solve.  At the
+extreme rate/frequency separations typical here (rates ~1e-6 against
+frequencies ~1) the replaced system is ill-conditioned, so a small residual
+does not bound the error of the solution; the size of the correction does.
+Refinement therefore always applies at least one correction and stops once a
+correction is at most ``_REFINE_STOP`` (2^-52, the rounding floor of double
+precision) of the solution, after at most ``_REFINE_ROUNDS`` rounds;
+``SteadyStateResult`` lists the diagnostics.
 """
 
 from __future__ import annotations
@@ -108,21 +110,58 @@ def _trace_replaced(mat: sp.csr_matrix, dim: int) -> tuple[np.ndarray, np.ndarra
 
 
 @dataclass(frozen=True)
+class _Block:
+    """One connected block of T in a layout of its own; every array is
+    read-only.  ``unknowns`` holds the vec indices of its unknowns in that
+    layout's order.  In that layout its CSR submatrix has the values
+    ``data[gather]`` of the trace-replaced system's values ``data``, the
+    columns ``indices`` and the row pointers ``indptr``."""
+
+    unknowns: np.ndarray
+    gather: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.unknowns, self.gather, self.indices, self.indptr):
+            array.flags.writeable = False
+
+    def matrix(self, data: np.ndarray, dtype: type = complex) -> sp.csr_matrix:
+        n = self.unknowns.size
+        return sp.csr_matrix((data[self.gather].astype(dtype, copy=False), self.indices,
+                              self.indptr), shape=(n, n))
+
+
+def _cut(indptr: np.ndarray, indices: np.ndarray,
+         layouts: list[np.ndarray]) -> tuple[_Block, ...]:
+    """The blocks of the CSR pattern ``(indptr, indices)`` whose unknowns, in
+    order, are each array of ``layouts``; no entry of a block's rows may
+    leave it.  Each row keeps the order of its entries."""
+    position = np.empty(indptr.size - 1, dtype=np.int32)   # each unknown's place in its block
+    blocks = []
+    for unknowns in layouts:
+        position[unknowns] = np.arange(unknowns.size)
+        lengths = indptr[unknowns + 1] - indptr[unknowns]
+        local = np.zeros(unknowns.size + 1, dtype=np.int32)
+        np.cumsum(lengths, out=local[1:])
+        gather = np.repeat(indptr[unknowns] - local[:-1], lengths) + np.arange(local[-1])
+        blocks.append(_Block(unknowns=unknowns, gather=gather,
+                             indices=position[indices[gather]], indptr=local))
+    return tuple(blocks)
+
+
+@dataclass(frozen=True)
 class _BandStructure:
     """The banded LU's view of one n x n sparsity pattern; every array is
-    read-only.  Block b holds the ordered positions ``starts[b]:starts[b+1]``
-    and has ``kl[b]`` sub- and ``ku[b]`` superdiagonals; its stored entries
-    are ``entries[first[b]:first[b+1]]`` (indices into the CSR data), which go
-    to ``slots`` of the same range in its Fortran-ordered band, flattened.
-    It also holds the certificate's right-hand side, which depends on n alone."""
+    read-only.  Each block's unknowns run in reverse Cuthill-McKee order;
+    block b has ``kl[b]`` sub- and ``ku[b]`` superdiagonals, and its CSR
+    entries go to ``slots[b]`` in its Fortran-ordered band, flattened.  It
+    also holds the certificate's right-hand side, which depends on n alone."""
 
-    order: np.ndarray         # order[p]: the row and column at ordered position p
-    starts: np.ndarray
-    kl: np.ndarray
-    ku: np.ndarray
-    first: np.ndarray
-    entries: np.ndarray
-    slots: np.ndarray
+    blocks: tuple[_Block, ...]
+    kl: tuple[int, ...]
+    ku: tuple[int, ...]
+    slots: tuple[np.ndarray, ...]
     trace_block: int          # the block that holds row 0
     work: float               # about the factors' multiply-adds: sum of n_block kl (kl + ku + 1)
     rhs: np.ndarray           # fixed-seed random, of length n
@@ -131,9 +170,9 @@ class _BandStructure:
 @lru_cache(maxsize=16)
 def _band_structure(n: int, indptr: bytes, indices: bytes) -> _BandStructure:
     """Band structure of the n x n CSR pattern with int32 arrays ``indptr``
-    and ``indices``, made symmetric: its reverse Cuthill-McKee order
-    (Cuthill & McKee 1969, reversed as George 1971), its connected blocks,
-    each contiguous in that order, and each block's bandwidths and band slots.
+    and ``indices``, made symmetric: its connected blocks, each laid out in
+    the reverse Cuthill-McKee order (Cuthill & McKee 1969, reversed as
+    George 1971) of the pattern, and each block's bandwidths and band slots.
     It depends on the pattern alone, so it is cached on the pattern's bytes."""
     # imported here: a process that never factors (the jump engine) skips it
     from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
@@ -143,69 +182,42 @@ def _band_structure(n: int, indptr: bytes, indices: bytes) -> _BandStructure:
     pattern = sp.csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr),
                             shape=(n, n))
     pattern = (pattern + pattern.T).tocsr()
-    count, labels = connected_components(pattern, directed=False)
+    labels = connected_components(pattern, directed=False)[1]
     # RCM visits one component at a time; the stable sort only makes the
     # blocks' contiguity independent of that
     order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
     order = order[np.argsort(labels[order], kind="stable")]
-    position = np.empty(n, dtype=np.intp)
-    position[order] = np.arange(n)
-    starts = np.zeros(count + 1, dtype=np.intp)
-    np.cumsum(np.bincount(labels, minlength=count), out=starts[1:])
-
-    block = np.repeat(labels, np.diff(indptr))          # block of each entry
-    row = np.repeat(position, np.diff(indptr)) - starts[block]
-    col = position[indices] - starts[block]
-    kl = np.zeros(count, dtype=np.intp)
-    ku = np.zeros(count, dtype=np.intp)
-    np.maximum.at(kl, block, row - col)
-    np.maximum.at(ku, block, col - row)
-    # A[row, col] sits at band row kl + ku + row - col of column col
-    slots = col * (2 * kl + ku + 1)[block] + (kl + ku)[block] + row - col
-    entries = np.argsort(block, kind="stable")
-    first = np.zeros(count + 1, dtype=np.intp)
-    np.cumsum(np.bincount(block, minlength=count), out=first[1:])
+    blocks = _cut(indptr, indices,
+                  np.split(order, np.cumsum(np.bincount(labels))[:-1]))
+    kl, ku, slots, work = [], [], [], 0
+    for block in blocks:
+        row = np.repeat(np.arange(block.unknowns.size), np.diff(block.indptr))
+        col = block.indices.astype(np.intp)
+        low, up = int(np.max(row - col, initial=0)), int(np.max(col - row, initial=0))
+        # A[row, col] sits at band row low + up + row - col of column col
+        slots.append(col * (2 * low + up + 1) + low + up + row - col)
+        slots[-1].flags.writeable = False
+        kl.append(low)
+        ku.append(up)
+        work += block.unknowns.size * low * (low + up + 1)
     rng = np.random.default_rng(_CERTIFICATE_SEED)
-    structure = _BandStructure(order=order, starts=starts, kl=kl, ku=ku, first=first,
-                               entries=entries, slots=slots[entries],
-                               trace_block=int(labels[0]),
-                               work=float(np.sum(np.diff(starts) * kl * (kl + ku + 1))),
-                               rhs=rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    for array in (order, starts, kl, ku, first, entries, structure.slots, structure.rhs):
-        array.flags.writeable = False
-    return structure
-
-
-@dataclass(frozen=True)
-class _Sector:
-    """One connected block of T as GMRES solves it; every array is read-only.
-    Its unknowns are the entries of ``X_pq`` (rho's rows of Hilbert class p
-    and columns of class q) for each class pair (p, q) in ``pairs``, chunk
-    after chunk, each chunk column-major; ``unknowns`` holds their vec
-    indices in that order.  In that layout its CSR submatrix has the values
-    ``data[gather]`` of the trace-replaced system's values ``data``, the
-    columns ``indices`` and the row pointers ``indptr``."""
-
-    pairs: tuple[tuple[int, int], ...]
-    unknowns: np.ndarray
-    gather: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-    def matrix(self, data: np.ndarray, dtype: type = complex) -> sp.csr_matrix:
-        n = self.unknowns.size
-        return sp.csr_matrix((data[self.gather].astype(dtype, copy=False), self.indices,
-                              self.indptr), shape=(n, n))
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    rhs.flags.writeable = False
+    return _BandStructure(blocks=blocks, kl=tuple(kl), ku=tuple(ku), slots=tuple(slots),
+                          trace_block=int(labels[0]), work=float(work), rhs=rhs)
 
 
 @dataclass(frozen=True)
 class _Sectors:
     """GMRES's view of a D^2 x D^2 sparsity pattern: its Hilbert classes (the
-    states of each, ascending), its connected blocks, and the block that
-    holds row 0."""
+    states of each, ascending), its connected blocks, the class pairs (p, q)
+    of each, and the block that holds row 0.  A block's unknowns are the
+    entries of ``X_pq`` (rho's rows of Hilbert class p and columns of class
+    q) for each of its pairs, chunk after chunk, each chunk column-major."""
 
     classes: tuple[np.ndarray, ...]
-    blocks: tuple[_Sector, ...]
+    pairs: tuple[tuple[tuple[int, int], ...], ...]
+    blocks: tuple[_Block, ...]
     trace_block: int
 
 
@@ -217,11 +229,9 @@ def _sectors(dim: int, indptr: bytes, indices: bytes) -> _Sectors:
     Should a block split some ``X_pq``, the states form one class and the
     system one block.  Cached on the pattern's bytes, as its blocks are."""
     structure = _band_structure(dim * dim, indptr, indices)
-    indptr = np.frombuffer(indptr, dtype=np.int32)
-    indices = np.frombuffer(indices, dtype=np.int32)
     block = np.empty(dim * dim, dtype=np.intp)
-    block[structure.order] = np.repeat(np.arange(structure.starts.size - 1),
-                                       np.diff(structure.starts))
+    for b, band_block in enumerate(structure.blocks):
+        block[band_block.unknowns] = b
     block = block.reshape(dim, dim, order="F")   # block[i, j]: the block of rho[i, j]
     label = np.unique(block[:, 0], return_inverse=True)[1]
     pair_block = np.zeros((label.max() + 1,) * 2, dtype=np.intp)
@@ -230,83 +240,50 @@ def _sectors(dim: int, indptr: bytes, indices: bytes) -> _Sectors:
         label = np.zeros(dim, dtype=np.intp)
         pair_block = np.zeros((1, 1), dtype=np.intp)
     classes = tuple(np.flatnonzero(label == p) for p in range(pair_block.shape[0]))
-    position = np.empty(dim * dim, dtype=np.int32)   # each unknown's place in its block
+    for states in classes:
+        states.flags.writeable = False
     labels = np.unique(pair_block)
-    blocks = []
-    for b in labels:
-        pairs = tuple((int(p), int(q)) for p, q in zip(*np.nonzero(pair_block == b)))
-        unknowns = np.concatenate([(classes[p][:, None] + dim * classes[q]).ravel(order="F")
-                                   for p, q in pairs])
-        position[unknowns] = np.arange(unknowns.size)
-        lengths = indptr[unknowns + 1] - indptr[unknowns]
-        local = np.zeros(unknowns.size + 1, dtype=np.int32)
-        np.cumsum(lengths, out=local[1:])
-        gather = np.repeat(indptr[unknowns] - local[:-1], lengths) + np.arange(local[-1])
-        blocks.append(_Sector(pairs=pairs, unknowns=unknowns, gather=gather,
-                              indices=position[indices[gather]], indptr=local))
-    for array in (*classes, *(getattr(s, f) for s in blocks
-                              for f in ("unknowns", "gather", "indices", "indptr"))):
-        array.flags.writeable = False
-    return _Sectors(classes=classes, blocks=tuple(blocks),
+    pairs = tuple(tuple((int(p), int(q)) for p, q in zip(*np.nonzero(pair_block == b)))
+                  for b in labels)
+    layouts = [np.concatenate([(classes[p][:, None] + dim * classes[q]).ravel(order="F")
+                               for p, q in block_pairs]) for block_pairs in pairs]
+    return _Sectors(classes=classes, pairs=pairs,
+                    blocks=_cut(np.frombuffer(indptr, dtype=np.int32),
+                                np.frombuffer(indices, dtype=np.int32), layouts),
                     trace_block=int(np.searchsorted(labels, pair_block[label[0], label[0]])))
 
 
 def _certify(system: sp.csr_matrix, r: np.ndarray, x: np.ndarray,
-             m_ext: sp.csr_matrix | None = None) -> float:
-    """The certificate's margin for ``x``, a solution of ``T x = r``: the larger
-    of ``||r - T x|| / ||r||`` and ``eps ||T||_F ||x|| / ||r||``, or the first
-    alone, in extended precision, where ``m_ext`` (T in it) is given."""
+             residual: np.ndarray | None = None) -> float:
+    """The certificate's margin for ``x``, a solution of ``T x = r`` (T is
+    ``system``): the larger of ``||r - T x|| / ||r||`` and
+    ``eps ||T||_F ||x|| / ||r||``; or, where x was refined in extended
+    precision and ``residual`` is its residual ``r - T x`` in that
+    precision, ``||residual|| / ||r||`` alone."""
     scale = float(np.linalg.norm(r))
-    if m_ext is not None:
-        return float(np.linalg.norm(r - m_ext @ x.astype(np.clongdouble))) / scale
+    if residual is not None:
+        return float(np.linalg.norm(residual)) / scale
     residual = float(np.linalg.norm(r - system @ x)) / scale
     error = np.finfo(float).eps * float(np.linalg.norm(system.data) * np.linalg.norm(x)) / scale
     return max(residual, error)
 
 
 def _factor(structure: _BandStructure, b: int,
-            data: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """The solve of block b, which maps r to block b's part of the solution
-    for r (zero elsewhere), by ``zgbtrf`` of the block of CSR values ``data``
-    in its ``(2 kl + ku + 1, n_block)`` band; and the entries that band
-    stores.  An exactly zero pivot raises ``NonUniqueSteadyStateError``."""
-    kl, ku = int(structure.kl[b]), int(structure.ku[b])
-    size = int(structure.starts[b + 1] - structure.starts[b])
-    span = slice(structure.first[b], structure.first[b + 1])
-    ab = np.zeros((2 * kl + ku + 1) * size, dtype=complex)
-    ab[structure.slots[span]] = data[structure.entries[span]]
-    lu, ipiv, info = zgbtrf(ab.reshape((2 * kl + ku + 1, size), order="F"), kl, ku,
+            data: np.ndarray) -> Callable[..., np.ndarray]:
+    """The solve of block b on its own unknowns, by ``zgbtrf`` of the block
+    of CSR values ``data`` in its ``(2 kl + ku + 1, n_block)`` band; as the
+    solve is direct, it takes GMRES's tolerance and ignores it.  An exactly
+    zero pivot raises ``NonUniqueSteadyStateError``."""
+    kl, ku, block = structure.kl[b], structure.ku[b], structure.blocks[b]
+    ab = np.zeros((2 * kl + ku + 1) * block.unknowns.size, dtype=complex)
+    ab[structure.slots[b]] = data[block.gather]
+    lu, ipiv, info = zgbtrf(ab.reshape((2 * kl + ku + 1, -1), order="F"), kl, ku,
                             overwrite_ab=1)
     if info > 0:
         raise NonUniqueSteadyStateError(
-            f"exactly zero pivot in block {b} of {structure.starts.size - 1}; "
+            f"exactly zero pivot in block {b} of {len(structure.blocks)}; "
             f"the stationary state is not unique")
-    rows = structure.order[structure.starts[b]:structure.starts[b + 1]]
-
-    def solve(r: np.ndarray) -> np.ndarray:
-        x = np.zeros_like(r)
-        x[rows] = zgbtrs(lu, kl, ku, r[rows], ipiv)[0]
-        return x
-
-    return solve, lu.size
-
-
-def _band_solver(structure: _BandStructure, data: np.ndarray, r: np.ndarray,
-                 m_ext: sp.csr_matrix | None = None) -> tuple[Callable, np.ndarray, dict]:
-    """The solve of the trace-replaced system, of CSR values ``data``, by the
-    banded LU of its trace row's block; its solution for ``r``, from every
-    block in turn, each part refined with the residuals of ``m_ext`` where
-    that is given; and its diagnostics."""
-    last = structure.trace_block
-    x_r = np.zeros(r.size, dtype=complex if m_ext is None else np.clongdouble)
-    for b in sorted(range(structure.starts.size - 1), key=lambda b: b == last):
-        solve, lu_nnz = _factor(structure, b, data)
-        x_r += solve(r) if m_ext is None else _refine(solve, r, m_ext, np.clongdouble)[0]
-        if b != last:
-            del solve   # freed before the next block is factored; the trace row's is kept
-    return solve, x_r, {"method": "banded-lu", "blocks": structure.starts.size - 1,
-                        "bandwidth": (int(structure.kl[last]), int(structure.ku[last])),
-                        "lu_nnz": lu_nnz}
+    return lambda r, tol=None: zgbtrs(lu, kl, ku, r, ipiv)[0]
 
 
 def _sylvester_part(mat: sp.csr_matrix, dim: int) -> np.ndarray:
@@ -327,9 +304,9 @@ def _sylvester_part(mat: sp.csr_matrix, dim: int) -> np.ndarray:
 
 
 def _sylvester_inverse(a: np.ndarray, classes: tuple[np.ndarray, ...],
-                       pairs: list[tuple[tuple[int, int], ...]]) -> list[Callable]:
+                       pairs: tuple[tuple[tuple[int, int], ...], ...]) -> list[Callable]:
     """For each block, whose unknowns are the chunks vec(X_pq) of its class
-    pairs ``pairs[b]`` (as ``_Sector`` lays them out), the map of its part of
+    pairs ``pairs[b]`` (as ``_Sectors`` lays them out), the map of its part of
     vec(X) to its part of vec(S^-1(X)) for ``S(X) = A X + X A^+``, with the
     entries of A between the ``classes`` dropped.  One eigendecomposition
     ``A_pp = V_p diag(lambda_p) W_p``, ``W_p = V_p^-1``, per class (after
@@ -415,44 +392,63 @@ def _gmres(system: sp.csr_matrix, precondition: Callable[[np.ndarray], np.ndarra
     return None, m
 
 
-def _krylov_solver(mat: sp.csr_matrix, dim: int, sectors: _Sectors, data: np.ndarray,
-                   r: np.ndarray, iterations: list[int]
-                   ) -> tuple[Callable, np.ndarray, dict, _Sector] | None:
-    """As ``_band_solver``, by GMRES on each block of ``sectors`` of the
-    trace-replaced system (CSR values ``data``) of ``mat``, preconditioned by
-    the inverse Sylvester part; plus the trace row's block.  The solve maps
-    that block's part of a right-hand side to its part of the solution, or
-    to None where GMRES stalls; the solution for ``r`` is to half the
-    certificate's tolerance.  None if ``eig`` raises or a block's part of
-    that solution stalls.  Each GMRES run appends its iterations to
-    ``iterations``."""
+def _krylov_solvers(mat: sp.csr_matrix, dim: int, sectors: _Sectors, data: np.ndarray,
+                    iterations: list[int]) -> Callable[[int], Callable] | None:
+    """The solver of each block of ``sectors`` of the trace-replaced system
+    (CSR values ``data``) of ``mat``: it maps b to the solve of block b,
+    which maps a right-hand side and a tolerance (``_KRYLOV_TOL`` unless
+    given) to GMRES's solution, preconditioned by the inverse Sylvester part,
+    or to None where GMRES stalls.  Each GMRES run appends its iterations to
+    ``iterations``.  None if ``eig`` raises."""
     try:
         preconditioners = _sylvester_inverse(_sylvester_part(mat, dim), sectors.classes,
-                                             [sector.pairs for sector in sectors.blocks])
+                                             sectors.pairs)
     except np.linalg.LinAlgError:
         return None
-    systems = [sector.matrix(data) for sector in sectors.blocks]
+
+    def solver(b: int) -> Callable[..., np.ndarray | None]:
+        system, precondition = sectors.blocks[b].matrix(data), preconditioners[b]
+
+        def solve(r: np.ndarray, tol: float = _KRYLOV_TOL) -> np.ndarray | None:
+            x, k = _gmres(system, precondition, r, tol)
+            iterations.append(k)
+            return x
+
+        return solve
+
+    return solver
+
+
+def _solve_blocks(layout: _BandStructure | _Sectors, solver: Callable[[int], Callable],
+                  system: sp.csr_matrix, data: np.ndarray, r: np.ndarray,
+                  extended: bool) -> tuple[float, _Block, Callable] | None:
+    """The certificate's margin for the solution of ``T x = r`` (T is
+    ``system``, of CSR values ``data``) by ``solver``'s solve of each block
+    of ``layout`` in turn, on the block's own unknowns, each part refined in
+    extended precision where ``extended``; then the trace row's block, solved
+    last, and its solve, the only one kept.  None if a solve stalls."""
     x_r = np.zeros_like(r)
-    for sector, system, precondition in zip(sectors.blocks, systems, preconditioners):
-        x, k = _gmres(system, precondition, r[sector.unknowns], _CERTIFICATE_TOL / 2)
-        iterations.append(k)
-        if x is None:
+    residual = np.empty(r.size, dtype=np.clongdouble) if extended else None
+    for b in sorted(range(len(layout.blocks)), key=lambda b: b == layout.trace_block):
+        block, solve = layout.blocks[b], solver(b)
+        part = r[block.unknowns]
+        if extended:
+            system_ext = block.matrix(data, np.clongdouble)
+            x = _refine(solve, part, system_ext, np.clongdouble)[0]
+            residual[block.unknowns] = part - system_ext @ x
+        elif (x := solve(part, _CERTIFICATE_TOL / 2)) is None:
             return None
-        x_r[sector.unknowns] = x
-    system, precondition = systems[sectors.trace_block], preconditioners[sectors.trace_block]
-
-    def solve(b: np.ndarray) -> np.ndarray | None:
-        x, k = _gmres(system, precondition, b, _KRYLOV_TOL)
-        iterations.append(k)
-        return x
-
-    return solve, x_r, {"method": "gmres"}, sectors.blocks[sectors.trace_block]
+        x_r[block.unknowns] = x
+        if b != layout.trace_block:
+            del solve   # freed before the next block is factored
+    return _certify(system, r, x_r, residual), block, solve
 
 
 def _refine(solve: Callable[[np.ndarray], np.ndarray | None], rhs: np.ndarray,
-            m_ext: sp.csr_matrix, dtype: type = complex) -> tuple[np.ndarray, int, float] | None:
+            system_ext: sp.csr_matrix, dtype: type = complex
+            ) -> tuple[np.ndarray, int, float] | None:
     """(x, rounds, last correction): ``solve(rhs)``, refined with the
-    residuals of the extended-precision system ``m_ext`` and summed in
+    residuals of the extended-precision system ``system_ext`` and summed in
     ``dtype``; None if a solve returns None."""
     x = solve(rhs)
     if x is None:
@@ -463,7 +459,7 @@ def _refine(solve: Callable[[np.ndarray], np.ndarray | None], rhs: np.ndarray,
     correction = math.inf
     if np.all(np.isfinite(x)):
         for rounds in range(1, _REFINE_ROUNDS + 1):
-            r = rhs_ext - m_ext @ x.astype(np.clongdouble)
+            r = rhs_ext - system_ext @ x.astype(np.clongdouble)
             dx = solve(np.asarray(r, dtype=complex))
             if dx is None:
                 return None
@@ -490,39 +486,37 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     norm_l = max(float(np.linalg.norm(mat.data)), 1e-300)   # Frobenius, as mat is canonical
     indptr, indices, data = _trace_replaced(mat, dim)
     system = sp.csr_matrix((data, indices, indptr), shape=mat.shape)
-    rhs = np.zeros(dim * dim, dtype=complex)
-    rhs[0] = 1.0
     key = (indptr.tobytes(), indices.tobytes())
     structure = _band_structure(dim * dim, *key)
-    r = structure.rhs
+    band = (structure, lambda b: _factor(structure, b, data))
     iterations: list[int] = []
-    refined = None
-    krylov = structure.work >= _KRYLOV_MIN_WORK
-    if krylov and (gmres := _krylov_solver(mat, dim, _sectors(dim, *key), data, r,
-                                           iterations)) is not None:
-        solve, x_r, details, trace = gmres
-        margin = _certify(system, r, x_r)
-        if margin <= _CERTIFICATE_TOL:
-            # T is block-diagonal, so x is exactly 0 outside the trace row's block
-            unknowns = trace.unknowns
-            refined = _refine(solve, rhs[unknowns], trace.matrix(data, np.clongdouble))
-    if refined is None:   # the band: plain, then refined; at once refined where GMRES failed
-        unknowns = slice(None)
-        # the same system in extended precision, for the refinement residuals
-        m_ext = sp.csr_matrix((data.astype(np.clongdouble), indices, indptr), shape=mat.shape)
-        for ext in (m_ext,) if krylov else (None, m_ext):
-            solve, x_r, details = _band_solver(structure, data, r, ext)
-            margin = _certify(system, r, x_r, ext)
-            if margin <= _CERTIFICATE_TOL:
-                break
-        else:   # NaN fails too
-            raise NonUniqueSteadyStateError(
-                f"certificate failed: relative residual {margin:.1e} after refinement "
-                f"(tolerance {_CERTIFICATE_TOL:.0e}); the stationary state is not unique")
-        refined = _refine(solve, rhs, m_ext)
+    first = band
+    if structure.work >= _KRYLOV_MIN_WORK:
+        sectors = _sectors(dim, *key)
+        first = (sectors, _krylov_solvers(mat, dim, sectors, data, iterations))
+    # GMRES or the band, then the band refining each block's part: a GMRES
+    # run that stalls, an eig that raises or a failed certificate moves on
+    for layout, solver, extended in ((*first, False), (*band, True)):
+        if solver is None or (solved := _solve_blocks(layout, solver, system, data,
+                                                      structure.rhs, extended)) is None:
+            continue
+        margin, block, solve = solved
+        # T is block-diagonal, so x is exactly 0 outside the trace row's block
+        if margin <= _CERTIFICATE_TOL and (refined := _refine(
+                solve, (block.unknowns == 0).astype(complex),
+                block.matrix(data, np.clongdouble))) is not None:
+            break
+    else:   # NaN fails too
+        raise NonUniqueSteadyStateError(
+            f"certificate failed: relative residual {margin:.1e} after refinement "
+            f"(tolerance {_CERTIFICATE_TOL:.0e}); the stationary state is not unique")
+    kl, ku = structure.kl[structure.trace_block], structure.ku[structure.trace_block]
+    details = {"method": "gmres"} if layout is not structure else {
+        "method": "banded-lu", "blocks": len(structure.blocks), "bandwidth": (kl, ku),
+        "lu_nnz": block.unknowns.size * (2 * kl + ku + 1)}
     part, rounds, correction = refined
     x = np.zeros(dim * dim, dtype=complex)
-    x[unknowns] = part
+    x[block.unknowns] = part
 
     raw = devectorize(x)
     rho = 0.5 * (raw + raw.conj().T)

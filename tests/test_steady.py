@@ -172,12 +172,21 @@ def test_band_blocks_and_refinement_at_scenario_a(cutoff, monkeypatch):
     indptr, indices, _ = steady._trace_replaced(gen.matrix, gen.dim)
     structure = steady._band_structure(gen.dim ** 2, indptr.tobytes(), indices.tobytes())
     assert diagnostics["blocks"] == 2
-    assert np.array_equal(structure.starts, [0, gen.dim ** 2 // 2, gen.dim ** 2])
+    assert [block.unknowns.size for block in structure.blocks] == [gen.dim ** 2 // 2] * 2
     kl, ku = diagnostics["bandwidth"]
     assert (kl, ku) == (structure.kl[structure.trace_block], structure.ku[structure.trace_block])
     assert diagnostics["lu_nnz"] == gen.dim ** 2 // 2 * (2 * kl + ku + 1)
     assert diagnostics["last_correction"] <= np.finfo(float).eps
     assert diagnostics["refine_rounds"] <= 3
+
+
+def _arrays(value):
+    """Every array that ``value`` holds: itself, or those of its items or fields."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    return [a for item in value for a in _arrays(item)] if isinstance(value, (list, tuple)) else []
 
 
 def test_lu_order_is_cached_per_sparsity_pattern():
@@ -193,10 +202,11 @@ def test_lu_order_is_cached_per_sparsity_pattern():
     indptr, indices, _ = steady._trace_replaced(gens[0].matrix, gens[0].dim)
     structure = steady._band_structure(n, indptr.tobytes(), indices.tobytes())
     assert steady._band_structure.cache_info().hits == 2
-    assert np.array_equal(np.sort(structure.order), np.arange(n))
-    arrays = [getattr(structure, f.name) for f in dataclasses.fields(structure)
-              if isinstance(getattr(structure, f.name), np.ndarray)]
-    assert arrays and not any(a.flags.writeable for a in arrays)
+    assert np.array_equal(np.sort(np.concatenate([b.unknowns for b in structure.blocks])),
+                          np.arange(n))
+    arrays = _arrays(structure)
+    assert len(arrays) == 1 + 5 * len(structure.blocks)
+    assert not any(a.flags.writeable for a in arrays)
     bare = orb.SuperOperator(gens[0].space, gens[0].matrix.copy())
     np.testing.assert_allclose(orb.steady_state(bare).rho, results[0].rho, rtol=0, atol=1e-15)
 
@@ -337,11 +347,9 @@ def test_sylvester_part_read_off_the_generator_is_minus_i_h_eff(spec):
 
 
 def _layout(gen):
-    """The GMRES layout of ``gen``'s trace-replaced system, and that system."""
-    indptr, indices, data = steady._trace_replaced(gen.matrix, gen.dim)
-    n = gen.dim ** 2
-    return (steady._sectors(gen.dim, indptr.tobytes(), indices.tobytes()),
-            sp.csr_matrix((data, indices, indptr), shape=(n, n)))
+    """The GMRES layout of ``gen``'s trace-replaced system."""
+    indptr, indices, _ = steady._trace_replaced(gen.matrix, gen.dim)
+    return steady._sectors(gen.dim, indptr.tobytes(), indices.tobytes())
 
 
 def _one_block():
@@ -367,25 +375,43 @@ def test_sectors_lay_out_each_block_by_class_pairs():
     # and two blocks of D^2/2 unknowns, each the chunks vec(X_pq) of two pairs
     gen = _scenario_a(3)
     d = gen.dim
-    sectors, system = _layout(gen)
+    sectors = _layout(gen)
     assert [c.size for c in sectors.classes] == [d // 2, d // 2]
-    assert [s.pairs for s in sectors.blocks] == [((0, 0), (1, 1)), ((0, 1), (1, 0))]
-    assert 0 in sectors.blocks[sectors.trace_block].unknowns
-    assert np.array_equal(np.sort(np.concatenate([s.unknowns for s in sectors.blocks])),
-                          np.arange(d * d))
-    for sector in sectors.blocks:
+    assert sectors.pairs == (((0, 0), (1, 1)), ((0, 1), (1, 0)))
+    for sector, pairs in zip(sectors.blocks, sectors.pairs):
         start = 0
-        for p, q in sector.pairs:
+        for p, q in pairs:
             rows, cols = sectors.classes[p], sectors.classes[q]
             stop = start + rows.size * cols.size
             np.testing.assert_array_equal(sector.unknowns[start:stop],
                                           (rows[:, None] + d * cols).ravel(order="F"))
             start = stop
-        part = system[sector.unknowns]
-        sub = part[:, sector.unknowns]
+
+
+@pytest.mark.parametrize("layout", ["band", "sectors"])
+@pytest.mark.parametrize("build", [lambda: _scenario_a(3), lambda: _rwa_c(nbar=0.3), _one_block],
+                         ids=["scenario-a", "rwa-c", "one-block"])
+def test_each_layout_cuts_t_into_its_blocks(layout, build):
+    # the band's reverse Cuthill-McKee blocks and GMRES's class-pair blocks
+    # alike: their unknowns partition T's, no entry of a block's rows leaves
+    # it, and its matrix is T's submatrix on its unknowns, in either dtype
+    gen = build()
+    n = gen.dim ** 2
+    indptr, indices, data = steady._trace_replaced(gen.matrix, gen.dim)
+    key = (indptr.tobytes(), indices.tobytes())
+    cut = steady._band_structure(n, *key) if layout == "band" else steady._sectors(gen.dim, *key)
+    system = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    assert 0 in cut.blocks[cut.trace_block].unknowns
+    assert np.array_equal(np.sort(np.concatenate([b.unknowns for b in cut.blocks])),
+                          np.arange(n))
+    for block in cut.blocks:
+        part = system[block.unknowns]
+        sub = part[:, block.unknowns]
         assert sub.nnz == part.nnz   # no entry of the block's rows leaves it
-        np.testing.assert_array_equal(sector.matrix(system.data).toarray(), sub.toarray())
-        assert sector.matrix(system.data, np.clongdouble).dtype == np.clongdouble
+        for dtype in (complex, np.clongdouble):
+            matrix = block.matrix(system.data, dtype)
+            assert matrix.dtype == dtype
+            np.testing.assert_array_equal(matrix.toarray(), sub.toarray().astype(dtype))
 
 
 def test_a_block_that_splits_a_class_pair_makes_one_class(monkeypatch):
@@ -397,9 +423,9 @@ def test_a_block_that_splits_a_class_pair_makes_one_class(monkeypatch):
     terms = [orb.LindbladTerm(np.outer(ket[0], ket[0]) + np.outer(ket[1], ket[2]), 0.3),
              orb.LindbladTerm(np.outer(ket[0], ket[1]), 0.5)]
     gen = orb.assemble(np.diag([0.0, 1.0, 2.3]).astype(complex), terms, space)
-    sectors, _ = _layout(gen)
+    sectors = _layout(gen)
     assert len(sectors.classes) == 1 and len(sectors.blocks) == 1
-    assert sectors.blocks[0].pairs == ((0, 0),)
+    assert sectors.pairs == (((0, 0),),)
     np.testing.assert_array_equal(sectors.blocks[0].unknowns, np.arange(9))
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", 0.0)
     result = orb.steady_state(gen)
@@ -426,7 +452,7 @@ def test_sylvester_part_has_no_entry_between_classes(scenario, coupling):
     gen = orb.build_liouvillian(orb.ModelSpec(
         params=orb.RabiParams(omega=1.0, g=0.05, nbar=0.3, **REFERENCE_RATES), cutoff=3,
         coupling=coupling, parasitic=orb.scenario_parasitic(scenario)))
-    sectors, _ = _layout(gen)
+    sectors = _layout(gen)
     label = np.empty(gen.dim, dtype=int)
     for p, states in enumerate(sectors.classes):
         label[states] = p
@@ -446,13 +472,12 @@ def test_per_class_preconditioner_equals_the_whole_one(build, classes):
     # frequencies ~1 both carry the eigenvalues' rounding that far
     gen = build()
     d = gen.dim
-    sectors, _ = _layout(gen)
+    sectors = _layout(gen)
     assert len(sectors.classes) == classes
     a = steady._sylvester_part(gen.matrix, d)
     lam = np.linalg.eigvals(a)
     condition = np.abs(lam).max() / np.abs(lam[:, None] + lam.conj()).min()
-    per_class = steady._sylvester_inverse(a, sectors.classes,
-                                          [s.pairs for s in sectors.blocks])
+    per_class = steady._sylvester_inverse(a, sectors.classes, sectors.pairs)
     (whole,) = steady._sylvester_inverse(a, (np.arange(d),), [((0, 0),)])
     rng = np.random.default_rng(5)
     for sector, apply in zip(sectors.blocks, per_class):
