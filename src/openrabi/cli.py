@@ -19,6 +19,7 @@ trajectory ensemble failed (one ``error:`` line, no CSV written).
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import importlib
 import math
@@ -92,9 +93,12 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Quotes only a field that holds a comma, a quote or a line break, such
+    as an error text."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 @dataclass(frozen=True)

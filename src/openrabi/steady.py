@@ -7,7 +7,7 @@ nonsingular system T.  T splits into connected blocks (the superparity
 sectors of a Rabi model), and a ``_Block`` is one of them with its unknowns
 in a layout of its own, plus the slice of T's CSR arrays that is its
 submatrix in that layout.  Two layouts, each cached per sparsity pattern,
-serve two solvers:
+serve two solvers, and block b holds the same unknowns in both:
 
 * ``_band_structure`` lays out each block in the reverse Cuthill-McKee order
   of T's pattern, under which the block is a band, for LAPACK's banded LU
@@ -19,34 +19,38 @@ serve two solvers:
   GMRES without restart, right-preconditioned by the inverse of the
   Sylvester part ``S(X) = A X + X A^+`` of the generator (``A`` read off the
   generator itself), which takes one eigendecomposition per class and acts
-  chunk by chunk.
+  chunk by chunk.  A pattern whose blocks split some ``X_pq`` goes to the
+  band.
 
-An attempt solves every block on its own unknowns, the trace row's block
-last; the others' factors are freed as it goes.  One certificate of
-uniqueness judges every attempt: the solution x for a fixed-seed random
-right-hand side r must have ``||r - T x|| <= tol ||r||``.  As
-``vec(1)^T L = 0``, ``T x = 0`` exactly when ``L x = 0`` and ``tr x = 0``,
-and every Lindblad null space holds a state of trace 1, so T is singular
-exactly when the state is not unique; a singular T then leaves a residual of
-about ``||r|| / sqrt(n)`` whatever x is.  An x is taken unrefined only if
-``eps ||T||_F ||x|| <= tol ||r||`` too.  The first attempt is GMRES's, or the
-band's where GMRES is not picked; a GMRES run that stalls, an ``eig`` that
-raises, or a failed certificate moves on to the last attempt.  That one
-(for T ill-conditioned, at rates below ~1e-8, or singular) is the band's
-again, refining each block's part of x in extended precision and judging
-the residual in it; a failure there, or an exactly zero pivot, means the
-state is not unique.
+The solve runs block by block, the trace row's block last, and each block
+stops at the first solver that certifies it: GMRES where it is picked, then
+the band; every factor but the trace row's block's is freed as it goes.
+One certificate of uniqueness judges every block: for a fixed-seed random
+right-hand side r, the block's part x_b of the solution must have
+``||r_b - T_b x_b|| <= tol ||r_b||`` and ``eps ||T_b||_F ||x_b|| <= tol
+||r_b||``.  As ``vec(1)^T L = 0``, ``T x = 0`` exactly when ``L x = 0``
+and ``tr x = 0``, and every Lindblad null space holds a state of trace 1,
+so T is singular exactly when the state is not unique, which is exactly
+when one of its blocks is; a singular block leaves a residual of about
+``||r_b|| / sqrt(n_b)`` whatever x_b is.  An ``eig`` that raises sends
+every block to the band; a GMRES run that stalls or fails the certificate
+sends its block alone.  On the band a block that fails the certificate
+(ill-conditioned, at rates below ~1e-8, or singular) is refined in
+extended precision with the factor it holds, and its residual judged in
+that precision; a failure there, or an exactly zero pivot, means the state
+is not unique.
 
 As T is block-diagonal, the steady state's right-hand side meets the trace
 row's block alone, and iterative refinement with extended-precision
-residuals runs on that block with the certified attempt's solve.  At the
-extreme rate/frequency separations typical here (rates ~1e-6 against
-frequencies ~1) the replaced system is ill-conditioned, so a small residual
-does not bound the error of the solution; the size of the correction does.
-Refinement therefore always applies at least one correction and stops once a
-correction is at most ``_REFINE_STOP`` (2^-52, the rounding floor of double
-precision) of the solution, after at most ``_REFINE_ROUNDS`` rounds;
-``SteadyStateResult`` lists the diagnostics.
+residuals runs on that block with the solve that certified it; should GMRES
+stall there, the block goes to the band.  At the extreme rate/frequency
+separations typical here (rates ~1e-6 against frequencies ~1) the replaced
+system is ill-conditioned, so a small residual does not bound the error of
+the solution; the size of the correction does.  Refinement therefore always
+applies at least one correction and stops once a correction is at most
+``_REFINE_STOP`` (2^-52, the rounding floor of double precision) of the
+solution, after at most ``_REFINE_ROUNDS`` rounds; ``SteadyStateResult``
+lists the diagnostics.
 """
 
 from __future__ import annotations
@@ -87,13 +91,16 @@ class NoConvergenceError(RuntimeError):
 class SteadyStateResult:
     rho: np.ndarray
     residual: float             # ||L vec(rho)|| / ||L||_F
-    # method ("gmres" or "banded-lu"), krylov_iterations (of every GMRES run:
-    # one per block for the certificate, then the trace row's block's solve
-    # and refinement), certificate (the margin that passed, see _certify),
+    # method ("gmres" or "banded-lu", the trace row's block's solver),
+    # krylov_iterations (of every GMRES run: one per block for the
+    # certificate, then the trace row's block's solve and refinement),
+    # certificate (the largest of the blocks' margins, see _certify; a block
+    # refined on the band counts its extended-precision residual),
     # refine_rounds, last_correction (||dx||/||x|| of the last round) and the
-    # validity margins; the band alone adds blocks (the connected blocks
-    # factored), bandwidth ((kl, ku) of the trace row's block) and lu_nnz
-    # (entries stored in that block's band factor, n_block * (2 kl + ku + 1))
+    # validity margins; a band-solved trace row's block adds blocks (T's
+    # connected blocks), bandwidth ((kl, ku) of the trace row's block) and
+    # lu_nnz (entries stored in that block's band factor,
+    # n_block * (2 kl + ku + 1))
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -210,24 +217,24 @@ def _band_structure(n: int, indptr: bytes, indices: bytes) -> _BandStructure:
 @dataclass(frozen=True)
 class _Sectors:
     """GMRES's view of a D^2 x D^2 sparsity pattern: its Hilbert classes (the
-    states of each, ascending), its connected blocks, the class pairs (p, q)
-    of each, and the block that holds row 0.  A block's unknowns are the
-    entries of ``X_pq`` (rho's rows of Hilbert class p and columns of class
-    q) for each of its pairs, chunk after chunk, each chunk column-major."""
+    states of each, ascending), its connected blocks, which are the band's in
+    the same order, and the class pairs (p, q) of each.  A block's unknowns
+    are the entries of ``X_pq`` (rho's rows of Hilbert class p and columns of
+    class q) for each of its pairs, chunk after chunk, each chunk
+    column-major."""
 
     classes: tuple[np.ndarray, ...]
     pairs: tuple[tuple[tuple[int, int], ...], ...]
     blocks: tuple[_Block, ...]
-    trace_block: int
 
 
 @lru_cache(maxsize=16)
-def _sectors(dim: int, indptr: bytes, indices: bytes) -> _Sectors:
+def _sectors(dim: int, indptr: bytes, indices: bytes) -> _Sectors | None:
     """The sectors of the D^2 x D^2 CSR pattern of ``_band_structure``'s
     arguments.  State i belongs to the class of the block that holds vec
     index i (rho[i, 0]); class pair (p, q) goes to the block of its entries.
-    Should a block split some ``X_pq``, the states form one class and the
-    system one block.  Cached on the pattern's bytes, as its blocks are."""
+    None if a block splits some ``X_pq``: the pattern then goes to the band.
+    Cached on the pattern's bytes, as its blocks are."""
     structure = _band_structure(dim * dim, indptr, indices)
     block = np.empty(dim * dim, dtype=np.intp)
     for b, band_block in enumerate(structure.blocks):
@@ -237,34 +244,30 @@ def _sectors(dim: int, indptr: bytes, indices: bytes) -> _Sectors:
     pair_block = np.zeros((label.max() + 1,) * 2, dtype=np.intp)
     pair_block[label[:, None], label[None, :]] = block
     if not np.array_equal(pair_block[label[:, None], label[None, :]], block):
-        label = np.zeros(dim, dtype=np.intp)
-        pair_block = np.zeros((1, 1), dtype=np.intp)
+        return None
     classes = tuple(np.flatnonzero(label == p) for p in range(pair_block.shape[0]))
     for states in classes:
         states.flags.writeable = False
-    labels = np.unique(pair_block)
     pairs = tuple(tuple((int(p), int(q)) for p, q in zip(*np.nonzero(pair_block == b)))
-                  for b in labels)
+                  for b in range(len(structure.blocks)))
     layouts = [np.concatenate([(classes[p][:, None] + dim * classes[q]).ravel(order="F")
                                for p, q in block_pairs]) for block_pairs in pairs]
     return _Sectors(classes=classes, pairs=pairs,
                     blocks=_cut(np.frombuffer(indptr, dtype=np.int32),
-                                np.frombuffer(indices, dtype=np.int32), layouts),
-                    trace_block=int(np.searchsorted(labels, pair_block[label[0], label[0]])))
+                                np.frombuffer(indices, dtype=np.int32), layouts))
 
 
-def _certify(system: sp.csr_matrix, r: np.ndarray, x: np.ndarray,
-             residual: np.ndarray | None = None) -> float:
-    """The certificate's margin for ``x``, a solution of ``T x = r`` (T is
-    ``system``): the larger of ``||r - T x|| / ||r||`` and
-    ``eps ||T||_F ||x|| / ||r||``; or, where x was refined in extended
-    precision and ``residual`` is its residual ``r - T x`` in that
-    precision, ``||residual|| / ||r||`` alone."""
+def _certify(system: sp.csr_matrix, block: _Block, r: np.ndarray, x: np.ndarray) -> float:
+    """The certificate's margin for ``x``, a solution of ``T_b x = r`` on
+    ``block`` of T (T is ``system``): the larger of ``||r - T_b x|| / ||r||``
+    and ``eps ||T_b||_F ||x|| / ||r||``.  ``T_b x`` is T times x placed on
+    the block's unknowns, zero elsewhere, as T is block-diagonal."""
     scale = float(np.linalg.norm(r))
-    if residual is not None:
-        return float(np.linalg.norm(residual)) / scale
-    residual = float(np.linalg.norm(r - system @ x)) / scale
-    error = np.finfo(float).eps * float(np.linalg.norm(system.data) * np.linalg.norm(x)) / scale
+    full = np.zeros(system.shape[0], dtype=complex)
+    full[block.unknowns] = x
+    residual = float(np.linalg.norm(r - (system @ full)[block.unknowns])) / scale
+    error = np.finfo(float).eps * float(
+        np.linalg.norm(system.data[block.gather]) * np.linalg.norm(x)) / scale
     return max(residual, error)
 
 
@@ -419,31 +422,6 @@ def _krylov_solvers(mat: sp.csr_matrix, dim: int, sectors: _Sectors, data: np.nd
     return solver
 
 
-def _solve_blocks(layout: _BandStructure | _Sectors, solver: Callable[[int], Callable],
-                  system: sp.csr_matrix, data: np.ndarray, r: np.ndarray,
-                  extended: bool) -> tuple[float, _Block, Callable] | None:
-    """The certificate's margin for the solution of ``T x = r`` (T is
-    ``system``, of CSR values ``data``) by ``solver``'s solve of each block
-    of ``layout`` in turn, on the block's own unknowns, each part refined in
-    extended precision where ``extended``; then the trace row's block, solved
-    last, and its solve, the only one kept.  None if a solve stalls."""
-    x_r = np.zeros_like(r)
-    residual = np.empty(r.size, dtype=np.clongdouble) if extended else None
-    for b in sorted(range(len(layout.blocks)), key=lambda b: b == layout.trace_block):
-        block, solve = layout.blocks[b], solver(b)
-        part = r[block.unknowns]
-        if extended:
-            system_ext = block.matrix(data, np.clongdouble)
-            x = _refine(solve, part, system_ext, np.clongdouble)[0]
-            residual[block.unknowns] = part - system_ext @ x
-        elif (x := solve(part, _CERTIFICATE_TOL / 2)) is None:
-            return None
-        x_r[block.unknowns] = x
-        if b != layout.trace_block:
-            del solve   # freed before the next block is factored
-    return _certify(system, r, x_r, residual), block, solve
-
-
 def _refine(solve: Callable[[np.ndarray], np.ndarray | None], rhs: np.ndarray,
             system_ext: sp.csr_matrix, dtype: type = complex
             ) -> tuple[np.ndarray, int, float] | None:
@@ -473,10 +451,11 @@ def _refine(solve: Callable[[np.ndarray], np.ndarray | None], rhs: np.ndarray,
 def steady_state(gen: SuperOperator) -> SteadyStateResult:
     """Unique stationary density matrix of a trace-preserving generator.
 
-    Raises ``NonUniqueSteadyStateError`` when the trace-replaced system fails
-    the certificate, and ``NoConvergenceError`` when the solution of a
-    certified system fails the residual tolerance ``VALIDITY_TOL`` or
-    ``validate_density_matrix``.  ``gen`` is not modified.
+    Raises ``NonUniqueSteadyStateError`` when a block of the trace-replaced
+    system fails the certificate, and ``NoConvergenceError`` when the
+    solution of a certified system fails the residual tolerance
+    ``VALIDITY_TOL`` or ``validate_density_matrix``.  ``gen`` is not
+    modified.
     """
     dim = gen.dim
     mat = gen.matrix.tocsr()
@@ -488,31 +467,43 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     system = sp.csr_matrix((data, indices, indptr), shape=mat.shape)
     key = (indptr.tobytes(), indices.tobytes())
     structure = _band_structure(dim * dim, *key)
-    band = (structure, lambda b: _factor(structure, b, data))
+    k, trace = len(structure.blocks), structure.trace_block
+    solvers = [(structure.blocks, lambda b: _factor(structure, b, data))]
     iterations: list[int] = []
-    first = band
-    if structure.work >= _KRYLOV_MIN_WORK:
-        sectors = _sectors(dim, *key)
-        first = (sectors, _krylov_solvers(mat, dim, sectors, data, iterations))
-    # GMRES or the band, then the band refining each block's part: a GMRES
-    # run that stalls, an eig that raises or a failed certificate moves on
-    for layout, solver, extended in ((*first, False), (*band, True)):
-        if solver is None or (solved := _solve_blocks(layout, solver, system, data,
-                                                      structure.rhs, extended)) is None:
-            continue
-        margin, block, solve = solved
-        # T is block-diagonal, so x is exactly 0 outside the trace row's block
-        if margin <= _CERTIFICATE_TOL and (refined := _refine(
-                solve, (block.unknowns == 0).astype(complex),
-                block.matrix(data, np.clongdouble))) is not None:
-            break
-    else:   # NaN fails too
-        raise NonUniqueSteadyStateError(
-            f"certificate failed: relative residual {margin:.1e} after refinement "
-            f"(tolerance {_CERTIFICATE_TOL:.0e}); the stationary state is not unique")
-    kl, ku = structure.kl[structure.trace_block], structure.ku[structure.trace_block]
-    details = {"method": "gmres"} if layout is not structure else {
-        "method": "banded-lu", "blocks": len(structure.blocks), "bandwidth": (kl, ku),
+    if structure.work >= _KRYLOV_MIN_WORK and (sectors := _sectors(dim, *key)) is not None and (
+            krylov := _krylov_solvers(mat, dim, sectors, data, iterations)) is not None:
+        solvers.insert(0, (sectors.blocks, krylov))
+    certificate = 0.0
+    # block by block, the trace row's last: GMRES where picked, then the band.
+    # A GMRES run that stalls or fails the certificate moves its block on
+    for b in sorted(range(k), key=lambda b: b == trace):
+        for blocks, solver in solvers:
+            block, solve = blocks[b], solver(b)
+            part = structure.rhs[block.unknowns]
+            x = solve(part, _CERTIFICATE_TOL / 2)
+            margin = math.inf if x is None else _certify(system, block, part, x)
+            if blocks is structure.blocks and not margin <= _CERTIFICATE_TOL:
+                # refined in extended precision with the factor it holds; the
+                # residual is judged in that precision (NaN fails too)
+                system_ext = block.matrix(data, np.clongdouble)
+                x = _refine(solve, part, system_ext, np.clongdouble)[0]
+                margin = float(np.linalg.norm(part - system_ext @ x) / np.linalg.norm(part))
+                if not margin <= _CERTIFICATE_TOL:
+                    raise NonUniqueSteadyStateError(
+                        f"certificate failed in block {b} of {k}: relative residual "
+                        f"{margin:.1e} after refinement (tolerance {_CERTIFICATE_TOL:.0e}); "
+                        f"the stationary state is not unique")
+            # T is block-diagonal, so x is exactly 0 outside the trace row's block
+            if margin <= _CERTIFICATE_TOL and (b != trace or (refined := _refine(
+                    solve, (block.unknowns == 0).astype(complex),
+                    block.matrix(data, np.clongdouble))) is not None):
+                break
+        certificate = max(certificate, margin)
+        if b != trace:
+            del solve   # freed before the next block is factored
+    kl, ku = structure.kl[trace], structure.ku[trace]
+    details = {"method": "gmres"} if blocks is not structure.blocks else {
+        "method": "banded-lu", "blocks": k, "bandwidth": (kl, ku),
         "lu_nnz": block.unknowns.size * (2 * kl + ku + 1)}
     part, rounds, correction = refined
     x = np.zeros(dim * dim, dtype=complex)
@@ -534,7 +525,7 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
         diagnostics={
             **details,
             "krylov_iterations": sum(iterations),
-            "certificate": margin,
+            "certificate": certificate,
             "refine_rounds": rounds,
             "last_correction": correction,
             **margins,

@@ -160,6 +160,23 @@ def test_error_rows_and_exit_code(tmp_path):
     assert [row["cutoff"] for row in rows] == ["1", "2", "3"]
 
 
+def test_error_text_with_a_comma_keeps_its_row(tmp_path, monkeypatch):
+    # numpy's MemoryError text holds a shape, and so a comma
+    text = ("Unable to allocate 149. TiB for an array with shape (1000000, 10000000) "
+            "and data type complex128")
+
+    def fail(gen):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(cli, "steady_state", fail)
+    out = tmp_path / "convergence.csv"
+    assert main(["convergence", "--cutoff", "1", "--out", str(out)]) == 3
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(rows) == 1 and len(rows[0]) == len(header)
+    assert rows[0][header.index("error")] == f"MemoryError: {text}"
+
+
 def test_trajectories_subcommand(tmp_path):
     out = tmp_path / "traj.csv"
     assert main([

@@ -109,12 +109,14 @@ def test_nonunique_detected_in_odd_sector(drive):
 def test_nonunique_detected_with_stationary_atom_populations(cutoff):
     # scenario a with the atom decoupled and undamped: both atom populations
     # are stationary.  At cutoffs 5 and 6 the band meets no exactly zero
-    # pivot, and the certificate alone finds the singular system
+    # pivot, and the certificate alone finds the singular system; either
+    # failure names its block
     gen = orb.build_liouvillian(orb.ModelSpec(
         params=orb.RabiParams(omega=1.0, g=0.0, kappa=1e-6, lam=0.0, gamma=0.0),
         cutoff=cutoff, parasitic=orb.scenario_parasitic("a")))
     with pytest.raises(NonUniqueSteadyStateError,
-                       match=r"zero pivot in block \d+ of \d+|relative residual \S+ after refinement"):
+                       match=r"zero pivot in block \d+ of \d+|certificate failed in block \d+ "
+                             r"of \d+: relative residual \S+ after refinement"):
         orb.steady_state(gen)
 
 
@@ -211,21 +213,46 @@ def test_lu_order_is_cached_per_sparsity_pattern():
     np.testing.assert_allclose(orb.steady_state(bare).rho, results[0].rho, rtol=0, atol=1e-15)
 
 
+def _band(gen):
+    """The band structure of ``gen``'s trace-replaced system."""
+    indptr, indices, _ = steady._trace_replaced(gen.matrix, gen.dim)
+    return steady._band_structure(gen.dim ** 2, indptr.tobytes(), indices.tobytes())
+
+
 @pytest.fixture
 def krylov(monkeypatch):
     """Every solve starts on the GMRES path; returns the outcomes of the
-    certificates, of either solver, True where one passed."""
+    unrefined certificates, of either solver, as (block, True where it
+    passed); the block is its index, the same in both layouts."""
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", 0.0)
     outcomes = []
     certify = steady._certify
 
-    def spy(*args):
-        margin = certify(*args)
-        outcomes.append(bool(margin <= steady._CERTIFICATE_TOL))
+    def spy(system, block, r, x):
+        margin = certify(system, block, r, x)
+        structure = steady._band_structure(system.shape[0], system.indptr.tobytes(),
+                                           system.indices.tobytes())
+        b = next(b for b, band in enumerate(structure.blocks)
+                 if block.unknowns[0] in band.unknowns)
+        outcomes.append((b, bool(margin <= steady._CERTIFICATE_TOL)))
         return margin
 
     monkeypatch.setattr(steady, "_certify", spy)
     return outcomes
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """The blocks the band factors, in order."""
+    blocks = []
+    factor = steady._factor
+
+    def spy(structure, b, data):
+        blocks.append(b)
+        return factor(structure, b, data)
+
+    monkeypatch.setattr(steady, "_factor", spy)
+    return blocks
 
 
 @pytest.mark.parametrize("build", [
@@ -235,13 +262,18 @@ def krylov(monkeypatch):
     *[lambda d=d: _odd_sector(d) for d in (0.0, 0.7)],
 ], ids=["decoupled-atom", *[f"spectator-{c}" for c in (2, 3, 4, 5, 6)], "one-qubit",
         "odd-sector-0.0", "odd-sector-0.7"])
-def test_nonunique_fails_the_certificate_and_falls_back_to_the_band(build, krylov, monkeypatch):
-    # GMRES's certificate fails; the band, refining at once, meets an exactly
-    # zero pivot or fails it too.  Forced from the start, the band raises alike
+def test_nonunique_fails_the_certificate_and_falls_back_to_the_band(build, krylov, factored,
+                                                                   monkeypatch):
+    # GMRES's certificate passes on the blocks solved before a singular one
+    # and fails there; that block alone goes to the band, which meets an
+    # exactly zero pivot or fails the certificate refined, and no block is
+    # solved after it.  Forced from the start, the band raises alike
     gen = build()
     with pytest.raises(NonUniqueSteadyStateError, match="zero pivot|after refinement"):
         orb.steady_state(gen)
-    assert krylov[0] is False and not any(krylov)
+    b, passed = krylov[-1]
+    assert passed is False and factored == [b]
+    assert all(ok for c, ok in krylov if c != b)
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
     with pytest.raises(NonUniqueSteadyStateError):
         orb.steady_state(gen)
@@ -250,13 +282,17 @@ def test_nonunique_fails_the_certificate_and_falls_back_to_the_band(build, krylo
 @pytest.mark.parametrize("scenario", ["bare", "a", "b", "c", "d"])
 @pytest.mark.parametrize("coupling", [orb.Coupling.FULL, orb.Coupling.RWA])
 @pytest.mark.parametrize("nbar", [0.0, 0.3])
-def test_gmres_agrees_with_the_band(scenario, coupling, nbar, krylov, monkeypatch):
-    # RWA at nbar 0 has a dark state, which the preconditioner's floor covers
+def test_gmres_agrees_with_the_band(scenario, coupling, nbar, krylov, factored, monkeypatch):
+    # RWA at nbar 0 has a dark state, which the preconditioner's floor covers.
+    # GMRES certifies every block once, the trace row's last, and the band
+    # factors none
     gen = orb.build_liouvillian(orb.ModelSpec(
         params=orb.RabiParams(omega=1.0, g=0.05, nbar=nbar, **REFERENCE_RATES), cutoff=3,
         coupling=coupling, parasitic=orb.scenario_parasitic(scenario)))
     result = orb.steady_state(gen)
-    assert krylov == [True]
+    structure = _band(gen)
+    assert sorted(krylov) == [(b, True) for b in range(len(structure.blocks))]
+    assert krylov[-1][0] == structure.trace_block and factored == []
     diagnostics = result.diagnostics
     assert diagnostics["method"] == "gmres"
     assert diagnostics["krylov_iterations"] > 0
@@ -271,23 +307,54 @@ def test_gmres_agrees_with_the_band(scenario, coupling, nbar, krylov, monkeypatc
     np.testing.assert_allclose(result.rho, band.rho, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("rate", [1e-9, 1e-10, 1e-12])
-@pytest.mark.parametrize("cutoff", [2, 3])
-def test_ill_conditioned_unique_state_is_returned(rate, cutoff, krylov, monkeypatch):
-    # at rates of 1e-9 and below the certificate's error bound fails on both
-    # solvers, but the band's solution, refined in extended precision, meets
-    # its residual: the state is unique, and the same on either path
-    gen = orb.build_liouvillian(orb.ModelSpec(
+def _faint_a(rate, cutoff):
+    # scenario a with every rate at most ``rate``: T is ill-conditioned
+    return orb.build_liouvillian(orb.ModelSpec(
         params=orb.RabiParams(omega=1.0, g=0.05, kappa=rate, lam=rate, gamma=rate / 4),
         cutoff=cutoff, parasitic=orb.scenario_parasitic("a")))
+
+
+@pytest.mark.parametrize("rate", [1e-9, 1e-10, 1e-12])
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_ill_conditioned_unique_state_is_returned(rate, cutoff, krylov, factored, monkeypatch):
+    # at rates of 1e-9 and below the certificate's error bound fails on the
+    # trace row's block on both solvers, but the band's solution, refined in
+    # extended precision with the factor it holds, meets its residual: the
+    # state is unique, and the same on either path.  The other block passes
+    # either solver's certificate unrefined, and GMRES keeps it
+    gen = _faint_a(rate, cutoff)
+    trace = _band(gen).trace_block
+    other = 1 - trace
     result = orb.steady_state(gen)
-    assert krylov == [False, True]
+    assert krylov == [(other, True), (trace, False), (trace, False)] and factored == [trace]
     assert result.diagnostics["method"] == "banded-lu"
     assert result.diagnostics["certificate"] <= steady._CERTIFICATE_TOL
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
     band = orb.steady_state(gen)
-    assert krylov == [False, True, False, True]
+    assert krylov[3:] == [(other, True), (trace, False)] and factored == [trace, other, trace]
+    assert band.diagnostics["certificate"] <= steady._CERTIFICATE_TOL
     np.testing.assert_array_equal(band.rho, result.rho)
+
+
+def test_band_factors_each_block_once(factored, monkeypatch):
+    # an ill-conditioned point whose trace row's block fails the unrefined
+    # certificate: refinement reuses that block's factor
+    monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
+    gen = _faint_a(1e-9, 3)
+    assert orb.steady_state(gen).diagnostics["method"] == "banded-lu"
+    assert sorted(factored) == list(range(len(_band(gen).blocks)))
+
+
+def test_gmres_moves_only_its_failed_blocks_to_the_band(krylov, factored):
+    # the same point on the GMRES path: the band factors exactly the blocks
+    # whose GMRES certificate failed, and no other
+    gen = _faint_a(1e-9, 3)
+    assert orb.steady_state(gen).diagnostics["method"] == "banded-lu"
+    gmres = {}
+    for b, passed in krylov:   # a block's first certificate is GMRES's
+        gmres.setdefault(b, passed)
+    failed = [b for b, passed in gmres.items() if not passed]
+    assert factored == failed and 0 < len(failed) < len(gmres)
 
 
 def test_ill_conditioned_convergence_scan_at_large_cutoffs(tmp_path, monkeypatch):
@@ -393,18 +460,23 @@ def test_sectors_lay_out_each_block_by_class_pairs():
                          ids=["scenario-a", "rwa-c", "one-block"])
 def test_each_layout_cuts_t_into_its_blocks(layout, build):
     # the band's reverse Cuthill-McKee blocks and GMRES's class-pair blocks
-    # alike: their unknowns partition T's, no entry of a block's rows leaves
-    # it, and its matrix is T's submatrix on its unknowns, in either dtype
+    # alike: their unknowns partition T's, block b of both holds the same
+    # ones, no entry of a block's rows leaves it, and its matrix is T's
+    # submatrix on its unknowns, in either dtype
     gen = build()
     n = gen.dim ** 2
     indptr, indices, data = steady._trace_replaced(gen.matrix, gen.dim)
     key = (indptr.tobytes(), indices.tobytes())
-    cut = steady._band_structure(n, *key) if layout == "band" else steady._sectors(gen.dim, *key)
+    structure = steady._band_structure(n, *key)
+    cut = structure if layout == "band" else steady._sectors(gen.dim, *key)
     system = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    assert 0 in cut.blocks[cut.trace_block].unknowns
+    assert 0 in cut.blocks[structure.trace_block].unknowns
     assert np.array_equal(np.sort(np.concatenate([b.unknowns for b in cut.blocks])),
                           np.arange(n))
-    for block in cut.blocks:
+    assert len(cut.blocks) == len(structure.blocks)
+    for block, band in zip(cut.blocks, structure.blocks):
+        # block b holds the band's block b's unknowns, in its own order
+        np.testing.assert_array_equal(np.sort(block.unknowns), np.sort(band.unknowns))
         part = system[block.unknowns]
         sub = part[:, block.unknowns]
         assert sub.nnz == part.nnz   # no entry of the block's rows leaves it
@@ -414,24 +486,23 @@ def test_each_layout_cuts_t_into_its_blocks(layout, build):
             np.testing.assert_array_equal(matrix.toarray(), sub.toarray().astype(dtype))
 
 
-def test_a_block_that_splits_a_class_pair_makes_one_class(monkeypatch):
+def test_a_block_that_splits_a_class_pair_goes_to_the_band(krylov, factored, monkeypatch):
     # a qutrit whose jump |0><0| + |1><2| joins rho[1, 0] and rho[2, 0] but
-    # leaves rho[2, 1] alone: the layout falls back to one class and one
-    # block, today's whole-system GMRES, and agrees with the band
+    # leaves rho[2, 1] alone: the pattern has no GMRES layout, so the band
+    # solves every block even where GMRES is picked, as it does forced
     space = orb.CompositeSpace((orb.Boson(2, "qutrit"),))
     ket = np.eye(3, dtype=complex)
     terms = [orb.LindbladTerm(np.outer(ket[0], ket[0]) + np.outer(ket[1], ket[2]), 0.3),
              orb.LindbladTerm(np.outer(ket[0], ket[1]), 0.5)]
     gen = orb.assemble(np.diag([0.0, 1.0, 2.3]).astype(complex), terms, space)
-    sectors = _layout(gen)
-    assert len(sectors.classes) == 1 and len(sectors.blocks) == 1
-    assert sectors.pairs == (((0, 0),),)
-    np.testing.assert_array_equal(sectors.blocks[0].unknowns, np.arange(9))
-    monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", 0.0)
+    assert _layout(gen) is None
     result = orb.steady_state(gen)
-    assert result.diagnostics["method"] == "gmres"
+    assert result.diagnostics["method"] == "banded-lu"
+    assert result.diagnostics["krylov_iterations"] == 0
+    assert sorted(factored) == list(range(len(_band(gen).blocks)))
+    assert all(passed for _, passed in krylov)
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
-    np.testing.assert_allclose(result.rho, orb.steady_state(gen).rho, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(result.rho, orb.steady_state(gen).rho)
 
 
 def test_sectors_are_built_for_gmres_patterns_alone():
@@ -493,11 +564,15 @@ def test_per_class_preconditioner_equals_the_whole_one(build, classes):
 
 
 @pytest.mark.parametrize("cutoff", [4, 5, 6])
-def test_gmres_by_sector_agrees_with_the_band_at_large_cutoffs(cutoff, krylov, monkeypatch):
-    # the cutoffs that take GMRES by default; one certificate per solve
+def test_gmres_by_sector_agrees_with_the_band_at_large_cutoffs(cutoff, krylov, factored,
+                                                              monkeypatch):
+    # the cutoffs that take GMRES by default; one certificate per block, the
+    # trace row's last, and the band factors none
     gen = _scenario_a(cutoff)
     result = orb.steady_state(gen)
-    assert result.diagnostics["method"] == "gmres" and krylov == [True]
+    trace = _band(gen).trace_block
+    assert result.diagnostics["method"] == "gmres"
+    assert krylov == [(1 - trace, True), (trace, True)] and factored == []
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
     band = orb.steady_state(gen)
     assert band.diagnostics["method"] == "banded-lu"
@@ -505,6 +580,7 @@ def test_gmres_by_sector_agrees_with_the_band_at_large_cutoffs(cutoff, krylov, m
 
 
 def test_gmres_solve_makes_no_reference_cycles(krylov):
+    # each of the two blocks certified once per solve, by GMRES
     gen = _scenario_a(3)
     orb.steady_state(gen)
     gc.collect()
@@ -515,7 +591,8 @@ def test_gmres_solve_makes_no_reference_cycles(krylov):
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert krylov == [True] * 4
+    trace = _band(gen).trace_block
+    assert krylov == [(1 - trace, True), (trace, True)] * 4
 
 
 def _qubit_cavity_damped():
