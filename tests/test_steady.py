@@ -307,13 +307,6 @@ def test_gmres_agrees_with_the_band(scenario, coupling, nbar, krylov, factored, 
     np.testing.assert_allclose(result.rho, band.rho, rtol=0, atol=1e-15)
 
 
-def _faint_a(rate, cutoff):
-    # scenario a with every rate at most ``rate``: T is ill-conditioned
-    return orb.build_liouvillian(orb.ModelSpec(
-        params=orb.RabiParams(omega=1.0, g=0.05, kappa=rate, lam=rate, gamma=rate / 4),
-        cutoff=cutoff, parasitic=orb.scenario_parasitic("a")))
-
-
 @pytest.mark.parametrize("rate", [1e-9, 1e-10, 1e-12])
 @pytest.mark.parametrize("cutoff", [2, 3])
 def test_ill_conditioned_unique_state_is_returned(rate, cutoff, krylov, factored, monkeypatch):
@@ -321,8 +314,12 @@ def test_ill_conditioned_unique_state_is_returned(rate, cutoff, krylov, factored
     # trace row's block on both solvers, but the band's solution, refined in
     # extended precision with the factor it holds, meets its residual: the
     # state is unique, and the same on either path.  The other block passes
-    # either solver's certificate unrefined, and GMRES keeps it
-    gen = _faint_a(rate, cutoff)
+    # either solver's certificate unrefined, and GMRES keeps it: the band
+    # factors only the block GMRES failed, and forced, each block once, the
+    # refinement reusing the trace row's block's factor
+    gen = orb.build_liouvillian(orb.ModelSpec(
+        params=orb.RabiParams(omega=1.0, g=0.05, kappa=rate, lam=rate, gamma=rate / 4),
+        cutoff=cutoff, parasitic=orb.scenario_parasitic("a")))
     trace = _band(gen).trace_block
     other = 1 - trace
     result = orb.steady_state(gen)
@@ -334,27 +331,6 @@ def test_ill_conditioned_unique_state_is_returned(rate, cutoff, krylov, factored
     assert krylov[3:] == [(other, True), (trace, False)] and factored == [trace, other, trace]
     assert band.diagnostics["certificate"] <= steady._CERTIFICATE_TOL
     np.testing.assert_array_equal(band.rho, result.rho)
-
-
-def test_band_factors_each_block_once(factored, monkeypatch):
-    # an ill-conditioned point whose trace row's block fails the unrefined
-    # certificate: refinement reuses that block's factor
-    monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
-    gen = _faint_a(1e-9, 3)
-    assert orb.steady_state(gen).diagnostics["method"] == "banded-lu"
-    assert sorted(factored) == list(range(len(_band(gen).blocks)))
-
-
-def test_gmres_moves_only_its_failed_blocks_to_the_band(krylov, factored):
-    # the same point on the GMRES path: the band factors exactly the blocks
-    # whose GMRES certificate failed, and no other
-    gen = _faint_a(1e-9, 3)
-    assert orb.steady_state(gen).diagnostics["method"] == "banded-lu"
-    gmres = {}
-    for b, passed in krylov:   # a block's first certificate is GMRES's
-        gmres.setdefault(b, passed)
-    failed = [b for b, passed in gmres.items() if not passed]
-    assert factored == failed and 0 < len(failed) < len(gmres)
 
 
 def test_ill_conditioned_convergence_scan_at_large_cutoffs(tmp_path, monkeypatch):
