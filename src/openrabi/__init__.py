@@ -22,6 +22,7 @@ from .liouville import (
     NegativeRateError,
     NonHermitianError,
     SuperOperator,
+    Terms,
     assemble,
     bilinear_kernel_superop,
     check_positivity_condition,

@@ -19,6 +19,7 @@ trajectory ensemble failed (one ``error:`` line, no CSV written).
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import ctypes
 import importlib
@@ -220,6 +221,16 @@ def _serial_blas() -> None:
         _one_blas_thread()
 
 
+@cache
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process's pool of ``workers`` workers, started on first use and
+    shared by every command after it, so that each worker keeps the model and
+    band caches it built; it is shut down at exit."""
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+    atexit.register(pool.shutdown)
+    return pool
+
+
 def _run_grid(header: tuple[str, ...], points: Callable, rows: Callable,
               o: argparse.Namespace) -> int:
     """The grid engine.  ``points(o)`` gives (key columns, spec) pairs, all built
@@ -231,8 +242,10 @@ def _run_grid(header: tuple[str, ...], points: Callable, rows: Callable,
     if o.workers <= 1:
         results = [_solve(spec) for spec in specs]
     else:
-        with ProcessPoolExecutor(max_workers=o.workers, initializer=_one_blas_thread) as pool:
-            results = list(pool.map(_solve, specs))
+        # one contiguous share of the grid per worker: two messages per worker,
+        # not two per point
+        results = list(_pool(o.workers).map(_solve, specs,
+                                            chunksize=-(-len(specs) // o.workers)))
     solved = [(keys, spec, *result) for (keys, spec), result in zip(grid, results)]
     write_csv(o.out, list(header), rows(solved))
     return 3 if any(error for _, error in results) else 0

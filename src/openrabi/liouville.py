@@ -7,7 +7,7 @@ so ``vec(A rho B) = (B^T kron A) vec(rho)``. Every generator built here has
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -50,11 +50,25 @@ class LindbladTerm:
 
 
 @dataclass(frozen=True)
+class Terms:
+    """The Hilbert-space terms of a generator ``sum_k c_k P_k``: part k is
+    ``-i[h_k, .]`` or, if ``dissipative[k]``, the unit-rate dissipator of the
+    jump operator ``h_k``, whose coefficient is then a rate.  The operators
+    are sparse D x D and may be shared by many generators."""
+
+    operators: tuple[sp.csr_matrix, ...]
+    dissipative: tuple[bool, ...]
+    coefficients: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class SuperOperator:
-    """D^2 x D^2 sparse generator acting on column-stacked density matrices."""
+    """D^2 x D^2 sparse generator acting on column-stacked density matrices,
+    with the Hilbert-space terms it was built from, if it carries them."""
 
     space: CompositeSpace
     matrix: sp.csr_matrix
+    terms: Terms | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -125,20 +139,26 @@ def _dissipator_part(f: np.ndarray) -> sp.csr_matrix:
 
 def hamiltonian_superop(h: np.ndarray, space: CompositeSpace) -> SuperOperator:
     """Generator of rho -> -i[h, rho]; h must be hermitian within tolerance."""
-    return SuperOperator(space, _hamiltonian_part(_check_space(h, space)))
+    h = _check_space(h, space)
+    return SuperOperator(space, _hamiltonian_part(h), Terms((sp.csr_matrix(h),), (False,), (1.0,)))
 
 
 def dissipator_superop(term: LindbladTerm, space: CompositeSpace) -> SuperOperator:
     """Generator of rho -> rate * (F rho F^+ - {F^+ F, rho}/2) for jump operator F."""
-    mat = term.rate * _dissipator_part(_check_space(term.operator, space))
-    return SuperOperator(space, mat.tocsr())
+    f = _check_space(term.operator, space)
+    return SuperOperator(space, (term.rate * _dissipator_part(f)).tocsr(),
+                         Terms((sp.csr_matrix(f),), (True,), (term.rate,)))
 
 
 def assemble(h: np.ndarray, terms: list[LindbladTerm], space: CompositeSpace) -> SuperOperator:
     """Full generator: Hamiltonian part plus all dissipators."""
-    mat = sum((dissipator_superop(term, space).matrix for term in terms),
-              hamiltonian_superop(h, space).matrix)
-    return SuperOperator(space, mat.tocsr())
+    h = _check_space(h, space)
+    ops = [_check_space(t.operator, space) for t in terms]
+    mat = sum(((t.rate * _dissipator_part(f)).tocsr() for t, f in zip(terms, ops)),
+              _hamiltonian_part(h))
+    return SuperOperator(space, mat.tocsr(), Terms(
+        tuple(sp.csr_matrix(op) for op in (h, *ops)), (False,) + (True,) * len(ops),
+        (1.0, *(t.rate for t in terms))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +167,9 @@ class AffineGenerator:
     its positions in one shared CSR pattern and its values there.
 
     A part is ``-i[h_k, .]`` or, if ``dissipative[k]``, the unit-rate
-    dissipator of a jump operator, whose coefficient is then a rate.
+    dissipator of a jump operator, whose coefficient is then a rate; the
+    sparse D x D ``operators`` are the ``h_k`` and the jump operators, which
+    every generator built here carries as its terms.
     """
 
     space: CompositeSpace
@@ -156,6 +178,7 @@ class AffineGenerator:
     positions: tuple[np.ndarray, ...]
     values: tuple[np.ndarray, ...]
     dissipative: tuple[bool, ...]
+    operators: tuple[sp.csr_matrix, ...]
 
     def at(self, coefficients: Sequence[float]) -> SuperOperator:
         """The generator with coefficient ``coefficients[k]`` on part k."""
@@ -170,19 +193,21 @@ class AffineGenerator:
         # the pattern is shared, and eliminate_zeros works in place
         mat = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
         mat.eliminate_zeros()
-        return SuperOperator(self.space, mat)
+        return SuperOperator(self.space, mat,
+                             Terms(self.operators, self.dissipative, tuple(coefficients)))
 
 
 def affine_generator(space: CompositeSpace,
                      operators: Sequence[tuple[bool, np.ndarray]]) -> AffineGenerator:
     """The parts of ``(dissipative, operator)`` pairs on one pattern."""
     n = space.dim ** 2
-    parts = []
+    parts, sparse = [], []
     for dissipative, op in operators:
         op = _check_space(op, space)
         part = _dissipator_part(op) if dissipative else _hamiltonian_part(op)
         part.sum_duplicates()   # one position per entry, or ``at`` would drop one
         parts.append(part)
+        sparse.append(sp.csr_matrix(op))
     keys = [np.repeat(np.arange(n, dtype=np.int64), np.diff(p.indptr)) * n + p.indices
             for p in parts]
     pattern = np.sort(np.concatenate(keys))
@@ -192,10 +217,11 @@ def affine_generator(space: CompositeSpace,
     indices = cols.astype(np.int32)
     positions = [np.searchsorted(pattern, k) for k in keys]
     values = [p.data for p in parts]
-    for arr in (indptr, indices, *positions, *values):
+    for arr in (indptr, indices, *positions, *values,
+                *(a for op in sparse for a in (op.data, op.indices, op.indptr))):
         arr.flags.writeable = False   # shared by every generator built from these parts
     return AffineGenerator(space, indptr, indices, tuple(positions), tuple(values),
-                           tuple(d for d, _ in operators))
+                           tuple(d for d, _ in operators), tuple(sparse))
 
 
 def trace_preservation_defect(gen: SuperOperator) -> float:

@@ -16,11 +16,15 @@ serve two solvers, and block b holds the same unknowns in both:
 * ``_sectors``, built only for patterns that take GMRES, puts state i in the
   Hilbert class of the block that holds ``rho[i, 0]`` and lays out each
   block as the column-major chunks ``vec(X_pq)`` of its class pairs, for
-  GMRES without restart, right-preconditioned by the inverse of the
-  Sylvester part ``S(X) = A X + X A^+`` of the generator (``A`` read off the
-  generator itself), which takes one eigendecomposition per class and acts
-  chunk by chunk.  A pattern whose blocks split some ``X_pq`` goes to the
-  band.
+  GMRES without restart.  Its right preconditioner takes one
+  eigendecomposition per class of ``A = -i H - (1/2) sum_k G_k^+ G_k``,
+  built from the Hilbert-space terms the generator carries (its
+  Hamiltonian and jump operators ``G_k``), and acts chunk by chunk in A's
+  eigen-coordinates: it inverts the Sylvester part ``S(X) = A X + X A^+``
+  on the coherences, and solves the secular rate matrix, the exact
+  population block of T there, on the populations, which S alone holds up
+  by denominators as small as the rates.  A pattern whose blocks split some
+  ``X_pq``, and a generator that carries no terms, go to the band.
 
 The solve runs block by block, the trace row's block last, and each block
 stops at the first solver that certifies it: GMRES where it is picked, then
@@ -64,10 +68,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.linalg.lapack import zgbtrf, zgbtrs, zgetrf, zgetrs
 
 from .hilbert import VALIDITY_TOL, validate_density_matrix
-from .liouville import SuperOperator, devectorize, vectorize
+from .liouville import SuperOperator, Terms, devectorize, vectorize
 
 _REFINE_ROUNDS = 3
 _REFINE_STOP = np.finfo(float).eps   # largest ||dx||/||x|| (max norms) that ends refinement
@@ -289,35 +293,66 @@ def _factor(structure: _BandStructure, b: int,
     return lambda r, tol=None: zgbtrs(lu, kl, ku, r, ipiv)[0]
 
 
-def _sylvester_part(mat: sp.csr_matrix, dim: int) -> np.ndarray:
-    """``A`` of the part ``S(X) = A X + X A^+`` of the generator ``mat`` that
-    acts on one side of X alone, read off ``mat`` by its left partial trace.
+def _drift(terms: Terms) -> tuple[np.ndarray, sp.csr_matrix]:
+    """``A = -i H - (1/2) sum_k G_k^+ G_k``, dense, and the jump operators
+    ``G_k = sqrt(r_k) F_k`` stacked as the rows of one sparse ``G``, of a
+    generator's ``terms``, so that the generator is ``L(X) = A X + X A^+ +
+    sum_k G_k X G_k^+`` and ``sum_k G_k^+ G_k = G^+ G``."""
+    a = np.zeros(terms.operators[0].shape, dtype=complex)
+    jumps = []
+    for op, dissipative, c in zip(terms.operators, terms.dissipative, terms.coefficients):
+        if dissipative and c:
+            jumps.append(math.sqrt(c) * op)
+        elif c:
+            a -= 1j * c * op.toarray()
+    g = sp.vstack(jumps or [sp.csr_matrix((0, a.shape[0]), dtype=complex)], format="csr")
+    a -= 0.5 * (g.conj().T @ g).toarray()
+    return a, g
 
-    With column stacking, ``L = 1 kron A + conj(A) kron 1 + sum_k conj(F_k)
-    kron F_k``, so ``(1/D) sum_j L[(i,j),(k,j)] = A + conj(tr A)/D 1`` when
-    every ``F_k`` is traceless; taking away half the trace of that leaves
-    ``A - i Im(tr A)/D 1``, and an imaginary multiple of 1 drops out of S.
-    """
-    rows = np.repeat(np.arange(dim * dim), np.diff(mat.indptr))
-    keep = rows // dim == mat.indices // dim
-    a = sp.coo_matrix((mat.data[keep], (rows[keep] % dim, mat.indices[keep] % dim)),
-                      shape=(dim, dim)).toarray() / dim
-    a[np.diag_indices(dim)] -= np.trace(a) / (2 * dim)
-    return a
+
+def _populations(values: np.ndarray, v: np.ndarray, w: np.ndarray, jumps: sp.csr_matrix,
+                 classes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The population block of T in the eigen-coordinates of ``A``, the
+    secular (Pauli) rate matrix: entry (i, j) is entry (i, i) of
+    ``W T(v_j v_j^+) W^+``, for ``A``'s eigenvalues ``values``, right
+    eigenvectors ``v`` and ``w = v^-1``, each matrix block-diagonal over the
+    ``classes`` and indexed by state, and the stacked jump operators
+    ``jumps`` of ``_drift``.  With ``L(X) = A X + X A^+ + sum_k G_k X
+    G_k^+`` that is ``diag(lambda + conj(lambda)) + sum_k |W G_k V|^2``; as
+    row 0 of T is the trace, ``T(Y) = L(Y) + E_00 (tr Y - L(Y)[0, 0])`` adds
+    ``|W[:, 0]|^2`` times ``||v_j||^2 - L(v_j v_j^+)[0, 0]``."""
+    dim = values.size
+    gv = (jumps @ v).reshape(-1, dim, dim)   # gv[k] = G_k V
+    wgv = np.empty_like(gv)
+    for states in classes:   # W is block-diagonal: one gemm per class and jump
+        wgv[:, states] = w[np.ix_(states, states)] @ gv[:, states]
+    decay = 2.0 * values.real
+    diagonal = decay * np.abs(v[0]) ** 2 + (np.abs(gv[:, 0]) ** 2).sum(axis=0)
+    populations = np.outer(np.abs(w[:, 0]) ** 2, (np.abs(v) ** 2).sum(axis=0) - diagonal)
+    populations += (wgv.real ** 2 + wgv.imag ** 2).sum(axis=0)
+    populations[np.diag_indices(dim)] += decay
+    return populations
 
 
-def _sylvester_inverse(a: np.ndarray, classes: tuple[np.ndarray, ...],
+def _sylvester_inverse(a: np.ndarray, jumps: sp.csr_matrix,
+                       classes: tuple[np.ndarray, ...],
                        pairs: tuple[tuple[tuple[int, int], ...], ...]) -> list[Callable]:
     """For each block, whose unknowns are the chunks vec(X_pq) of its class
     pairs ``pairs[b]`` (as ``_Sectors`` lays them out), the map of its part of
-    vec(X) to its part of vec(S^-1(X)) for ``S(X) = A X + X A^+``, with the
-    entries of A between the ``classes`` dropped.  One eigendecomposition
+    vec(X) to its part of the preconditioned vec(Y), with the entries of
+    ``A`` between the ``classes`` dropped.  One eigendecomposition
     ``A_pp = V_p diag(lambda_p) W_p``, ``W_p = V_p^-1``, per class (after
-    Bartels & Stewart, Commun. ACM 15, 820 (1972)) gives ``S^-1(B)_pq =
-    V_p [(W_p B_pq W_q^+) / (lambda_p,i + conj(lambda_q,j))] V_q^+``, the
-    division a product with reciprocals taken once.  A dark state makes a
-    denominator vanish, so every denominator is floored at ``_DARK_FLOOR``
-    times the smallest decay rate ``-2 Re lambda`` of all classes.  Raises
+    Bartels & Stewart, Commun. ACM 15, 820 (1972)) puts ``C = W_p X_pq W_q^+``
+    in eigen-coordinates, and ``Y_pq = V_p Z V_q^+``.  Off the diagonal of a
+    pair (p, p), ``Z = C / (lambda_p,i + conj(lambda_q,j))`` inverts the part
+    ``S(X) = A X + X A^+``, the division a product with reciprocals taken once;
+    a dark state makes a denominator vanish, so every denominator is floored
+    at ``_DARK_FLOOR`` times the smallest decay rate ``-2 Re lambda`` of all
+    classes.  The populations, the diagonals of a block's pairs (p, p), solve
+    the block's secular rate matrix of ``_populations`` (Breuer & Petruccione,
+    The Theory of Open Quantum Systems, sec. 3.3), LU-factored once; if a
+    pivot of that LU falls below the floor, as where populations are
+    stationary, they divide by the floored denominators instead.  Raises
     ``LinAlgError`` if ``eig`` or ``inv`` does."""
     dim = a.shape[0]
     values, v = zip(*(np.linalg.eig(a[np.ix_(c, c)]) for c in classes))
@@ -327,22 +362,50 @@ def _sylvester_inverse(a: np.ndarray, classes: tuple[np.ndarray, ...],
     floor = _DARK_FLOOR * np.min(rates[rates > dim * np.finfo(float).eps * scale],
                                  initial=scale)
     w = [np.linalg.inv(vectors) for vectors in v]
-    w_h, v_h = [m.conj().T for m in w], [m.conj().T for m in v]
+    w_c, v_c = [m.conj() for m in w], [m.conj() for m in v]
+    # A's eigenvalues and eigenvectors indexed by state, for the populations
+    by_state, v_all, w_all = np.empty(dim, dtype=complex), np.zeros_like(a), np.zeros_like(a)
+    for c, values_p, v_p, w_p in zip(classes, values, v, w):
+        by_state[c] = values_p
+        v_all[np.ix_(c, c)] = v_p
+        w_all[np.ix_(c, c)] = w_p
+    populations = _populations(by_state, v_all, w_all, jumps, classes)
 
     def block(block_pairs: tuple[tuple[int, int], ...]) -> Callable[[np.ndarray], np.ndarray]:
-        chunks, start = [], 0
+        chunks, inverses, diagonals, start = [], [], [], 0
         for p, q in block_pairs:
             denominators = values[p][:, None] + values[q].conj()[None, :]
             denominators[np.abs(denominators) < floor] = -floor
             stop = start + denominators.size
-            chunks.append((slice(start, stop), v[p], w[p], w_h[q], v_h[q], 1.0 / denominators))
+            # read row by row, the column-major chunk vec(X_pq) is X_pq^T, so
+            # the chunk takes Z^T = conj(W_q) X^T W_p^T and Y^T = conj(V_q) Z^T V_p^T
+            chunks.append((slice(start, stop), denominators.shape[::-1], w_c[q], w[p].T, v_c[q],
+                           v[p].T))
+            inverses.append((1.0 / denominators).reshape(-1, order="F"))
+            if p == q:
+                diagonals.append(start + np.arange(values[p].size) * (values[p].size + 1))
             start = stop
+        inverses = np.concatenate(inverses)
+        lu = None
+        if diagonals:
+            diagonal = np.concatenate(diagonals)
+            states = np.concatenate([classes[p] for p, q in block_pairs if p == q])
+            lu, pivots, _ = zgetrf(populations[np.ix_(states, states)], overwrite_a=1)
+            if not np.abs(np.diagonal(lu)).min() >= floor:
+                lu = None
 
         def apply(x: np.ndarray) -> np.ndarray:
+            z = np.empty_like(x)
+            for span, shape, w_c_q, w_t_p, _, _ in chunks:
+                np.matmul(w_c_q, x[span].reshape(shape) @ w_t_p, out=z[span].reshape(shape))
+            if lu is not None:
+                secular = zgetrs(lu, pivots, z[diagonal])[0]
+            z *= inverses
+            if lu is not None:
+                z[diagonal] = secular
             y = np.empty_like(x)
-            for span, v_p, w_p, w_h_q, v_h_q, inverses in chunks:
-                b = x[span].reshape(inverses.shape, order="F")
-                y[span] = (v_p @ ((w_p @ (b @ w_h_q)) * inverses) @ v_h_q).reshape(-1, order="F")
+            for span, shape, _, _, v_c_q, v_t_p in chunks:
+                np.matmul(v_c_q @ z[span].reshape(shape), v_t_p, out=y[span].reshape(shape))
             return y
 
         return apply
@@ -360,7 +423,11 @@ def _gmres(system: sp.csr_matrix, precondition: Callable[[np.ndarray], np.ndarra
     if beta == 0.0:
         return np.zeros_like(b), 0
     m = min(_KRYLOV_MAX, b.size)
-    basis = np.empty((m + 1, b.size), dtype=complex)
+    # the basis vectors and their preconditioned images, in buffers that double
+    # when full: numpy backs an array of 4 MiB or more with huge pages, whose
+    # zeroing on first touch cost more than a short run's iterations
+    basis = np.empty((min(m, 8) + 1, b.size), dtype=complex)
+    preconditioned = np.empty_like(basis)
     h = np.zeros((m + 1, m), dtype=complex)   # Hessenberg, rotated to triangular
     cos = np.zeros(m)
     sin = np.zeros(m, dtype=complex)
@@ -368,7 +435,11 @@ def _gmres(system: sp.csr_matrix, precondition: Callable[[np.ndarray], np.ndarra
     g[0] = beta
     basis[0] = b / beta
     for k in range(m):
-        w = system @ precondition(basis[k])
+        if k + 1 == basis.shape[0]:
+            basis, preconditioned = (np.concatenate([a, np.empty_like(a)])
+                                     for a in (basis, preconditioned))
+        preconditioned[k] = precondition(basis[k])
+        w = system @ preconditioned[k]
         col = h[:k + 1, k]
         for _ in range(2):   # classical Gram-Schmidt, twice for orthogonality
             c = (basis[:k + 1] @ w.conj()).conj()
@@ -389,23 +460,22 @@ def _gmres(system: sp.csr_matrix, precondition: Callable[[np.ndarray], np.ndarra
         g[k + 1] = -sin[k].conjugate() * g[k]
         g[k] *= cos[k]
         if abs(g[k + 1]) <= tol * beta:
-            y = solve_triangular(h[:k + 1, :k + 1], g[:k + 1])
-            return precondition(y @ basis[:k + 1]), k + 1
+            y = solve_triangular(h[:k + 1, :k + 1], g[:k + 1], check_finite=False)
+            return y @ preconditioned[:k + 1], k + 1
         basis[k + 1] = w / norm_w
     return None, m
 
 
-def _krylov_solvers(mat: sp.csr_matrix, dim: int, sectors: _Sectors, data: np.ndarray,
+def _krylov_solvers(terms: Terms, sectors: _Sectors, data: np.ndarray,
                     iterations: list[int]) -> Callable[[int], Callable] | None:
     """The solver of each block of ``sectors`` of the trace-replaced system
-    (CSR values ``data``) of ``mat``: it maps b to the solve of block b,
-    which maps a right-hand side and a tolerance (``_KRYLOV_TOL`` unless
-    given) to GMRES's solution, preconditioned by the inverse Sylvester part,
-    or to None where GMRES stalls.  Each GMRES run appends its iterations to
-    ``iterations``.  None if ``eig`` raises."""
+    (CSR values ``data``) of the generator of ``terms``: it maps b to the
+    solve of block b, which maps a right-hand side and a tolerance
+    (``_KRYLOV_TOL`` unless given) to GMRES's solution, preconditioned by
+    ``_sylvester_inverse``, or to None where GMRES stalls.  Each GMRES run
+    appends its iterations to ``iterations``.  None if ``eig`` raises."""
     try:
-        preconditioners = _sylvester_inverse(_sylvester_part(mat, dim), sectors.classes,
-                                             sectors.pairs)
+        preconditioners = _sylvester_inverse(*_drift(terms), sectors.classes, sectors.pairs)
     except np.linalg.LinAlgError:
         return None
 
@@ -470,8 +540,9 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     k, trace = len(structure.blocks), structure.trace_block
     solvers = [(structure.blocks, lambda b: _factor(structure, b, data))]
     iterations: list[int] = []
-    if structure.work >= _KRYLOV_MIN_WORK and (sectors := _sectors(dim, *key)) is not None and (
-            krylov := _krylov_solvers(mat, dim, sectors, data, iterations)) is not None:
+    if structure.work >= _KRYLOV_MIN_WORK and gen.terms is not None and (
+            sectors := _sectors(dim, *key)) is not None and (
+            krylov := _krylov_solvers(gen.terms, sectors, data, iterations)) is not None:
         solvers.insert(0, (sectors.blocks, krylov))
     certificate = 0.0
     # block by block, the trace row's last: GMRES where picked, then the band.

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,40 @@ def _child_env():
     src = str(Path(orb.__file__).parents[1])
     return {**os.environ,
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_commands_share_one_worker_pool_and_leave_no_worker(tmp_path):
+    # two --workers 2 commands in one child process run on the same two
+    # workers; the child exits at once and no worker outlives it
+    code = textwrap.dedent("""
+        import multiprocessing, sys
+        from openrabi import cli
+        pids = []
+        for k in (1, 2):
+            code = cli.main(["sweep-omega", "--omega-grid", "0.8,1.2", "--cutoffs", "1",
+                             "--workers", "2", "--out", sys.argv[1] + f"/{k}.csv"])
+            assert code == 0, code
+            pids.append(sorted(p.pid for p in multiprocessing.active_children()))
+        assert pids[0] == pids[1] and len(pids[0]) == 2, pids
+        print(*pids[0])
+    """)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+    for pid in map(int, proc.stdout.split()):
+        deadline = time.monotonic() + 10
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)   # an orphan that exited waits to be reaped
+        assert not _alive(pid), f"worker {pid} outlived its process"
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def test_pool_initializer_sets_one_blas_thread():

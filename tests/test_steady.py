@@ -363,8 +363,8 @@ def _stall_the_solves(monkeypatch):
     # the certificate stalls
     lambda mp: mp.setattr(steady, "_KRYLOV_MAX", 1),
     # eig raises
-    lambda mp: mp.setattr(steady, "_sylvester_part",
-                          lambda mat, dim: np.full((dim, dim), np.nan)),
+    lambda mp: mp.setattr(steady, "_drift", lambda terms: (
+        np.full(terms.operators[0].shape, np.nan), sp.csr_matrix(terms.operators[0].shape))),
 ], ids=["solve-stalls", "certificate-stalls", "eig-raises"])
 def test_gmres_failures_fall_back_to_the_band(break_it, krylov, monkeypatch):
     gen = _scenario_a(3)
@@ -380,13 +380,18 @@ def test_gmres_failures_fall_back_to_the_band(break_it, krylov, monkeypatch):
                   coupling=orb.Coupling.RWA, parasitic=orb.scenario_parasitic("c")),
 ], ids=["a-full-heat", "c-rwa"])
 def test_sylvester_part_read_off_the_generator_is_minus_i_h_eff(spec):
-    # A of A X + X A^+ equals -i H_eff, up to an imaginary multiple of 1
+    # A of A X + X A^+, taken from the terms the generator carries, equals
+    # -i H_eff, and the stacked jump operators give the jump part of L
     space = orb.build_space(spec)
     h_eff = orb.unravel(orb.build_hamiltonian(spec), orb.build_dissipators(spec), space).h_eff
-    diff = steady._sylvester_part(orb.build_liouvillian(spec).matrix, space.dim) + 1j * h_eff
-    shift = diff[0, 0]
-    assert abs(shift.real) <= 1e-15
-    np.testing.assert_allclose(diff, shift * np.eye(space.dim), rtol=0, atol=2e-15)
+    gen = orb.build_liouvillian(spec)
+    a, jumps = steady._drift(gen.terms)
+    np.testing.assert_allclose(a, -1j * h_eff, rtol=0, atol=2e-15)
+    d = space.dim
+    stacked = jumps.toarray().reshape(-1, d, d)
+    rebuilt = (np.kron(np.eye(d), a) + np.kron(a.conj(), np.eye(d))
+               + sum(np.kron(g.conj(), g) for g in stacked))
+    np.testing.assert_allclose(rebuilt, gen.matrix.toarray(), rtol=0, atol=4e-15)
 
 
 def _layout(gen):
@@ -504,28 +509,44 @@ def test_sylvester_part_has_no_entry_between_classes(scenario, coupling):
     for p, states in enumerate(sectors.classes):
         label[states] = p
     assert label.max() >= (1 if coupling is orb.Coupling.FULL else 3)
-    a = steady._sylvester_part(gen.matrix, gen.dim)
+    a = steady._drift(gen.terms)[0]
     assert not np.any(a[label[:, None] != label[None, :]])
+
+
+def _eigenbasis(gen, classes):
+    """A, the stacked jumps and A's eigenvalues, right eigenvectors and their
+    inverse, one eigendecomposition per class of ``classes``, as the
+    preconditioner takes them: indexed by state, the matrices block-diagonal."""
+    a, jumps = steady._drift(gen.terms)
+    d = gen.dim
+    lam, v, w = np.empty(d, dtype=complex), np.zeros((d, d), complex), np.zeros((d, d), complex)
+    for states in classes:
+        lam[states], v[np.ix_(states, states)] = np.linalg.eig(a[np.ix_(states, states)])
+        w[np.ix_(states, states)] = np.linalg.inv(v[np.ix_(states, states)])
+    return a, jumps, lam, v, w
 
 
 @pytest.mark.parametrize("build, classes", [
     (lambda: _scenario_a(3), 2), (lambda: _rwa_c(nbar=0.3), 6), (_one_block, 1),
 ], ids=["scenario-a", "rwa-c", "one-block"])
 def test_per_class_preconditioner_equals_the_whole_one(build, classes):
-    # on each block, S^-1 by one eigendecomposition per class inverts S to
-    # rounding, and equals S^-1 by one eigendecomposition of the whole A,
-    # restricted to that block, to 1e-13 times the condition of S,
-    # max |lambda| / min |lambda_i + conj(lambda_j)|: at rates ~1e-6 against
-    # frequencies ~1 both carry the eigenvalues' rounding that far
+    # on each block the preconditioner by one eigendecomposition per class
+    # equals the one by one eigendecomposition of the whole A, restricted to
+    # that block, to 1e-13 times the condition of S, max |lambda| /
+    # min |lambda_i + conj(lambda_j)|: at rates ~1e-6 against frequencies ~1
+    # both carry the eigenvalues' rounding that far.  And it inverts, to
+    # rounding, S(Y) = A Y + Y A^+ off the populations of A's eigenbasis, and
+    # the secular matrix on them: in eigen-coordinates X - S(Y) is diagonal,
+    # and is the jump and trace part of that matrix times Y's populations
     gen = build()
     d = gen.dim
     sectors = _layout(gen)
     assert len(sectors.classes) == classes
-    a = steady._sylvester_part(gen.matrix, d)
-    lam = np.linalg.eigvals(a)
+    a, jumps, lam, v, w = _eigenbasis(gen, sectors.classes)
     condition = np.abs(lam).max() / np.abs(lam[:, None] + lam.conj()).min()
-    per_class = steady._sylvester_inverse(a, sectors.classes, sectors.pairs)
-    (whole,) = steady._sylvester_inverse(a, (np.arange(d),), [((0, 0),)])
+    per_class = steady._sylvester_inverse(a, jumps, sectors.classes, sectors.pairs)
+    (whole,) = steady._sylvester_inverse(a, jumps, (np.arange(d),), [((0, 0),)])
+    secular = steady._populations(lam, v, w, jumps, sectors.classes) - np.diag(2 * lam.real)
     rng = np.random.default_rng(5)
     for sector, apply in zip(sectors.blocks, per_class):
         x = np.zeros(d * d, dtype=complex)
@@ -535,8 +556,65 @@ def test_per_class_preconditioner_equals_the_whole_one(build, classes):
         ref = whole(x)
         assert np.linalg.norm(y - ref) <= 1e-13 * condition * np.linalg.norm(ref)
         big_y, big_x = y.reshape(d, d, order="F"), x.reshape(d, d, order="F")
-        backward = np.linalg.norm(a @ big_y + big_y @ a.conj().T - big_x)
-        assert backward <= 1e-14 * np.linalg.norm(a) * np.linalg.norm(big_y)
+        left = w @ (big_x - a @ big_y - big_y @ a.conj().T) @ w.conj().T
+        right = np.diag(secular @ np.diag(w @ big_y @ w.conj().T))
+        scale = (np.linalg.norm(a) + np.linalg.norm(secular)) * np.linalg.norm(big_y)
+        assert np.linalg.norm(left - right) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("scenario", ["a", "c"])
+@pytest.mark.parametrize("coupling", [orb.Coupling.FULL, orb.Coupling.RWA])
+@pytest.mark.parametrize("nbar", [0.0, 0.3])
+def test_secular_matrix_is_the_population_block_of_t(scenario, coupling, nbar):
+    # entry (i, j) is entry (i, i) of W T(v_j v_j^+) W^+, with T applied as
+    # the trace-replaced CSR system, to 1e-13 of the largest entry
+    gen = orb.build_liouvillian(orb.ModelSpec(
+        params=orb.RabiParams(omega=1.0, g=0.05, nbar=nbar, **REFERENCE_RATES), cutoff=3,
+        coupling=coupling, parasitic=orb.scenario_parasitic(scenario)))
+    d = gen.dim
+    sectors = _layout(gen)
+    _, jumps, lam, v, w = _eigenbasis(gen, sectors.classes)
+    populations = steady._populations(lam, v, w, jumps, sectors.classes)
+    indptr, indices, data = steady._trace_replaced(gen.matrix, d)
+    system = sp.csr_matrix((data, indices, indptr), shape=(d * d, d * d))
+    brute = np.column_stack([
+        np.diag(w @ orb.devectorize(system @ orb.vectorize(np.outer(v[:, j], v[:, j].conj())))
+                @ w.conj().T) for j in range(d)])
+    scale = np.abs(populations).max()
+    assert np.abs(populations - brute).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("build", [_decoupled_atom, lambda: _undamped_spectator(3)],
+                         ids=["decoupled-atom", "spectator-3"])
+def test_singular_secular_matrix_keeps_the_floored_denominators(build):
+    # stationary populations make the secular matrix singular: the block
+    # that holds them divides by the floored denominators as S^-1 alone
+    # does, X = S(Y) in eigen-coordinates wherever no denominator is
+    # floored, and no block raises or returns a non-finite value
+    gen = build()
+    d = gen.dim
+    sectors = _layout(gen)
+    a, jumps, lam, v, w = _eigenbasis(gen, sectors.classes)
+    preconditioners = steady._sylvester_inverse(a, jumps, sectors.classes, sectors.pairs)
+    rates = -2 * lam.real
+    floor = steady._DARK_FLOOR * rates[rates > d * np.finfo(float).eps * np.abs(lam).max()].min()
+    denominators = lam[:, None] + lam.conj()[None, :]
+    rng = np.random.default_rng(7)
+    held = 0
+    for sector, pairs, apply in zip(sectors.blocks, sectors.pairs, preconditioners):
+        x = np.zeros(d * d, dtype=complex)
+        x[sector.unknowns] = [1, 1j] @ rng.standard_normal((2, sector.unknowns.size))
+        y = np.zeros(d * d, dtype=complex)
+        y[sector.unknowns] = apply(x[sector.unknowns])
+        assert np.all(np.isfinite(y))
+        big_y, big_x = y.reshape(d, d, order="F"), x.reshape(d, d, order="F")
+        c, z = w @ big_x @ w.conj().T, w @ big_y @ w.conj().T
+        kept = np.zeros(d * d, dtype=bool)
+        kept[sector.unknowns] = np.abs(orb.vectorize(denominators)[sector.unknowns]) >= floor
+        kept = orb.devectorize(kept)
+        np.testing.assert_allclose(z[kept] * denominators[kept], c[kept], rtol=1e-12)
+        held += any(p == q for p, q in pairs)
+    assert held == 1
 
 
 @pytest.mark.parametrize("cutoff", [4, 5, 6])
@@ -548,6 +626,8 @@ def test_gmres_by_sector_agrees_with_the_band_at_large_cutoffs(cutoff, krylov, f
     result = orb.steady_state(gen)
     trace = _band(gen).trace_block
     assert result.diagnostics["method"] == "gmres"
+    # the secular populations keep GMRES short; S^-1 alone took 36-40
+    assert result.diagnostics["krylov_iterations"] <= 24
     assert krylov == [(1 - trace, True), (trace, True)] and factored == []
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
     band = orb.steady_state(gen)
