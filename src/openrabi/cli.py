@@ -224,8 +224,8 @@ def _serial_blas() -> None:
 @cache
 def _pool(workers: int) -> ProcessPoolExecutor:
     """The process's pool of ``workers`` workers, started on first use and
-    shared by every command after it, so that each worker keeps the model and
-    band caches it built; it is shut down at exit."""
+    shared by every later command that runs as many, so that each worker
+    keeps the model and solver caches it built; it is shut down at exit."""
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
     atexit.register(pool.shutdown)
     return pool
@@ -239,13 +239,15 @@ def _run_grid(header: tuple[str, ...], points: Callable, rows: Callable,
     error text)."""
     grid = points(o)
     specs = [spec for _, spec in grid]
-    if o.workers <= 1:
+    # no more workers than points: a forked pool starts every worker on its first task
+    workers = min(o.workers, len(specs))
+    if workers <= 1:
         results = [_solve(spec) for spec in specs]
     else:
         # one contiguous share of the grid per worker: two messages per worker,
         # not two per point
-        results = list(_pool(o.workers).map(_solve, specs,
-                                            chunksize=-(-len(specs) // o.workers)))
+        results = list(_pool(workers).map(_solve, specs,
+                                          chunksize=-(-len(specs) // workers)))
     solved = [(keys, spec, *result) for (keys, spec), result in zip(grid, results)]
     write_csv(o.out, list(header), rows(solved))
     return 3 if any(error for _, error in results) else 0

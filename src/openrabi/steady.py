@@ -4,27 +4,29 @@ time-domain cross-check.
 The steady state is the null vector of the generator, computed by replacing
 the first scalar equation with the trace constraint and solving the resulting
 nonsingular system T.  T splits into connected blocks (the superparity
-sectors of a Rabi model), and a ``_Block`` is one of them with its unknowns
-in a layout of its own, plus the slice of T's CSR arrays that is its
-submatrix in that layout.  Two layouts, each cached per sparsity pattern,
-serve two solvers, and block b holds the same unknowns in both:
+sectors of a Rabi model), which ``_structure``, cached per sparsity pattern,
+lays out once; a ``_Block`` is one of them, its unknowns in that layout plus
+the slice of T's CSR arrays that is its submatrix there.  State i belongs to
+the Hilbert class of the block that holds ``rho[i, 0]``, and a block's
+unknowns are the column-major chunks ``vec(X_pq)`` of its class pairs
+(p, q); a pattern whose blocks split some ``X_pq`` has no classes, and its
+blocks hold their unknowns in ascending order.  Two solvers share the
+layout:
 
-* ``_band_structure`` lays out each block in the reverse Cuthill-McKee order
-  of T's pattern, under which the block is a band, for LAPACK's banded LU
-  with partial pivoting (``zgbtrf``/``zgbtrs``); its estimate of the LU's
-  work picks the solver.
-* ``_sectors``, built only for patterns that take GMRES, puts state i in the
-  Hilbert class of the block that holds ``rho[i, 0]`` and lays out each
-  block as the column-major chunks ``vec(X_pq)`` of its class pairs, for
-  GMRES without restart.  Its right preconditioner takes one
-  eigendecomposition per class of ``A = -i H - (1/2) sum_k G_k^+ G_k``,
-  built from the Hilbert-space terms the generator carries (its
-  Hamiltonian and jump operators ``G_k``), and acts chunk by chunk in A's
-  eigen-coordinates: it inverts the Sylvester part ``S(X) = A X + X A^+``
-  on the coherences, and solves the secular rate matrix, the exact
-  population block of T there, on the populations, which S alone holds up
-  by denominators as small as the rates.  A pattern whose blocks split some
-  ``X_pq``, and a generator that carries no terms, go to the band.
+* LAPACK's banded LU with partial pivoting (``zgbtrf``/``zgbtrs``) reads each
+  block through a permutation, the reverse Cuthill-McKee order of T's
+  pattern, under which the block is a band: its solve gathers the
+  right-hand side into that order and scatters the solution back.  Its
+  estimate of the LU's work picks the solver.
+* GMRES without restart runs on the layout itself.  Its right
+  preconditioner takes one eigendecomposition per class of
+  ``A = -i H - (1/2) sum_k G_k^+ G_k``, built from the Hilbert-space terms
+  the generator carries (its Hamiltonian and jump operators ``G_k``), and
+  acts chunk by chunk in A's eigen-coordinates: it inverts the Sylvester
+  part ``S(X) = A X + X A^+`` on the coherences, and solves the secular rate
+  matrix, the exact population block of T there, on the populations, which
+  S alone holds up by denominators as small as the rates.  A pattern without
+  classes, and a generator that carries no terms, go to the band.
 
 The solve runs block by block, the trace row's block last, and each block
 stops at the first solver that certifies it: GMRES where it is picked, then
@@ -122,9 +124,9 @@ def _trace_replaced(mat: sp.csr_matrix, dim: int) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class _Block:
-    """One connected block of T in a layout of its own; every array is
-    read-only.  ``unknowns`` holds the vec indices of its unknowns in that
-    layout's order.  In that layout its CSR submatrix has the values
+    """One connected block of T in the layout of ``_structure``; every array
+    is read-only.  ``unknowns`` holds the vec indices of its unknowns in
+    layout order.  In that layout its CSR submatrix has the values
     ``data[gather]`` of the trace-replaced system's values ``data``, the
     columns ``indices`` and the row pointers ``indptr``."""
 
@@ -162,103 +164,90 @@ def _cut(indptr: np.ndarray, indices: np.ndarray,
 
 
 @dataclass(frozen=True)
-class _BandStructure:
-    """The banded LU's view of one n x n sparsity pattern; every array is
-    read-only.  Each block's unknowns run in reverse Cuthill-McKee order;
-    block b has ``kl[b]`` sub- and ``ku[b]`` superdiagonals, and its CSR
-    entries go to ``slots[b]`` in its Fortran-ordered band, flattened.  It
-    also holds the certificate's right-hand side, which depends on n alone."""
+class _Structure:
+    """Both solvers' view of one D^2 x D^2 sparsity pattern; every array is
+    read-only.  Block b's unknowns are the entries of ``X_pq`` (rho's rows of
+    Hilbert class p and columns of class q, each class's states ascending)
+    for each of its class pairs ``pairs[b]``, chunk after chunk, each chunk
+    column-major; where a block splits some ``X_pq``, ``classes`` and
+    ``pairs`` are None and the unknowns ascending.  The band takes block b's
+    positions in the order ``order[b]``, with ``kl[b]`` sub- and ``ku[b]``
+    superdiagonals, and ``slots[b]`` places its CSR entries in that band."""
 
     blocks: tuple[_Block, ...]
+    classes: tuple[np.ndarray, ...] | None
+    pairs: tuple[tuple[tuple[int, int], ...], ...] | None
+    order: tuple[np.ndarray, ...]
     kl: tuple[int, ...]
     ku: tuple[int, ...]
     slots: tuple[np.ndarray, ...]
     trace_block: int          # the block that holds row 0
-    work: float               # about the factors' multiply-adds: sum of n_block kl (kl + ku + 1)
-    rhs: np.ndarray           # fixed-seed random, of length n
+    work: float               # about the band LU's multiply-adds: sum of n_block kl (kl + ku + 1)
+    rhs: np.ndarray           # the certificate's: fixed-seed random, of length D^2
 
 
 @lru_cache(maxsize=16)
-def _band_structure(n: int, indptr: bytes, indices: bytes) -> _BandStructure:
-    """Band structure of the n x n CSR pattern with int32 arrays ``indptr``
-    and ``indices``, made symmetric: its connected blocks, each laid out in
-    the reverse Cuthill-McKee order (Cuthill & McKee 1969, reversed as
-    George 1971) of the pattern, and each block's bandwidths and band slots.
-    It depends on the pattern alone, so it is cached on the pattern's bytes."""
+def _structure(dim: int, indptr: bytes, indices: bytes) -> _Structure:
+    """The structure of the D^2 x D^2 CSR pattern (D is ``dim``) with int32
+    arrays ``indptr`` and ``indices``, made symmetric: state i is in the class
+    of the block that holds vec index i (rho[i, 0]), class pair (p, q) in the
+    block of its entries, and the band order is the pattern's reverse
+    Cuthill-McKee order (Cuthill & McKee 1969, reversed as George 1971).  It
+    depends on the pattern alone, so it is cached on the pattern's bytes."""
     # imported here: a process that never factors (the jump engine) skips it
     from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
+    n = dim * dim
     indptr = np.frombuffer(indptr, dtype=np.int32)
     indices = np.frombuffer(indices, dtype=np.int32)
     pattern = sp.csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr),
                             shape=(n, n))
     pattern = (pattern + pattern.T).tocsr()
-    labels = connected_components(pattern, directed=False)[1]
+    k, labels = connected_components(pattern, directed=False)
+    bounds = np.cumsum(np.bincount(labels))[:-1]
+    owner = labels.reshape(dim, dim, order="F")   # owner[i, j]: the block of rho[i, j]
+    label = np.unique(owner[:, 0], return_inverse=True)[1]
+    pair_block = np.zeros((label.max() + 1,) * 2, dtype=np.intp)
+    pair_block[label[:, None], label[None, :]] = owner
+    classes = pairs = None
+    if np.array_equal(pair_block[label[:, None], label[None, :]], owner):
+        classes = tuple(np.flatnonzero(label == p) for p in range(pair_block.shape[0]))
+        for states in classes:
+            states.flags.writeable = False
+        pairs = tuple(tuple((int(p), int(q)) for p, q in zip(*np.nonzero(pair_block == b)))
+                      for b in range(k))
+        layouts = [np.concatenate([(classes[p][:, None] + dim * classes[q]).ravel(order="F")
+                                   for p, q in block_pairs]) for block_pairs in pairs]
+    else:
+        layouts = np.split(np.argsort(labels, kind="stable"), bounds)
+    blocks = _cut(indptr, indices, layouts)
     # RCM visits one component at a time; the stable sort only makes the
     # blocks' contiguity independent of that
-    order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-    order = order[np.argsort(labels[order], kind="stable")]
-    blocks = _cut(indptr, indices,
-                  np.split(order, np.cumsum(np.bincount(labels))[:-1]))
-    kl, ku, slots, work = [], [], [], 0
+    rcm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    rcm = rcm[np.argsort(labels[rcm], kind="stable")]
+    place = np.empty(n, dtype=np.intp)   # each unknown's place in its block's band
+    for band in np.split(rcm, bounds):
+        place[band] = np.arange(band.size)
+    order, kl, ku, slots, work = [], [], [], [], 0
     for block in blocks:
-        row = np.repeat(np.arange(block.unknowns.size), np.diff(block.indptr))
-        col = block.indices.astype(np.intp)
+        rank = place[block.unknowns]   # the band place of each position
+        order.append(np.argsort(rank))   # the position at each band place
+        row, col = np.repeat(rank, np.diff(block.indptr)), rank[block.indices]
         low, up = int(np.max(row - col, initial=0)), int(np.max(col - row, initial=0))
-        # A[row, col] sits at band row low + up + row - col of column col
+        # A[row, col] sits at band row low + up + row - col of column col, in
+        # the Fortran-ordered band, flattened
         slots.append(col * (2 * low + up + 1) + low + up + row - col)
-        slots[-1].flags.writeable = False
+        for array in order[-1], slots[-1]:
+            array.flags.writeable = False
         kl.append(low)
         ku.append(up)
-        work += block.unknowns.size * low * (low + up + 1)
+        work += rank.size * low * (low + up + 1)
     rng = np.random.default_rng(_CERTIFICATE_SEED)
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     rhs.flags.writeable = False
-    return _BandStructure(blocks=blocks, kl=tuple(kl), ku=tuple(ku), slots=tuple(slots),
-                          trace_block=int(labels[0]), work=float(work), rhs=rhs)
-
-
-@dataclass(frozen=True)
-class _Sectors:
-    """GMRES's view of a D^2 x D^2 sparsity pattern: its Hilbert classes (the
-    states of each, ascending), its connected blocks, which are the band's in
-    the same order, and the class pairs (p, q) of each.  A block's unknowns
-    are the entries of ``X_pq`` (rho's rows of Hilbert class p and columns of
-    class q) for each of its pairs, chunk after chunk, each chunk
-    column-major."""
-
-    classes: tuple[np.ndarray, ...]
-    pairs: tuple[tuple[tuple[int, int], ...], ...]
-    blocks: tuple[_Block, ...]
-
-
-@lru_cache(maxsize=16)
-def _sectors(dim: int, indptr: bytes, indices: bytes) -> _Sectors | None:
-    """The sectors of the D^2 x D^2 CSR pattern of ``_band_structure``'s
-    arguments.  State i belongs to the class of the block that holds vec
-    index i (rho[i, 0]); class pair (p, q) goes to the block of its entries.
-    None if a block splits some ``X_pq``: the pattern then goes to the band.
-    Cached on the pattern's bytes, as its blocks are."""
-    structure = _band_structure(dim * dim, indptr, indices)
-    block = np.empty(dim * dim, dtype=np.intp)
-    for b, band_block in enumerate(structure.blocks):
-        block[band_block.unknowns] = b
-    block = block.reshape(dim, dim, order="F")   # block[i, j]: the block of rho[i, j]
-    label = np.unique(block[:, 0], return_inverse=True)[1]
-    pair_block = np.zeros((label.max() + 1,) * 2, dtype=np.intp)
-    pair_block[label[:, None], label[None, :]] = block
-    if not np.array_equal(pair_block[label[:, None], label[None, :]], block):
-        return None
-    classes = tuple(np.flatnonzero(label == p) for p in range(pair_block.shape[0]))
-    for states in classes:
-        states.flags.writeable = False
-    pairs = tuple(tuple((int(p), int(q)) for p, q in zip(*np.nonzero(pair_block == b)))
-                  for b in range(len(structure.blocks)))
-    layouts = [np.concatenate([(classes[p][:, None] + dim * classes[q]).ravel(order="F")
-                               for p, q in block_pairs]) for block_pairs in pairs]
-    return _Sectors(classes=classes, pairs=pairs,
-                    blocks=_cut(np.frombuffer(indptr, dtype=np.int32),
-                                np.frombuffer(indices, dtype=np.int32), layouts))
+    return _Structure(blocks=blocks, classes=classes, pairs=pairs, order=tuple(order),
+                      kl=tuple(kl), ku=tuple(ku), slots=tuple(slots),
+                      trace_block=int(labels[0]), work=float(work), rhs=rhs)
 
 
 def _certify(system: sp.csr_matrix, block: _Block, r: np.ndarray, x: np.ndarray) -> float:
@@ -275,22 +264,29 @@ def _certify(system: sp.csr_matrix, block: _Block, r: np.ndarray, x: np.ndarray)
     return max(residual, error)
 
 
-def _factor(structure: _BandStructure, b: int,
+def _factor(structure: _Structure, b: int,
             data: np.ndarray) -> Callable[..., np.ndarray]:
     """The solve of block b on its own unknowns, by ``zgbtrf`` of the block
-    of CSR values ``data`` in its ``(2 kl + ku + 1, n_block)`` band; as the
-    solve is direct, it takes GMRES's tolerance and ignores it.  An exactly
-    zero pivot raises ``NonUniqueSteadyStateError``."""
-    kl, ku, block = structure.kl[b], structure.ku[b], structure.blocks[b]
-    ab = np.zeros((2 * kl + ku + 1) * block.unknowns.size, dtype=complex)
-    ab[structure.slots[b]] = data[block.gather]
+    of CSR values ``data`` in its ``(2 kl + ku + 1, n_block)`` band: it gathers
+    the right-hand side into band order and scatters the solution back, and
+    takes GMRES's tolerance and ignores it, as it is direct.  An exactly zero
+    pivot raises ``NonUniqueSteadyStateError``."""
+    kl, ku, order = structure.kl[b], structure.ku[b], structure.order[b]
+    ab = np.zeros((2 * kl + ku + 1) * order.size, dtype=complex)
+    ab[structure.slots[b]] = data[structure.blocks[b].gather]
     lu, ipiv, info = zgbtrf(ab.reshape((2 * kl + ku + 1, -1), order="F"), kl, ku,
                             overwrite_ab=1)
     if info > 0:
         raise NonUniqueSteadyStateError(
             f"exactly zero pivot in block {b} of {len(structure.blocks)}; "
             f"the stationary state is not unique")
-    return lambda r, tol=None: zgbtrs(lu, kl, ku, r, ipiv)[0]
+
+    def solve(r: np.ndarray, tol: float | None = None) -> np.ndarray:
+        x = np.empty_like(r)
+        x[order] = zgbtrs(lu, kl, ku, r[order], ipiv)[0]
+        return x
+
+    return solve
 
 
 def _drift(terms: Terms) -> tuple[np.ndarray, sp.csr_matrix]:
@@ -338,7 +334,7 @@ def _sylvester_inverse(a: np.ndarray, jumps: sp.csr_matrix,
                        classes: tuple[np.ndarray, ...],
                        pairs: tuple[tuple[tuple[int, int], ...], ...]) -> list[Callable]:
     """For each block, whose unknowns are the chunks vec(X_pq) of its class
-    pairs ``pairs[b]`` (as ``_Sectors`` lays them out), the map of its part of
+    pairs ``pairs[b]`` (as ``_Structure`` lays them out), the map of its part of
     vec(X) to its part of the preconditioned vec(Y), with the entries of
     ``A`` between the ``classes`` dropped.  One eigendecomposition
     ``A_pp = V_p diag(lambda_p) W_p``, ``W_p = V_p^-1``, per class (after
@@ -466,21 +462,21 @@ def _gmres(system: sp.csr_matrix, precondition: Callable[[np.ndarray], np.ndarra
     return None, m
 
 
-def _krylov_solvers(terms: Terms, sectors: _Sectors, data: np.ndarray,
+def _krylov_solvers(terms: Terms, structure: _Structure, data: np.ndarray,
                     iterations: list[int]) -> Callable[[int], Callable] | None:
-    """The solver of each block of ``sectors`` of the trace-replaced system
+    """The solver of each block of ``structure`` of the trace-replaced system
     (CSR values ``data``) of the generator of ``terms``: it maps b to the
     solve of block b, which maps a right-hand side and a tolerance
     (``_KRYLOV_TOL`` unless given) to GMRES's solution, preconditioned by
     ``_sylvester_inverse``, or to None where GMRES stalls.  Each GMRES run
     appends its iterations to ``iterations``.  None if ``eig`` raises."""
     try:
-        preconditioners = _sylvester_inverse(*_drift(terms), sectors.classes, sectors.pairs)
+        preconditioners = _sylvester_inverse(*_drift(terms), structure.classes, structure.pairs)
     except np.linalg.LinAlgError:
         return None
 
     def solver(b: int) -> Callable[..., np.ndarray | None]:
-        system, precondition = sectors.blocks[b].matrix(data), preconditioners[b]
+        system, precondition = structure.blocks[b].matrix(data), preconditioners[b]
 
         def solve(r: np.ndarray, tol: float = _KRYLOV_TOL) -> np.ndarray | None:
             x, k = _gmres(system, precondition, r, tol)
@@ -535,25 +531,26 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     norm_l = max(float(np.linalg.norm(mat.data)), 1e-300)   # Frobenius, as mat is canonical
     indptr, indices, data = _trace_replaced(mat, dim)
     system = sp.csr_matrix((data, indices, indptr), shape=mat.shape)
-    key = (indptr.tobytes(), indices.tobytes())
-    structure = _band_structure(dim * dim, *key)
+    structure = _structure(dim, indptr.tobytes(), indices.tobytes())
     k, trace = len(structure.blocks), structure.trace_block
-    solvers = [(structure.blocks, lambda b: _factor(structure, b, data))]
+    band = lambda b: _factor(structure, b, data)
+    solvers = [band]
     iterations: list[int] = []
     if structure.work >= _KRYLOV_MIN_WORK and gen.terms is not None and (
-            sectors := _sectors(dim, *key)) is not None and (
-            krylov := _krylov_solvers(gen.terms, sectors, data, iterations)) is not None:
-        solvers.insert(0, (sectors.blocks, krylov))
+            structure.classes is not None) and (
+            krylov := _krylov_solvers(gen.terms, structure, data, iterations)) is not None:
+        solvers.insert(0, krylov)
     certificate = 0.0
     # block by block, the trace row's last: GMRES where picked, then the band.
     # A GMRES run that stalls or fails the certificate moves its block on
     for b in sorted(range(k), key=lambda b: b == trace):
-        for blocks, solver in solvers:
-            block, solve = blocks[b], solver(b)
-            part = structure.rhs[block.unknowns]
+        block = structure.blocks[b]
+        part = structure.rhs[block.unknowns]
+        for solver in solvers:
+            solve = solver(b)
             x = solve(part, _CERTIFICATE_TOL / 2)
             margin = math.inf if x is None else _certify(system, block, part, x)
-            if blocks is structure.blocks and not margin <= _CERTIFICATE_TOL:
+            if solver is band and not margin <= _CERTIFICATE_TOL:
                 # refined in extended precision with the factor it holds; the
                 # residual is judged in that precision (NaN fails too)
                 system_ext = block.matrix(data, np.clongdouble)
@@ -573,7 +570,7 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
         if b != trace:
             del solve   # freed before the next block is factored
     kl, ku = structure.kl[trace], structure.ku[trace]
-    details = {"method": "gmres"} if blocks is not structure.blocks else {
+    details = {"method": "gmres"} if solver is not band else {
         "method": "banded-lu", "blocks": k, "bandwidth": (kl, ku),
         "lu_nnz": block.unknowns.size * (2 * kl + ku + 1)}
     part, rounds, correction = refined

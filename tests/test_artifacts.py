@@ -1,5 +1,5 @@
 """CSV artifacts pinned byte for byte: those of scripts/reproduce_sweeps.py, a
-model-mode jump ensemble and the scenario-a cutoff ladder."""
+model-mode jump ensemble and two scenario-a cutoff ladders."""
 
 import hashlib
 import os
@@ -47,5 +47,18 @@ def test_cutoff_ladder_matches_manifest(tmp_path):
     digest, name = (MANIFEST.parent / "cutoff_ladder.sha256").read_text().split()
     out = tmp_path / name
     argv = ["convergence", "--scenario", "a", "--cutoff", "1,2,3,4,5,6"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_rwa_cutoff_ladder_matches_manifest(tmp_path):
+    # scenario a under the RWA with thermal photons at cutoffs 5-7: cutoff 5
+    # takes the band over many blocks, and cutoffs 6-7 take GMRES over many
+    # blocks, patterns that neither the reproduce artifacts nor the full-
+    # coupling ladder reach
+    digest, name = (MANIFEST.parent / "convergence_rwa.sha256").read_text().split()
+    out = tmp_path / name
+    argv = ["convergence", "--scenario", "a", "--coupling", "rwa", "--nbar", "0.3",
+            "--cutoff", "5,6,7"]
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -210,6 +211,33 @@ def test_worker_pool_matches_serial(tmp_path, args):
     assert main(args + ["--out", str(serial)]) == 0
     assert main(args + ["--out", str(parallel), "--workers", "2"]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_pool_starts_no_more_workers_than_grid_points(tmp_path, monkeypatch):
+    # a forked pool starts all of its workers on its first task, so a grid of
+    # 2 points with --workers 64 asks for 2, and a grid of 1 point runs
+    # serially.  A stand-in executor records the sizes and solves in this
+    # process, in a pool cache of the test's own
+    sizes = []
+
+    class Executor:
+        def __init__(self, max_workers, initializer):
+            sizes.append(max_workers)
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Executor)
+    monkeypatch.setattr(cli, "_pool", functools.cache(cli._pool.__wrapped__))
+    for cutoffs in ("1,2", "1"):
+        out = tmp_path / f"{len(cutoffs)}.csv"
+        assert main(["convergence", "--scenario", "c", "--cutoffs", cutoffs, "--workers", "64",
+                     "--out", str(out)]) == 0
+        assert len(read_rows(out)) == len(cutoffs.split(","))
+    assert sizes == [2]
 
 
 def _child_env():

@@ -171,8 +171,7 @@ def test_band_blocks_and_refinement_at_scenario_a(cutoff, monkeypatch):
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
     gen = _scenario_a(cutoff)
     diagnostics = orb.steady_state(gen).diagnostics
-    indptr, indices, _ = steady._trace_replaced(gen.matrix, gen.dim)
-    structure = steady._band_structure(gen.dim ** 2, indptr.tobytes(), indices.tobytes())
+    structure = _structure(gen)
     assert diagnostics["blocks"] == 2
     assert [block.unknowns.size for block in structure.blocks] == [gen.dim ** 2 // 2] * 2
     kl, ku = diagnostics["bandwidth"]
@@ -193,47 +192,48 @@ def _arrays(value):
 
 def test_lu_order_is_cached_per_sparsity_pattern():
     # two points of one structure share a pattern, so the second solve reuses
-    # the first one's order and blocks; a hand-built generator of that
-    # pattern gets them too
+    # the first one's layout, blocks and band order; a hand-built generator of
+    # that pattern gets them too
     gens = [_scenario_a(3, omega) for omega in (0.9, 1.1)]
-    steady._band_structure.cache_clear()
+    steady._structure.cache_clear()
     results = [orb.steady_state(gen) for gen in gens]
-    info = steady._band_structure.cache_info()
+    info = steady._structure.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     n = gens[0].dim ** 2
-    indptr, indices, _ = steady._trace_replaced(gens[0].matrix, gens[0].dim)
-    structure = steady._band_structure(n, indptr.tobytes(), indices.tobytes())
-    assert steady._band_structure.cache_info().hits == 2
+    structure = _structure(gens[0])
+    assert steady._structure.cache_info().hits == 2
     assert np.array_equal(np.sort(np.concatenate([b.unknowns for b in structure.blocks])),
                           np.arange(n))
     arrays = _arrays(structure)
-    assert len(arrays) == 1 + 5 * len(structure.blocks)
+    # the certificate's rhs, the classes, and per block its four CSR arrays,
+    # its band order and its band slots
+    assert len(arrays) == 1 + len(structure.classes) + 6 * len(structure.blocks)
     assert not any(a.flags.writeable for a in arrays)
     bare = orb.SuperOperator(gens[0].space, gens[0].matrix.copy())
     np.testing.assert_allclose(orb.steady_state(bare).rho, results[0].rho, rtol=0, atol=1e-15)
 
 
-def _band(gen):
-    """The band structure of ``gen``'s trace-replaced system."""
+def _structure(gen):
+    """The structure of ``gen``'s trace-replaced system."""
     indptr, indices, _ = steady._trace_replaced(gen.matrix, gen.dim)
-    return steady._band_structure(gen.dim ** 2, indptr.tobytes(), indices.tobytes())
+    return steady._structure(gen.dim, indptr.tobytes(), indices.tobytes())
 
 
 @pytest.fixture
 def krylov(monkeypatch):
     """Every solve starts on the GMRES path; returns the outcomes of the
     unrefined certificates, of either solver, as (block, True where it
-    passed); the block is its index, the same in both layouts."""
+    passed); the block is its index in the structure, which both solvers
+    share."""
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", 0.0)
     outcomes = []
     certify = steady._certify
 
     def spy(system, block, r, x):
         margin = certify(system, block, r, x)
-        structure = steady._band_structure(system.shape[0], system.indptr.tobytes(),
-                                           system.indices.tobytes())
-        b = next(b for b, band in enumerate(structure.blocks)
-                 if block.unknowns[0] in band.unknowns)
+        structure = steady._structure(math.isqrt(system.shape[0]), system.indptr.tobytes(),
+                                      system.indices.tobytes())
+        b = next(b for b, cached in enumerate(structure.blocks) if cached is block)
         outcomes.append((b, bool(margin <= steady._CERTIFICATE_TOL)))
         return margin
 
@@ -290,7 +290,7 @@ def test_gmres_agrees_with_the_band(scenario, coupling, nbar, krylov, factored, 
         params=orb.RabiParams(omega=1.0, g=0.05, nbar=nbar, **REFERENCE_RATES), cutoff=3,
         coupling=coupling, parasitic=orb.scenario_parasitic(scenario)))
     result = orb.steady_state(gen)
-    structure = _band(gen)
+    structure = _structure(gen)
     assert sorted(krylov) == [(b, True) for b in range(len(structure.blocks))]
     assert krylov[-1][0] == structure.trace_block and factored == []
     diagnostics = result.diagnostics
@@ -320,7 +320,7 @@ def test_ill_conditioned_unique_state_is_returned(rate, cutoff, krylov, factored
     gen = orb.build_liouvillian(orb.ModelSpec(
         params=orb.RabiParams(omega=1.0, g=0.05, kappa=rate, lam=rate, gamma=rate / 4),
         cutoff=cutoff, parasitic=orb.scenario_parasitic("a")))
-    trace = _band(gen).trace_block
+    trace = _structure(gen).trace_block
     other = 1 - trace
     result = orb.steady_state(gen)
     assert krylov == [(other, True), (trace, False), (trace, False)] and factored == [trace]
@@ -394,12 +394,6 @@ def test_sylvester_part_read_off_the_generator_is_minus_i_h_eff(spec):
     np.testing.assert_allclose(rebuilt, gen.matrix.toarray(), rtol=0, atol=4e-15)
 
 
-def _layout(gen):
-    """The GMRES layout of ``gen``'s trace-replaced system."""
-    indptr, indices, _ = steady._trace_replaced(gen.matrix, gen.dim)
-    return steady._sectors(gen.dim, indptr.tobytes(), indices.tobytes())
-
-
 def _one_block():
     # the Rabi coupling and a cavity drive leave no symmetry: one block, one class
     space = orb.CompositeSpace((orb.Qubit("atom"), orb.Boson(3, "cavity")))
@@ -412,10 +406,20 @@ def _one_block():
     return orb.assemble(h, terms, space)
 
 
-def _rwa_c(nbar=0.0):
+def _rwa_c(nbar=0.0, cutoff=3):
     return orb.build_liouvillian(orb.ModelSpec(
-        params=orb.RabiParams(omega=1.0, g=0.05, nbar=nbar, **REFERENCE_RATES), cutoff=3,
+        params=orb.RabiParams(omega=1.0, g=0.05, nbar=nbar, **REFERENCE_RATES), cutoff=cutoff,
         coupling=orb.Coupling.RWA, parasitic=orb.scenario_parasitic("c")))
+
+
+def _split_pair_qutrit():
+    # a qutrit whose jump |0><0| + |1><2| joins rho[1, 0] and rho[2, 0] but
+    # leaves rho[2, 1] alone: a block splits the class pair X_10
+    space = orb.CompositeSpace((orb.Boson(2, "qutrit"),))
+    ket = np.eye(3, dtype=complex)
+    terms = [orb.LindbladTerm(np.outer(ket[0], ket[0]) + np.outer(ket[1], ket[2]), 0.3),
+             orb.LindbladTerm(np.outer(ket[0], ket[1]), 0.5)]
+    return orb.assemble(np.diag([0.0, 1.0, 2.3]).astype(complex), terms, space)
 
 
 def test_sectors_lay_out_each_block_by_class_pairs():
@@ -423,41 +427,46 @@ def test_sectors_lay_out_each_block_by_class_pairs():
     # and two blocks of D^2/2 unknowns, each the chunks vec(X_pq) of two pairs
     gen = _scenario_a(3)
     d = gen.dim
-    sectors = _layout(gen)
-    assert [c.size for c in sectors.classes] == [d // 2, d // 2]
-    assert sectors.pairs == (((0, 0), (1, 1)), ((0, 1), (1, 0)))
-    for sector, pairs in zip(sectors.blocks, sectors.pairs):
+    structure = _structure(gen)
+    assert [c.size for c in structure.classes] == [d // 2, d // 2]
+    assert structure.pairs == (((0, 0), (1, 1)), ((0, 1), (1, 0)))
+    for block, pairs in zip(structure.blocks, structure.pairs):
         start = 0
         for p, q in pairs:
-            rows, cols = sectors.classes[p], sectors.classes[q]
+            rows, cols = structure.classes[p], structure.classes[q]
             stop = start + rows.size * cols.size
-            np.testing.assert_array_equal(sector.unknowns[start:stop],
+            np.testing.assert_array_equal(block.unknowns[start:stop],
                                           (rows[:, None] + d * cols).ravel(order="F"))
             start = stop
+        assert stop == block.unknowns.size
 
 
-@pytest.mark.parametrize("layout", ["band", "sectors"])
-@pytest.mark.parametrize("build", [lambda: _scenario_a(3), lambda: _rwa_c(nbar=0.3), _one_block],
-                         ids=["scenario-a", "rwa-c", "one-block"])
-def test_each_layout_cuts_t_into_its_blocks(layout, build):
-    # the band's reverse Cuthill-McKee blocks and GMRES's class-pair blocks
-    # alike: their unknowns partition T's, block b of both holds the same
-    # ones, no entry of a block's rows leaves it, and its matrix is T's
-    # submatrix on its unknowns, in either dtype
+@pytest.mark.parametrize("build", [
+    lambda: _scenario_a(2), lambda: _rwa_c(nbar=0.3, cutoff=2), _one_block, _split_pair_qutrit,
+    lambda: orb.SuperOperator(orb.CompositeSpace((orb.Boson(0, "mode"),)),
+                              sp.csr_matrix(np.array([[-1.0 + 0j]]))),
+], ids=["scenario-a", "rwa-c", "one-block", "split-pair", "one-state"])
+def test_structure_cuts_t_into_blocks_and_bands(build):
+    # the blocks' unknowns partition T's, the trace row's block holds row 0,
+    # no entry of a block's rows leaves it, and its matrix is T's submatrix
+    # on its unknowns, in either dtype; where a block splits a class pair
+    # the unknowns are ascending.  The band reads block b in the order
+    # order[b], a permutation of its positions that follows T's reverse
+    # Cuthill-McKee order, and the band filled through slots[b] is T_b so
+    # permuted, every entry inside its kl[b] and ku[b] diagonals
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     gen = build()
     n = gen.dim ** 2
     indptr, indices, data = steady._trace_replaced(gen.matrix, gen.dim)
-    key = (indptr.tobytes(), indices.tobytes())
-    structure = steady._band_structure(n, *key)
-    cut = structure if layout == "band" else steady._sectors(gen.dim, *key)
+    structure = _structure(gen)
     system = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    assert 0 in cut.blocks[structure.trace_block].unknowns
-    assert np.array_equal(np.sort(np.concatenate([b.unknowns for b in cut.blocks])),
+    assert 0 in structure.blocks[structure.trace_block].unknowns
+    assert np.array_equal(np.sort(np.concatenate([b.unknowns for b in structure.blocks])),
                           np.arange(n))
-    assert len(cut.blocks) == len(structure.blocks)
-    for block, band in zip(cut.blocks, structure.blocks):
-        # block b holds the band's block b's unknowns, in its own order
-        np.testing.assert_array_equal(np.sort(block.unknowns), np.sort(band.unknowns))
+    pattern = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    rcm = reverse_cuthill_mckee((pattern + pattern.T).tocsr(), symmetric_mode=True)
+    for b, block in enumerate(structure.blocks):
         part = system[block.unknowns]
         sub = part[:, block.unknowns]
         assert sub.nnz == part.nnz   # no entry of the block's rows leaves it
@@ -465,36 +474,35 @@ def test_each_layout_cuts_t_into_its_blocks(layout, build):
             matrix = block.matrix(system.data, dtype)
             assert matrix.dtype == dtype
             np.testing.assert_array_equal(matrix.toarray(), sub.toarray().astype(dtype))
+        if structure.classes is None:
+            assert np.all(np.diff(block.unknowns) > 0)
+        order, kl, ku = structure.order[b], structure.kl[b], structure.ku[b]
+        np.testing.assert_array_equal(np.sort(order), np.arange(order.size))
+        np.testing.assert_array_equal(block.unknowns[order], rcm[np.isin(rcm, block.unknowns)])
+        ab = np.zeros((2 * kl + ku + 1) * order.size, dtype=complex)
+        ab[structure.slots[b]] = system.data[block.gather]
+        ab = ab.reshape((2 * kl + ku + 1, -1), order="F")
+        r, j = np.indices(ab.shape)
+        i = r - kl - ku + j   # band row r of column j holds entry (i, j) in band order
+        inside = (r >= kl) & (i >= 0) & (i < order.size)
+        assert not ab[~inside].any()
+        band = np.zeros((order.size,) * 2, dtype=complex)
+        band[i[inside], j[inside]] = ab[inside]
+        np.testing.assert_array_equal(band, sub.toarray()[np.ix_(order, order)])
 
 
 def test_a_block_that_splits_a_class_pair_goes_to_the_band(krylov, factored, monkeypatch):
-    # a qutrit whose jump |0><0| + |1><2| joins rho[1, 0] and rho[2, 0] but
-    # leaves rho[2, 1] alone: the pattern has no GMRES layout, so the band
-    # solves every block even where GMRES is picked, as it does forced
-    space = orb.CompositeSpace((orb.Boson(2, "qutrit"),))
-    ket = np.eye(3, dtype=complex)
-    terms = [orb.LindbladTerm(np.outer(ket[0], ket[0]) + np.outer(ket[1], ket[2]), 0.3),
-             orb.LindbladTerm(np.outer(ket[0], ket[1]), 0.5)]
-    gen = orb.assemble(np.diag([0.0, 1.0, 2.3]).astype(complex), terms, space)
-    assert _layout(gen) is None
+    # the pattern has no classes, so the band solves every block even where
+    # GMRES is picked, as it does forced
+    gen = _split_pair_qutrit()
+    assert _structure(gen).classes is None and _structure(gen).pairs is None
     result = orb.steady_state(gen)
     assert result.diagnostics["method"] == "banded-lu"
     assert result.diagnostics["krylov_iterations"] == 0
-    assert sorted(factored) == list(range(len(_band(gen).blocks)))
+    assert sorted(factored) == list(range(len(_structure(gen).blocks)))
     assert all(passed for _, passed in krylov)
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
     np.testing.assert_array_equal(result.rho, orb.steady_state(gen).rho)
-
-
-def test_sectors_are_built_for_gmres_patterns_alone():
-    # a band point pays nothing for the layout; a GMRES point builds it once
-    steady._sectors.cache_clear()
-    orb.steady_state(_scenario_a(3))
-    assert steady._sectors.cache_info().currsize == 0
-    for omega in (0.9, 1.1):
-        assert orb.steady_state(_scenario_a(4, omega)).diagnostics["method"] == "gmres"
-    info = steady._sectors.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("scenario", ["a", "c"])
@@ -504,9 +512,9 @@ def test_sylvester_part_has_no_entry_between_classes(scenario, coupling):
     gen = orb.build_liouvillian(orb.ModelSpec(
         params=orb.RabiParams(omega=1.0, g=0.05, nbar=0.3, **REFERENCE_RATES), cutoff=3,
         coupling=coupling, parasitic=orb.scenario_parasitic(scenario)))
-    sectors = _layout(gen)
+    structure = _structure(gen)
     label = np.empty(gen.dim, dtype=int)
-    for p, states in enumerate(sectors.classes):
+    for p, states in enumerate(structure.classes):
         label[states] = p
     assert label.max() >= (1 if coupling is orb.Coupling.FULL else 3)
     a = steady._drift(gen.terms)[0]
@@ -540,19 +548,19 @@ def test_per_class_preconditioner_equals_the_whole_one(build, classes):
     # and is the jump and trace part of that matrix times Y's populations
     gen = build()
     d = gen.dim
-    sectors = _layout(gen)
-    assert len(sectors.classes) == classes
-    a, jumps, lam, v, w = _eigenbasis(gen, sectors.classes)
+    structure = _structure(gen)
+    assert len(structure.classes) == classes
+    a, jumps, lam, v, w = _eigenbasis(gen, structure.classes)
     condition = np.abs(lam).max() / np.abs(lam[:, None] + lam.conj()).min()
-    per_class = steady._sylvester_inverse(a, jumps, sectors.classes, sectors.pairs)
+    per_class = steady._sylvester_inverse(a, jumps, structure.classes, structure.pairs)
     (whole,) = steady._sylvester_inverse(a, jumps, (np.arange(d),), [((0, 0),)])
-    secular = steady._populations(lam, v, w, jumps, sectors.classes) - np.diag(2 * lam.real)
+    secular = steady._populations(lam, v, w, jumps, structure.classes) - np.diag(2 * lam.real)
     rng = np.random.default_rng(5)
-    for sector, apply in zip(sectors.blocks, per_class):
+    for block, apply in zip(structure.blocks, per_class):
         x = np.zeros(d * d, dtype=complex)
-        x[sector.unknowns] = [1, 1j] @ rng.standard_normal((2, sector.unknowns.size))
+        x[block.unknowns] = [1, 1j] @ rng.standard_normal((2, block.unknowns.size))
         y = np.zeros(d * d, dtype=complex)
-        y[sector.unknowns] = apply(x[sector.unknowns])
+        y[block.unknowns] = apply(x[block.unknowns])
         ref = whole(x)
         assert np.linalg.norm(y - ref) <= 1e-13 * condition * np.linalg.norm(ref)
         big_y, big_x = y.reshape(d, d, order="F"), x.reshape(d, d, order="F")
@@ -572,9 +580,9 @@ def test_secular_matrix_is_the_population_block_of_t(scenario, coupling, nbar):
         params=orb.RabiParams(omega=1.0, g=0.05, nbar=nbar, **REFERENCE_RATES), cutoff=3,
         coupling=coupling, parasitic=orb.scenario_parasitic(scenario)))
     d = gen.dim
-    sectors = _layout(gen)
-    _, jumps, lam, v, w = _eigenbasis(gen, sectors.classes)
-    populations = steady._populations(lam, v, w, jumps, sectors.classes)
+    structure = _structure(gen)
+    _, jumps, lam, v, w = _eigenbasis(gen, structure.classes)
+    populations = steady._populations(lam, v, w, jumps, structure.classes)
     indptr, indices, data = steady._trace_replaced(gen.matrix, d)
     system = sp.csr_matrix((data, indices, indptr), shape=(d * d, d * d))
     brute = np.column_stack([
@@ -593,24 +601,24 @@ def test_singular_secular_matrix_keeps_the_floored_denominators(build):
     # floored, and no block raises or returns a non-finite value
     gen = build()
     d = gen.dim
-    sectors = _layout(gen)
-    a, jumps, lam, v, w = _eigenbasis(gen, sectors.classes)
-    preconditioners = steady._sylvester_inverse(a, jumps, sectors.classes, sectors.pairs)
+    structure = _structure(gen)
+    a, jumps, lam, v, w = _eigenbasis(gen, structure.classes)
+    preconditioners = steady._sylvester_inverse(a, jumps, structure.classes, structure.pairs)
     rates = -2 * lam.real
     floor = steady._DARK_FLOOR * rates[rates > d * np.finfo(float).eps * np.abs(lam).max()].min()
     denominators = lam[:, None] + lam.conj()[None, :]
     rng = np.random.default_rng(7)
     held = 0
-    for sector, pairs, apply in zip(sectors.blocks, sectors.pairs, preconditioners):
+    for block, pairs, apply in zip(structure.blocks, structure.pairs, preconditioners):
         x = np.zeros(d * d, dtype=complex)
-        x[sector.unknowns] = [1, 1j] @ rng.standard_normal((2, sector.unknowns.size))
+        x[block.unknowns] = [1, 1j] @ rng.standard_normal((2, block.unknowns.size))
         y = np.zeros(d * d, dtype=complex)
-        y[sector.unknowns] = apply(x[sector.unknowns])
+        y[block.unknowns] = apply(x[block.unknowns])
         assert np.all(np.isfinite(y))
         big_y, big_x = y.reshape(d, d, order="F"), x.reshape(d, d, order="F")
         c, z = w @ big_x @ w.conj().T, w @ big_y @ w.conj().T
         kept = np.zeros(d * d, dtype=bool)
-        kept[sector.unknowns] = np.abs(orb.vectorize(denominators)[sector.unknowns]) >= floor
+        kept[block.unknowns] = np.abs(orb.vectorize(denominators)[block.unknowns]) >= floor
         kept = orb.devectorize(kept)
         np.testing.assert_allclose(z[kept] * denominators[kept], c[kept], rtol=1e-12)
         held += any(p == q for p, q in pairs)
@@ -624,7 +632,7 @@ def test_gmres_by_sector_agrees_with_the_band_at_large_cutoffs(cutoff, krylov, f
     # trace row's last, and the band factors none
     gen = _scenario_a(cutoff)
     result = orb.steady_state(gen)
-    trace = _band(gen).trace_block
+    trace = _structure(gen).trace_block
     assert result.diagnostics["method"] == "gmres"
     # the secular populations keep GMRES short; S^-1 alone took 36-40
     assert result.diagnostics["krylov_iterations"] <= 24
@@ -647,7 +655,7 @@ def test_gmres_solve_makes_no_reference_cycles(krylov):
         assert gc.collect() == 0
     finally:
         gc.enable()
-    trace = _band(gen).trace_block
+    trace = _structure(gen).trace_block
     assert krylov == [(1 - trace, True), (trace, True)] * 4
 
 
