@@ -441,43 +441,67 @@ def test_sectors_lay_out_each_block_by_class_pairs():
         assert stop == block.unknowns.size
 
 
-@pytest.mark.parametrize("build", [
+_BUILDS = pytest.mark.parametrize("build", [
     lambda: _scenario_a(2), lambda: _rwa_c(nbar=0.3, cutoff=2), _one_block, _split_pair_qutrit,
     lambda: orb.SuperOperator(orb.CompositeSpace((orb.Boson(0, "mode"),)),
                               sp.csr_matrix(np.array([[-1.0 + 0j]]))),
 ], ids=["scenario-a", "rwa-c", "one-block", "split-pair", "one-state"])
+
+
+def _system(gen):
+    """``gen``'s trace-replaced system as a CSR matrix."""
+    n = gen.dim ** 2
+    indptr, indices, data = steady._trace_replaced(gen.matrix, gen.dim)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+@pytest.mark.parametrize("layout", ["band", "sectors"])
+@_BUILDS
+def test_each_layout_cuts_t_into_its_blocks(layout, build):
+    # GMRES reads block b in its class-pair order, block.unknowns, and the
+    # band in block.unknowns[order[b]]: in either layout the blocks' unknowns
+    # partition T's, the trace row's block holds row 0, no entry of a block's
+    # rows leaves it, and its matrix, so permuted, is T's submatrix on those
+    # unknowns, in either dtype; where a block splits a class pair the
+    # class-pair order is ascending
+    gen = build()
+    n = gen.dim ** 2
+    structure = _structure(gen)
+    system = _system(gen)
+    assert 0 in structure.blocks[structure.trace_block].unknowns
+    assert np.array_equal(np.sort(np.concatenate([b.unknowns for b in structure.blocks])),
+                          np.arange(n))
+    for b, block in enumerate(structure.blocks):
+        order = structure.order[b] if layout == "band" else np.arange(block.unknowns.size)
+        np.testing.assert_array_equal(np.sort(order), np.arange(order.size))
+        unknowns = block.unknowns[order]
+        if layout == "sectors" and structure.classes is None:
+            assert np.all(np.diff(unknowns) > 0)
+        part = system[unknowns]
+        sub = part[:, unknowns]
+        assert sub.nnz == part.nnz   # no entry of the block's rows leaves it
+        for dtype in (complex, np.clongdouble):
+            matrix = block.matrix(system.data, dtype)
+            assert matrix.dtype == dtype
+            np.testing.assert_array_equal(matrix.toarray()[np.ix_(order, order)],
+                                          sub.toarray().astype(dtype))
+
+
+@_BUILDS
 def test_structure_cuts_t_into_blocks_and_bands(build):
-    # the blocks' unknowns partition T's, the trace row's block holds row 0,
-    # no entry of a block's rows leaves it, and its matrix is T's submatrix
-    # on its unknowns, in either dtype; where a block splits a class pair
-    # the unknowns are ascending.  The band reads block b in the order
-    # order[b], a permutation of its positions that follows T's reverse
+    # the band reads block b in the order order[b], which follows T's reverse
     # Cuthill-McKee order, and the band filled through slots[b] is T_b so
     # permuted, every entry inside its kl[b] and ku[b] diagonals
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     gen = build()
-    n = gen.dim ** 2
-    indptr, indices, data = steady._trace_replaced(gen.matrix, gen.dim)
     structure = _structure(gen)
-    system = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    assert 0 in structure.blocks[structure.trace_block].unknowns
-    assert np.array_equal(np.sort(np.concatenate([b.unknowns for b in structure.blocks])),
-                          np.arange(n))
-    pattern = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    system = _system(gen)
+    pattern = sp.csr_matrix((np.ones(system.nnz), system.indices, system.indptr),
+                            shape=system.shape)
     rcm = reverse_cuthill_mckee((pattern + pattern.T).tocsr(), symmetric_mode=True)
     for b, block in enumerate(structure.blocks):
-        part = system[block.unknowns]
-        sub = part[:, block.unknowns]
-        assert sub.nnz == part.nnz   # no entry of the block's rows leaves it
-        for dtype in (complex, np.clongdouble):
-            matrix = block.matrix(system.data, dtype)
-            assert matrix.dtype == dtype
-            np.testing.assert_array_equal(matrix.toarray(), sub.toarray().astype(dtype))
-        if structure.classes is None:
-            assert np.all(np.diff(block.unknowns) > 0)
         order, kl, ku = structure.order[b], structure.kl[b], structure.ku[b]
-        np.testing.assert_array_equal(np.sort(order), np.arange(order.size))
         np.testing.assert_array_equal(block.unknowns[order], rcm[np.isin(rcm, block.unknowns)])
         ab = np.zeros((2 * kl + ku + 1) * order.size, dtype=complex)
         ab[structure.slots[b]] = system.data[block.gather]
@@ -488,7 +512,8 @@ def test_structure_cuts_t_into_blocks_and_bands(build):
         assert not ab[~inside].any()
         band = np.zeros((order.size,) * 2, dtype=complex)
         band[i[inside], j[inside]] = ab[inside]
-        np.testing.assert_array_equal(band, sub.toarray()[np.ix_(order, order)])
+        sub = system[block.unknowns][:, block.unknowns].toarray()
+        np.testing.assert_array_equal(band, sub[np.ix_(order, order)])
 
 
 def test_a_block_that_splits_a_class_pair_goes_to_the_band(krylov, factored, monkeypatch):
