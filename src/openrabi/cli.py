@@ -221,14 +221,29 @@ def _serial_blas() -> None:
         _one_blas_thread()
 
 
-@cache
+#: the process's one worker pool and its number of workers, once started
+_live_pool: tuple[ProcessPoolExecutor, int] | None = None
+
+
 def _pool(workers: int) -> ProcessPoolExecutor:
-    """The process's pool of ``workers`` workers, started on first use and
-    shared by every later command that runs as many, so that each worker
-    keeps the model and solver caches it built; it is shut down at exit."""
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
-    atexit.register(pool.shutdown)
-    return pool
+    """The process's one pool, of at least ``workers`` workers.  It is started
+    on first use and serves every later command that asks for no more
+    workers, so that each worker keeps the model and solver caches it built;
+    a command that asks for more shuts it down and starts a larger one.  The
+    pool is shut down at exit."""
+    global _live_pool
+    if _live_pool is None or _live_pool[1] < workers:
+        if _live_pool is not None:
+            _live_pool[0].shutdown()
+        _live_pool = (ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread),
+                      workers)
+    return _live_pool[0]
+
+
+@atexit.register
+def _shutdown_pool() -> None:
+    if _live_pool is not None:
+        _live_pool[0].shutdown()
 
 
 def _run_grid(header: tuple[str, ...], points: Callable, rows: Callable,

@@ -14,18 +14,24 @@ ensemble and steps the trajectories ``_BLOCK`` at a time: every live state of
 a block advances by one sample step in one call, the norm-crossing bisection
 runs on all the states that crossed in that step together, and ``_jumps``
 makes all of that step's jumps in one call (``run_trajectory`` calls it on a
-one-row block).  Each state still goes through the same BLAS calls as a lone
-state (one gemv per state, one dot per norm), so an ensemble member's samples
+one-row block).  A step takes the eigen-coordinates of its live states once;
+the trial step, every bisection point and the state at the jump all evolve
+those.  Each state still goes through the same BLAS calls as a lone state
+(one gemv per state, one dot per norm), so an ensemble member's samples
 equal its ``run_trajectory`` observables bit for bit.
 
 Each trajectory keeps its own random stream, that of
 ``trajectory_seed(base_seed, i)``, and its draw order (threshold, then per
 jump the channel and the next threshold), so the results do not depend on
-the block size or on execution order.  The ensemble does not build those
-streams one ``SeedSequence`` at a time: ``_stream_states`` runs numpy's
-``SeedSequence`` hash and PCG64's seeding step for a whole block of spawn keys
-at once, and the states are loaded into a pool of generators built once per
-process.  The engine runs in one process; ``--workers`` does not apply to it.
+the block size or on execution order.  The ensemble holds no ``Generator``:
+``_stream_states`` runs numpy's ``SeedSequence`` hash and PCG64's seeding
+step for a whole block of spawn keys at once, and keeps each stream as four
+``uint64`` arrays (the high and low words of PCG64's 128-bit state and
+increment); ``_uniforms`` steps the streams of a set of rows together and
+returns exactly what ``Generator.random()`` would (PCG64 is a 128-bit LCG
+with an XSL-RR output; O'Neill, HMC-CS-2014-0905).  ``run_trajectory``
+keeps numpy's own generator.  The engine runs in one process; ``--workers``
+does not apply to it.
 
 Intended for validation at moderate times on small spaces; asymptotics are
 the steady-state solver's job.
@@ -35,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -46,18 +51,18 @@ from .hilbert import VALIDITY_TOL, CompositeSpace, DimensionError
 from .liouville import LindbladTerm, SuperOperator
 
 _BISECT_FRACTION = 1e-3   # jump-time tolerance as a fraction of the step size
-# trajectories stepped together, and the size of the pool of generators that
-# every block reuses; each Generator holds ~0.9 KiB, so one generator per
-# trajectory would cost memory that the speed does not need
-_BLOCK = 1024
+_BLOCK = 4096             # trajectories stepped together
 
-# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's multiplier
+# numpy's SeedSequence hash (pool of 4 uint32 words), and PCG64's multiplier
+# as its high and low 64-bit words
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+
+_Streams = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 Seed = int | np.random.SeedSequence
 
@@ -133,19 +138,25 @@ class _Propagator:
             ok = False
         self._eig = (w, v, vinv) if ok else None
 
-    def apply(self, psi: np.ndarray, t: float | np.ndarray) -> np.ndarray:
-        """Evolve a state (D,) by ``t``, or each row of a block (m, D) by its own t[i]."""
+    def coordinates(self, psi: np.ndarray) -> np.ndarray:
+        """What ``evolve`` evolves: a state's (D,) or each row's (m, D)
+        eigen-coordinates, or the state itself when H_eff is defective."""
+        return psi if self._eig is None else _matvec(self._eig[2], psi)
+
+    def evolve(self, c: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+        """The state whose ``coordinates`` are ``c`` (D,), evolved by ``t``, or
+        each row of a block (m, D) evolved by its own t[i]."""
         t = np.asarray(t, dtype=float)
         if self._eig is not None:
-            w, v, vinv = self._eig
-            return _matvec(v, np.exp(-1j * w * t[..., None]) * _matvec(vinv, psi))
+            w, v, _ = self._eig
+            return _matvec(v, np.exp(-1j * w * t[..., None]) * c)
         # defective H_eff: one matrix exponential per distinct time
-        rows, times = psi.reshape(-1, psi.shape[-1]), t.reshape(-1)
+        rows, times = c.reshape(-1, c.shape[-1]), t.reshape(-1)
         out = np.empty_like(rows)
         for tk in np.unique(times):
             at = times == tk
             out[at] = _matvec(la.expm(-1j * self._h * tk), rows[at])
-        return out.reshape(psi.shape)
+        return out.reshape(c.shape)
 
 
 @dataclass
@@ -183,29 +194,27 @@ def _generator(seed: Seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _draw_channels(rngs: list[np.random.Generator], probs: np.ndarray) -> np.ndarray:
-    """Per row of ``probs`` (m, K) an index drawn with those probabilities from
-    that row's generator: one ``rng.random()`` and the arithmetic of
-    ``rng.choice(K, p=row)``, without its checks."""
+def _draw_channels(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Per row of ``probs`` (m, K) an index drawn with those probabilities by
+    that row's uniform ``u[i]``: the arithmetic of ``rng.choice(K, p=row)``
+    for ``u[i] = rng.random()``, without its checks."""
     cdf = np.cumsum(probs, axis=-1)
     cdf /= cdf[:, -1:]
-    u = np.array([rng.random() for rng in rngs])
     # the count of cdf entries <= u is searchsorted(u, side="right")
     return (cdf <= u[:, None]).sum(-1)
 
 
 def _jumps(
-    unr: Unraveling, weights: list[np.ndarray], states: np.ndarray,
-    rngs: list[np.random.Generator],
+    unr: Unraveling, weights: list[np.ndarray], states: np.ndarray, u: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jump every row of ``states`` (m, D), row ``i`` drawing its channel
-    with probability ~ <state|w_k|state> from ``rngs[i]``; return the channels
-    and the states after those jumps, each renormalized."""
+    with probability ~ <state|w_k|state> by the uniform ``u[i]``; return the
+    channels and the states after those jumps, each renormalized."""
     probs = np.stack([np.vecdot(states, _matvec(w, states)).real for w in weights], axis=-1)
     total = probs.sum(-1)
     if (total <= 0).any():
         raise StepSizeUnderflowError("norm decayed with no open jump channel")
-    channels = _draw_channels(rngs, probs / total[:, None])
+    channels = _draw_channels(u, probs / total[:, None])
     jumped = _matvec(np.stack(unr.jumps)[channels], states)
     return channels, jumped / np.sqrt(_norm_sq(jumped))[:, None]
 
@@ -237,7 +246,8 @@ def run_trajectory(
         remaining = dt
         elapsed = times[k - 1]
         while True:
-            trial = prop.apply(psi, remaining)
+            coords = prop.coordinates(psi)
+            trial = prop.evolve(coords, remaining)
             if _norm_sq(trial) > threshold:
                 psi = trial
                 break
@@ -248,12 +258,13 @@ def run_trajectory(
             lo, hi = 0.0, remaining
             while hi - lo > tol:
                 mid = 0.5 * (lo + hi)
-                if _norm_sq(prop.apply(psi, mid)) > threshold:
+                if _norm_sq(prop.evolve(coords, mid)) > threshold:
                     lo = mid
                 else:
                     hi = mid
             tau = 0.5 * (lo + hi)
-            channels, jumped = _jumps(unr, weights, prop.apply(psi, tau)[None], [rng])
+            channels, jumped = _jumps(unr, weights, prop.evolve(coords, tau)[None],
+                                      np.array([rng.random()]))
             psi = jumped[0]
             record.jump_times.append(elapsed + tau)
             record.jump_channels.append(int(channels[0]))
@@ -306,14 +317,42 @@ def _hasher(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
     return hash_
 
 
-def _stream_states(base_seed: int, keys: np.ndarray) -> list[dict]:
-    """``PCG64(trajectory_seed(base_seed, k)).state`` for every spawn key ``k``
-    in ``keys`` (each below 2**32), computed for all keys in one pass.
+def _mul64(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of ``a * b`` for a uint64 array ``a`` and a
+    64-bit constant ``b``, from products of 32-bit halves."""
+    a1, a0 = a >> np.uint64(32), a & np.uint64(_MASK32)
+    b1, b0 = np.uint64(b >> 32), np.uint64(b & _MASK32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> np.uint64(32)) + (p01 & np.uint64(_MASK32)) + (p10 & np.uint64(_MASK32))
+    high = a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+    return high, a * np.uint64(b)
 
-    numpy's SeedSequence algorithm on uint32 arrays, one element per key: the
-    entropy words of ``base_seed`` padded to the pool size, then the key's word;
+
+def _add128(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray,
+            b_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a + b`` mod 2**128, each number as its high and low 64-bit words."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _lcg_step(s_hi: np.ndarray, s_lo: np.ndarray, inc_hi: np.ndarray,
+              inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's step ``state * mult + inc`` mod 2**128, in 64-bit words."""
+    carry, lo = _mul64(s_lo, _PCG64_MULT_LO)
+    hi = carry + s_lo * np.uint64(_PCG64_MULT_HI) + s_hi * np.uint64(_PCG64_MULT_LO)
+    return _add128(hi, lo, inc_hi, inc_lo)
+
+
+def _stream_states(base_seed: int, keys: np.ndarray) -> _Streams:
+    """The PCG64 streams of ``trajectory_seed(base_seed, k)`` for every spawn
+    key ``k`` in ``keys`` (each below 2**32), computed for all keys in one
+    pass: ``state_hi, state_lo, inc_hi, inc_lo``, the 64-bit words of each
+    stream's ``PCG64(...).state`` state and increment, one element per key.
+
+    numpy's SeedSequence algorithm on uint32 arrays: the entropy words of
+    ``base_seed`` padded to the pool size, then the key's word;
     ``mix_entropy``; ``generate_state(4, uint64)``.  Then PCG64's ``srandom``
-    seeding step in Python ints, one 128-bit state and increment per key.
+    seeding step on the 64-bit words.
     """
     keys = np.asarray(keys, dtype=np.uint32)
     run = _uint32_words(base_seed)
@@ -337,28 +376,46 @@ def _stream_states(base_seed: int, keys: np.ndarray) -> list[dict]:
     generate = _hasher(_INIT_B, _MULT_B)
     # 4 uint64 words of two halves each, low half first
     halves = [generate(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        (lo | hi << np.uint64(32)).tolist() for lo, hi in zip(halves[::2], halves[1::2])
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        lo | hi << np.uint64(32) for lo, hi in zip(halves[::2], halves[1::2])
     )
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    # srandom: inc = seq << 1 | 1, state = (inc + seed) * mult + inc
+    inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
+    inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
+    state = _lcg_step(*_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo)
+    return *state, inc_hi, inc_lo
+
+
+def _uniforms(streams: _Streams, rows: np.ndarray, n: int) -> np.ndarray:
+    """The next ``n`` values of ``Generator.random()`` of each stream in
+    ``rows``, shape (n, len(rows)); those streams advance by ``n`` draws.
+
+    A draw steps the LCG, folds the new state's words (XSL), rotates them
+    right by the state's top 6 bits (RR), and keeps the top 53 bits of that
+    64-bit output as a float in [0, 1)."""
+    state_hi, state_lo, inc_hi, inc_lo = streams
+    hi, lo, i_hi, i_lo = state_hi[rows], state_lo[rows], inc_hi[rows], inc_lo[rows]
+    out = np.empty((n, hi.size))
+    for j in range(n):
+        hi, lo = _lcg_step(hi, lo, i_hi, i_lo)
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        out[j] = (x >> np.uint64(11)) * 2.0**-53
+    state_hi[rows], state_lo[rows] = hi, lo
+    return out
 
 
 def _bisect(
-    prop: _Propagator, psi: np.ndarray, threshold: np.ndarray, remaining: np.ndarray, tol: float
+    prop: _Propagator, coords: np.ndarray, threshold: np.ndarray, remaining: np.ndarray, tol: float
 ) -> np.ndarray:
     """Crossing times of ||psi_i(tau)||^2 = threshold_i in (0, remaining_i] for
-    the rows of ``psi``: run_trajectory's bisection, row by row."""
+    the states whose ``prop.coordinates`` are the rows of ``coords``:
+    run_trajectory's bisection, row by row."""
     lo, hi = np.zeros_like(remaining), remaining.copy()
     open_ = np.flatnonzero(hi - lo > tol)
     while open_.size:
         mid = 0.5 * (lo[open_] + hi[open_])
-        above = _norm_sq(prop.apply(psi[open_], mid)) > threshold[open_]
+        above = _norm_sq(prop.evolve(coords[open_], mid)) > threshold[open_]
         lo[open_[above]] = mid[above]
         hi[open_[~above]] = mid[~above]
         open_ = open_[hi[open_] - lo[open_] > tol]
@@ -371,20 +428,22 @@ def _run_block(
     weights: list[np.ndarray],
     psi0: np.ndarray,
     dt: float,
-    rngs: list[np.random.Generator],
+    streams: _Streams,
     operators: tuple[np.ndarray, ...],
     out: np.ndarray,
 ) -> None:
-    """Step one trajectory per generator from ``psi0`` and write the samples
-    of sample steps 1.. into ``out`` (shape (len(rngs), n_operators, n_times))."""
-    psi = np.tile(psi0, (len(rngs), 1))
-    threshold = np.array([rng.random() for rng in rngs])
+    """Step one trajectory per stream from ``psi0`` and write the samples of
+    sample steps 1.. into ``out`` (shape (n_streams, n_operators, n_times))."""
+    m = out.shape[0]
+    psi = np.tile(psi0, (m, 1))
+    threshold = _uniforms(streams, np.arange(m), 1)[0]
     tol = dt * _BISECT_FRACTION
     for k in range(1, out.shape[2]):
-        remaining = np.full(len(rngs), dt)
-        live = np.arange(len(rngs))     # the trajectories still inside step k
+        remaining = np.full(m, dt)
+        live = np.arange(m)     # the trajectories still inside step k
         while live.size:
-            trial = prop.apply(psi[live], remaining[live])
+            coords = prop.coordinates(psi[live])
+            trial = prop.evolve(coords, remaining[live])
             kept = _norm_sq(trial) > threshold[live]
             psi[live[kept]] = trial[kept]
             crossed = live[~kept]
@@ -392,23 +451,14 @@ def _run_block(
                 break
             if not unr.jumps:
                 raise StepSizeUnderflowError("norm decayed but the unraveling has no jumps")
-            tau = _bisect(prop, psi[crossed], threshold[crossed], remaining[crossed], tol)
-            jumping = [rngs[i] for i in crossed]
-            _, psi[crossed] = _jumps(unr, weights, prop.apply(psi[crossed], tau), jumping)
-            threshold[crossed] = [rng.random() for rng in jumping]
+            coords = coords[~kept]
+            tau = _bisect(prop, coords, threshold[crossed], remaining[crossed], tol)
+            u = _uniforms(streams, crossed, 2)     # the channel's draw, then the next threshold
+            _, psi[crossed] = _jumps(unr, weights, prop.evolve(coords, tau), u[0])
+            threshold[crossed] = u[1]
             remaining[crossed] -= tau
             live = crossed[remaining[crossed] > 0]
         out[:, :, k] = _expectations(psi, operators).T
-
-
-@cache
-def _generator_pool(size: int) -> list[np.random.Generator]:
-    """``size`` generators, built once per process, that every ensemble's
-    blocks load their streams into (building 1024 takes ~8 ms).  Not
-    thread-safe: ensembles run at once in threads of one process would share
-    them."""
-    placeholder = np.random.SeedSequence(0)
-    return [np.random.Generator(np.random.PCG64(placeholder)) for _ in range(size)]
 
 
 def _ensemble_samples(
@@ -439,14 +489,10 @@ def _ensemble_samples(
     weights = [j.conj().T @ j for j in unr.jumps]
     samples = np.empty((n_traj, len(operators), t_grid.size))
     samples[:, :, 0] = _expectations(psi0, operators)
-    # one generator per row of a block; each block overwrites their states
-    pool = _generator_pool(_BLOCK)
     for start in range(0, n_traj, _BLOCK):
         keys = np.arange(start, min(start + _BLOCK, n_traj), dtype=np.uint32)
-        rngs = pool[:keys.size]
-        for rng, state in zip(rngs, _stream_states(base_seed, keys)):
-            rng.bit_generator.state = state
-        _run_block(unr, prop, weights, psi0, dt, rngs, operators, samples[start:start + keys.size])
+        _run_block(unr, prop, weights, psi0, dt, _stream_states(base_seed, keys), operators,
+                   samples[start:start + keys.size])
     return samples
 
 

@@ -1,5 +1,4 @@
 import csv
-import functools
 import json
 import os
 import subprocess
@@ -217,7 +216,7 @@ def test_pool_starts_no_more_workers_than_grid_points(tmp_path, monkeypatch):
     # a forked pool starts all of its workers on its first task, so a grid of
     # 2 points with --workers 64 asks for 2, and a grid of 1 point runs
     # serially.  A stand-in executor records the sizes and solves in this
-    # process, in a pool cache of the test's own
+    # process, as the test's own pool
     sizes = []
 
     class Executor:
@@ -231,7 +230,7 @@ def test_pool_starts_no_more_workers_than_grid_points(tmp_path, monkeypatch):
             pass
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", Executor)
-    monkeypatch.setattr(cli, "_pool", functools.cache(cli._pool.__wrapped__))
+    monkeypatch.setattr(cli, "_live_pool", None)
     for cutoffs in ("1,2", "1"):
         out = tmp_path / f"{len(cutoffs)}.csv"
         assert main(["convergence", "--scenario", "c", "--cutoffs", cutoffs, "--workers", "64",
@@ -271,6 +270,35 @@ def test_commands_share_one_worker_pool_and_leave_no_worker(tmp_path):
         while _alive(pid) and time.monotonic() < deadline:
             time.sleep(0.05)   # an orphan that exited waits to be reaped
         assert not _alive(pid), f"worker {pid} outlived its process"
+
+
+def test_one_pool_per_process_grows_to_the_largest_request(tmp_path):
+    # in one child process, --workers 3 on a 2-point grid starts 2 workers; on
+    # a 3-point grid those stop and 3 start; a 2-point grid then runs on the
+    # 3.  Each table equals its serial run
+    code = textwrap.dedent("""
+        import multiprocessing, sys
+        from openrabi import cli
+        def run(omegas, workers, name):
+            code = cli.main(["sweep-omega", "--omega-grid", omegas, "--cutoffs", "1",
+                             "--workers", str(workers), "--out", sys.argv[1] + f"/{name}.csv"])
+            assert code == 0, code
+            return sorted(p.pid for p in multiprocessing.active_children())
+        two = run("0.8,1.2", 3, "two")
+        three = run("0.8,1.0,1.2", 3, "three")
+        again = run("0.8,1.2", 3, "again")
+        assert len(two) == 2 and len(three) == 3 and again == three, (two, three, again)
+        assert not set(two) & set(three), (two, three)
+        run("0.8,1.2", 1, "two_serial")
+        run("0.8,1.0,1.2", 1, "three_serial")
+    """)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    serial = {n: (tmp_path / f"{n}_serial.csv").read_bytes() for n in ("two", "three")}
+    assert (tmp_path / "two.csv").read_bytes() == serial["two"]
+    assert (tmp_path / "again.csv").read_bytes() == serial["two"]
+    assert (tmp_path / "three.csv").read_bytes() == serial["three"]
 
 
 def _alive(pid):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -150,7 +152,8 @@ def test_renormalized_norm_after_jumps():
 
 
 def test_draw_channel_matches_generator_choice():
-    # each row's draw is Generator.choice's: same index, same stream state after it
+    # each row's draw, fed one uniform of its generator, is Generator.choice's:
+    # same index, same stream state after it
     source = np.random.default_rng(7)
     for case in range(120):
         w = source.random((int(source.integers(1, 9)), int(source.integers(2, 6))))
@@ -161,17 +164,54 @@ def test_draw_channel_matches_generator_choice():
         p = w / w.sum(-1, keepdims=True)
         mine = [np.random.Generator(np.random.PCG64([case, row])) for row in range(len(p))]
         theirs = [np.random.Generator(np.random.PCG64([case, row])) for row in range(len(p))]
-        got = trajectories._draw_channels(mine, p)
+        got = trajectories._draw_channels(np.array([rng.random() for rng in mine]), p)
         assert got.tolist() == [rng.choice(row.size, p=row) for rng, row in zip(theirs, p)]
         assert [rng.random() for rng in mine] == [rng.random() for rng in theirs]
 
 
-@pytest.mark.parametrize("base_seed", [0, 1, 17, 2024, 2**32 + 5, 2**70 + 3, 2**130 + 9])
+_SEEDS = [0, 1, 17, 2024, 2**32 + 5, 2**70 + 3, 2**130 + 9]
+
+
+def _pcg64_streams(base_seed, keys):
+    return [np.random.PCG64(np.random.SeedSequence(entropy=base_seed, spawn_key=(k,))).state["state"]
+            for k in keys]
+
+
+def _words128(hi, lo):
+    return [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
+
+
+@pytest.mark.parametrize("base_seed", _SEEDS)
 def test_block_stream_states_equal_seed_sequence(base_seed):
     keys = [*range(0, 3000, 7), 2**32 - 1]
-    got = trajectories._stream_states(base_seed, np.array(keys, dtype=np.uint32))
-    assert got == [np.random.PCG64(np.random.SeedSequence(entropy=base_seed, spawn_key=(k,))).state
-                   for k in keys]
+    streams = trajectories._stream_states(base_seed, np.array(keys, dtype=np.uint32))
+    assert all(words.dtype == np.uint64 and words.shape == (len(keys),) for words in streams)
+    state_hi, state_lo, inc_hi, inc_lo = streams
+    want = _pcg64_streams(base_seed, keys)
+    assert _words128(state_hi, state_lo) == [w["state"] for w in want]
+    assert _words128(inc_hi, inc_lo) == [w["inc"] for w in want]
+
+
+@pytest.mark.parametrize("base_seed", _SEEDS)
+def test_vectorized_draws_equal_generator_random(base_seed):
+    # 24 draws per stream, in rounds over all streams and over random subsets
+    # of them, each stream's draws are its Generator's, in order
+    keys = [*range(0, 60, 3), 2**32 - 1]
+    streams = trajectories._stream_states(base_seed, np.array(keys, dtype=np.uint32))
+    got = [[] for _ in keys]
+    subsets = np.random.default_rng(base_seed % 2**32)
+    rows = np.arange(len(keys))
+    for n in (1, 2, 1, 3):
+        for i, draws in zip(rows, trajectories._uniforms(streams, rows, n).T):
+            got[i] += draws.tolist()
+    while min(map(len, got)) < 24:
+        rows = np.flatnonzero(subsets.random(len(keys)) < 0.5)
+        n = int(subsets.integers(1, 3))
+        for i, draws in zip(rows, trajectories._uniforms(streams, rows, n).T):
+            got[i] += draws.tolist()
+    for k, draws in zip(keys, got):
+        rng = np.random.Generator(np.random.PCG64(orb.trajectory_seed(base_seed, k)))
+        assert draws == [rng.random() for _ in draws]
 
 
 def _reference_samples(unr, psi0, t_grid, n_traj, base_seed, ops):
@@ -202,7 +242,7 @@ def test_batched_equals_reference_two_jumps_in_one_step():
     np.testing.assert_array_equal(got, np.array([r.observables for r in records]))
 
 
-def test_batched_equals_reference_scenario_c():
+def _scenario_c():
     spec = orb.ModelSpec(
         params=orb.RabiParams(omega=1.0, g=0.3, kappa=0.5, lam=0.5, gamma=0.125),
         cutoff=1,
@@ -212,8 +252,33 @@ def test_batched_equals_reference_scenario_c():
     unr = orb.unravel(orb.build_hamiltonian(spec), orb.build_dissipators(spec), space)
     assert len(unr.jumps) > 2
     ops = (orb.excitation_operator(space, "cavity"), orb.excitation_operator(space, "atom"))
+    return unr, space, ops
+
+
+def test_batched_equals_reference_scenario_c():
+    unr, space, ops = _scenario_c()
     psi0 = orb.basis_ket(space, [0] * len(space.dims))
     _assert_batched_equals_reference(unr, psi0, np.linspace(0.0, 4.0, 9), 150, 21, ops)
+
+
+def test_batched_equals_reference_at_any_block_size(monkeypatch):
+    # scenario c from the all-excited state with dt = 2: several jumps in one
+    # step.  45 trajectories make 6 blocks of 7 and a partial last one of 3,
+    # and one partial block of the default size
+    unr, space, ops = _scenario_c()
+    psi0 = orb.basis_ket(space, [d - 1 for d in space.dims])
+    t_grid = np.linspace(0.0, 6.0, 4)
+    records = [orb.run_trajectory(unr, psi0, 6.0, 2.0, orb.trajectory_seed(21, i), ops)
+               for i in range(45)]
+    assert any(max(Counter(t // 2.0 for t in r.jump_times).values(), default=0) >= 3
+               for r in records)
+    want = np.array([r.observables for r in records])
+    assert 45 < trajectories._BLOCK
+    np.testing.assert_array_equal(trajectories._ensemble_samples(unr, psi0, t_grid, 45, 21, ops),
+                                  want)
+    monkeypatch.setattr(trajectories, "_BLOCK", 7)
+    np.testing.assert_array_equal(trajectories._ensemble_samples(unr, psi0, t_grid, 45, 21, ops),
+                                  want)
 
 
 def test_batched_equals_reference_without_jumps():
@@ -222,14 +287,6 @@ def test_batched_equals_reference_without_jumps():
     unr = orb.unravel(orb.number(2) + 0.3 * x, [], space)
     psi0 = orb.basis_ket(space, [0])
     _assert_batched_equals_reference(unr, psi0, np.linspace(0.0, 2.0, 41), 3, 5, (orb.number(2),))
-
-
-def test_batched_equals_reference_partial_last_block():
-    unr, space, _, _ = decaying_cavity()
-    psi0 = orb.basis_ket(space, [1])
-    n_traj = trajectories._BLOCK + 3
-    _assert_batched_equals_reference(unr, psi0, np.linspace(0.0, 3.0, 7), n_traj, 17,
-                                     (orb.number(1),))
 
 
 def test_expm_fallback_at_exceptional_point():
