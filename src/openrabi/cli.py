@@ -285,18 +285,19 @@ def _means(rep: ObservableReport) -> tuple[float, float]:
     return _clamp_tiny_negative(rep.n_mean["cavity"]), _clamp_tiny_negative(rep.e_mean["atom"])
 
 
-def _analytic_reference(spec: ModelSpec) -> tuple[float | None, float | None]:
+def _analytic_reference(params: RabiParams,
+                        coupling: Coupling) -> tuple[float | None, float | None]:
     """Closed-form one-photon reference for the bare model at these parameters.
 
     Zero under the rotating-wave approximation (no anti-rotating term, no
     excitation); undefined at finite reservoir temperature.
     """
-    if spec.params.nbar != 0:
+    if params.nbar != 0:
         return None, None
-    if spec.coupling is Coupling.RWA:
+    if coupling is Coupling.RWA:
         return 0.0, 0.0
     try:
-        ref = one_photon_excitations(spec.params)
+        ref = one_photon_excitations(params)
     except ValueError:
         return None, None
     return ref.n_mean, ref.e_mean
@@ -308,11 +309,19 @@ def _sweep_points(axis: str, o: argparse.Namespace) -> list:
             for x in getattr(o, f"{axis}_grid") for cutoff in o.cutoffs]
 
 
-def _sweep_rows(spec: ModelSpec, rep: ObservableReport | None) -> list[list]:
-    n1, e1 = _analytic_reference(spec)
-    if rep is None:
-        return [[None, None, n1, e1, None]]
-    return [[*_means(rep), n1, e1, rep.i_af]]
+def _sweep_rows(solved: list) -> list[list]:
+    """The table of a sweep.  The closed forms depend on a point's parameters
+    and coupling alone, which its cutoffs share, so each is evaluated once
+    per table."""
+    references = {}
+    table = []
+    for keys, spec, rep, error in solved:
+        key = (spec.params, spec.coupling)
+        if key not in references:
+            references[key] = _analytic_reference(*key)
+        means = (None, None) if rep is None else _means(rep)
+        table.append([*keys, *means, *references[key], None if rep is None else rep.i_af, error])
+    return table
 
 
 def _exp10(key: str, log10: float) -> float:
@@ -420,8 +429,7 @@ def _sweep(axis: str, help: str, scalars: tuple[str, ...]) -> _Command:
     header = ("scenario", axis, "cutoff", "n_mean", "e_mean", "n1_analytic", "e1_analytic",
               "i_af", "error")
     return _Command(help, (f"{axis}_grid", "cutoffs", *scalars), {"out": f"sweep_{axis}.csv"},
-                    partial(_run_grid, header, partial(_sweep_points, axis),
-                            partial(_per_point, _sweep_rows)))
+                    partial(_run_grid, header, partial(_sweep_points, axis), _sweep_rows))
 
 
 _COMMANDS = {

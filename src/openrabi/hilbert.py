@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -191,25 +191,31 @@ def expectation(op: np.ndarray, rho: np.ndarray) -> complex:
 
 def partial_trace(rho: np.ndarray, space: CompositeSpace, keep: Iterable[int]) -> np.ndarray:
     """Reduced density matrix on the kept factors (original order); trace preserved."""
-    keep = sorted(set(keep))
-    k = len(space.dims)
-    if not keep:
-        raise ValueError("keep set must be non-empty")
-    if keep[0] < 0 or keep[-1] >= k:
-        raise DimensionError(f"keep indices {keep} out of range for {k} factors")
+    shape, subscripts, out, dk = _reduction(space, tuple(keep))
     rho = np.asarray(rho)
     if rho.shape != (space.dim, space.dim):
         raise DimensionError(f"rho shape {rho.shape} does not match space dim {space.dim}")
-    dims = list(space.dims)
-    tensor = rho.reshape(dims + dims)
+    return np.einsum(rho.reshape(shape), subscripts, out).reshape(dk, dk)
+
+
+@lru_cache(maxsize=128)
+def _reduction(space: CompositeSpace, keep: tuple[int, ...]
+               ) -> tuple[tuple[int, ...], list[int], list[int], int]:
+    """How ``partial_trace`` reduces a state of ``space`` to the factors
+    ``keep``: the tensor shape of rho, the einsum subscripts of its row and
+    column indices and of the result, and the reduced dimension.  A space is
+    immutable, so this is worked out once per (space, keep)."""
+    kept = sorted(set(keep))
+    k = len(space.dims)
+    if not kept:
+        raise ValueError("keep set must be non-empty")
+    if kept[0] < 0 or kept[-1] >= k:
+        raise DimensionError(f"keep indices {kept} out of range for {k} factors")
+    dims = space.dims
     row_idx = list(range(k))
-    col_idx = [i + k if i in keep else i for i in range(k)]
-    out_idx = keep + [i + k for i in keep]
-    reduced = np.einsum(tensor, row_idx + col_idx, out_idx)
-    dk = 1
-    for i in keep:
-        dk *= dims[i]
-    return reduced.reshape(dk, dk)
+    col_idx = [i + k if i in kept else i for i in range(k)]
+    out_idx = kept + [i + k for i in kept]
+    return dims + dims, row_idx + col_idx, out_idx, math.prod(dims[i] for i in kept)
 
 
 def herm_defect(rho: np.ndarray) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -45,19 +46,30 @@ def mutual_information(
     Subsystems outside A union B are traced out first, so for models with
     spectator elements the correlation is between the reduced true parties.
     """
+    joint_keep, joint_space, pos_a, pos_b = _bipartition(space, tuple(part_a), tuple(part_b))
+    joint = partial_trace(rho, space, joint_keep)
+    s_a = von_neumann_entropy(partial_trace(joint, joint_space, pos_a))
+    s_b = von_neumann_entropy(partial_trace(joint, joint_space, pos_b))
+    return s_a + s_b - von_neumann_entropy(joint)
+
+
+@lru_cache(maxsize=64)
+def _bipartition(space: CompositeSpace, part_a: tuple[int | str, ...],
+                 part_b: tuple[int | str, ...]
+                 ) -> tuple[tuple[int, ...], CompositeSpace, tuple[int, ...], tuple[int, ...]]:
+    """The factors of ``space`` that ``mutual_information`` keeps, the space
+    they span, and the positions there of ``part_a`` and of ``part_b``;
+    worked out once per (space, parts), as a space is immutable."""
     a = sorted({space.index(s) for s in part_a})
     b = sorted({space.index(s) for s in part_b})
     if not a or not b:
         raise PartitionError("both parts of the partition must be non-empty")
     if set(a) & set(b):
         raise PartitionError(f"partition overlaps: {a} and {b}")
-    joint = partial_trace(rho, space, a + b)
     joint_space = space.subspace(a + b)
-    pos_a = [joint_space.index(space.subsystems[i].label) for i in a]
-    pos_b = [joint_space.index(space.subsystems[i].label) for i in b]
-    s_a = von_neumann_entropy(partial_trace(joint, joint_space, pos_a))
-    s_b = von_neumann_entropy(partial_trace(joint, joint_space, pos_b))
-    return s_a + s_b - von_neumann_entropy(joint)
+    pos_a = tuple(joint_space.index(space.subsystems[i].label) for i in a)
+    pos_b = tuple(joint_space.index(space.subsystems[i].label) for i in b)
+    return tuple(a + b), joint_space, pos_a, pos_b
 
 
 @dataclass(frozen=True)

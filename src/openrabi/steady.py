@@ -6,7 +6,8 @@ the first scalar equation with the trace constraint and solving the resulting
 nonsingular system T.  T splits into connected blocks (the superparity
 sectors of a Rabi model), which ``_structure``, cached per sparsity pattern,
 lays out once; a ``_Block`` is one of them, its unknowns in that layout plus
-the slice of T's CSR arrays that is its submatrix there.  State i belongs to
+the CSR pattern of its submatrix there and where its values sit among the
+generator's.  State i belongs to
 the Hilbert class of the block that holds ``rho[i, 0]``, and a block's
 unknowns are the column-major chunks ``vec(X_pq)`` of its class pairs
 (p, q); a pattern whose blocks split some ``X_pq`` has no classes, and its
@@ -28,42 +29,50 @@ layout:
   S alone holds up by denominators as small as the rates.  A pattern without
   classes, and a generator that carries no terms, go to the band.
 
-The solve runs block by block, the trace row's block last, and each block
-stops at the first solver that certifies it: GMRES where it is picked, then
-the band; every factor but the trace row's block's is freed as it goes.
-One certificate of uniqueness judges every block: for a fixed-seed random
+Each block reads its values straight from the generator's CSR values,
+through gathers cached with the pattern.  The solve runs solver by solver:
+GMRES where it is picked, then the band.  Each solves every block still
+pending, the trace row's block last, and one product then certifies them
+all; a block that fails moves on to the next solver.  Every band factor but
+the trace row's block's is freed once it has solved its block.  One
+certificate of uniqueness judges every block: for a fixed-seed random
 right-hand side r, the block's part x_b of the solution must have
 ``||r_b - T_b x_b|| <= tol ||r_b||`` and ``eps ||T_b||_F ||x_b|| <= tol
-||r_b||``.  As ``vec(1)^T L = 0``, ``T x = 0`` exactly when ``L x = 0``
-and ``tr x = 0``, and every Lindblad null space holds a state of trace 1,
-so T is singular exactly when the state is not unique, which is exactly
-when one of its blocks is; a singular block leaves a residual of about
-``||r_b|| / sqrt(n_b)`` whatever x_b is.  An ``eig`` that raises sends
-every block to the band; a GMRES run that stalls or fails the certificate
-sends its block alone.  On the band a block that fails the certificate
-(ill-conditioned, at rates below ~1e-8, or singular) is refined in
-extended precision with the factor it holds, and its residual judged in
-that precision; a failure there, or an exactly zero pivot, means the state
-is not unique.
+||r_b||``, all from ``T x``, which is ``L x`` with row 0 replaced by ``tr
+x``, and norms summed by block label.  As ``vec(1)^T L = 0``, ``T x = 0``
+exactly when ``L x = 0`` and ``tr x = 0``, and every Lindblad null space
+holds a state of trace 1, so T is singular exactly when the state is not
+unique, which is exactly when one of its blocks is; a singular block leaves
+a residual of about ``||r_b|| / sqrt(n_b)`` whatever x_b is.  An ``eig``
+that raises sends every block to the band; a GMRES run that stalls or fails
+the certificate sends its block alone.  On the band a block that fails the
+certificate (ill-conditioned, at rates below ~1e-8, or singular) is refined
+in extended precision with its factor, factored again if it was freed, and
+its residual judged in that precision; a failure there, or an exactly zero
+pivot, means the state is not unique.  The blocks solved before a zero
+pivot are judged first, so the error names the first failing block in
+solving order.
 
-As T is block-diagonal, the steady state's right-hand side meets the trace
-row's block alone, and iterative refinement with extended-precision
-residuals runs on that block with the solve that certified it; should GMRES
-stall there, the block goes to the band.  At the extreme rate/frequency
-separations typical here (rates ~1e-6 against frequencies ~1) the replaced
-system is ill-conditioned, so a small residual does not bound the error of
-the solution; the size of the correction does.  Refinement therefore always
-applies at least one correction and stops once a correction is at most
-``_REFINE_STOP`` (2^-52, the rounding floor of double precision) of the
-solution, after at most ``_REFINE_ROUNDS`` rounds; ``SteadyStateResult``
-lists the diagnostics.
+As T is block-diagonal, the steady state's right-hand side e_0 meets the
+trace row's block alone, and iterative refinement with extended-precision
+residuals runs on that block with the solve that certified it, from the
+solution of e_0 that the band solves together with the certificate's, in one
+two-column ``zgbtrs``; should GMRES stall there, the block goes to the
+band.  At the extreme rate/frequency separations typical here (rates ~1e-6
+against frequencies ~1) the replaced system is ill-conditioned, so a small
+residual does not bound the error of the solution; the size of the
+correction does.  Refinement therefore always applies at least one
+correction and stops once a correction is at most ``_REFINE_STOP`` (2^-52,
+the rounding floor of double precision) of the solution, after at most
+``_REFINE_ROUNDS`` rounds; ``SteadyStateResult`` lists the diagnostics.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -110,46 +119,50 @@ class SteadyStateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _trace_replaced(mat: sp.csr_matrix, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays (indptr, indices, data) of ``mat`` with row 0 replaced by the
-    vectorized trace row, whose entries sit at the populations ``rho[k, k]``.
-    The index arrays are int32; ``mat`` itself is left as it is."""
-    start = mat.indptr[1]
-    indptr = (mat.indptr - start + dim).astype(np.int32, copy=False)
-    indptr[0] = 0
-    indices = np.concatenate([np.arange(dim) * (dim + 1), mat.indices[start:]], dtype=np.int32)
-    data = np.concatenate([np.ones(dim, dtype=complex), mat.data[start:]])
-    return indptr, indices, data
-
-
 @dataclass(frozen=True)
 class _Block:
     """One connected block of T in the layout of ``_structure``; every array
     is read-only.  ``unknowns`` holds the vec indices of its unknowns in
-    layout order.  In that layout its CSR submatrix has the values
-    ``data[gather]`` of the trace-replaced system's values ``data``, the
-    columns ``indices`` and the row pointers ``indptr``."""
+    layout order.  In that layout its CSR submatrix has the columns
+    ``indices`` and the row pointers ``indptr``, and its values are the
+    generator's CSR values ``data[gather]``, but at the positions ``ones``,
+    the trace row's entries (in the trace row's block alone), which are 1."""
 
     unknowns: np.ndarray
     gather: np.ndarray
+    ones: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
 
     def __post_init__(self):
-        for array in (self.unknowns, self.gather, self.indices, self.indptr):
+        for array in (self.unknowns, self.gather, self.ones, self.indices, self.indptr):
             array.flags.writeable = False
 
+    def values(self, data: np.ndarray, dtype: type = complex) -> np.ndarray:
+        values = data[self.gather].astype(dtype, copy=False)
+        values[self.ones] = 1.0
+        return values
+
     def matrix(self, data: np.ndarray, dtype: type = complex) -> sp.csr_matrix:
+        # a shallow copy of the block's CSR pattern, given these values: the
+        # constructor would check the pattern again at every point
+        matrix = copy.copy(self._pattern)
+        matrix.data = self.values(data, dtype)
+        return matrix
+
+    @cached_property
+    def _pattern(self) -> sp.csr_matrix:
         n = self.unknowns.size
-        return sp.csr_matrix((data[self.gather].astype(dtype, copy=False), self.indices,
-                              self.indptr), shape=(n, n))
+        return sp.csr_matrix((np.ones(self.gather.size, dtype=np.int8), self.indices, self.indptr),
+                             shape=(n, n))
 
 
-def _cut(indptr: np.ndarray, indices: np.ndarray,
+def _cut(indptr: np.ndarray, indices: np.ndarray, source: np.ndarray,
          layouts: list[np.ndarray]) -> tuple[_Block, ...]:
-    """The blocks of the CSR pattern ``(indptr, indices)`` whose unknowns, in
+    """The blocks of T's CSR pattern ``(indptr, indices)`` whose unknowns, in
     order, are each array of ``layouts``; no entry of a block's rows may
-    leave it.  Each row keeps the order of its entries."""
+    leave it.  Each row keeps the order of its entries.  T's entry j holds
+    the generator's value ``source[j]``, or a one where that is negative."""
     position = np.empty(indptr.size - 1, dtype=np.int32)   # each unknown's place in its block
     blocks = []
     for unknowns in layouts:
@@ -157,9 +170,12 @@ def _cut(indptr: np.ndarray, indices: np.ndarray,
         lengths = indptr[unknowns + 1] - indptr[unknowns]
         local = np.zeros(unknowns.size + 1, dtype=np.int32)
         np.cumsum(lengths, out=local[1:])
-        gather = np.repeat(indptr[unknowns] - local[:-1], lengths) + np.arange(local[-1])
-        blocks.append(_Block(unknowns=unknowns, gather=gather,
-                             indices=position[indices[gather]], indptr=local))
+        entries = np.repeat(indptr[unknowns] - local[:-1], lengths) + np.arange(local[-1])
+        gather = source[entries]
+        ones = np.flatnonzero(gather < 0)
+        gather[ones] = 0   # any value: it is overwritten by the one
+        blocks.append(_Block(unknowns=unknowns, gather=gather, ones=ones,
+                             indices=position[indices[entries]], indptr=local))
     return tuple(blocks)
 
 
@@ -172,7 +188,10 @@ class _Structure:
     column-major; where a block splits some ``X_pq``, ``classes`` and
     ``pairs`` are None and the unknowns ascending.  The band takes block b's
     positions in the order ``order[b]``, with ``kl[b]`` sub- and ``ku[b]``
-    superdiagonals, and ``slots[b]`` places its CSR entries in that band."""
+    superdiagonals, and ``slots[b]`` places its CSR entries in that band.
+    ``label`` is the block of each unknown, and ``entry_block`` that of each
+    entry of the generator, its row's, or the extra label ``len(blocks)``
+    for row 0, which T replaces."""
 
     blocks: tuple[_Block, ...]
     classes: tuple[np.ndarray, ...] | None
@@ -183,15 +202,21 @@ class _Structure:
     slots: tuple[np.ndarray, ...]
     trace_block: int          # the block that holds row 0
     work: float               # about the band LU's multiply-adds: sum of n_block kl (kl + ku + 1)
+    label: np.ndarray
+    entry_block: np.ndarray
     rhs: np.ndarray           # the certificate's: fixed-seed random, of length D^2
+    rhs_norms: np.ndarray     # ||rhs|| on each block's unknowns
+    trace_rhs: np.ndarray     # rhs and e_0 on the trace row's block's unknowns, as two rows
 
 
 @lru_cache(maxsize=16)
 def _structure(dim: int, indptr: bytes, indices: bytes) -> _Structure:
-    """The structure of the D^2 x D^2 CSR pattern (D is ``dim``) with int32
-    arrays ``indptr`` and ``indices``, made symmetric: state i is in the class
-    of the block that holds vec index i (rho[i, 0]), class pair (p, q) in the
-    block of its entries, and the band order is the pattern's reverse
+    """The structure of T for the generator's D^2 x D^2 CSR pattern (D is
+    ``dim``) with int32 arrays ``indptr`` and ``indices``.  T's pattern is
+    that one with row 0 replaced by the vectorized trace row, whose entries
+    sit at the populations ``rho[k, k]``, made symmetric: state i is in the
+    class of the block that holds vec index i (rho[i, 0]), class pair (p, q)
+    in the block of its entries, and the band order is the pattern's reverse
     Cuthill-McKee order (Cuthill & McKee 1969, reversed as George 1971).  It
     depends on the pattern alone, so it is cached on the pattern's bytes."""
     # imported here: a process that never factors (the jump engine) skips it
@@ -200,7 +225,14 @@ def _structure(dim: int, indptr: bytes, indices: bytes) -> _Structure:
     n = dim * dim
     indptr = np.frombuffer(indptr, dtype=np.int32)
     indices = np.frombuffer(indices, dtype=np.int32)
-    pattern = sp.csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr),
+    # T's CSR pattern; its entry j >= dim is the generator's entry j - dim + start
+    start = int(indptr[1])
+    t_indptr = indptr - np.int32(start - dim)
+    t_indptr[0] = 0
+    t_indices = np.concatenate([np.arange(dim) * (dim + 1), indices[start:]], dtype=np.int32)
+    source = np.arange(start - dim, indices.size, dtype=np.int32)
+    source[:dim] = -1
+    pattern = sp.csr_matrix((np.ones(t_indices.size, dtype=np.int8), t_indices, t_indptr),
                             shape=(n, n))
     pattern = (pattern + pattern.T).tocsr()
     k, labels = connected_components(pattern, directed=False)
@@ -220,7 +252,7 @@ def _structure(dim: int, indptr: bytes, indices: bytes) -> _Structure:
                                    for p, q in block_pairs]) for block_pairs in pairs]
     else:
         layouts = np.split(np.argsort(labels, kind="stable"), bounds)
-    blocks = _cut(indptr, indices, layouts)
+    blocks = _cut(t_indptr, t_indices, source, layouts)
     # RCM visits one component at a time; the stable sort only makes the
     # blocks' contiguity independent of that
     rcm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
@@ -242,38 +274,59 @@ def _structure(dim: int, indptr: bytes, indices: bytes) -> _Structure:
         kl.append(low)
         ku.append(up)
         work += rank.size * low * (low + up + 1)
+    entry_block = np.append(np.full(start, k, dtype=np.int32),
+                            labels[np.repeat(np.arange(1, n), np.diff(indptr[1:]))])
     rng = np.random.default_rng(_CERTIFICATE_SEED)
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    rhs.flags.writeable = False
+    rhs_norms = np.sqrt(np.bincount(labels, weights=np.abs(rhs) ** 2, minlength=k))
+    trace = blocks[labels[0]].unknowns
+    trace_rhs = np.stack([rhs[trace], trace == 0]).astype(complex)
+    for array in labels, entry_block, rhs, rhs_norms, trace_rhs:
+        array.flags.writeable = False
     return _Structure(blocks=blocks, classes=classes, pairs=pairs, order=tuple(order),
                       kl=tuple(kl), ku=tuple(ku), slots=tuple(slots),
-                      trace_block=int(labels[0]), work=float(work), rhs=rhs)
+                      trace_block=int(labels[0]), work=float(work), label=labels,
+                      entry_block=entry_block, rhs=rhs, rhs_norms=rhs_norms,
+                      trace_rhs=trace_rhs)
 
 
-def _certify(system: sp.csr_matrix, block: _Block, r: np.ndarray, x: np.ndarray) -> float:
-    """The certificate's margin for ``x``, a solution of ``T_b x = r`` on
-    ``block`` of T (T is ``system``): the larger of ``||r - T_b x|| / ||r||``
-    and ``eps ||T_b||_F ||x|| / ||r||``.  ``T_b x`` is T times x placed on
-    the block's unknowns, zero elsewhere, as T is block-diagonal."""
-    scale = float(np.linalg.norm(r))
-    full = np.zeros(system.shape[0], dtype=complex)
-    full[block.unknowns] = x
-    residual = float(np.linalg.norm(r - (system @ full)[block.unknowns])) / scale
-    error = np.finfo(float).eps * float(
-        np.linalg.norm(system.data[block.gather]) * np.linalg.norm(x)) / scale
-    return max(residual, error)
+def _certify(structure: _Structure, mat: sp.csr_matrix, x: np.ndarray,
+             blocks: list[int]) -> np.ndarray:
+    """The certificate's margin of each of ``blocks``, for ``x`` that holds
+    each block's solution x_b of ``T_b x_b = r_b`` on its unknowns (r is the
+    certificate's rhs, T the trace-replaced system of the generator
+    ``mat``): the larger of ``||r_b - T_b x_b|| / ||r_b||`` and ``eps
+    ||T_b||_F ||x_b|| / ||r_b||``.  One product serves every block: ``T x``
+    is ``L x`` with row 0 replaced by ``tr x``, and as T is block-diagonal
+    its part on a block's unknowns is ``T_b x_b``; the norms are summed by
+    block label."""
+    k, trace = len(structure.blocks), structure.trace_block
+    dim = math.isqrt(x.size)
+    residual = mat @ x
+    residual[0] = np.cumsum(x[::dim + 1])[-1]   # summed in order, as T's CSR row 0 would be
+    np.subtract(structure.rhs, residual, out=residual)
+
+    def squares(values: np.ndarray, labels: np.ndarray, bins: int) -> np.ndarray:
+        return np.bincount(labels, weights=values.real ** 2 + values.imag ** 2, minlength=bins)
+
+    norms = squares(mat.data, structure.entry_block, k + 1)[:k]
+    norms[trace] += dim   # the trace row's ones
+    margins = np.maximum(np.sqrt(squares(residual, structure.label, k)), np.finfo(float).eps
+                         * np.sqrt(norms * squares(x, structure.label, k))) / structure.rhs_norms
+    return margins[blocks]
 
 
 def _factor(structure: _Structure, b: int,
             data: np.ndarray) -> Callable[..., np.ndarray]:
     """The solve of block b on its own unknowns, by ``zgbtrf`` of the block
-    of CSR values ``data`` in its ``(2 kl + ku + 1, n_block)`` band: it gathers
-    the right-hand side into band order and scatters the solution back, and
+    of the generator's CSR values ``data`` in its ``(2 kl + ku + 1, n_block)``
+    band: it gathers the right-hand side, a vector or a matrix of one column
+    per right-hand side, into band order and scatters the solution back, and
     takes GMRES's tolerance and ignores it, as it is direct.  An exactly zero
     pivot raises ``NonUniqueSteadyStateError``."""
     kl, ku, order = structure.kl[b], structure.ku[b], structure.order[b]
     ab = np.zeros((2 * kl + ku + 1) * order.size, dtype=complex)
-    ab[structure.slots[b]] = data[structure.blocks[b].gather]
+    ab[structure.slots[b]] = structure.blocks[b].values(data)
     lu, ipiv, info = zgbtrf(ab.reshape((2 * kl + ku + 1, -1), order="F"), kl, ku,
                             overwrite_ab=1)
     if info > 0:
@@ -489,12 +542,11 @@ def _krylov_solvers(terms: Terms, structure: _Structure, data: np.ndarray,
 
 
 def _refine(solve: Callable[[np.ndarray], np.ndarray | None], rhs: np.ndarray,
-            system_ext: sp.csr_matrix, dtype: type = complex
+            x: np.ndarray | None, system_ext: sp.csr_matrix, dtype: type = complex
             ) -> tuple[np.ndarray, int, float] | None:
-    """(x, rounds, last correction): ``solve(rhs)``, refined with the
-    residuals of the extended-precision system ``system_ext`` and summed in
-    ``dtype``; None if a solve returns None."""
-    x = solve(rhs)
+    """(x, rounds, last correction): ``x``, the solution ``solve(rhs)``,
+    refined with the residuals of the extended-precision system
+    ``system_ext`` and summed in ``dtype``; None if x or a solve is None."""
     if x is None:
         return None
     x = x.astype(dtype, copy=False)
@@ -514,6 +566,26 @@ def _refine(solve: Callable[[np.ndarray], np.ndarray | None], rhs: np.ndarray,
     return x, rounds, correction
 
 
+def _refined_margin(structure: _Structure, b: int, data: np.ndarray, solve: Callable,
+                    x: np.ndarray) -> float:
+    """The certificate's residual on band block b, whose solution ``x`` (on
+    the block's unknowns of a vector of length D^2) failed it: refined in
+    extended precision with the block's band solve ``solve``, and judged in
+    that precision (NaN fails too).  Raises ``NonUniqueSteadyStateError`` if it
+    fails again."""
+    unknowns = structure.blocks[b].unknowns
+    part = structure.rhs[unknowns]
+    system_ext = structure.blocks[b].matrix(data, np.clongdouble)
+    refined = _refine(solve, part, x[unknowns], system_ext, np.clongdouble)[0]
+    margin = float(np.linalg.norm(part - system_ext @ refined) / np.linalg.norm(part))
+    if not margin <= _CERTIFICATE_TOL:
+        raise NonUniqueSteadyStateError(
+            f"certificate failed in block {b} of {len(structure.blocks)}: relative residual "
+            f"{margin:.1e} after refinement (tolerance {_CERTIFICATE_TOL:.0e}); "
+            f"the stationary state is not unique")
+    return margin
+
+
 def steady_state(gen: SuperOperator) -> SteadyStateResult:
     """Unique stationary density matrix of a trace-preserving generator.
 
@@ -529,9 +601,10 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
         mat = mat.copy()
         mat.sum_duplicates()
     norm_l = max(float(np.linalg.norm(mat.data)), 1e-300)   # Frobenius, as mat is canonical
-    indptr, indices, data = _trace_replaced(mat, dim)
-    system = sp.csr_matrix((data, indices, indptr), shape=mat.shape)
-    structure = _structure(dim, indptr.tobytes(), indices.tobytes())
+    structure = _structure(dim, mat.indptr.astype(np.int32, copy=False).tobytes(),
+                           mat.indices.astype(np.int32, copy=False).tobytes())
+    # the blocks gather the trace row's ones over some value, which must exist
+    data = mat.data if mat.nnz else np.zeros(1, dtype=complex)
     k, trace = len(structure.blocks), structure.trace_block
     band = lambda b: _factor(structure, b, data)
     solvers = [band]
@@ -540,42 +613,61 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
             structure.classes is not None) and (
             krylov := _krylov_solvers(gen.terms, structure, data, iterations)) is not None:
         solvers.insert(0, krylov)
-    certificate = 0.0
-    # block by block, the trace row's last: GMRES where picked, then the band.
-    # A GMRES run that stalls or fails the certificate moves its block on
-    for b in sorted(range(k), key=lambda b: b == trace):
-        block = structure.blocks[b]
-        part = structure.rhs[block.unknowns]
-        for solver in solvers:
-            solve = solver(b)
-            x = solve(part, _CERTIFICATE_TOL / 2)
-            margin = math.inf if x is None else _certify(system, block, part, x)
-            if solver is band and not margin <= _CERTIFICATE_TOL:
-                # refined in extended precision with the factor it holds; the
-                # residual is judged in that precision (NaN fails too)
-                system_ext = block.matrix(data, np.clongdouble)
-                x = _refine(solve, part, system_ext, np.clongdouble)[0]
-                margin = float(np.linalg.norm(part - system_ext @ x) / np.linalg.norm(part))
-                if not margin <= _CERTIFICATE_TOL:
-                    raise NonUniqueSteadyStateError(
-                        f"certificate failed in block {b} of {k}: relative residual "
-                        f"{margin:.1e} after refinement (tolerance {_CERTIFICATE_TOL:.0e}); "
-                        f"the stationary state is not unique")
-            # T is block-diagonal, so x is exactly 0 outside the trace row's block
-            if margin <= _CERTIFICATE_TOL and (b != trace or (refined := _refine(
-                    solve, (block.unknowns == 0).astype(complex),
-                    block.matrix(data, np.clongdouble))) is not None):
+    block, e0 = structure.blocks[trace], structure.trace_rhs[1]
+    x = np.zeros(dim * dim, dtype=complex)   # each block's solution of the certificate's rhs
+    margins = np.zeros(k)
+    pending = sorted(range(k), key=lambda b: b == trace)
+    # each solver solves the pending blocks, the trace row's last, and one
+    # product then judges them: GMRES where picked, then the band.  A block
+    # whose GMRES run stalls or fails the certificate stays pending
+    for solver in solvers:
+        solved, zero_pivot = [], None
+        for b in pending:
+            try:
+                solve = solver(b)
+            except NonUniqueSteadyStateError as exc:   # raised once the blocks before are judged
+                zero_pivot = exc
                 break
-        certificate = max(certificate, margin)
-        if b != trace:
-            del solve   # freed before the next block is factored
+            unknowns = structure.blocks[b].unknowns
+            if solver is band and b == trace:   # the certificate's rhs and e_0 in one call
+                x[unknowns], start = solve(structure.trace_rhs.T).T
+            else:
+                part = solve(structure.rhs[unknowns], _CERTIFICATE_TOL / 2)
+                x[unknowns] = 0.0 if part is None else part   # a stall fails the certificate
+            solved.append(b)
+            if b == trace:
+                kept = solve
+            del solve   # freed before the next block is solved; the trace row's block's is kept
+        pending = []
+        for b, margin in zip(solved, _certify(structure, mat, x, solved)):
+            if solver is band and not margin <= _CERTIFICATE_TOL:
+                # with the factor the trace row's block holds; another block,
+                # whose factor was freed, is factored again
+                margin = _refined_margin(structure, b, data, kept if b == trace else band(b), x)
+            margins[b] = margin
+            if not margin <= _CERTIFICATE_TOL:
+                pending.append(b)
+            elif b == trace:
+                # T is block-diagonal, so the state is exactly 0 outside the
+                # trace row's block, refined with the solve that certified it
+                refined = _refine(kept, e0, start if solver is band else kept(e0),
+                                  block.matrix(data, np.clongdouble))
+                if refined is None:   # GMRES stalled
+                    pending.append(b)
+                else:
+                    method = solver
+        if zero_pivot is not None:
+            raise zero_pivot
+        if not pending:
+            break
     kl, ku = structure.kl[trace], structure.ku[trace]
-    details = {"method": "gmres"} if solver is not band else {
+    details = {"method": "gmres"} if method is not band else {
         "method": "banded-lu", "blocks": k, "bandwidth": (kl, ku),
         "lu_nnz": block.unknowns.size * (2 * kl + ku + 1)}
     part, rounds, correction = refined
     x = np.zeros(dim * dim, dtype=complex)
     x[block.unknowns] = part
+    certificate = float(margins.max())
 
     raw = devectorize(x)
     rho = 0.5 * (raw + raw.conj().T)
@@ -583,7 +675,7 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     if not residual <= VALIDITY_TOL:
         raise NoConvergenceError(f"residual {residual:.3e} exceeds {VALIDITY_TOL:.0e}")
     try:
-        margins = validate_density_matrix(raw)
+        validity = validate_density_matrix(raw)
     except ValueError as exc:
         raise NoConvergenceError(f"state fails validity checks: {exc}") from exc
     rho /= np.trace(rho).real
@@ -596,7 +688,7 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
             "certificate": certificate,
             "refine_rounds": rounds,
             "last_correction": correction,
-            **margins,
+            **validity,
         },
     )
 

@@ -56,6 +56,34 @@ def test_sweep_omega_matches_analytic(tmp_path):
     assert values[0] > values[1] > values[2]
 
 
+def test_sweep_evaluates_each_closed_form_once_per_command(tmp_path, monkeypatch):
+    # a sweep's cutoff-1 and cutoff-2 rows share their parameters, and so
+    # their closed form: one evaluation per omega.  The same command run
+    # again evaluates them again, as nothing is kept between commands
+    calls = []
+    closed_form = cli.one_photon_excitations
+
+    def spy(params):
+        calls.append(params)
+        return closed_form(params)
+
+    monkeypatch.setattr(cli, "one_photon_excitations", spy)
+    omegas = [0.7, 1.0, 1.3]
+    tables = []
+    for run in range(2):
+        out = tmp_path / f"omega{run}.csv"
+        assert main(["sweep-omega", "--omega-grid", "0.7,1.0,1.3", "--cutoff", "1,2",
+                     "--out", str(out)]) == 0
+        assert [p.omega for p in calls] == omegas * (run + 1)
+        tables.append(read_rows(out))
+    assert tables[0] == tables[1]
+    rows = tables[0]
+    assert [r["cutoff"] for r in rows] == ["1", "2"] * 3
+    for first, second in zip(rows[::2], rows[1::2]):
+        assert (first["n1_analytic"], first["e1_analytic"]) == (
+            second["n1_analytic"], second["e1_analytic"])
+
+
 def test_sweep_omega_rwa_dark(tmp_path):
     out = tmp_path / "rwa.csv"
     assert main([

@@ -121,3 +121,74 @@ def test_report_summary():
     dist = rep.distributions["cavity"]
     assert rep.n_mean["cavity"] == pytest.approx(float(dist @ np.arange(dist.size)))
     assert rep.i_af == pytest.approx(orb.mutual_information(rho, space, ["atom"], ["cavity"]))
+
+
+def _reference_partial_trace(rho, space, keep):
+    """The reduced state on the sorted factors ``keep``, by the same einsum
+    as ``partial_trace``, its subscripts worked out on every call."""
+    k = len(space.dims)
+    dims = list(space.dims)
+    col_idx = [i + k if i in keep else i for i in range(k)]
+    reduced = np.einsum(rho.reshape(dims + dims), list(range(k)) + col_idx,
+                        keep + [i + k for i in keep])
+    return reduced.reshape(int(np.prod([dims[i] for i in keep])), -1)
+
+
+def _reference_report(rho, space):
+    n_mean, e_mean, distributions = {}, {}, {}
+    for i, sub in enumerate(space.subsystems):
+        pops = np.diag(_reference_partial_trace(rho, space, [i])).real
+        if isinstance(sub, orb.Boson):
+            distributions[sub.label] = pops.copy()
+            n_mean[sub.label] = float(pops @ np.arange(sub.dim))
+        else:
+            e_mean[sub.label] = float(pops[1])
+    atom, cavity = space.index("atom"), space.index("cavity")
+    joint = _reference_partial_trace(rho, space, sorted([atom, cavity]))
+    pair = orb.CompositeSpace(tuple(space.subsystems[i] for i in sorted([atom, cavity])))
+    s_a = orb.von_neumann_entropy(_reference_partial_trace(joint, pair, [pair.index("atom")]))
+    s_b = orb.von_neumann_entropy(_reference_partial_trace(joint, pair, [pair.index("cavity")]))
+    return n_mean, e_mean, distributions, s_a + s_b - orb.von_neumann_entropy(joint)
+
+
+@pytest.mark.parametrize("scenario", ["bare", "a", "b", "c", "d"])
+@pytest.mark.parametrize("coupling", [orb.Coupling.FULL, orb.Coupling.RWA])
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+@pytest.mark.parametrize("nbar", [0.0, 0.3])
+def test_report_equals_the_uncached_reference(scenario, coupling, cutoff, nbar):
+    # report reads its index lists and subspaces from per-space caches; its
+    # numbers equal those of the same einsums and entropies worked out anew
+    spec = orb.ModelSpec(
+        params=orb.RabiParams(omega=1.1, g=0.05, nbar=nbar, kappa=1e-6, lam=1e-6, gamma=2.5e-7),
+        cutoff=cutoff, coupling=coupling, parasitic=orb.scenario_parasitic(scenario))
+    space = orb.build_space(spec)
+    rho = orb.steady_state(orb.build_liouvillian(spec)).rho
+    rep = orb.report(rho, space)
+    n_mean, e_mean, distributions, i_af = _reference_report(rho, space)
+    assert rep.n_mean == n_mean and rep.e_mean == e_mean
+    assert distributions.keys() == rep.distributions.keys()
+    for label, dist in distributions.items():
+        np.testing.assert_array_equal(rep.distributions[label], dist)
+    assert rep.i_af == i_af
+
+
+def test_spaces_with_equal_dims_and_other_labels_share_no_cached_plan():
+    # the caches key on the space, labels included: a space of the same
+    # dimensions under other labels gets its own index lists and subspace
+    from openrabi import hilbert, observables
+
+    rho, space = bell_state()
+    other = orb.CompositeSpace((orb.Qubit("x"), orb.Qubit("y")))
+    hilbert._reduction.cache_clear()
+    observables._bipartition.cache_clear()
+    values = [orb.mutual_information(rho, s, [0], [1]) for s in (space, other, space)]
+    assert values[0] == values[1] == values[2] == pytest.approx(2.0, abs=1e-12)
+    assert observables._bipartition.cache_info().currsize == 2
+    # the joint state and each qubit, per space
+    assert hilbert._reduction.cache_info().currsize == 6
+    for s in (space, other):
+        joint_space = observables._bipartition(s, (0,), (1,))[1]
+        assert joint_space == s and [q.label for q in joint_space.subsystems] == [
+            q.label for q in s.subsystems]
+    with pytest.raises(KeyError):
+        orb.mutual_information(rho, other, ["a"], ["b"])

@@ -142,6 +142,14 @@ def test_one_state_failure_is_no_convergence():
         orb.steady_state(gen)
 
 
+def test_one_state_generator_without_entries_keeps_its_state():
+    # L = 0 on one state: T is the trace row alone, whose value the block
+    # gathers though the generator stores none
+    space = orb.CompositeSpace((orb.Boson(0, "mode"),))
+    result = orb.steady_state(orb.SuperOperator(space, sp.csr_matrix((1, 1), dtype=complex)))
+    np.testing.assert_array_equal(result.rho, [[1.0]])
+
+
 @pytest.mark.parametrize("scenario", ["bare", "a", "c"])
 def test_steady_state_hygiene(scenario):
     spec = orb.ModelSpec(
@@ -205,37 +213,47 @@ def test_lu_order_is_cached_per_sparsity_pattern():
     assert np.array_equal(np.sort(np.concatenate([b.unknowns for b in structure.blocks])),
                           np.arange(n))
     arrays = _arrays(structure)
-    # the certificate's rhs, the classes, and per block its four CSR arrays,
-    # its band order and its band slots
-    assert len(arrays) == 1 + len(structure.classes) + 6 * len(structure.blocks)
+    # the block labels of the unknowns and of the generator's entries, the
+    # certificate's rhs, its norm per block and its trace row's block's pair,
+    # the classes, and per block its five CSR arrays, its band order and its
+    # band slots
+    assert len(arrays) == 5 + len(structure.classes) + 7 * len(structure.blocks)
     assert not any(a.flags.writeable for a in arrays)
     bare = orb.SuperOperator(gens[0].space, gens[0].matrix.copy())
     np.testing.assert_allclose(orb.steady_state(bare).rho, results[0].rho, rtol=0, atol=1e-15)
 
 
 def _structure(gen):
-    """The structure of ``gen``'s trace-replaced system."""
-    indptr, indices, _ = steady._trace_replaced(gen.matrix, gen.dim)
-    return steady._structure(gen.dim, indptr.tobytes(), indices.tobytes())
+    """The structure of ``gen``'s trace-replaced system, cached on the
+    generator's pattern."""
+    return steady._structure(gen.dim, *(a.astype(np.int32).tobytes()
+                                        for a in (gen.matrix.indptr, gen.matrix.indices)))
+
+
+def _system(gen):
+    """``gen``'s trace-replaced system T as a CSR matrix: L with row 0
+    replaced by the vectorized trace row."""
+    d = gen.dim
+    system = gen.matrix.tolil(copy=True)
+    system[0, :] = 0
+    system[0, np.arange(d) * (d + 1)] = 1
+    return system.tocsr()
 
 
 @pytest.fixture
 def krylov(monkeypatch):
     """Every solve starts on the GMRES path; returns the outcomes of the
     unrefined certificates, of either solver, as (block, True where it
-    passed); the block is its index in the structure, which both solvers
-    share."""
+    passed), in the order the blocks are judged; the block is its index in
+    the structure, which both solvers share."""
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", 0.0)
     outcomes = []
     certify = steady._certify
 
-    def spy(system, block, r, x):
-        margin = certify(system, block, r, x)
-        structure = steady._structure(math.isqrt(system.shape[0]), system.indptr.tobytes(),
-                                      system.indices.tobytes())
-        b = next(b for b, cached in enumerate(structure.blocks) if cached is block)
-        outcomes.append((b, bool(margin <= steady._CERTIFICATE_TOL)))
-        return margin
+    def spy(structure, mat, x, blocks):
+        margins = certify(structure, mat, x, blocks)
+        outcomes.extend((b, bool(m <= steady._CERTIFICATE_TOL)) for b, m in zip(blocks, margins))
+        return margins
 
     monkeypatch.setattr(steady, "_certify", spy)
     return outcomes
@@ -264,18 +282,23 @@ def factored(monkeypatch):
         "odd-sector-0.0", "odd-sector-0.7"])
 def test_nonunique_fails_the_certificate_and_falls_back_to_the_band(build, krylov, factored,
                                                                    monkeypatch):
-    # GMRES's certificate passes on the blocks solved before a singular one
-    # and fails there; that block alone goes to the band, which meets an
-    # exactly zero pivot or fails the certificate refined, and no block is
-    # solved after it.  Forced from the start, the band raises alike
+    # GMRES solves every block, the trace row's last, and one product judges
+    # them; the blocks that fail go to the band in that order, and the first
+    # of them meets an exactly zero pivot or fails the certificate refined:
+    # the band factors no block after it, and the error names it.  Forced
+    # from the start, the band names the same block
     gen = build()
-    with pytest.raises(NonUniqueSteadyStateError, match="zero pivot|after refinement"):
+    structure = _structure(gen)
+    k = len(structure.blocks)
+    with pytest.raises(NonUniqueSteadyStateError, match="zero pivot|after refinement") as error:
         orb.steady_state(gen)
-    b, passed = krylov[-1]
-    assert passed is False and factored == [b]
-    assert all(ok for c, ok in krylov if c != b)
+    assert [c for c, _ in krylov[:k]] == sorted(range(k), key=lambda c: c == structure.trace_block)
+    failed = [c for c, ok in krylov[:k] if not ok]
+    assert failed and factored == failed[:1]
+    assert krylov[k:] in ([], [(failed[0], False)])
+    assert f"block {failed[0]} of {k}" in str(error.value)
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
-    with pytest.raises(NonUniqueSteadyStateError):
+    with pytest.raises(NonUniqueSteadyStateError, match=f"block {failed[0]} of {k}"):
         orb.steady_state(gen)
 
 
@@ -331,6 +354,25 @@ def test_ill_conditioned_unique_state_is_returned(rate, cutoff, krylov, factored
     assert krylov[3:] == [(other, True), (trace, False)] and factored == [trace, other, trace]
     assert band.diagnostics["certificate"] <= steady._CERTIFICATE_TOL
     np.testing.assert_array_equal(band.rho, result.rho)
+
+
+def test_a_freed_factor_is_factored_again_to_refine_its_block(factored, monkeypatch):
+    # the band frees every factor but the trace row's block's once it has
+    # solved the certificate's rhs; a block that then fails the certificate,
+    # forced here, is factored again and refined, which it passes, and the
+    # state stays as it was
+    monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
+    gen = _scenario_a(2)
+    expected = orb.steady_state(gen).rho
+    trace = _structure(gen).trace_block
+    certify = steady._certify
+    monkeypatch.setattr(steady, "_certify", lambda structure, mat, x, blocks: certify(
+        structure, mat, x, blocks) + (np.array(blocks) != structure.trace_block))
+    factored.clear()
+    result = orb.steady_state(gen)
+    assert factored == [1 - trace, trace, 1 - trace]
+    assert result.diagnostics["certificate"] <= steady._CERTIFICATE_TOL
+    np.testing.assert_array_equal(result.rho, expected)
 
 
 def test_ill_conditioned_convergence_scan_at_large_cutoffs(tmp_path, monkeypatch):
@@ -412,6 +454,12 @@ def _rwa_c(nbar=0.0, cutoff=3):
         coupling=orb.Coupling.RWA, parasitic=orb.scenario_parasitic("c")))
 
 
+def _rwa_a(nbar, cutoff):
+    return orb.build_liouvillian(orb.ModelSpec(
+        params=orb.RabiParams(omega=1.0, g=0.05, nbar=nbar, **REFERENCE_RATES), cutoff=cutoff,
+        coupling=orb.Coupling.RWA, parasitic=orb.scenario_parasitic("a")))
+
+
 def _split_pair_qutrit():
     # a qutrit whose jump |0><0| + |1><2| joins rho[1, 0] and rho[2, 0] but
     # leaves rho[2, 1] alone: a block splits the class pair X_10
@@ -448,13 +496,6 @@ _BUILDS = pytest.mark.parametrize("build", [
 ], ids=["scenario-a", "rwa-c", "one-block", "split-pair", "one-state"])
 
 
-def _system(gen):
-    """``gen``'s trace-replaced system as a CSR matrix."""
-    n = gen.dim ** 2
-    indptr, indices, data = steady._trace_replaced(gen.matrix, gen.dim)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
 @pytest.mark.parametrize("layout", ["band", "sectors"])
 @_BUILDS
 def test_each_layout_cuts_t_into_its_blocks(layout, build):
@@ -481,7 +522,7 @@ def test_each_layout_cuts_t_into_its_blocks(layout, build):
         sub = part[:, unknowns]
         assert sub.nnz == part.nnz   # no entry of the block's rows leaves it
         for dtype in (complex, np.clongdouble):
-            matrix = block.matrix(system.data, dtype)
+            matrix = block.matrix(gen.matrix.data, dtype)
             assert matrix.dtype == dtype
             np.testing.assert_array_equal(matrix.toarray()[np.ix_(order, order)],
                                           sub.toarray().astype(dtype))
@@ -504,7 +545,7 @@ def test_structure_cuts_t_into_blocks_and_bands(build):
         order, kl, ku = structure.order[b], structure.kl[b], structure.ku[b]
         np.testing.assert_array_equal(block.unknowns[order], rcm[np.isin(rcm, block.unknowns)])
         ab = np.zeros((2 * kl + ku + 1) * order.size, dtype=complex)
-        ab[structure.slots[b]] = system.data[block.gather]
+        ab[structure.slots[b]] = block.values(gen.matrix.data)
         ab = ab.reshape((2 * kl + ku + 1, -1), order="F")
         r, j = np.indices(ab.shape)
         i = r - kl - ku + j   # band row r of column j holds entry (i, j) in band order
@@ -514,6 +555,60 @@ def test_structure_cuts_t_into_blocks_and_bands(build):
         band[i[inside], j[inside]] = ab[inside]
         sub = system[block.unknowns][:, block.unknowns].toarray()
         np.testing.assert_array_equal(band, sub[np.ix_(order, order)])
+
+
+@pytest.mark.parametrize("scenario, cutoff", [("bare", 2), ("a", 2), ("c", 2), ("a", 3)])
+def test_two_column_solve_equals_two_one_column_solves(scenario, cutoff):
+    # the band solves the trace row's block's certificate rhs and e_0 in one
+    # two-column zgbtrs, from which refinement starts: each column equals the
+    # one-column solve, bit for bit, so no byte of the state moves
+    gen = orb.build_liouvillian(orb.ModelSpec(
+        params=orb.RabiParams(omega=1.0, g=0.05, **REFERENCE_RATES), cutoff=cutoff,
+        parasitic=orb.scenario_parasitic(scenario)))
+    structure = _structure(gen)
+    solve = steady._factor(structure, structure.trace_block, gen.matrix.data)
+    pair = structure.trace_rhs
+    both = solve(pair.T).T
+    for column, rhs in zip(both, pair):
+        np.testing.assert_array_equal(column.view(np.uint64), solve(rhs).view(np.uint64))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _scenario_a(2), lambda: _rwa_c(), lambda: _rwa_a(nbar=0.3, cutoff=6),
+    _split_pair_qutrit,
+    lambda: orb.SuperOperator(orb.CompositeSpace((orb.Boson(0, "mode"),)),
+                              sp.csr_matrix(np.array([[-1.0 + 0j]]))),
+], ids=["scenario-a", "rwa-c", "rwa-a-gmres", "split-pair", "one-state"])
+@pytest.mark.parametrize("solution", ["solved", "random"])
+def test_one_product_certificate_equals_the_per_block_margins(build, solution):
+    # one product L x, row 0 replaced by tr x, and norms summed by block
+    # label give each block the margin of its own T_b: max(||r_b - T_b x_b||,
+    # eps ||T_b||_F ||x_b||) / ||r_b||, here from dense T_b with the residual
+    # in extended precision.  Solved blocks leave the error bound the larger
+    # term, random ones the residual
+    gen = build()
+    structure = _structure(gen)
+    system = _system(gen)
+    rng = np.random.default_rng(3)
+    x = np.zeros(gen.dim ** 2, dtype=complex)
+    dense = []
+    for block in structure.blocks:
+        dense.append(system[block.unknowns][:, block.unknowns].toarray())
+        x[block.unknowns] = (np.linalg.solve(dense[-1], structure.rhs[block.unknowns])
+                             if solution == "solved" else
+                             [1, 1j] @ rng.standard_normal((2, block.unknowns.size)))
+    k = len(structure.blocks)
+    margins = steady._certify(structure, gen.matrix, x, list(range(k)))
+    for b, (block, t_b) in enumerate(zip(structure.blocks, dense)):
+        r_b, x_b = structure.rhs[block.unknowns], x[block.unknowns]
+        residual = (r_b.astype(np.clongdouble)
+                    - t_b.astype(np.clongdouble) @ x_b.astype(np.clongdouble)).astype(complex)
+        error = np.finfo(float).eps * np.linalg.norm(t_b) * np.linalg.norm(x_b)
+        ref = max(np.linalg.norm(residual), error) / np.linalg.norm(r_b)
+        assert margins[b] == pytest.approx(ref, rel=1e-12, abs=0)
+    # the margins of a subset of the blocks, in the order asked
+    np.testing.assert_array_equal(steady._certify(structure, gen.matrix, x, [k - 1, 0]),
+                                  margins[[k - 1, 0]])
 
 
 def test_a_block_that_splits_a_class_pair_goes_to_the_band(krylov, factored, monkeypatch):
@@ -608,8 +703,7 @@ def test_secular_matrix_is_the_population_block_of_t(scenario, coupling, nbar):
     structure = _structure(gen)
     _, jumps, lam, v, w = _eigenbasis(gen, structure.classes)
     populations = steady._populations(lam, v, w, jumps, structure.classes)
-    indptr, indices, data = steady._trace_replaced(gen.matrix, d)
-    system = sp.csr_matrix((data, indices, indptr), shape=(d * d, d * d))
+    system = _system(gen)
     brute = np.column_stack([
         np.diag(w @ orb.devectorize(system @ orb.vectorize(np.outer(v[:, j], v[:, j].conj())))
                 @ w.conj().T) for j in range(d)])
@@ -713,12 +807,9 @@ def test_banded_solve_agrees_with_spsolve(build, blocks, tol):
     gen = build()
     result = orb.steady_state(gen)
     assert result.diagnostics["blocks"] == blocks
-    n = gen.dim ** 2
-    indptr, indices, data = steady._trace_replaced(gen.matrix, gen.dim)
-    rhs = np.zeros(n, dtype=complex)
+    rhs = np.zeros(gen.dim ** 2, dtype=complex)
     rhs[0] = 1.0
-    raw = orb.devectorize(spla.spsolve(sp.csc_matrix(
-        sp.csr_matrix((data, indices, indptr), shape=(n, n))), rhs))
+    raw = orb.devectorize(spla.spsolve(sp.csc_matrix(_system(gen)), rhs))
     ref = 0.5 * (raw + raw.conj().T)
     ref /= np.trace(ref).real
     assert np.abs(result.rho - ref).max() <= tol
