@@ -133,13 +133,17 @@ def test_closed_system_is_nonunique(scenario, cutoff):
         orb.steady_state(gen)
 
 
+def _one_state():
+    # a 1x1 generator that is not trace preserving
+    return orb.SuperOperator(orb.CompositeSpace((orb.Boson(0, "mode"),)),
+                             sp.csr_matrix(np.array([[-1.0 + 0j]])))
+
+
 def test_one_state_failure_is_no_convergence():
-    # a 1x1 generator that is not trace preserving: its trace-replaced system
-    # [[1]] passes the certificate, so the failed residual is NoConvergenceError
-    space = orb.CompositeSpace((orb.Boson(0, "mode"),))
-    gen = orb.SuperOperator(space, sp.csr_matrix(np.array([[-1.0 + 0j]])))
+    # its trace-replaced system [[1]] passes the certificate, so the failed
+    # residual is NoConvergenceError
     with pytest.raises(orb.NoConvergenceError):
-        orb.steady_state(gen)
+        orb.steady_state(_one_state())
 
 
 def test_one_state_generator_without_entries_keeps_its_state():
@@ -448,16 +452,10 @@ def _one_block():
     return orb.assemble(h, terms, space)
 
 
-def _rwa_c(nbar=0.0, cutoff=3):
+def _rwa(scenario, nbar=0.0, cutoff=3):
     return orb.build_liouvillian(orb.ModelSpec(
         params=orb.RabiParams(omega=1.0, g=0.05, nbar=nbar, **REFERENCE_RATES), cutoff=cutoff,
-        coupling=orb.Coupling.RWA, parasitic=orb.scenario_parasitic("c")))
-
-
-def _rwa_a(nbar, cutoff):
-    return orb.build_liouvillian(orb.ModelSpec(
-        params=orb.RabiParams(omega=1.0, g=0.05, nbar=nbar, **REFERENCE_RATES), cutoff=cutoff,
-        coupling=orb.Coupling.RWA, parasitic=orb.scenario_parasitic("a")))
+        coupling=orb.Coupling.RWA, parasitic=orb.scenario_parasitic(scenario)))
 
 
 def _split_pair_qutrit():
@@ -490,9 +488,8 @@ def test_sectors_lay_out_each_block_by_class_pairs():
 
 
 _BUILDS = pytest.mark.parametrize("build", [
-    lambda: _scenario_a(2), lambda: _rwa_c(nbar=0.3, cutoff=2), _one_block, _split_pair_qutrit,
-    lambda: orb.SuperOperator(orb.CompositeSpace((orb.Boson(0, "mode"),)),
-                              sp.csr_matrix(np.array([[-1.0 + 0j]]))),
+    lambda: _scenario_a(2), lambda: _rwa("c", nbar=0.3, cutoff=2), _one_block, _split_pair_qutrit,
+    _one_state,
 ], ids=["scenario-a", "rwa-c", "one-block", "split-pair", "one-state"])
 
 
@@ -574,10 +571,9 @@ def test_two_column_solve_equals_two_one_column_solves(scenario, cutoff):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: _scenario_a(2), lambda: _rwa_c(), lambda: _rwa_a(nbar=0.3, cutoff=6),
+    lambda: _scenario_a(2), lambda: _rwa("c"), lambda: _rwa("a", nbar=0.3, cutoff=6),
     _split_pair_qutrit,
-    lambda: orb.SuperOperator(orb.CompositeSpace((orb.Boson(0, "mode"),)),
-                              sp.csr_matrix(np.array([[-1.0 + 0j]]))),
+    _one_state,
 ], ids=["scenario-a", "rwa-c", "rwa-a-gmres", "split-pair", "one-state"])
 @pytest.mark.parametrize("solution", ["solved", "random"])
 def test_one_product_certificate_equals_the_per_block_margins(build, solution):
@@ -655,7 +651,7 @@ def _eigenbasis(gen, classes):
 
 
 @pytest.mark.parametrize("build, classes", [
-    (lambda: _scenario_a(3), 2), (lambda: _rwa_c(nbar=0.3), 6), (_one_block, 1),
+    (lambda: _scenario_a(3), 2), (lambda: _rwa("c", nbar=0.3), 6), (_one_block, 1),
 ], ids=["scenario-a", "rwa-c", "one-block"])
 def test_per_class_preconditioner_equals_the_whole_one(build, classes):
     # on each block the preconditioner by one eigendecomposition per class
