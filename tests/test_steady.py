@@ -110,12 +110,13 @@ def test_nonunique_detected_with_stationary_atom_populations(cutoff):
     # scenario a with the atom decoupled and undamped: both atom populations
     # are stationary.  At cutoffs 5 and 6 the band meets no exactly zero
     # pivot, and the certificate alone finds the singular system; either
-    # failure names its block
+    # failure names its block, the trace row's (block 0), whose populations
+    # are stationary, though every other block is solved and judged first
     gen = orb.build_liouvillian(orb.ModelSpec(
         params=orb.RabiParams(omega=1.0, g=0.0, kappa=1e-6, lam=0.0, gamma=0.0),
         cutoff=cutoff, parasitic=orb.scenario_parasitic("a")))
     with pytest.raises(NonUniqueSteadyStateError,
-                       match=r"zero pivot in block \d+ of \d+|certificate failed in block \d+ "
+                       match=r"zero pivot in block 0 of \d+|certificate failed in block 0 "
                              r"of \d+: relative residual \S+ after refinement"):
         orb.steady_state(gen)
 
@@ -125,11 +126,12 @@ def test_nonunique_detected_with_stationary_atom_populations(cutoff):
 def test_closed_system_is_nonunique(scenario, cutoff):
     # no dissipation: every eigenprojector of H is stationary.  Where the band
     # meets no exactly zero pivot, its solution is no state, which is the
-    # certificate's failure and not a failure to converge
+    # certificate's failure and not a failure to converge; either names the
+    # trace row's block, which holds the populations
     gen = orb.build_liouvillian(orb.ModelSpec(
         params=orb.RabiParams(omega=1.0, g=0.05), cutoff=cutoff,
         parasitic=orb.scenario_parasitic(scenario)))
-    with pytest.raises(NonUniqueSteadyStateError):
+    with pytest.raises(NonUniqueSteadyStateError, match="in block 0 of 3"):
         orb.steady_state(gen)
 
 
