@@ -233,13 +233,19 @@ def validate_density_matrix(rho: np.ndarray) -> dict[str, float]:
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got shape {rho.shape}")
+    return _density_margins(rho, 0.5 * (rho + rho.conj().T))
+
+
+def _density_margins(rho: np.ndarray, hermitian: np.ndarray) -> dict[str, float]:
+    """The checks of ``validate_density_matrix`` on a square ``rho`` whose
+    hermitian part ``0.5 * (rho + rho^+)`` the caller has formed."""
     dev = float(abs(np.trace(rho) - 1.0))
     if not dev <= VALIDITY_TOL:
         raise ValueError(f"trace deviates from 1 by {dev:.3e} (> {VALIDITY_TOL:.0e})")
     hd = herm_defect(rho)
     if not hd <= VALIDITY_TOL:
         raise ValueError(f"hermiticity defect {hd:.3e} (> {VALIDITY_TOL:.0e})")
-    wmin = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
+    wmin = float(np.linalg.eigvalsh(hermitian).min())
     if not wmin >= -VALIDITY_TOL:
         raise ValueError(f"minimum eigenvalue {wmin:.3e} below -{VALIDITY_TOL:.0e}")
     return {"trace_deviation": dev, "herm_defect": hd, "min_eigenvalue": wmin}

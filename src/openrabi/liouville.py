@@ -7,6 +7,8 @@ so ``vec(A rho B) = (B^T kron A) vec(rho)``. Every generator built here has
 
 from __future__ import annotations
 
+import copy
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -161,66 +163,117 @@ def assemble(h: np.ndarray, terms: list[LindbladTerm], space: CompositeSpace) ->
         (1.0, *(t.rate for t in terms))))
 
 
+#: how many nonzero masks' CSR patterns a structure keeps, the least recently used dropped
+_MASKS = 8
+
+
 @dataclass(frozen=True, eq=False)
 class AffineGenerator:
-    """Generators ``sum_k c_k P_k`` over fixed parts ``P_k``, each part kept as
-    its positions in one shared CSR pattern and its values there.
+    """Generators ``sum_k c_k P_k`` over fixed parts ``P_k`` on one shared CSR
+    pattern ``(indptr, indices)``.
 
-    A part is ``-i[h_k, .]`` or, if ``dissipative[k]``, the unit-rate
+    Row p of the CSR ``table`` (pattern nnz x parts) holds the values at
+    pattern position p of the parts that have an entry there, in ascending
+    part order, so a generator's values are the one product ``table @ c``.  A
+    part is ``-i[h_k, .]`` or, if ``dissipative[k]``, the unit-rate
     dissipator of a jump operator, whose coefficient is then a rate; the
     sparse D x D ``operators`` are the ``h_k`` and the jump operators, which
-    every generator built here carries as its terms.
+    every generator built here carries as its terms.  Every array is
+    read-only and shared by the generators built from these parts.
     """
 
     space: CompositeSpace
     indptr: np.ndarray
     indices: np.ndarray
-    positions: tuple[np.ndarray, ...]
-    values: tuple[np.ndarray, ...]
+    table: sp.csr_matrix
     dissipative: tuple[bool, ...]
     operators: tuple[sp.csr_matrix, ...]
+    # the pattern of each nonzero mask seen, least recently used first; no
+    # lock guards it, as the library shares no generator between threads
+    _patterns: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False)
 
     def at(self, coefficients: Sequence[float]) -> SuperOperator:
-        """The generator with coefficient ``coefficients[k]`` on part k."""
-        data = np.zeros(self.indices.size, dtype=complex)
-        for c, dissipative, pos, val in zip(coefficients, self.dissipative, self.positions,
-                                            self.values, strict=True):
+        """The generator with coefficient ``coefficients[k]`` on part k.  Its
+        matrix shares the read-only ``indptr`` and ``indices`` of a cached
+        pattern, so a caller that edits them in place must copy it first."""
+        coefficients = tuple(coefficients)
+        if len(coefficients) != len(self.dissipative):
+            raise ValueError(f"need {len(self.dissipative)} coefficients, "
+                             f"got {len(coefficients)}")
+        for c, dissipative in zip(coefficients, self.dissipative):
             if dissipative and c < 0:
                 raise NegativeRateError(f"rate must be >= 0, got {c}")
-            if c:
-                data[pos] += c * val
-        n = self.space.dim ** 2
-        # the pattern is shared, and eliminate_zeros works in place
-        mat = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
-        mat.eliminate_zeros()
-        return SuperOperator(self.space, mat,
-                             Terms(self.operators, self.dissipative, tuple(coefficients)))
+        # 0 + c_0 v_0 + c_1 v_1 + ... per entry; a zero coefficient adds a
+        # signed zero, which leaves every sum as it was
+        data = self.table @ np.asarray(coefficients, dtype=complex)
+        kept = data != 0   # entries also cancel exactly, as at omega = 1
+        matrix = copy.copy(self._pattern(kept))
+        matrix.data = data[kept]
+        return SuperOperator(self.space, matrix,
+                             Terms(self.operators, self.dissipative, coefficients))
+
+    def _pattern(self, kept: np.ndarray) -> sp.csr_matrix:
+        """The read-only, canonical CSR pattern of the entries ``kept``."""
+        key = np.packbits(kept).tobytes()
+        pattern = self._patterns.pop(key, None)
+        if pattern is None:
+            if kept.all():
+                indptr, indices = self.indptr, self.indices
+            else:
+                ends = np.concatenate(([0], np.cumsum(kept, dtype=np.int32)))
+                indptr, indices = ends[self.indptr], self.indices[kept]
+                indptr.flags.writeable = indices.flags.writeable = False
+            n = self.indptr.size - 1
+            pattern = sp.csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr),
+                                    shape=(n, n))
+            pattern.has_canonical_format = True
+            if len(self._patterns) == _MASKS:
+                self._patterns.popitem(last=False)
+        self._patterns[key] = pattern
+        return pattern
 
 
 def affine_generator(space: CompositeSpace,
                      operators: Sequence[tuple[bool, np.ndarray]]) -> AffineGenerator:
     """The parts of ``(dissipative, operator)`` pairs on one pattern."""
     n = space.dim ** 2
-    parts, sparse = [], []
+    keys, values, sparse = [], [], []
     for dissipative, op in operators:
         op = _check_space(op, space)
         part = _dissipator_part(op) if dissipative else _hamiltonian_part(op)
-        part.sum_duplicates()   # one position per entry, or ``at`` would drop one
-        parts.append(part)
+        part.sum_duplicates()   # one position per entry, or the table would hold two
+        keys.append(np.repeat(np.arange(n, dtype=np.int64), np.diff(part.indptr)) * n
+                    + part.indices)
+        values.append(part.data)
         sparse.append(sp.csr_matrix(op))
-    keys = [np.repeat(np.arange(n, dtype=np.int64), np.diff(p.indptr)) * n + p.indices
-            for p in parts]
     pattern = np.sort(np.concatenate(keys))
     pattern = pattern[np.diff(pattern, prepend=-1) != 0]   # np.unique, without its hashing
     rows, cols = np.divmod(pattern, n)
     indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
     indices = cols.astype(np.int32)
-    positions = [np.searchsorted(pattern, k) for k in keys]
-    values = [p.data for p in parts]
-    for arr in (indptr, indices, *positions, *values,
+    del rows, cols
+    # the table by counting: each row's length, then each part scattered into
+    # the next free slot of its rows, so no sort of all entries is held
+    positions = [np.searchsorted(pattern, key).astype(np.int32) for key in keys]
+    del keys, pattern
+    starts = np.zeros(indices.size + 1, dtype=np.int32)
+    for pos in positions:
+        starts[pos + 1] += 1   # a part has one entry per position
+    np.cumsum(starts, out=starts)
+    free = starts[:-1].copy()
+    columns = np.empty(starts[-1], dtype=np.int32)
+    entries = np.empty(starts[-1], dtype=complex)
+    for k, (pos, val) in enumerate(zip(positions, values)):
+        slots = free[pos]
+        columns[slots] = k
+        entries[slots] = val
+        free[pos] += 1
+    table = sp.csr_matrix((entries, columns, starts), shape=(indices.size, len(values)))
+    table.has_canonical_format = True
+    for arr in (indptr, indices, table.data, table.indices, table.indptr,
                 *(a for op in sparse for a in (op.data, op.indices, op.indptr))):
         arr.flags.writeable = False   # shared by every generator built from these parts
-    return AffineGenerator(space, indptr, indices, tuple(positions), tuple(values),
+    return AffineGenerator(space, indptr, indices, table,
                            tuple(d for d, _ in operators), tuple(sparse))
 
 

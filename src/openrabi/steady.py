@@ -81,7 +81,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import zgbtrf, zgbtrs, zgetrf, zgetrs
 
-from .hilbert import VALIDITY_TOL, validate_density_matrix
+from .hilbert import VALIDITY_TOL, _density_margins
 from .liouville import SuperOperator, Terms, devectorize, vectorize
 
 _REFINE_ROUNDS = 3
@@ -670,12 +670,12 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     certificate = float(margins.max())
 
     raw = devectorize(x)
-    rho = 0.5 * (raw + raw.conj().T)
+    rho = 0.5 * (raw + raw.conj().T)   # the hermitian part, which the validity checks read too
     residual = float(np.linalg.norm(mat @ vectorize(rho))) / norm_l
     if not residual <= VALIDITY_TOL:
         raise NoConvergenceError(f"residual {residual:.3e} exceeds {VALIDITY_TOL:.0e}")
     try:
-        validity = validate_density_matrix(raw)
+        validity = _density_margins(raw, rho)
     except ValueError as exc:
         raise NoConvergenceError(f"state fails validity checks: {exc}") from exc
     rho /= np.trace(rho).real

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import openrabi as orb
 from openrabi.liouville import (
+    _MASKS,
     NegativeRateError,
     NonHermitianError,
     affine_generator,
     trace_preservation_defect,
 )
-from util import REFERENCE_RATES, cavity_only_generator
+from openrabi.models import _terms
+from util import REFERENCE_RATES, assert_same_csr, cavity_only_generator, reference_at
 
 
 def random_density(rng, d):
@@ -214,3 +217,62 @@ def test_affine_generator_checks_hermiticity_and_rates():
         gen.at([1.0, -0.1])
     expected = orb.assemble(orb.number(2), [orb.LindbladTerm(a, 0.1)], space).matrix
     np.testing.assert_array_equal(gen.at([1.0, 0.1]).matrix.toarray(), expected.toarray())
+    for coefficients in ([1.0], [1.0, 0.1, 0.2]):
+        with pytest.raises(ValueError, match="need 2 coefficients"):
+            gen.at(coefficients)
+
+
+def _bare_parts():
+    """The parts of the bare model at cutoff 1, built afresh, and the
+    coefficients of a point at omega = 0.7 with thermal photons."""
+    spec = orb.ModelSpec(orb.RabiParams(0.7, 0.05, nbar=0.3, **REFERENCE_RATES))
+    space, terms = _terms(spec)
+    return (affine_generator(space, [(t.dissipative, t.operator()) for t in terms]),
+            [t.coefficient for t in terms])
+
+
+def test_at_shares_read_only_patterns_and_owns_its_values():
+    gen, coefficients = _bare_parts()
+    first = gen.at(coefficients).matrix
+    # nothing pruned: the structure's own index arrays
+    assert np.shares_memory(first.indices, gen.indices)
+    assert np.shares_memory(first.indptr, gen.indptr)
+    pruned = [c if k else 0.0 for k, c in enumerate(coefficients)]
+    for matrix in (first, gen.at(pruned).matrix):
+        assert not matrix.indices.flags.writeable and not matrix.indptr.flags.writeable
+        assert matrix.has_canonical_format
+    again = gen.at(pruned).matrix
+    assert again.indices is gen.at(pruned).matrix.indices
+    first.data *= 2.0   # a point's values are its own
+    assert_same_csr(gen.at(coefficients).matrix, reference_at(gen, coefficients))
+
+
+def test_second_build_of_a_mask_runs_no_constructor(monkeypatch):
+    gen, coefficients = _bare_parts()
+    gen.at(coefficients)
+    calls = []
+    for name in ("__init__", "eliminate_zeros"):
+        method = getattr(sp.csr_matrix, name)
+        monkeypatch.setattr(sp.csr_matrix, name,
+                            lambda *a, _m=method, _n=name, **k: calls.append(_n) or _m(*a, **k))
+    omega = coefficients[:]
+    omega[0] = 0.9   # another atomic frequency, the same nonzero mask
+    got = gen.at(omega).matrix
+    assert calls == []
+    monkeypatch.undo()
+    assert_same_csr(got, reference_at(gen, omega))
+
+
+def test_mask_patterns_stay_bounded():
+    # each subset of zeroed rates drops the entries of its own parts
+    gen, coefficients = _bare_parts()
+    rates = [k for k, d in enumerate(gen.dissipative) if d]
+    masks = set()
+    for subset in range(2 ** len(rates)):
+        point = [0.0 if k in rates and subset >> rates.index(k) & 1 else c
+                 for k, c in enumerate(coefficients)]
+        reference = reference_at(gen, point)
+        assert_same_csr(gen.at(point).matrix, reference)
+        masks.add(reference.indices.tobytes() + reference.indptr.tobytes())
+    assert len(masks) > _MASKS
+    assert len(gen._patterns) == _MASKS

@@ -3,7 +3,8 @@ import pytest
 
 import openrabi as orb
 from openrabi.hilbert import SQRT2, herm_defect
-from util import REFERENCE_RATES
+from openrabi.models import _parts, _terms
+from util import REFERENCE_RATES, assert_same_csr, reference_at
 
 PARAMS = orb.RabiParams(omega=1.0, g=0.05, **REFERENCE_RATES)
 
@@ -175,14 +176,34 @@ def test_affine_build_matches_assembled_reference(scenario, coupling):
 
 
 def test_interleaved_cutoffs_match_fresh_builds():
-    # the sweeps alternate cutoffs 1, 2, 1, 2 over one structure each
-    from openrabi.models import _parts
-
-    specs = [spec_for(s, cutoff=c, params=orb.RabiParams(omega, 0.05, **REFERENCE_RATES))
-             for s in ("bare", "c") for omega in (0.7, 1.3) for c in (1, 2)]
+    # the sweeps alternate cutoffs 1, 2, 1, 2 over one structure each, and a
+    # structure's points alternate nonzero masks: nbar = 0 drops the raising
+    # jumps' entries, and omega = 1 without rates cancels -i[H, .] entries
+    params = [orb.RabiParams(0.7, 0.05, **REFERENCE_RATES),
+              orb.RabiParams(1.0, 0.05, nbar=0.3, **REFERENCE_RATES),
+              orb.RabiParams(1.0, 0.05), orb.RabiParams(0.7, 0.05),
+              orb.RabiParams(1.0, 0.05, **REFERENCE_RATES)]
+    specs = [spec_for(s, cutoff=c, params=p) for s in ("bare", "c") for p in params
+             for c in (1, 2)]
+    _parts.cache_clear()
     cached = [orb.build_liouvillian(spec).matrix for spec in specs]
+    for spec in specs:   # four masks per structure, met in turn
+        assert len(_parts(spec.parasitic, spec.coupling, spec.cutoff)._patterns) == 4
     for spec, mat in zip(specs, cached):
         _parts.cache_clear()
-        fresh = orb.build_liouvillian(spec).matrix
-        for attr in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(mat, attr), getattr(fresh, attr))
+        assert_same_csr(mat, orb.build_liouvillian(spec).matrix)
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+@pytest.mark.parametrize("coupling", [orb.Coupling.FULL, orb.Coupling.RWA])
+def test_at_matches_the_part_by_part_sum(scenario, coupling):
+    # omega = 1 cancels entries exactly, g = 0 and nbar = 0 zero whole parts
+    params = [orb.RabiParams(omega, g, nbar=nbar, **REFERENCE_RATES)
+              for omega in (0.7, 1.0) for g in (0.05, 0.0) for nbar in (0.0, 0.3)]
+    params += [orb.RabiParams(omega, 0.05) for omega in (0.7, 1.0)]   # all rates zero
+    for cutoff in (1, 2, 3):
+        for p in params:
+            spec = spec_for(scenario, coupling, cutoff, p)
+            coefficients = [t.coefficient for t in _terms(spec)[1]]
+            gen = _parts(spec.parasitic, spec.coupling, spec.cutoff)
+            assert_same_csr(orb.build_liouvillian(spec).matrix, reference_at(gen, coefficients))

@@ -16,6 +16,7 @@ import scipy.sparse.linalg as spla
 import openrabi as orb
 from openrabi import steady
 from openrabi.cli import main
+from openrabi.hilbert import herm_defect, validate_density_matrix
 from openrabi.steady import NonUniqueSteadyStateError
 from util import REFERENCE_RATES, cavity_only_generator, steady_means, trace_distance
 
@@ -168,6 +169,32 @@ def test_steady_state_hygiene(scenario):
     assert abs(np.trace(result.rho) - 1.0) <= 1e-10
     assert np.linalg.eigvalsh(result.rho).min() >= -1e-10
     assert np.abs(result.rho - result.rho.conj().T).max() <= 1e-10
+
+
+@pytest.mark.parametrize("scenario, coupling, cutoff, nbar", [
+    ("bare", orb.Coupling.FULL, 1, 0.0), ("a", orb.Coupling.FULL, 2, 0.3),
+    ("c", orb.Coupling.RWA, 2, 0.0), ("d", orb.Coupling.FULL, 3, 0.3),
+    ("a", orb.Coupling.FULL, 4, 0.0)])   # the last on GMRES
+def test_validity_margins_are_those_of_the_public_check(scenario, coupling, cutoff, nbar,
+                                                        monkeypatch):
+    # steady_state hands the checks the hermitian part it formed; the margins
+    # it reports are bit for bit those that validate_density_matrix, and the
+    # formulas it always used, give its unsymmetrized solution
+    solutions = []
+    checks = steady._density_margins
+    monkeypatch.setattr(steady, "_density_margins",
+                        lambda raw, hermitian: solutions.append(raw.copy()) or checks(raw, hermitian))
+    spec = orb.ModelSpec(orb.RabiParams(0.9, 0.05, nbar=nbar, **REFERENCE_RATES), cutoff,
+                         coupling, orb.scenario_parasitic(scenario))
+    result = orb.steady_state(orb.build_liouvillian(spec))
+    assert result.diagnostics["method"] == ("gmres" if cutoff == 4 else "banded-lu")
+    (raw,) = solutions
+    formulas = {"trace_deviation": float(abs(np.trace(raw) - 1.0)),
+                "herm_defect": herm_defect(raw),
+                "min_eigenvalue": float(np.linalg.eigvalsh(0.5 * (raw + raw.conj().T)).min())}
+    public = validate_density_matrix(raw)
+    for name, value in formulas.items():
+        assert result.diagnostics[name].hex() == public[name].hex() == value.hex(), name
 
 
 def _scenario_a(cutoff, omega=1.0):

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+import scipy.sparse as sp
 
 import openrabi as orb
 
@@ -29,3 +30,38 @@ def cavity_only_generator(cutoff, kappa, nbar=0.0):
     if kappa * nbar > 0:
         terms.append(orb.LindbladTerm(a.conj().T, kappa * nbar))
     return orb.assemble(orb.number(cutoff), terms, space), space
+
+
+def reference_at(gen, coefficients):
+    """``gen.at(coefficients).matrix`` as the parts were once summed: each
+    part rebuilt from its operator, its nonzero coefficient times its values
+    added at its positions in part order, then a fresh CSR matrix whose
+    stored zeros are eliminated."""
+    from openrabi.liouville import _dissipator_part, _hamiltonian_part
+
+    n = gen.space.dim ** 2
+    parts = [(_dissipator_part if d else _hamiltonian_part)(op.toarray())
+             for d, op in zip(gen.dissipative, gen.operators, strict=True)]
+    keys = []
+    for part in parts:
+        part.sum_duplicates()
+        keys.append(np.repeat(np.arange(n, dtype=np.int64), np.diff(part.indptr)) * n
+                    + part.indices)
+    pattern = np.unique(np.concatenate(keys))
+    rows, cols = np.divmod(pattern, n)
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    data = np.zeros(pattern.size, dtype=complex)
+    for c, part, key in zip(coefficients, parts, keys, strict=True):
+        if c:
+            data[np.searchsorted(pattern, key)] += c * part.data
+    mat = sp.csr_matrix((data, cols.astype(np.int32), indptr), shape=(n, n))
+    mat.eliminate_zeros()
+    return mat
+
+
+def assert_same_csr(got, ref):
+    """The two CSR matrices hold the same bytes in data, indices and indptr."""
+    assert got.shape == ref.shape
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(ref, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
