@@ -33,10 +33,10 @@ def cavity_only_generator(cutoff, kappa, nbar=0.0):
 
 
 def reference_at(gen, coefficients):
-    """``gen.at(coefficients).matrix`` as the parts were once summed: each
-    part rebuilt from its operator, its nonzero coefficient times its values
-    added at its positions in part order, then a fresh CSR matrix whose
-    stored zeros are eliminated."""
+    """``gen.at(coefficients).matrix`` summed part by part: each part rebuilt
+    from its operator, its nonzero coefficient times its values added at its
+    positions in part order, then a fresh CSR matrix whose stored zeros are
+    eliminated."""
     from openrabi.liouville import _dissipator_part, _hamiltonian_part
 
     n = gen.space.dim ** 2
