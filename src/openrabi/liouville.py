@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -234,11 +234,13 @@ class AffineGenerator:
 
 
 def affine_generator(space: CompositeSpace,
-                     operators: Sequence[tuple[bool, np.ndarray]]) -> AffineGenerator:
-    """The parts of ``(dissipative, operator)`` pairs on one pattern."""
+                     operators: Iterable[tuple[bool, np.ndarray]]) -> AffineGenerator:
+    """The parts of ``(dissipative, operator)`` pairs on one pattern.  The
+    pairs are read once, in order, and no dense operator is kept."""
     n = space.dim ** 2
-    keys, values, sparse = [], [], []
+    flags, keys, values, sparse = [], [], [], []
     for dissipative, op in operators:
+        flags.append(dissipative)
         op = _check_space(op, space)
         part = _dissipator_part(op) if dissipative else _hamiltonian_part(op)
         part.sum_duplicates()   # one position per entry, or the table would hold two
@@ -273,8 +275,7 @@ def affine_generator(space: CompositeSpace,
     for arr in (indptr, indices, table.data, table.indices, table.indptr,
                 *(a for op in sparse for a in (op.data, op.indices, op.indptr))):
         arr.flags.writeable = False   # shared by every generator built from these parts
-    return AffineGenerator(space, indptr, indices, table,
-                           tuple(d for d, _ in operators), tuple(sparse))
+    return AffineGenerator(space, indptr, indices, table, tuple(flags), tuple(sparse))
 
 
 def trace_preservation_defect(gen: SuperOperator) -> float:

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable, NamedTuple
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -75,8 +76,8 @@ class ParasiticMode:
     nu: float
 
     def __post_init__(self) -> None:
-        if self.nu <= 0:
-            raise ValueError(f"parasitic mode frequency must be > 0, got {self.nu}")
+        if not (math.isfinite(self.nu) and self.nu > 0):
+            raise ValueError(f"parasitic mode frequency must be finite and > 0, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,10 @@ class ParasiticAtom:
     """Spectator two-level atom at transition frequency omega."""
 
     omega: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.omega):
+            raise ValueError(f"parasitic atom frequency must be finite, got {self.omega}")
 
 
 Parasitic = ParasiticMode | ParasiticAtom | None
@@ -115,6 +120,18 @@ class ModelSpec:
     parasitic: Parasitic = None
 
     def __post_init__(self) -> None:
+        # a wrong type would otherwise build another model, or a non-integer space
+        if not isinstance(self.coupling, Coupling):
+            raise TypeError(f"coupling must be a Coupling, got {self.coupling!r}")
+        if not isinstance(self.parasitic, ParasiticMode | ParasiticAtom | None):
+            raise TypeError(f"parasitic must be a ParasiticMode, a ParasiticAtom or None, "
+                            f"got {self.parasitic!r}")
+        try:
+            if isinstance(self.cutoff, bool):
+                raise TypeError
+            operator.index(self.cutoff)
+        except TypeError:
+            raise TypeError(f"cutoff must be an integer, got {self.cutoff!r}") from None
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
 
@@ -122,38 +139,54 @@ class ModelSpec:
 class _Element(NamedTuple):
     """One subsystem of a model and the coefficients of its terms."""
 
-    subsystem: Subsystem
+    label: str
+    boson: bool         # a mode at the spec's cutoff, else a two-level atom
     frequency: float    # multiplies its excitation operator in the Hamiltonian
     decay: float        # rate of its lowering operator at zero temperature
     nbar: float         # mean occupation of its bath
     dephasing: float    # gamma: sigma_z at rate gamma/2 (atoms only)
 
 
-def _model(spec: ModelSpec) -> tuple[CompositeSpace, list[_Element], list[tuple]]:
-    """The model as a table: its space, its elements in term order (cavity,
-    atom, spectator) and its couplings as (boson, qubit, g).
+def _model(params: RabiParams, parasitic: Parasitic
+           ) -> tuple[list[_Element], list[tuple[str, str, float]]]:
+    """The model as a table: its elements in term order (cavity, atom,
+    spectator) and its couplings as (boson, qubit, g), by label.
+
+    Per element, in term order, the generator has its excitation operator at
+    its frequency, its lowering and raising operators at decay*(nbar+1) and
+    decay*nbar and, for atoms, sigma_z at dephasing/2; then one term per
+    coupling.  Which terms there are, and their operators, depend only on
+    (parasitic, coupling, cutoff): ``_parts`` builds them once per such
+    structure, and a point computes only its coefficient tuple from this
+    table.
 
     True cavity and atom couple to a thermal bath at ``nbar``; spectators are
     damped at zero temperature (the spectator mode at rate nu_t*kappa, the
     spectator atom with the same lam and gamma as the true atom).
     """
-    par = spec.params
-    cavity, atom = Boson(spec.cutoff, "cavity"), Qubit("atom")
-    elements = [_Element(cavity, 1.0, par.kappa, par.nbar, 0.0),
-                _Element(atom, par.omega, par.lam, par.nbar, par.gamma)]
-    couplings = [(cavity, atom, par.g)]
-    if isinstance(spec.parasitic, ParasiticMode):
-        mode = Boson(spec.cutoff, "parasitic_mode")
-        nu = spec.parasitic.nu
-        elements.append(_Element(mode, nu, nu * par.kappa, 0.0, 0.0))
-        couplings.append((mode, atom, np.sqrt(nu) * par.g))
-    elif isinstance(spec.parasitic, ParasiticAtom):
-        spectator = Qubit("parasitic_atom")
-        elements.append(_Element(spectator, spec.parasitic.omega, par.lam, 0.0, par.gamma))
-        couplings.append((cavity, spectator, par.g))
+    elements = [_Element("cavity", True, 1.0, params.kappa, params.nbar, 0.0),
+                _Element("atom", False, params.omega, params.lam, params.nbar, params.gamma)]
+    couplings = [("cavity", "atom", params.g)]
+    if isinstance(parasitic, ParasiticMode):
+        nu = parasitic.nu
+        elements.append(_Element("parasitic_mode", True, nu, nu * params.kappa, 0.0, 0.0))
+        couplings.append(("parasitic_mode", "atom", np.sqrt(nu) * params.g))
+    elif isinstance(parasitic, ParasiticAtom):
+        elements.append(_Element("parasitic_atom", False, parasitic.omega, params.lam, 0.0,
+                                 params.gamma))
+        couplings.append(("cavity", "parasitic_atom", params.g))
+    return elements, couplings
+
+
+#: parameters at which the table is read for its structure alone
+_STRUCTURE = RabiParams(omega=0.0, g=0.0)
+
+
+def _space(parasitic: Parasitic, cutoff: int) -> CompositeSpace:
     # atoms before modes, each in term order
-    subsystems = sorted((e.subsystem for e in elements), key=lambda s: isinstance(s, Boson))
-    return CompositeSpace(tuple(subsystems)), elements, couplings
+    elements = sorted(_model(_STRUCTURE, parasitic)[0], key=lambda e: e.boson)
+    return CompositeSpace(tuple(Boson(cutoff, e.label) if e.boson else Qubit(e.label)
+                                for e in elements))
 
 
 def _excitation(sub: Subsystem) -> np.ndarray:
@@ -161,68 +194,46 @@ def _excitation(sub: Subsystem) -> np.ndarray:
     return number(sub.cutoff) if isinstance(sub, Boson) else qubit_ops().excited
 
 
-def _lowering(sub: Subsystem) -> np.ndarray:
-    """Annihilation operator (boson) or sigma_minus (qubit)."""
-    return annihilation(sub.cutoff) if isinstance(sub, Boson) else qubit_ops().sm
-
-
-def _coupling_operator(coupling: Coupling, space: CompositeSpace, boson: Boson,
-                       qubit: Qubit) -> np.ndarray:
-    """p sigma_y (full), or a^+ s- + a s+ (rwa, at coefficient -g/sqrt2)."""
-    qops = qubit_ops()
-    mode, atom = space.index(boson.label), space.index(qubit.label)
-    if coupling is Coupling.FULL:
-        return embed(quadratures(boson.cutoff)[1], space, mode) @ embed(qops.sy, space, atom)
-    a = embed(annihilation(boson.cutoff), space, mode)
-    return a.conj().T @ embed(qops.sm, space, atom) + a @ embed(qops.sp, space, atom)
-
-
-class _Term(NamedTuple):
-    """One term of the generator: a Hamiltonian term ``coefficient * operator``
-    or, if ``dissipative``, a jump operator at rate ``coefficient``."""
-
-    dissipative: bool
-    coefficient: float
-    operator: Callable[[], np.ndarray]   # embedded; built only when called
-
-
-def _terms(spec: ModelSpec) -> tuple[CompositeSpace, list[_Term]]:
-    """Every term of the generator, read off the model table.
-
-    Per element, in term order: its excitation operator at its frequency, its
-    lowering and raising operators at decay*(nbar+1) and decay*nbar and, for
-    atoms, sigma_z at dephasing/2; then one term per coupling.  Which terms
-    there are, and their operators, depend only on (parasitic, coupling,
-    cutoff); the parameters enter through the coefficients alone.
-    """
-    space, elements, couplings = _model(spec)
-
-    # the local operator, too, is built only when the term's operator is called
-    def local(make: Callable[[Subsystem], np.ndarray], sub: Subsystem) -> Callable[[], np.ndarray]:
-        return lambda: embed(make(sub), space, space.index(sub.label))
-
-    terms: list[_Term] = []
+def _coefficients(spec: ModelSpec) -> tuple[float, ...]:
+    """The coefficient of every term of the generator, in table order."""
+    elements, couplings = _model(spec.params, spec.parasitic)
+    out = []
     for e in elements:
-        sub = e.subsystem
-        terms += [_Term(False, e.frequency, local(_excitation, sub)),
-                  _Term(True, e.decay * (e.nbar + 1), local(_lowering, sub)),
-                  _Term(True, e.decay * e.nbar, local(lambda s: _lowering(s).conj().T, sub))]
-        if isinstance(sub, Qubit):
-            terms.append(_Term(True, e.dephasing / 2, local(lambda s: qubit_ops().sz, sub)))
-    for boson, qubit, g in couplings:
-        terms.append(_Term(False, g if spec.coupling is Coupling.FULL else -(g / SQRT2),
-                           partial(_coupling_operator, spec.coupling, space, boson, qubit)))
-    return space, terms
+        out += [e.frequency, e.decay * (e.nbar + 1), e.decay * e.nbar]
+        if not e.boson:
+            out.append(e.dephasing / 2)
+    out += [g if spec.coupling is Coupling.FULL else -(g / SQRT2) for *_, g in couplings]
+    return tuple(out)
+
+
+def _operators(parasitic: Parasitic, coupling: Coupling,
+               cutoff: int) -> Iterator[tuple[bool, np.ndarray]]:
+    """``(dissipative, operator)`` of every term of the generator, in table
+    order, each embedded in the full space only when it is reached."""
+    elements, couplings = _model(_STRUCTURE, parasitic)
+    space, qops = _space(parasitic, cutoff), qubit_ops()
+    for e in elements:
+        i = space.index(e.label)
+        lowering = annihilation(cutoff) if e.boson else qops.sm
+        yield False, embed(_excitation(space.subsystems[i]), space, i)
+        yield True, embed(lowering, space, i)
+        yield True, embed(lowering.conj().T, space, i)
+        if not e.boson:
+            yield True, embed(qops.sz, space, i)
+    for boson, qubit, _ in couplings:
+        mode, atom = space.index(boson), space.index(qubit)
+        if coupling is Coupling.FULL:   # p sigma_y
+            yield False, embed(quadratures(cutoff)[1], space, mode) @ embed(qops.sy, space, atom)
+        else:                           # a^+ s- + a s+, at coefficient -g/sqrt2
+            a = embed(annihilation(cutoff), space, mode)
+            yield False, a.conj().T @ embed(qops.sm, space, atom) + a @ embed(qops.sp, space, atom)
 
 
 @lru_cache(maxsize=16)
 def _parts(parasitic: Parasitic, coupling: Coupling, cutoff: int) -> AffineGenerator:
     """The generator's parts for one structure, built once and shared by every
     point that differs from it only in its parameters."""
-    # the parameters set only the coefficients, which are not used here
-    spec = ModelSpec(RabiParams(omega=0.0, g=0.0), cutoff, coupling, parasitic)
-    space, terms = _terms(spec)
-    return affine_generator(space, [(t.dissipative, t.operator()) for t in terms])
+    return affine_generator(_space(parasitic, cutoff), _operators(parasitic, coupling, cutoff))
 
 
 def build_space(spec: ModelSpec) -> CompositeSpace:
@@ -233,25 +244,27 @@ def build_space(spec: ModelSpec) -> CompositeSpace:
     parasitic atom:   qubit  (x) qubit (x) boson
     Both bosons share the per-mode cutoff of the spec.
     """
-    return _model(spec)[0]
+    return _space(spec.parasitic, spec.cutoff)
 
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     """Hermitian Hamiltonian on ``build_space(spec)``."""
-    return sum(t.coefficient * t.operator() for t in _terms(spec)[1] if not t.dissipative)
+    terms = zip(_coefficients(spec), _operators(spec.parasitic, spec.coupling, spec.cutoff),
+                strict=True)
+    return sum(c * op for c, (dissipative, op) in terms if not dissipative)
 
 
 def build_dissipators(spec: ModelSpec) -> list[LindbladTerm]:
     """Jump operators embedded in the full space, one term per nonzero rate."""
-    return [LindbladTerm(t.operator(), t.coefficient)
-            for t in _terms(spec)[1] if t.dissipative and t.coefficient > 0]
+    terms = zip(_coefficients(spec), _operators(spec.parasitic, spec.coupling, spec.cutoff),
+                strict=True)
+    return [LindbladTerm(op, c) for c, (dissipative, op) in terms if dissipative and c > 0]
 
 
 def build_liouvillian(spec: ModelSpec) -> SuperOperator:
     """Master-equation generator of the model: the cached parts of its
     structure, summed with the coefficients of its parameters."""
-    coefficients = [t.coefficient for t in _terms(spec)[1]]
-    return _parts(spec.parasitic, spec.coupling, spec.cutoff).at(coefficients)
+    return _parts(spec.parasitic, spec.coupling, spec.cutoff).at(_coefficients(spec))
 
 
 def excitation_operator(space: CompositeSpace, subsystem: int | str) -> np.ndarray:

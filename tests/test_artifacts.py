@@ -1,5 +1,5 @@
-"""CSV artifacts pinned byte for byte: those of scripts/reproduce_sweeps.py, a
-model-mode jump ensemble and two scenario-a cutoff ladders."""
+"""CSV artifacts pinned byte for byte: those of scripts/reproduce_sweeps.py, two
+model-mode jump ensembles and two scenario-a cutoff ladders."""
 
 import hashlib
 import os
@@ -37,6 +37,18 @@ def test_model_mode_ensemble_matches_manifest(tmp_path):
     out = tmp_path / name
     argv = ["trajectories", "--mode", "model", "--scenario", "c", "--cutoff", "1",
             "--kappa", "0.5", "--lambda", "0.5", "--g", "0.3", "--n-traj", "200", "--seed", "7"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_rwa_model_mode_ensemble_matches_manifest(tmp_path):
+    # scenario a under the RWA with thermal photons: the raising jumps and
+    # the spectator mode's decay, which the scenario-c pin does not reach
+    digest, name = (MANIFEST.parent / "trajectories_model_a_rwa.sha256").read_text().split()
+    out = tmp_path / name
+    argv = ["trajectories", "--mode", "model", "--scenario", "a", "--coupling", "rwa",
+            "--nbar", "0.3", "--cutoff", "2", "--kappa", "0.5", "--lambda", "0.5", "--g", "0.3",
+            "--n-traj", "200", "--seed", "7"]
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

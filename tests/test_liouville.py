@@ -12,7 +12,7 @@ from openrabi.liouville import (
     affine_generator,
     trace_preservation_defect,
 )
-from openrabi.models import _terms
+from openrabi.models import _coefficients, _operators
 from util import REFERENCE_RATES, assert_same_csr, cavity_only_generator, reference_at
 
 
@@ -226,9 +226,8 @@ def _bare_parts():
     """The parts of the bare model at cutoff 1, built afresh, and the
     coefficients of a point at omega = 0.7 with thermal photons."""
     spec = orb.ModelSpec(orb.RabiParams(0.7, 0.05, nbar=0.3, **REFERENCE_RATES))
-    space, terms = _terms(spec)
-    return (affine_generator(space, [(t.dissipative, t.operator()) for t in terms]),
-            [t.coefficient for t in terms])
+    return (affine_generator(orb.build_space(spec), _operators(None, orb.Coupling.FULL, 1)),
+            list(_coefficients(spec)))
 
 
 def test_at_shares_read_only_patterns_and_owns_its_values():

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import openrabi as orb
+from openrabi import hilbert, models
 from openrabi.hilbert import SQRT2, herm_defect
-from openrabi.models import _parts, _terms
-from util import REFERENCE_RATES, assert_same_csr, reference_at
+from openrabi.models import _coefficients, _parts
+from util import REFERENCE_RATES, assert_same_csr, reference_at, reference_terms
 
 PARAMS = orb.RabiParams(omega=1.0, g=0.05, **REFERENCE_RATES)
 
@@ -150,6 +153,19 @@ def test_parameter_validation():
         orb.ModelSpec(params=PARAMS, cutoff=0)
     with pytest.raises(ValueError):
         orb.scenario_parasitic("z")
+    # a wrong type would build another model: the RWA for 2, the bare model
+    # for "a", a space of dimension 7.0 for 2.5
+    for kwargs in (dict(cutoff=2, coupling="full"), dict(coupling=2),
+                   dict(parasitic="a"), dict(parasitic=orb.RabiParams(1.0, 0.05)),
+                   dict(cutoff=2.5), dict(cutoff=2.0), dict(cutoff=True), dict(cutoff="2")):
+        with pytest.raises(TypeError):
+            orb.ModelSpec(params=PARAMS, **kwargs)
+    assert orb.build_space(orb.ModelSpec(PARAMS, np.int64(2))).dim == 6
+    # a non-finite spectator frequency would build a non-finite Hamiltonian
+    for spectator in (orb.ParasiticMode, orb.ParasiticAtom):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                spectator(value)
 
 
 def _reference_liouvillian(spec):
@@ -204,6 +220,62 @@ def test_at_matches_the_part_by_part_sum(scenario, coupling):
     for cutoff in (1, 2, 3):
         for p in params:
             spec = spec_for(scenario, coupling, cutoff, p)
-            coefficients = [t.coefficient for t in _terms(spec)[1]]
+            coefficients = _coefficients(spec)
             gen = _parts(spec.parasitic, spec.coupling, spec.cutoff)
             assert_same_csr(orb.build_liouvillian(spec).matrix, reference_at(gen, coefficients))
+
+
+#: rates on and off, nbar 0 and 0.3, g 0.05 and 0: the points of the split's
+#: reference test, at every scenario, coupling and cutoff 1-3
+SPLIT_PARAMS = [orb.RabiParams(0.9, g, nbar=nbar, **rates)
+                for rates in (dict(kappa=1e-6, lam=2e-6, gamma=5e-7), {})
+                for nbar in (0.0, 0.3) for g in (0.05, 0.0)]
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+@pytest.mark.parametrize("coupling", [orb.Coupling.FULL, orb.Coupling.RWA])
+def test_table_readers_match_the_per_point_model(scenario, coupling):
+    # the same coefficients, space, Hamiltonian and jump operators, byte for
+    # byte and signed zeros included, as the model rebuilt at every point
+    for cutoff in (1, 2, 3):
+        for p in SPLIT_PARAMS:
+            spec = spec_for(scenario, coupling, cutoff, p)
+            space, terms = reference_terms(spec)
+            coefficients = tuple(c for _, c, _ in terms)
+            assert _coefficients(spec) == coefficients
+            assert np.array(_coefficients(spec)).tobytes() == np.array(coefficients).tobytes()
+            assert orb.build_space(spec) == space
+            h = sum(c * op for d, c, op in terms if not d)
+            assert orb.build_hamiltonian(spec).tobytes() == h.tobytes()
+            jumps = [(op, c) for d, c, op in terms if d and c > 0]
+            got = orb.build_dissipators(spec)
+            assert [t.rate for t in got] == [c for _, c in jumps]
+            for term, (op, _) in zip(got, jumps, strict=True):
+                assert term.operator.tobytes() == op.tobytes()
+
+
+def test_warm_build_reads_only_coefficients(monkeypatch):
+    # a point of a structure already built makes no space, subsystem or
+    # embedded operator: it reads its coefficients off the table
+    calls = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _f=original, **k: calls.append(name)
+                            or _f(*a, **k))
+
+    _parts.cache_clear()
+    for cls in (hilbert.CompositeSpace, hilbert.Boson, hilbert.Qubit):
+        count(cls, "__init__")
+    for module in (hilbert, models):
+        count(module, "embed")
+    spec = spec_for("c", cutoff=2)
+    orb.build_liouvillian(spec)
+    assert {"__init__", "embed"} <= set(calls)   # the cold build is counted
+    calls.clear()
+    warm = spec_for("c", cutoff=2, params=orb.RabiParams(0.7, 0.03, nbar=0.3, **REFERENCE_RATES))
+    got = orb.build_liouvillian(warm).matrix
+    assert calls == []
+    monkeypatch.undo()
+    assert_same_csr(got, reference_at(_parts(warm.parasitic, warm.coupling, warm.cutoff),
+                                      _coefficients(warm)))
