@@ -41,6 +41,7 @@ from .models import (
     build_dissipators,
     build_hamiltonian,
     build_liouvillian,
+    build_liouvillians,
     build_space,
     excitation_operator,
     scenario_parasitic,
@@ -52,6 +53,7 @@ from .steady import (
     SteadyStateResult,
     evolve,
     steady_state,
+    steady_states,
 )
 from .analytic import (
     DegenerateKernelError,
@@ -75,6 +77,7 @@ from .observables import (
     mutual_information,
     photon_distribution,
     report,
+    reports,
     von_neumann_entropy,
 )
 from .trajectories import (

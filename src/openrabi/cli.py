@@ -28,7 +28,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn
 
@@ -42,15 +42,16 @@ from .models import (
     Coupling,
     ModelSpec,
     RabiParams,
+    batch_size,
     build_dissipators,
     build_hamiltonian,
-    build_liouvillian,
+    build_liouvillians,
     build_space,
     excitation_operator,
     scenario_parasitic,
 )
-from .observables import ObservableReport, report
-from .steady import steady_state
+from .observables import ObservableReport, reports
+from .steady import steady_states
 from .trajectories import StepSizeUnderflowError, ensemble_average, unravel
 
 _FLOAT_FMT = "{:.11e}"
@@ -169,13 +170,37 @@ def _spec(o: argparse.Namespace, cutoff: int, **point: float) -> ModelSpec:
                      parasitic=scenario_parasitic(o.scenario))
 
 
-def _solve(spec: ModelSpec) -> tuple[ObservableReport | None, str]:
-    """Observables of the steady state at one grid point, or the error text."""
-    try:
-        gen = build_liouvillian(spec)
-        return report(steady_state(gen).rho, gen.space), ""
-    except Exception as exc:  # per-row error reporting keeps the sweep going
-        return None, f"{type(exc).__name__}: {exc}"
+def _solve_batch(specs: list[ModelSpec]) -> list[tuple[ObservableReport | None, str]]:
+    """Observables of the steady state at each point of one model structure,
+    or its error text, built, solved and reported as one batch."""
+    gens = build_liouvillians(specs)
+    outcomes = steady_states(gens)
+    solved = [outcome.rho for outcome in outcomes if not isinstance(outcome, Exception)]
+    reps = iter(reports(np.stack(solved), gens[0].space) if solved else [])
+    return [(None, f"{type(outcome).__name__}: {outcome}") if isinstance(outcome, Exception)
+            else (next(reps), "") for outcome in outcomes]
+
+
+def _solve_all(specs: list[ModelSpec]) -> list[tuple[ObservableReport | None, str]]:
+    """Observables of the steady state at each grid point, or its error text.
+    The points of one model structure go through ``_solve_batch`` in batches
+    of about ``batch_size`` points, cut evenly; each point's numbers and
+    error are those it has alone."""
+    results: list = [None] * len(specs)
+    groups: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.parasitic, spec.coupling, spec.cutoff), []).append(i)
+    for members in groups.values():
+        try:
+            runs = -(-len(members) // batch_size(specs[members[0]]))
+            for batch in np.array_split(members, runs):
+                for i, result in zip(batch, _solve_batch([specs[i] for i in batch])):
+                    results[i] = result
+        except Exception as exc:  # per-row error reporting keeps the sweep going
+            for i in members:
+                if results[i] is None:
+                    results[i] = (None, f"{type(exc).__name__}: {exc}")
+    return results
 
 
 #: the OpenBLAS copies bundled with numpy and scipy (the banded LU calls scipy's):
@@ -257,12 +282,14 @@ def _run_grid(header: tuple[str, ...], points: Callable, rows: Callable,
     # no more workers than points: a forked pool starts every worker on its first task
     workers = min(o.workers, len(specs))
     if workers <= 1:
-        results = [_solve(spec) for spec in specs]
+        results = _solve_all(specs)
     else:
-        # one contiguous share of the grid per worker: two messages per worker,
-        # not two per point
-        results = list(_pool(workers).map(_solve, specs,
-                                          chunksize=-(-len(specs) // workers)))
+        # one contiguous share of the grid per worker, solved as batches: two
+        # messages per worker, not two per point
+        share = -(-len(specs) // workers)
+        results = [result for part in _pool(workers).map(
+            _solve_all, [specs[i:i + share] for i in range(0, len(specs), share)])
+                   for result in part]
     solved = [(keys, spec, *result) for (keys, spec), result in zip(grid, results)]
     write_csv(o.out, list(header), rows(solved))
     return 3 if any(error for _, error in results) else 0
@@ -285,12 +312,15 @@ def _means(rep: ObservableReport) -> tuple[float, float]:
     return _clamp_tiny_negative(rep.n_mean["cavity"]), _clamp_tiny_negative(rep.e_mean["atom"])
 
 
+@lru_cache(maxsize=256)
 def _analytic_reference(params: RabiParams,
                         coupling: Coupling) -> tuple[float | None, float | None]:
     """Closed-form one-photon reference for the bare model at these parameters.
 
     Zero under the rotating-wave approximation (no anti-rotating term, no
-    excitation); undefined at finite reservoir temperature.
+    excitation); undefined at finite reservoir temperature.  Each is
+    evaluated once per process: the sweeps of every scenario share their
+    parameters, and so their closed forms.
     """
     if params.nbar != 0:
         return None, None
@@ -310,18 +340,11 @@ def _sweep_points(axis: str, o: argparse.Namespace) -> list:
 
 
 def _sweep_rows(solved: list) -> list[list]:
-    """The table of a sweep.  The closed forms depend on a point's parameters
-    and coupling alone, which its cutoffs share, so each is evaluated once
-    per table."""
-    references = {}
-    table = []
-    for keys, spec, rep, error in solved:
-        key = (spec.params, spec.coupling)
-        if key not in references:
-            references[key] = _analytic_reference(*key)
-        means = (None, None) if rep is None else _means(rep)
-        table.append([*keys, *means, *references[key], None if rep is None else rep.i_af, error])
-    return table
+    """The table of a sweep, with the closed forms of each point's parameters
+    and coupling."""
+    return [[*keys, *((None, None) if rep is None else _means(rep)),
+             *_analytic_reference(spec.params, spec.coupling),
+             None if rep is None else rep.i_af, error] for keys, spec, rep, error in solved]
 
 
 def _exp10(key: str, log10: float) -> float:

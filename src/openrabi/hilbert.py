@@ -162,7 +162,12 @@ def embed(op: np.ndarray, space: CompositeSpace, position: int) -> np.ndarray:
             f"{dims[position]} at position {position}"
         )
     before, after = math.prod(dims[:position]), math.prod(dims[position + 1:])
-    return np.kron(np.kron(np.eye(before, dtype=complex), op), np.eye(after, dtype=complex))
+    # np.kron's products, as broadcast multiplies without its reshaping
+    # overhead: eye(before) (x) op, then that (x) eye(after)
+    d = before * dims[position]
+    inner = (np.eye(before, dtype=complex)[:, None, :, None] * op[None, :, None, :]).reshape(d, d)
+    return (inner[:, None, :, None] * np.eye(after, dtype=complex)[None, :, None, :]).reshape(
+        d * after, d * after)
 
 
 def basis_ket(space: CompositeSpace, occupations: Sequence[int]) -> np.ndarray:
@@ -190,12 +195,16 @@ def expectation(op: np.ndarray, rho: np.ndarray) -> complex:
 
 
 def partial_trace(rho: np.ndarray, space: CompositeSpace, keep: Iterable[int]) -> np.ndarray:
-    """Reduced density matrix on the kept factors (original order); trace preserved."""
+    """Reduced density matrix on the kept factors (original order); trace
+    preserved.  ``rho`` may hold a stack of states along leading axes, which
+    one einsum reduces alike, each state's sums as if it were alone."""
     shape, subscripts, out, dk = _reduction(space, tuple(keep))
     rho = np.asarray(rho)
-    if rho.shape != (space.dim, space.dim):
+    if rho.shape[-2:] != (space.dim, space.dim):
         raise DimensionError(f"rho shape {rho.shape} does not match space dim {space.dim}")
-    return np.einsum(rho.reshape(shape), subscripts, out).reshape(dk, dk)
+    batch = rho.shape[:-2]
+    return np.einsum(rho.reshape(batch + shape), [..., *subscripts], [..., *out]).reshape(
+        batch + (dk, dk))
 
 
 @lru_cache(maxsize=128)
@@ -233,19 +242,33 @@ def validate_density_matrix(rho: np.ndarray) -> dict[str, float]:
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"density matrix must be square, got shape {rho.shape}")
-    return _density_margins(rho, 0.5 * (rho + rho.conj().T))
+    (margins,) = _density_margins(rho[None], 0.5 * (rho + rho.conj().T)[None])
+    if isinstance(margins, ValueError):
+        raise margins
+    return margins
 
 
-def _density_margins(rho: np.ndarray, hermitian: np.ndarray) -> dict[str, float]:
-    """The checks of ``validate_density_matrix`` on a square ``rho`` whose
-    hermitian part ``0.5 * (rho + rho^+)`` the caller has formed."""
-    dev = float(abs(np.trace(rho) - 1.0))
-    if not dev <= VALIDITY_TOL:
-        raise ValueError(f"trace deviates from 1 by {dev:.3e} (> {VALIDITY_TOL:.0e})")
-    hd = herm_defect(rho)
-    if not hd <= VALIDITY_TOL:
-        raise ValueError(f"hermiticity defect {hd:.3e} (> {VALIDITY_TOL:.0e})")
-    wmin = float(np.linalg.eigvalsh(hermitian).min())
-    if not wmin >= -VALIDITY_TOL:
-        raise ValueError(f"minimum eigenvalue {wmin:.3e} below -{VALIDITY_TOL:.0e}")
-    return {"trace_deviation": dev, "herm_defect": hd, "min_eigenvalue": wmin}
+def _density_margins(rhos: np.ndarray, hermitians: np.ndarray) -> list[dict[str, float] | ValueError]:
+    """The checks of ``validate_density_matrix`` on a stack of square states
+    ``rhos`` whose hermitian parts ``0.5 * (rho + rho^+)`` the caller has
+    formed: per state its margins, or the ``ValueError`` of the first check it
+    fails.  Each margin is taken on the whole stack at once, and only the
+    states that pass the trace and hermiticity checks, all finite then, go to
+    the one stacked ``eigvalsh``."""
+    devs = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
+    defects = np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) / 2.0
+    out: list = []
+    for dev, hd in zip(devs.tolist(), defects.tolist()):
+        if not dev <= VALIDITY_TOL:
+            out.append(ValueError(f"trace deviates from 1 by {dev:.3e} (> {VALIDITY_TOL:.0e})"))
+        elif not hd <= VALIDITY_TOL:
+            out.append(ValueError(f"hermiticity defect {hd:.3e} (> {VALIDITY_TOL:.0e})"))
+        else:
+            out.append({"trace_deviation": dev, "herm_defect": hd})
+    passed = [i for i, margins in enumerate(out) if isinstance(margins, dict)]
+    for i, w in zip(passed, np.linalg.eigvalsh(hermitians[passed]).min(axis=1).tolist()):
+        if w >= -VALIDITY_TOL:
+            out[i]["min_eigenvalue"] = w
+        else:
+            out[i] = ValueError(f"minimum eigenvalue {w:.3e} below -{VALIDITY_TOL:.0e}")
+    return out

@@ -193,24 +193,36 @@ class AffineGenerator:
     _patterns: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False)
 
     def at(self, coefficients: Sequence[float]) -> SuperOperator:
-        """The generator with coefficient ``coefficients[k]`` on part k.  Its
-        matrix shares the read-only ``indptr`` and ``indices`` of a cached
-        pattern, so a caller that edits them in place must copy it first."""
-        coefficients = tuple(coefficients)
-        if len(coefficients) != len(self.dissipative):
-            raise ValueError(f"need {len(self.dissipative)} coefficients, "
-                             f"got {len(coefficients)}")
-        for c, dissipative in zip(coefficients, self.dissipative):
-            if dissipative and c < 0:
-                raise NegativeRateError(f"rate must be >= 0, got {c}")
-        # 0 + c_0 v_0 + c_1 v_1 + ... per entry; a zero coefficient adds a
+        """The generator with coefficient ``coefficients[k]`` on part k, the
+        batch of one of ``at_each``."""
+        return self.at_each([coefficients])[0]
+
+    def at_each(self, points: Sequence[Sequence[float]]) -> list[SuperOperator]:
+        """The generator of each point's coefficients, point p's
+        ``points[p][k]`` on part k, all from one product ``table @ C`` (parts
+        x points).  Each generator's matrix shares the read-only ``indptr`` and
+        ``indices`` of the cached pattern of its nonzero mask, so a caller that
+        edits them in place must copy it first."""
+        points = [tuple(coefficients) for coefficients in points]
+        for coefficients in points:
+            if len(coefficients) != len(self.dissipative):
+                raise ValueError(f"need {len(self.dissipative)} coefficients, "
+                                 f"got {len(coefficients)}")
+            for c, dissipative in zip(coefficients, self.dissipative):
+                if dissipative and c < 0:
+                    raise NegativeRateError(f"rate must be >= 0, got {c}")
+        # per point and entry 0 + c_0 v_0 + c_1 v_1 + ..., summed as a product
+        # with the point's column alone would; a zero coefficient adds a
         # signed zero, which leaves every sum as it was
-        data = self.table @ np.asarray(coefficients, dtype=complex)
-        kept = data != 0   # entries also cancel exactly, as at omega = 1
-        matrix = copy.copy(self._pattern(kept))
-        matrix.data = data[kept]
-        return SuperOperator(self.space, matrix,
-                             Terms(self.operators, self.dissipative, coefficients))
+        data = self.table @ np.array(points, dtype=complex).T
+        generators = []
+        for coefficients, values in zip(points, data.T):
+            kept = values != 0   # entries also cancel exactly, as at omega = 1
+            matrix = copy.copy(self._pattern(kept))
+            matrix.data = values[kept]
+            generators.append(SuperOperator(self.space, matrix,
+                                            Terms(self.operators, self.dissipative, coefficients)))
+        return generators
 
     def _pattern(self, kept: np.ndarray) -> sp.csr_matrix:
         """The read-only, canonical CSR pattern of the entries ``kept``."""

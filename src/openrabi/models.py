@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -206,27 +206,34 @@ def _coefficients(spec: ModelSpec) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _operators(parasitic: Parasitic, coupling: Coupling,
-               cutoff: int) -> Iterator[tuple[bool, np.ndarray]]:
+def _operators(parasitic: Parasitic, coupling: Coupling, cutoff: int,
+               keep: Callable[[int, bool], bool] = lambda k, dissipative: True
+               ) -> Iterator[tuple[bool, np.ndarray | None]]:
     """``(dissipative, operator)`` of every term of the generator, in table
-    order, each embedded in the full space only when it is reached."""
+    order, each embedded in the full space only when it is reached, and only
+    if ``keep(k, dissipative)`` holds for term k: the operator of a term not
+    kept is None."""
     elements, couplings = _model(_STRUCTURE, parasitic)
     space, qops = _space(parasitic, cutoff), qubit_ops()
+    k = 0
     for e in elements:
         i = space.index(e.label)
         lowering = annihilation(cutoff) if e.boson else qops.sm
-        yield False, embed(_excitation(space.subsystems[i]), space, i)
-        yield True, embed(lowering, space, i)
-        yield True, embed(lowering.conj().T, space, i)
-        if not e.boson:
-            yield True, embed(qops.sz, space, i)
+        local = [(False, _excitation(space.subsystems[i])), (True, lowering),
+                 (True, lowering.conj().T)] + ([] if e.boson else [(True, qops.sz)])
+        for dissipative, op in local:
+            yield dissipative, embed(op, space, i) if keep(k, dissipative) else None
+            k += 1
     for boson, qubit, _ in couplings:
         mode, atom = space.index(boson), space.index(qubit)
-        if coupling is Coupling.FULL:   # p sigma_y
+        if not keep(k, False):
+            yield False, None
+        elif coupling is Coupling.FULL:   # p sigma_y
             yield False, embed(quadratures(cutoff)[1], space, mode) @ embed(qops.sy, space, atom)
         else:                           # a^+ s- + a s+, at coefficient -g/sqrt2
             a = embed(annihilation(cutoff), space, mode)
             yield False, a.conj().T @ embed(qops.sm, space, atom) + a @ embed(qops.sp, space, atom)
+        k += 1
 
 
 @lru_cache(maxsize=16)
@@ -234,6 +241,17 @@ def _parts(parasitic: Parasitic, coupling: Coupling, cutoff: int) -> AffineGener
     """The generator's parts for one structure, built once and shared by every
     point that differs from it only in its parameters."""
     return affine_generator(_space(parasitic, cutoff), _operators(parasitic, coupling, cutoff))
+
+
+#: the generator entries, summed over its points, that a batch of one
+#: structure holds at most: its stacked values and products stay ~0.5 MiB
+_BATCH_ENTRIES = 1 << 15
+
+
+def batch_size(spec: ModelSpec) -> int:
+    """How many points of ``spec``'s structure one batch takes: as many as
+    hold ``_BATCH_ENTRIES`` generator entries together, and at least one."""
+    return max(1, _BATCH_ENTRIES // _parts(spec.parasitic, spec.coupling, spec.cutoff).indices.size)
 
 
 def build_space(spec: ModelSpec) -> CompositeSpace:
@@ -249,22 +267,40 @@ def build_space(spec: ModelSpec) -> CompositeSpace:
 
 def build_hamiltonian(spec: ModelSpec) -> np.ndarray:
     """Hermitian Hamiltonian on ``build_space(spec)``."""
-    terms = zip(_coefficients(spec), _operators(spec.parasitic, spec.coupling, spec.cutoff),
+    terms = zip(_coefficients(spec), _operators(spec.parasitic, spec.coupling, spec.cutoff,
+                                                lambda k, dissipative: not dissipative),
                 strict=True)
     return sum(c * op for c, (dissipative, op) in terms if not dissipative)
 
 
 def build_dissipators(spec: ModelSpec) -> list[LindbladTerm]:
     """Jump operators embedded in the full space, one term per nonzero rate."""
-    terms = zip(_coefficients(spec), _operators(spec.parasitic, spec.coupling, spec.cutoff),
+    coefficients = _coefficients(spec)
+    terms = zip(coefficients, _operators(spec.parasitic, spec.coupling, spec.cutoff,
+                                         lambda k, dissipative: dissipative and coefficients[k] > 0),
                 strict=True)
     return [LindbladTerm(op, c) for c, (dissipative, op) in terms if dissipative and c > 0]
 
 
+def build_liouvillians(specs: Sequence[ModelSpec]) -> list[SuperOperator]:
+    """The master-equation generator of each model: the points of one
+    structure are summed from its cached parts in one product, with the
+    coefficients of their parameters."""
+    generators: list = [None] * len(specs)
+    groups: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.parasitic, spec.coupling, spec.cutoff), []).append(i)
+    for structure, members in groups.items():
+        built = _parts(*structure).at_each([_coefficients(specs[i]) for i in members])
+        for i, gen in zip(members, built):
+            generators[i] = gen
+    return generators
+
+
 def build_liouvillian(spec: ModelSpec) -> SuperOperator:
-    """Master-equation generator of the model: the cached parts of its
-    structure, summed with the coefficients of its parameters."""
-    return _parts(spec.parasitic, spec.coupling, spec.cutoff).at(_coefficients(spec))
+    """Master-equation generator of the model, the batch of one of
+    ``build_liouvillians``."""
+    return build_liouvillians([spec])[0]
 
 
 def excitation_operator(space: CompositeSpace, subsystem: int | str) -> np.ndarray:

@@ -1,4 +1,10 @@
-"""Physical quantities extracted from density matrices."""
+"""Physical quantities extracted from density matrices.
+
+``report`` and the entropies take a stack of states as well: the partial
+traces are one einsum with a leading batch axis and the eigenvalues one
+stacked ``eigvalsh``, while each state's filter of its eigenvalues and its
+sums stay its own, so that every number is the one its state gives alone.
+"""
 
 from __future__ import annotations
 
@@ -30,9 +36,20 @@ def photon_distribution(
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy in bits; eigenvalues at or below ``EIG_FLOOR`` are treated as zero."""
-    w = np.linalg.eigvalsh(0.5 * (rho + np.asarray(rho).conj().T))
-    w = w[w > EIG_FLOOR]
-    return float(-(w * np.log2(w)).sum()) if w.size else 0.0
+    return _entropies(np.asarray(rho)[None])[0]
+
+
+def _entropies(rhos: np.ndarray) -> list[float]:
+    """``von_neumann_entropy`` of each state of the stack ``rhos``, from one
+    stacked ``eigvalsh``; each state's eigenvalues above the floor are then
+    filtered and summed apart, as numpy's pairwise sum would reorder a row
+    whose dropped entries became zeros in place."""
+    w = np.linalg.eigvalsh(0.5 * (rhos + rhos.conj().swapaxes(-1, -2)))
+    out = []
+    for row in w:
+        row = row[row > EIG_FLOOR]
+        out.append(float(-(row * np.log2(row)).sum()) if row.size else 0.0)
+    return out
 
 
 def mutual_information(
@@ -46,11 +63,17 @@ def mutual_information(
     Subsystems outside A union B are traced out first, so for models with
     spectator elements the correlation is between the reduced true parties.
     """
-    joint_keep, joint_space, pos_a, pos_b = _bipartition(space, tuple(part_a), tuple(part_b))
-    joint = partial_trace(rho, space, joint_keep)
-    s_a = von_neumann_entropy(partial_trace(joint, joint_space, pos_a))
-    s_b = von_neumann_entropy(partial_trace(joint, joint_space, pos_b))
-    return s_a + s_b - von_neumann_entropy(joint)
+    return _mutual_informations(np.asarray(rho)[None], space, tuple(part_a), tuple(part_b))[0]
+
+
+def _mutual_informations(rhos: np.ndarray, space: CompositeSpace, part_a: tuple[int | str, ...],
+                         part_b: tuple[int | str, ...]) -> list[float]:
+    """``mutual_information`` of each state of the stack ``rhos``."""
+    joint_keep, joint_space, pos_a, pos_b = _bipartition(space, part_a, part_b)
+    joint = partial_trace(rhos, space, joint_keep)
+    s_a = _entropies(partial_trace(joint, joint_space, pos_a))
+    s_b = _entropies(partial_trace(joint, joint_space, pos_b))
+    return [a + b - ab for a, b, ab in zip(s_a, s_b, _entropies(joint))]
 
 
 @lru_cache(maxsize=64)
@@ -88,17 +111,27 @@ class ObservableReport:
 
 
 def report(rho: np.ndarray, space: CompositeSpace) -> ObservableReport:
-    """Per-subsystem excitations and the true atom-field correlation."""
-    n_mean: dict[str, float] = {}
-    e_mean: dict[str, float] = {}
-    distributions: dict[str, np.ndarray] = {}
-    for i, sub in enumerate(space.subsystems):
-        reduced = partial_trace(rho, space, [i])
-        pops = np.diag(reduced).real
-        if isinstance(sub, Boson):
-            distributions[sub.label] = pops.copy()
-            n_mean[sub.label] = float(pops @ np.arange(sub.dim))
-        else:
-            e_mean[sub.label] = float(pops[1])
-    i_af = mutual_information(rho, space, ["atom"], ["cavity"])
-    return ObservableReport(n_mean, e_mean, distributions, i_af)
+    """Per-subsystem excitations and the true atom-field correlation, the
+    batch of one of ``reports``."""
+    return reports(np.asarray(rho)[None], space)[0]
+
+
+def reports(rhos: np.ndarray, space: CompositeSpace) -> list[ObservableReport]:
+    """``report`` of each state of the stack ``rhos`` (states x D x D): one
+    partial trace per subsystem and three stacked entropies serve them all."""
+    populations = [(sub, np.diagonal(partial_trace(rhos, space, [i]), axis1=1, axis2=2).real)
+                   for i, sub in enumerate(space.subsystems)]
+    i_af = _mutual_informations(rhos, space, ("atom",), ("cavity",))
+    out = []
+    for p, i_af_p in enumerate(i_af):
+        n_mean: dict[str, float] = {}
+        e_mean: dict[str, float] = {}
+        distributions: dict[str, np.ndarray] = {}
+        for sub, pops in populations:
+            if isinstance(sub, Boson):
+                distributions[sub.label] = pops[p].copy()
+                n_mean[sub.label] = float(pops[p] @ np.arange(sub.dim))
+            else:
+                e_mean[sub.label] = float(pops[p, 1])
+        out.append(ObservableReport(n_mean, e_mean, distributions, i_af_p))
+    return out

@@ -33,8 +33,9 @@ Each block reads its values straight from the generator's CSR values,
 through gathers cached with the pattern.  The solve runs solver by solver:
 GMRES where it is picked, then the band.  Each solves every block still
 pending, the trace row's block last, and one product then certifies them
-all; a block that fails moves on to the next solver.  Every band factor but
-the trace row's block's is freed once it has solved its block.  One
+all; a block that fails moves on to the next solver.  Every band factor is
+freed once it has solved its block, the trace row's block's once it has also
+refined the solution of e_0 (below).  One
 certificate of uniqueness judges every block: for a fixed-seed random
 right-hand side r, the block's part x_b of the solution must have
 ``||r_b - T_b x_b|| <= tol ||r_b||`` and ``eps ||T_b||_F ||x_b|| <= tol
@@ -46,12 +47,28 @@ unique, which is exactly when one of its blocks is; a singular block leaves
 a residual of about ``||r_b|| / sqrt(n_b)`` whatever x_b is.  An ``eig``
 that raises sends every block to the band; a GMRES run that stalls or fails
 the certificate sends its block alone.  On the band a block that fails the
-certificate (ill-conditioned, at rates below ~1e-8, or singular) is refined
-in extended precision with its factor, factored again if it was freed, and
-its residual judged in that precision; a failure there, or an exactly zero
+certificate (ill-conditioned, at rates below ~1e-8, or singular) is factored
+again, refined in extended precision with that factor, and its residual
+judged in that precision; a failure there, or an exactly zero
 pivot, means the state is not unique.  The blocks solved before a zero
 pivot are judged first, so the error names the first failing block in
 solving order.
+
+``steady_states`` solves generators of one sparsity pattern, such as a
+grid's points of one model structure, as one batch, and ``steady_state`` is
+its batch of one.  Per point run the factorizations, the solves and the
+refinement, and GMRES where picked, so a point's LU arithmetic is that of the
+point alone.  Stacked over the batch run the certificate (one product with
+the block-diagonal matrix of the points' ``L``, and norms summed by labels
+offset by point), the residual ``L vec(rho)``, the validity margins (the
+trace, the hermiticity defect and one stacked ``eigvalsh``), the hermitian
+part and the normalization.  Each stacked operation sums every point's
+numbers in the order the point's own would, so a point's state,
+diagnostics and error never depend on its batch mates, and a point that
+fails takes its fallback, or raises, alone.  No two band factors are
+held at once, and a batch stacks only vectors of length D^2, D x D states
+and, for its products, one copy of its points' generator values; a point on
+GMRES keeps its preconditioner until its trace row's block is judged.
 
 As T is block-diagonal, the steady state's right-hand side e_0 meets the
 trace row's block alone, and iterative refinement with extended-precision
@@ -73,7 +90,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -290,30 +307,59 @@ def _structure(dim: int, indptr: bytes, indices: bytes) -> _Structure:
                       trace_rhs=trace_rhs)
 
 
-def _certify(structure: _Structure, mat: sp.csr_matrix, x: np.ndarray,
-             blocks: list[int]) -> np.ndarray:
-    """The certificate's margin of each of ``blocks``, for ``x`` that holds
-    each block's solution x_b of ``T_b x_b = r_b`` on its unknowns (r is the
-    certificate's rhs, T the trace-replaced system of the generator
-    ``mat``): the larger of ``||r_b - T_b x_b|| / ||r_b||`` and ``eps
-    ||T_b||_F ||x_b|| / ||r_b||``.  One product serves every block: ``T x``
+def _stacked(mats: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
+    """The block-diagonal matrix of generators of one CSR pattern: each row
+    sums its entries in the order of its generator's own, so a product with
+    it gives each generator's product bit for bit, and its values are each
+    generator's in turn."""
+    if len(mats) == 1:
+        return mats[0]
+    first, count = mats[0], len(mats)
+    n = first.shape[0]
+    index = np.int32 if count * max(n, first.nnz) < 2 ** 31 else np.int64
+    step = np.arange(count, dtype=index)[:, None]
+    indptr = np.concatenate([np.zeros(1, dtype=index),
+                             (first.indptr[1:] + first.nnz * step).ravel()])
+    indices = (first.indices + n * step).ravel()
+    return sp.csr_matrix((np.concatenate([mat.data for mat in mats]), indices, indptr),
+                         shape=(count * n, count * n))
+
+
+def _squares(values: np.ndarray, labels: np.ndarray, bins: int) -> np.ndarray:
+    """Per row of ``values``, the sums of ``|value|^2`` by label, shape (rows,
+    bins): one ``bincount`` with each row's labels offset by its row, which
+    sums each bin in the order that row's own ``bincount`` would."""
+    rows = values.shape[0]
+    offsets = (labels + bins * np.arange(rows, dtype=np.intp)[:, None]).ravel()
+    return np.bincount(offsets, weights=(values.real ** 2 + values.imag ** 2).ravel(),
+                       minlength=rows * bins).reshape(rows, bins)
+
+
+def _certify(structure: _Structure, mats: Sequence[sp.csr_matrix], x: np.ndarray) -> np.ndarray:
+    """The certificate's margin of every block (columns) of every generator
+    ``mats[p]`` of the pattern of ``structure`` (rows), for ``x[p]`` that
+    holds each block's solution x_b of ``T_b x_b = r_b`` on its unknowns (r is
+    the certificate's rhs, T the trace-replaced system of the generator): the
+    larger of ``||r_b - T_b x_b|| / ||r_b||`` and ``eps ||T_b||_F ||x_b|| /
+    ||r_b||``.  One product serves every block of every generator: ``T x``
     is ``L x`` with row 0 replaced by ``tr x``, and as T is block-diagonal
     its part on a block's unknowns is ``T_b x_b``; the norms are summed by
-    block label."""
+    block label.  A generator's margins are those it has alone."""
     k, trace = len(structure.blocks), structure.trace_block
-    dim = math.isqrt(x.size)
-    residual = mat @ x
-    residual[0] = np.cumsum(x[::dim + 1])[-1]   # summed in order, as T's CSR row 0 would be
+    count, n = x.shape
+    dim = math.isqrt(n)
+    stacked = _stacked(mats)
+    residual = (stacked @ x.ravel()).reshape(count, n)
+    # summed in order, as T's CSR row 0 would be
+    residual[:, 0] = np.cumsum(x[:, ::dim + 1], axis=1)[:, -1]
     np.subtract(structure.rhs, residual, out=residual)
-
-    def squares(values: np.ndarray, labels: np.ndarray, bins: int) -> np.ndarray:
-        return np.bincount(labels, weights=values.real ** 2 + values.imag ** 2, minlength=bins)
-
-    norms = squares(mat.data, structure.entry_block, k + 1)[:k]
-    norms[trace] += dim   # the trace row's ones
-    margins = np.maximum(np.sqrt(squares(residual, structure.label, k)), np.finfo(float).eps
-                         * np.sqrt(norms * squares(x, structure.label, k))) / structure.rhs_norms
-    return margins[blocks]
+    # per generator: offsets and weights for all of them would be the largest
+    # arrays of a batch
+    norms = np.stack([np.bincount(structure.entry_block, weights=mat.data.real ** 2
+                                  + mat.data.imag ** 2, minlength=k + 1)[:k] for mat in mats])
+    norms[:, trace] += dim   # the trace row's ones
+    return np.maximum(np.sqrt(_squares(residual, structure.label, k)), np.finfo(float).eps
+                      * np.sqrt(norms * _squares(x, structure.label, k))) / structure.rhs_norms
 
 
 def _factor(structure: _Structure, b: int,
@@ -586,8 +632,213 @@ def _refined_margin(structure: _Structure, b: int, data: np.ndarray, solve: Call
     return margin
 
 
+class _Solve:
+    """One generator's solve in a batch of its pattern: its solvers, GMRES
+    where picked, then the band, each run on the blocks still pending by
+    ``run`` and judged by ``judge`` on the certificate's margins of its
+    round, which the batch takes for all its generators at once."""
+
+    def __init__(self, structure: _Structure, mat: sp.csr_matrix, terms: Terms | None):
+        self.structure = structure
+        # the blocks gather the trace row's ones over some value, which must exist
+        self.data = data = mat.data if mat.nnz else np.zeros(1, dtype=complex)
+        self.band = lambda b: _factor(structure, b, data)
+        self.solvers = [self.band]
+        self.iterations: list[int] = []
+        if structure.work >= _KRYLOV_MIN_WORK and terms is not None and (
+                structure.classes is not None) and (
+                krylov := _krylov_solvers(terms, structure, data, self.iterations)) is not None:
+            self.solvers.insert(0, krylov)
+        k, trace = len(structure.blocks), structure.trace_block
+        self.pending = sorted(range(k), key=lambda b: b == trace)
+        self.margins = np.zeros(k)
+        self.refined = None
+
+    def run(self, x: np.ndarray) -> None:
+        """Solve the pending blocks with the next solver, the trace row's
+        last, into ``x``, the point's certificate solution, up to an exactly
+        zero pivot, which ``judge`` raises once the blocks before it are
+        judged.  Each band factor is freed before the next block is
+        factored: the trace row's block's solves the certificate's rhs and
+        e_0 in one call, and its solution of e_0 is refined at once, for use
+        if the block is certified.  GMRES's solve of the trace row's block is
+        kept to refine once certified."""
+        structure, trace = self.structure, self.structure.trace_block
+        self.solver = solver = self.solvers.pop(0)
+        self.solved, self.zero_pivot, self.kept = [], None, None
+        for b in self.pending:
+            try:
+                solve = solver(b)
+            except NonUniqueSteadyStateError as exc:
+                self.zero_pivot = exc
+                break
+            unknowns = structure.blocks[b].unknowns
+            if solver is self.band and b == trace:
+                x[unknowns], start = solve(structure.trace_rhs.T).T
+                self.refined = _refine(solve, structure.trace_rhs[1], start,
+                                       structure.blocks[b].matrix(self.data, np.clongdouble))
+            else:
+                part = solve(structure.rhs[unknowns], _CERTIFICATE_TOL / 2)
+                x[unknowns] = 0.0 if part is None else part   # a stall fails the certificate
+                if b == trace:
+                    self.kept = solve
+            self.solved.append(b)
+            del solve
+
+    def judge(self, x: np.ndarray, margins: np.ndarray) -> None:
+        """Judge the blocks of the last ``run`` by their certificate's
+        ``margins``.  On the band, a block that fails is factored again and
+        refined in extended precision; it raises ``NonUniqueSteadyStateError``
+        if it fails again.  A block that fails GMRES's certificate, or whose
+        refinement GMRES stalls, stays pending."""
+        structure, trace = self.structure, self.structure.trace_block
+        solver, pending = self.solver, []
+        for b in self.solved:
+            margin = margins[b]
+            if solver is self.band and not margin <= _CERTIFICATE_TOL:
+                margin = _refined_margin(structure, b, self.data, self.band(b), x)
+            self.margins[b] = margin
+            if not margin <= _CERTIFICATE_TOL:
+                pending.append(b)
+            elif b == trace:
+                if solver is not self.band:
+                    # T is block-diagonal, so the state is exactly 0 outside
+                    # the trace row's block, refined with the solve that
+                    # certified it
+                    e0 = structure.trace_rhs[1]
+                    self.refined = _refine(self.kept, e0, self.kept(e0),
+                                           structure.blocks[b].matrix(self.data, np.clongdouble))
+                if self.refined is None:   # GMRES stalled
+                    pending.append(b)
+                else:
+                    self.method = "banded-lu" if solver is self.band else "gmres"
+        self.solver = self.kept = None   # GMRES's preconditioner goes with them
+        if self.zero_pivot is not None:
+            raise self.zero_pivot
+        self.pending = pending
+
+
+def _solve_batch(structure: _Structure, mats: list[sp.csr_matrix],
+                 terms: list[Terms | None]) -> list[SteadyStateResult | Exception]:
+    """The steady state, or the error, of each generator ``mats[p]`` (with
+    its ``terms[p]``) of the pattern of ``structure``.  Each round runs every
+    unfinished point's next solver, one point after another, then takes one
+    certificate for them all and judges each point on its own; a point that
+    raises is done, with its error.  The states of the points solved are then
+    checked and normalized together."""
+    dim, n = math.isqrt(structure.label.size), structure.label.size
+    k, trace = len(structure.blocks), structure.trace_block
+    outcomes: list = [None] * len(mats)
+    solves: dict[int, _Solve] = {}
+    for p, (mat, point_terms) in enumerate(zip(mats, terms)):
+        try:
+            solves[p] = _Solve(structure, mat, point_terms)
+        except Exception as exc:
+            outcomes[p] = exc
+    x = np.zeros((len(mats), n), dtype=complex)   # each point's certificate solution
+    active = list(solves)
+    while active:
+        for p in list(active):
+            try:
+                solves[p].run(x[p])
+            except Exception as exc:
+                outcomes[p] = exc
+                active.remove(p)
+        if not active:
+            break
+        margins = _certify(structure, [mats[p] for p in active], x[active])
+        for p, point_margins in zip(active, margins):
+            try:
+                solves[p].judge(x[p], point_margins)
+            except Exception as exc:
+                outcomes[p] = exc
+        active = [p for p in active if outcomes[p] is None and solves[p].pending]
+
+    solved = [p for p in solves if outcomes[p] is None]
+    if not solved:
+        return outcomes
+    block = structure.blocks[trace]
+    x = np.zeros((len(solved), n), dtype=complex)
+    x[:, block.unknowns] = [solves[p].refined[0] for p in solved]
+    raw = x.reshape(-1, dim, dim).transpose(0, 2, 1)   # each point's devectorize
+    rho = 0.5 * (raw + raw.conj().transpose(0, 2, 1))   # the hermitian parts, which the checks read too
+    products = (_stacked([mats[p] for p in solved]) @ rho.transpose(0, 2, 1).ravel()).reshape(-1, n)
+    checked = []
+    for i, p in enumerate(solved):
+        # Frobenius, as the matrix is canonical
+        residual = float(np.linalg.norm(products[i])) / max(
+            float(np.linalg.norm(mats[p].data)), 1e-300)
+        if residual <= VALIDITY_TOL:
+            checked.append((i, p, residual))
+        else:
+            outcomes[p] = NoConvergenceError(f"residual {residual:.3e} exceeds {VALIDITY_TOL:.0e}")
+    rows = [i for i, _, _ in checked]
+    raw, rho = raw[rows], rho[rows]
+    validity = _density_margins(raw, rho)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    kl, ku = structure.kl[trace], structure.ku[trace]
+    band = {"method": "banded-lu", "blocks": k, "bandwidth": (kl, ku),
+            "lu_nnz": block.unknowns.size * (2 * kl + ku + 1)}
+    for j, ((_, p, residual), margins) in enumerate(zip(checked, validity)):
+        if isinstance(margins, ValueError):
+            error = NoConvergenceError(f"state fails validity checks: {margins}")
+            error.__cause__ = margins
+            outcomes[p] = error
+            continue
+        solve = solves[p]
+        _, rounds, correction = solve.refined
+        outcomes[p] = SteadyStateResult(
+            rho=rho[j],
+            residual=residual,
+            diagnostics={
+                **(band if solve.method == "banded-lu" else {"method": "gmres"}),
+                "krylov_iterations": sum(solve.iterations),
+                "certificate": float(solve.margins.max()),
+                "refine_rounds": rounds,
+                "last_correction": correction,
+                **margins,
+            },
+        )
+    return outcomes
+
+
+def steady_states(gens: Sequence[SuperOperator]) -> list[SteadyStateResult | Exception]:
+    """The unique stationary density matrix of each trace-preserving
+    generator, or the error ``steady_state`` raises for it, in order.
+
+    Generators of one sparsity pattern, such as a grid's points of one model
+    structure, are solved as one batch (``_solve_batch``): each point keeps
+    its own factorizations, solves and refinement, and the certificate, the
+    residual and the validity checks run on the stacked points.  A point's
+    state, diagnostics and error do not depend on the other generators of the
+    call.  No generator is modified.
+    """
+    outcomes: list = [None] * len(gens)
+    groups: dict[int, tuple[_Structure, list[int]]] = {}
+    mats: list = [None] * len(gens)
+    for p, gen in enumerate(gens):
+        try:
+            mat = gen.matrix.tocsr()
+            if not mat.has_canonical_format:   # duplicate or unsorted entries: sum them in a copy
+                mat = mat.copy()
+                mat.sum_duplicates()
+            mats[p] = mat
+            structure = _structure(gen.dim, mat.indptr.astype(np.int32, copy=False).tobytes(),
+                                   mat.indices.astype(np.int32, copy=False).tobytes())
+            groups.setdefault(id(structure), (structure, []))[1].append(p)
+        except Exception as exc:
+            outcomes[p] = exc
+    for structure, members in groups.values():
+        results = _solve_batch(structure, [mats[p] for p in members],
+                               [gens[p].terms for p in members])
+        for p, result in zip(members, results):
+            outcomes[p] = result
+    return outcomes
+
+
 def steady_state(gen: SuperOperator) -> SteadyStateResult:
-    """Unique stationary density matrix of a trace-preserving generator.
+    """Unique stationary density matrix of a trace-preserving generator, the
+    batch of one of ``steady_states``.
 
     Raises ``NonUniqueSteadyStateError`` when a block of the trace-replaced
     system fails the certificate, and ``NoConvergenceError`` when the
@@ -595,102 +846,10 @@ def steady_state(gen: SuperOperator) -> SteadyStateResult:
     ``VALIDITY_TOL`` or ``validate_density_matrix``.  ``gen`` is not
     modified.
     """
-    dim = gen.dim
-    mat = gen.matrix.tocsr()
-    if not mat.has_canonical_format:   # duplicate or unsorted entries: sum them in a copy
-        mat = mat.copy()
-        mat.sum_duplicates()
-    norm_l = max(float(np.linalg.norm(mat.data)), 1e-300)   # Frobenius, as mat is canonical
-    structure = _structure(dim, mat.indptr.astype(np.int32, copy=False).tobytes(),
-                           mat.indices.astype(np.int32, copy=False).tobytes())
-    # the blocks gather the trace row's ones over some value, which must exist
-    data = mat.data if mat.nnz else np.zeros(1, dtype=complex)
-    k, trace = len(structure.blocks), structure.trace_block
-    band = lambda b: _factor(structure, b, data)
-    solvers = [band]
-    iterations: list[int] = []
-    if structure.work >= _KRYLOV_MIN_WORK and gen.terms is not None and (
-            structure.classes is not None) and (
-            krylov := _krylov_solvers(gen.terms, structure, data, iterations)) is not None:
-        solvers.insert(0, krylov)
-    block, e0 = structure.blocks[trace], structure.trace_rhs[1]
-    x = np.zeros(dim * dim, dtype=complex)   # each block's solution of the certificate's rhs
-    margins = np.zeros(k)
-    pending = sorted(range(k), key=lambda b: b == trace)
-    # each solver solves the pending blocks, the trace row's last, and one
-    # product then judges them: GMRES where picked, then the band.  A block
-    # whose GMRES run stalls or fails the certificate stays pending
-    for solver in solvers:
-        solved, zero_pivot = [], None
-        for b in pending:
-            try:
-                solve = solver(b)
-            except NonUniqueSteadyStateError as exc:   # raised once the blocks before are judged
-                zero_pivot = exc
-                break
-            unknowns = structure.blocks[b].unknowns
-            if solver is band and b == trace:   # the certificate's rhs and e_0 in one call
-                x[unknowns], start = solve(structure.trace_rhs.T).T
-            else:
-                part = solve(structure.rhs[unknowns], _CERTIFICATE_TOL / 2)
-                x[unknowns] = 0.0 if part is None else part   # a stall fails the certificate
-            solved.append(b)
-            if b == trace:
-                kept = solve
-            del solve   # freed before the next block is solved; the trace row's block's is kept
-        pending = []
-        for b, margin in zip(solved, _certify(structure, mat, x, solved)):
-            if solver is band and not margin <= _CERTIFICATE_TOL:
-                # with the factor the trace row's block holds; another block,
-                # whose factor was freed, is factored again
-                margin = _refined_margin(structure, b, data, kept if b == trace else band(b), x)
-            margins[b] = margin
-            if not margin <= _CERTIFICATE_TOL:
-                pending.append(b)
-            elif b == trace:
-                # T is block-diagonal, so the state is exactly 0 outside the
-                # trace row's block, refined with the solve that certified it
-                refined = _refine(kept, e0, start if solver is band else kept(e0),
-                                  block.matrix(data, np.clongdouble))
-                if refined is None:   # GMRES stalled
-                    pending.append(b)
-                else:
-                    method = solver
-        if zero_pivot is not None:
-            raise zero_pivot
-        if not pending:
-            break
-    kl, ku = structure.kl[trace], structure.ku[trace]
-    details = {"method": "gmres"} if method is not band else {
-        "method": "banded-lu", "blocks": k, "bandwidth": (kl, ku),
-        "lu_nnz": block.unknowns.size * (2 * kl + ku + 1)}
-    part, rounds, correction = refined
-    x = np.zeros(dim * dim, dtype=complex)
-    x[block.unknowns] = part
-    certificate = float(margins.max())
-
-    raw = devectorize(x)
-    rho = 0.5 * (raw + raw.conj().T)   # the hermitian part, which the validity checks read too
-    residual = float(np.linalg.norm(mat @ vectorize(rho))) / norm_l
-    if not residual <= VALIDITY_TOL:
-        raise NoConvergenceError(f"residual {residual:.3e} exceeds {VALIDITY_TOL:.0e}")
-    try:
-        validity = _density_margins(raw, rho)
-    except ValueError as exc:
-        raise NoConvergenceError(f"state fails validity checks: {exc}") from exc
-    rho /= np.trace(rho).real
-    return SteadyStateResult(
-        rho=rho,
-        residual=residual,
-        diagnostics={
-            **details,
-            "krylov_iterations": sum(iterations),
-            "certificate": certificate,
-            "refine_rounds": rounds,
-            "last_correction": correction,
-            **validity,
-        },
-    )
+    (result,) = steady_states([gen])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def evolve(gen: SuperOperator, rho0: np.ndarray, t_final: float) -> np.ndarray:

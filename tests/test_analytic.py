@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import openrabi as orb
@@ -135,9 +135,12 @@ def test_general_kernel_guards():
 )
 def test_general_kernel_outputs_in_open_interval(omega, g, kappa, sx, sp_, t):
     # admissible kernels sampled around the damped-cavity point; dz stays
-    # inside the positivity bound so nu_plus and nu_minus remain positive
+    # inside the positivity bound so nu_plus and nu_minus remain positive.
+    # At sx = sp = 1 the bound is 0 and can round to below it: such a kernel
+    # is not admissible, and is no sample
     dx = sx * kappa / 4
     dp = sp_ * kappa / 4
+    assume(dp * dx - (kappa / 4) ** 2 >= 0.0)
     dz = t * np.sqrt(dp * dx - (kappa / 4) ** 2)
     params = orb.BilinearKernelParams(mu=0.0, kappa=kappa, dx=dx, dp=dp, dz=dz)
     ok, _ = orb.check_positivity_condition(params)

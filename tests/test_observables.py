@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import openrabi as orb
-from openrabi.observables import PartitionError
+from openrabi.observables import ObservableReport, PartitionError
 
 SQ2 = np.sqrt(2.0)
 
@@ -192,3 +192,27 @@ def test_spaces_with_equal_dims_and_other_labels_share_no_cached_plan():
             q.label for q in s.subsystems]
     with pytest.raises(KeyError):
         orb.mutual_information(rho, other, ["a"], ["b"])
+
+
+@pytest.mark.parametrize("scenario", ["bare", "a", "b", "c", "d"])
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_stacked_reports_equal_the_per_point_report(scenario, cutoff):
+    # one einsum with a leading batch axis and stacked eigvalsh give every
+    # state of the stack the numbers it has alone, and those of the uncached
+    # per-point reference; cutoffs 3 and 4 give joint states of dimension 8
+    # and more, where numpy's sums turn pairwise
+    specs = [orb.ModelSpec(
+        params=orb.RabiParams(omega=omega, g=0.05, nbar=nbar, kappa=1e-6, lam=1e-6,
+                              gamma=2.5e-7),
+        cutoff=cutoff, parasitic=orb.scenario_parasitic(scenario))
+        for omega in (0.7, 1.0, 1.3) for nbar in (0.0, 0.3)]
+    space = orb.build_space(specs[0])
+    rhos = np.stack([result.rho for result in orb.steady_states(orb.build_liouvillians(specs))])
+    for stack in (rhos, rhos[::-1]):
+        for rho, rep in zip(stack, orb.reports(stack, space)):
+            for alone in (orb.report(rho, space), ObservableReport(*_reference_report(rho, space))):
+                assert rep.n_mean == alone.n_mean and rep.e_mean == alone.e_mean
+                assert rep.distributions.keys() == alone.distributions.keys()
+                for label, dist in alone.distributions.items():
+                    assert rep.distributions[label].tobytes() == dist.tobytes()
+                assert rep.i_af.hex() == alone.i_af.hex()

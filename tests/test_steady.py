@@ -10,6 +10,8 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -182,8 +184,8 @@ def test_validity_margins_are_those_of_the_public_check(scenario, coupling, cuto
     # formulas it always used, give its unsymmetrized solution
     solutions = []
     checks = steady._density_margins
-    monkeypatch.setattr(steady, "_density_margins",
-                        lambda raw, hermitian: solutions.append(raw.copy()) or checks(raw, hermitian))
+    monkeypatch.setattr(steady, "_density_margins", lambda raws, hermitians: solutions.extend(
+        raws.copy()) or checks(raws, hermitians))
     spec = orb.ModelSpec(orb.RabiParams(0.9, 0.05, nbar=nbar, **REFERENCE_RATES), cutoff,
                          coupling, orb.scenario_parasitic(scenario))
     result = orb.steady_state(orb.build_liouvillian(spec))
@@ -281,14 +283,13 @@ def krylov(monkeypatch):
     the structure, which both solvers share."""
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", 0.0)
     outcomes = []
-    certify = steady._certify
+    judge = steady._Solve.judge
 
-    def spy(structure, mat, x, blocks):
-        margins = certify(structure, mat, x, blocks)
-        outcomes.extend((b, bool(m <= steady._CERTIFICATE_TOL)) for b, m in zip(blocks, margins))
-        return margins
+    def spy(self, x, margins):
+        outcomes.extend((b, bool(margins[b] <= steady._CERTIFICATE_TOL)) for b in self.solved)
+        return judge(self, x, margins)
 
-    monkeypatch.setattr(steady, "_certify", spy)
+    monkeypatch.setattr(steady._Solve, "judge", spy)
     return outcomes
 
 
@@ -368,23 +369,26 @@ def test_gmres_agrees_with_the_band(scenario, coupling, nbar, krylov, factored, 
 def test_ill_conditioned_unique_state_is_returned(rate, cutoff, krylov, factored, monkeypatch):
     # at rates of 1e-9 and below the certificate's error bound fails on the
     # trace row's block on both solvers, but the band's solution, refined in
-    # extended precision with the factor it holds, meets its residual: the
-    # state is unique, and the same on either path.  The other block passes
-    # either solver's certificate unrefined, and GMRES keeps it: the band
-    # factors only the block GMRES failed, and forced, each block once, the
-    # refinement reusing the trace row's block's factor
+    # extended precision, meets its residual: the state is unique, and the
+    # same on either path.  The other block passes either solver's
+    # certificate unrefined, and GMRES keeps it: the band factors only the
+    # block GMRES failed, and forced, each block once; the trace row's
+    # block's factor is freed once it has refined e_0, so the failed
+    # certificate factors that block again to refine its own solution
     gen = orb.build_liouvillian(orb.ModelSpec(
         params=orb.RabiParams(omega=1.0, g=0.05, kappa=rate, lam=rate, gamma=rate / 4),
         cutoff=cutoff, parasitic=orb.scenario_parasitic("a")))
     trace = _structure(gen).trace_block
     other = 1 - trace
     result = orb.steady_state(gen)
-    assert krylov == [(other, True), (trace, False), (trace, False)] and factored == [trace]
+    assert krylov == [(other, True), (trace, False), (trace, False)]
+    assert factored == [trace, trace]
     assert result.diagnostics["method"] == "banded-lu"
     assert result.diagnostics["certificate"] <= steady._CERTIFICATE_TOL
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
     band = orb.steady_state(gen)
-    assert krylov[3:] == [(other, True), (trace, False)] and factored == [trace, other, trace]
+    assert krylov[3:] == [(other, True), (trace, False)]
+    assert factored == [trace, trace, other, trace, trace]
     assert band.diagnostics["certificate"] <= steady._CERTIFICATE_TOL
     np.testing.assert_array_equal(band.rho, result.rho)
 
@@ -399,8 +403,8 @@ def test_a_freed_factor_is_factored_again_to_refine_its_block(factored, monkeypa
     expected = orb.steady_state(gen).rho
     trace = _structure(gen).trace_block
     certify = steady._certify
-    monkeypatch.setattr(steady, "_certify", lambda structure, mat, x, blocks: certify(
-        structure, mat, x, blocks) + (np.array(blocks) != structure.trace_block))
+    monkeypatch.setattr(steady, "_certify", lambda structure, mats, x: certify(
+        structure, mats, x) + (np.arange(len(structure.blocks)) != structure.trace_block))
     factored.clear()
     result = orb.steady_state(gen)
     assert factored == [1 - trace, trace, 1 - trace]
@@ -412,14 +416,14 @@ def test_ill_conditioned_convergence_scan_at_large_cutoffs(tmp_path, monkeypatch
     # at kappa = 1e-7 GMRES's certificate margin is ~5e-7, against ~1e-7 at
     # the reference rates; every point is solved and certified all the same
     margins = []
-    solve = steady.steady_state
+    solve = steady.steady_states
 
-    def spy(gen):
-        result = solve(gen)
-        margins.append(result.diagnostics["certificate"])
-        return result
+    def spy(gens):
+        results = solve(gens)
+        margins.extend(result.diagnostics["certificate"] for result in results)
+        return results
 
-    monkeypatch.setattr("openrabi.cli.steady_state", spy)
+    monkeypatch.setattr("openrabi.cli.steady_states", spy)
     rows = _convergence_table(tmp_path, "--scenario", "a", "--cutoff", "6,7,8",
                               "--kappa", "1e-7")
     assert [r["error"] for r in rows] == ["", "", ""]
@@ -622,8 +626,7 @@ def test_one_product_certificate_equals_the_per_block_margins(build, solution):
         x[block.unknowns] = (np.linalg.solve(dense[-1], structure.rhs[block.unknowns])
                              if solution == "solved" else
                              [1, 1j] @ rng.standard_normal((2, block.unknowns.size)))
-    k = len(structure.blocks)
-    margins = steady._certify(structure, gen.matrix, x, list(range(k)))
+    (margins,) = steady._certify(structure, [gen.matrix], x[None])
     for b, (block, t_b) in enumerate(zip(structure.blocks, dense)):
         r_b, x_b = structure.rhs[block.unknowns], x[block.unknowns]
         residual = (r_b.astype(np.clongdouble)
@@ -631,9 +634,15 @@ def test_one_product_certificate_equals_the_per_block_margins(build, solution):
         error = np.finfo(float).eps * np.linalg.norm(t_b) * np.linalg.norm(x_b)
         ref = max(np.linalg.norm(residual), error) / np.linalg.norm(r_b)
         assert margins[b] == pytest.approx(ref, rel=1e-12, abs=0)
-    # the margins of a subset of the blocks, in the order asked
-    np.testing.assert_array_equal(steady._certify(structure, gen.matrix, x, [k - 1, 0]),
-                                  margins[[k - 1, 0]])
+    # stacked with another generator of the pattern and another solution,
+    # each keeps the margins it has alone, bit for bit
+    other = gen.matrix.copy()
+    other.data = other.data * (1 + 1e-3j)
+    y = [1, 1j] @ rng.standard_normal((2, x.size))
+    stacked = steady._certify(structure, [gen.matrix, other], np.stack([x, y]))
+    np.testing.assert_array_equal(stacked[0].view(np.uint64), margins.view(np.uint64))
+    np.testing.assert_array_equal(stacked[1].view(np.uint64),
+                                  steady._certify(structure, [other], y[None])[0].view(np.uint64))
 
 
 def test_a_block_that_splits_a_class_pair_goes_to_the_band(krylov, factored, monkeypatch):
@@ -1040,3 +1049,58 @@ def test_sweep_bytes_independent_of_blas_threads(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def _outcome(outcome):
+    """What a point's steady state or error shows: every byte of its state,
+    residual and diagnostics, or its error's type and text."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return (outcome.rho.tobytes(), outcome.residual.hex(),
+            repr({key: value.hex() if isinstance(value, float) else value
+                  for key, value in outcome.diagnostics.items()}))
+
+
+_MIXED_POINTS = st.builds(
+    lambda scenario, coupling, cutoff, omega, gamma, nbar: orb.ModelSpec(
+        orb.RabiParams(omega, 0.05, kappa=1e-6, lam=1e-6, gamma=gamma, nbar=nbar), cutoff,
+        coupling, orb.scenario_parasitic(scenario)),
+    st.sampled_from(["bare", "a", "b", "c", "d"]), st.sampled_from(list(orb.Coupling)),
+    st.integers(1, 3), st.sampled_from([0.7, 1.0, 1.3]), st.sampled_from([0.0, 2.5e-7]),
+    st.sampled_from([0.0, 0.3]))
+
+#: a Hamiltonian-only point, whose state is not unique, and a point on GMRES
+_FIXED_POINTS = [
+    orb.ModelSpec(orb.RabiParams(1.0, 0.05), 2, parasitic=orb.scenario_parasitic("c")),
+    orb.ModelSpec(orb.RabiParams(0.9, 0.05, **REFERENCE_RATES), 4,
+                  parasitic=orb.scenario_parasitic("a"))]
+
+
+@settings(max_examples=12, deadline=None)
+@given(points=st.lists(_MIXED_POINTS, min_size=1, max_size=10), data=st.data())
+def test_batch_partition_leaves_every_point_as_it_is_alone(points, data):
+    # omega = 1 cancels entries and gamma = 0 drops parts, so one structure's
+    # points fall into several patterns.  Solved as one batch, one by one,
+    # and in random batches of random order, each point has the same state,
+    # residual and diagnostics, bit for bit, or the same error
+    specs = data.draw(st.permutations(points + _FIXED_POINTS))
+    gens = orb.build_liouvillians(specs)
+    for gen, spec in zip(gens, specs):
+        alone = orb.build_liouvillian(spec).matrix
+        assert gen.matrix.data.tobytes() == alone.data.tobytes()
+        assert gen.matrix.indices.tobytes() == alone.indices.tobytes()
+    whole = [_outcome(outcome) for outcome in orb.steady_states(gens)]
+    gmres = whole[specs.index(_FIXED_POINTS[1])]
+    assert "'method': 'gmres'" in gmres[2]
+    assert whole[specs.index(_FIXED_POINTS[0])][0] is NonUniqueSteadyStateError
+    assert whole == [_outcome(orb.steady_states([gen])[0]) for gen in gens]
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
+    parts = {}
+    for p, label in enumerate(labels):
+        parts.setdefault(label, []).append(p)
+    got = [None] * len(gens)
+    for members in parts.values():
+        members = data.draw(st.permutations(members))
+        for p, outcome in zip(members, orb.steady_states([gens[p] for p in members])):
+            got[p] = _outcome(outcome)
+    assert got == whole
