@@ -335,28 +335,29 @@ def _squares(values: np.ndarray, labels: np.ndarray, bins: int) -> np.ndarray:
                        minlength=rows * bins).reshape(rows, bins)
 
 
-def _certify(structure: _Structure, mats: Sequence[sp.csr_matrix], x: np.ndarray) -> np.ndarray:
+def _certify(structure: _Structure, stacked: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     """The certificate's margin of every block (columns) of every generator
-    ``mats[p]`` of the pattern of ``structure`` (rows), for ``x[p]`` that
-    holds each block's solution x_b of ``T_b x_b = r_b`` on its unknowns (r is
-    the certificate's rhs, T the trace-replaced system of the generator): the
-    larger of ``||r_b - T_b x_b|| / ||r_b||`` and ``eps ||T_b||_F ||x_b|| /
-    ||r_b||``.  One product serves every block of every generator: ``T x``
-    is ``L x`` with row 0 replaced by ``tr x``, and as T is block-diagonal
-    its part on a block's unknowns is ``T_b x_b``; the norms are summed by
-    block label.  A generator's margins are those it has alone."""
+    of the pattern of ``structure`` (rows), given their ``_stacked`` matrix
+    and ``x[p]`` that holds each block's solution x_b of ``T_b x_b = r_b`` on
+    its unknowns (r is the certificate's rhs, T the trace-replaced system of
+    the generator): the larger of ``||r_b - T_b x_b|| / ||r_b||`` and ``eps
+    ||T_b||_F ||x_b|| / ||r_b||``.  One product serves every block of every
+    generator: ``T x`` is ``L x`` with row 0 replaced by ``tr x``, and as T
+    is block-diagonal its part on a block's unknowns is ``T_b x_b``; the
+    norms, ``||T_b||_F`` too from the stacked values, are summed by block
+    label.  A generator's margins are those it has alone."""
     k, trace = len(structure.blocks), structure.trace_block
     count, n = x.shape
     dim = math.isqrt(n)
-    stacked = _stacked(mats)
     residual = (stacked @ x.ravel()).reshape(count, n)
     # summed in order, as T's CSR row 0 would be
     residual[:, 0] = np.cumsum(x[:, ::dim + 1], axis=1)[:, -1]
     np.subtract(structure.rhs, residual, out=residual)
     # per generator: offsets and weights for all of them would be the largest
     # arrays of a batch
-    norms = np.stack([np.bincount(structure.entry_block, weights=mat.data.real ** 2
-                                  + mat.data.imag ** 2, minlength=k + 1)[:k] for mat in mats])
+    norms = np.stack([np.bincount(structure.entry_block, weights=values.real ** 2
+                                  + values.imag ** 2, minlength=k + 1)[:k]
+                      for values in stacked.data.reshape(count, -1)])
     norms[:, trace] += dim   # the trace row's ones
     return np.maximum(np.sqrt(_squares(residual, structure.label, k)), np.finfo(float).eps
                       * np.sqrt(norms * _squares(x, structure.label, k))) / structure.rhs_norms
@@ -737,6 +738,7 @@ def _solve_batch(structure: _Structure, mats: list[sp.csr_matrix],
             outcomes[p] = exc
     x = np.zeros((len(mats), n), dtype=complex)   # each point's certificate solution
     active = list(solves)
+    first = None   # the first round's points and their block-diagonal matrix
     while active:
         for p in list(active):
             try:
@@ -746,7 +748,10 @@ def _solve_batch(structure: _Structure, mats: list[sp.csr_matrix],
                 active.remove(p)
         if not active:
             break
-        margins = _certify(structure, [mats[p] for p in active], x[active])
+        stacked = _stacked([mats[p] for p in active])
+        if first is None:
+            first = tuple(active), stacked
+        margins = _certify(structure, stacked, x[active])
         for p, point_margins in zip(active, margins):
             try:
                 solves[p].judge(x[p], point_margins)
@@ -762,7 +767,10 @@ def _solve_batch(structure: _Structure, mats: list[sp.csr_matrix],
     x[:, block.unknowns] = [solves[p].refined[0] for p in solved]
     raw = x.reshape(-1, dim, dim).transpose(0, 2, 1)   # each point's devectorize
     rho = 0.5 * (raw + raw.conj().transpose(0, 2, 1))   # the hermitian parts, which the checks read too
-    products = (_stacked([mats[p] for p in solved]) @ rho.transpose(0, 2, 1).ravel()).reshape(-1, n)
+    # the first round's matrix, unless a point has failed since
+    stacked = first[1] if tuple(solved) == first[0] else _stacked([mats[p] for p in solved])
+    products = (stacked @ rho.transpose(0, 2, 1).ravel()).reshape(-1, n)
+    del first, stacked   # kept through the validity checks, it would raise the peak memory
     checked = []
     for i, p in enumerate(solved):
         # Frobenius, as the matrix is canonical

@@ -10,15 +10,20 @@ trajectories reproduces the master-equation solution.
 
 ``run_trajectory`` follows one trajectory and is the reference.
 ``ensemble_average`` builds the propagator and the jump weights once per
-ensemble and steps the trajectories ``_BLOCK`` at a time: every live state of
-a block advances by one sample step in one call, the norm-crossing bisection
-runs on all the states that crossed in that step together, and ``_jumps``
-makes all of that step's jumps in one call (``run_trajectory`` calls it on a
-one-row block).  A step takes the eigen-coordinates of its live states once;
-the trial step, every bisection point and the state at the jump all evolve
-those.  Each state still goes through the same BLAS calls as a lone state
-(one gemv per state, one dot per norm), so an ensemble member's samples
-equal its ``run_trajectory`` observables bit for bit.
+ensemble and steps the trajectories ``_BLOCK`` at a time.  A sample step
+takes the eigen-coordinates of the whole block once and evolves every state
+by dt in one call; that trial is the block's new state.  Only the rows whose
+squared norm fell to their threshold are gathered: the norm-crossing
+bisection runs on all of them together, ``_jumps`` makes all of their jumps
+in one call (``run_trajectory`` calls it on a one-row block), and the jumped
+states evolve for the rest of the step, crossing again as often as they
+must.  Each row carries its squared norm from its last evolve or jump to the
+step's samples, so no state's norm is taken twice.  Each state still goes
+through the same BLAS calls as a lone state (one gemv per state, one dot per
+norm), so an ensemble member's samples equal its ``run_trajectory``
+observables bit for bit.  The mean and the standard error of each operator
+and sample time come from sums over its column that are rounded once
+(``math.fsum``), so they do not depend on the trajectories' order.
 
 Each trajectory keeps its own random stream, that of
 ``trajectory_seed(base_seed, i)``, and its draw order (threshold, then per
@@ -145,13 +150,14 @@ class _Propagator:
 
     def evolve(self, c: np.ndarray, t: float | np.ndarray) -> np.ndarray:
         """The state whose ``coordinates`` are ``c`` (D,), evolved by ``t``, or
-        each row of a block (m, D) evolved by its own t[i]."""
+        each row of a block (m, D) evolved by its own t[i] or all by one t."""
         t = np.asarray(t, dtype=float)
         if self._eig is not None:
             w, v, _ = self._eig
             return _matvec(v, np.exp(-1j * w * t[..., None]) * c)
         # defective H_eff: one matrix exponential per distinct time
-        rows, times = c.reshape(-1, c.shape[-1]), t.reshape(-1)
+        rows = c.reshape(-1, c.shape[-1])
+        times = np.broadcast_to(t, c.shape[:-1]).reshape(-1)
         out = np.empty_like(rows)
         for tk in np.unique(times):
             at = times == tk
@@ -168,10 +174,14 @@ class TrajectoryRecord:
     jump_channels: list[int] = field(default_factory=list)
 
 
-def _expectations(psi: np.ndarray, operators: tuple[np.ndarray, ...]) -> np.ndarray:
+def _expectations(psi: np.ndarray, operators: tuple[np.ndarray, ...],
+                  norm_sq: np.ndarray | None = None) -> np.ndarray:
     """Normalized <op> of a state, shape (n_operators,), or of each row of a
-    block, shape (n_operators, m)."""
-    norm_sq = _norm_sq(psi)
+    block, shape (n_operators, m).  ``norm_sq`` is the state's squared norm,
+    or each row's, where the caller has it already: the block engine carries
+    each row's from its last evolve or jump, the value ``_norm_sq`` gives."""
+    if norm_sq is None:
+        norm_sq = _norm_sq(psi)
     out = np.empty((len(operators), *psi.shape[:-1]))
     for j, op in enumerate(operators):
         out[j] = np.vecdot(psi, _matvec(op, psi)).real / norm_sq
@@ -410,15 +420,17 @@ def _bisect(
 ) -> np.ndarray:
     """Crossing times of ||psi_i(tau)||^2 = threshold_i in (0, remaining_i] for
     the states whose ``prop.coordinates`` are the rows of ``coords``:
-    run_trajectory's bisection, row by row."""
+    run_trajectory's bisection, row by row.  Every row is evolved at every
+    point, but a closed row's bounds no longer change; rows that start with
+    the same interval close together, as each point halves it."""
     lo, hi = np.zeros_like(remaining), remaining.copy()
-    open_ = np.flatnonzero(hi - lo > tol)
-    while open_.size:
-        mid = 0.5 * (lo[open_] + hi[open_])
-        above = _norm_sq(prop.evolve(coords[open_], mid)) > threshold[open_]
-        lo[open_[above]] = mid[above]
-        hi[open_[~above]] = mid[~above]
-        open_ = open_[hi[open_] - lo[open_] > tol]
+    open_ = hi - lo > tol
+    while open_.any():
+        mid = 0.5 * (lo + hi)
+        above = _norm_sq(prop.evolve(coords, mid)) > threshold
+        lo = np.where(open_ & above, mid, lo)
+        hi = np.where(open_ & ~above, mid, hi)
+        open_ = hi - lo > tol
     return 0.5 * (lo + hi)
 
 
@@ -433,32 +445,40 @@ def _run_block(
     out: np.ndarray,
 ) -> None:
     """Step one trajectory per stream from ``psi0`` and write the samples of
-    sample steps 1.. into ``out`` (shape (n_streams, n_operators, n_times))."""
+    sample steps 1.. into ``out`` (shape (n_streams, n_operators, n_times)).
+
+    A step evolves the whole block by dt and keeps that trial as the block's
+    state; only the rows whose squared norm fell to their threshold are
+    gathered, and they are bisected, jumped and evolved for the rest of the
+    step until none crosses again."""
     m = out.shape[0]
     psi = np.tile(psi0, (m, 1))
     threshold = _uniforms(streams, np.arange(m), 1)[0]
     tol = dt * _BISECT_FRACTION
     for k in range(1, out.shape[2]):
-        remaining = np.full(m, dt)
-        live = np.arange(m)     # the trajectories still inside step k
-        while live.size:
-            coords = prop.coordinates(psi[live])
-            trial = prop.evolve(coords, remaining[live])
-            kept = _norm_sq(trial) > threshold[live]
-            psi[live[kept]] = trial[kept]
-            crossed = live[~kept]
-            if not crossed.size:
-                break
+        coords = prop.coordinates(psi)
+        psi = prop.evolve(coords, dt)
+        norm_sq = _norm_sq(psi)
+        rows = np.flatnonzero(norm_sq <= threshold)    # the trajectories that jump in step k
+        coords, remaining = coords[rows], np.full(rows.size, dt)
+        while rows.size:
             if not unr.jumps:
                 raise StepSizeUnderflowError("norm decayed but the unraveling has no jumps")
-            coords = coords[~kept]
-            tau = _bisect(prop, coords, threshold[crossed], remaining[crossed], tol)
-            u = _uniforms(streams, crossed, 2)     # the channel's draw, then the next threshold
-            _, psi[crossed] = _jumps(unr, weights, prop.evolve(coords, tau), u[0])
-            threshold[crossed] = u[1]
-            remaining[crossed] -= tau
-            live = crossed[remaining[crossed] > 0]
-        out[:, :, k] = _expectations(psi, operators).T
+            tau = _bisect(prop, coords, threshold[rows], remaining, tol)
+            u = _uniforms(streams, rows, 2)     # the channel's draw, then the next threshold
+            _, jumped = _jumps(unr, weights, prop.evolve(coords, tau), u[0])
+            threshold[rows] = u[1]
+            remaining = remaining - tau
+            psi[rows], norm_sq[rows] = jumped, _norm_sq(jumped)   # kept if the step ends here
+            left = remaining > 0
+            rows, remaining = rows[left], remaining[left]
+            coords = prop.coordinates(jumped[left])
+            trial = prop.evolve(coords, remaining)
+            trial_norm_sq = _norm_sq(trial)
+            kept = trial_norm_sq > threshold[rows]
+            psi[rows[kept]], norm_sq[rows[kept]] = trial[kept], trial_norm_sq[kept]
+            rows, coords, remaining = rows[~kept], coords[~kept], remaining[~kept]
+        out[:, :, k] = _expectations(psi, operators, norm_sq).T
 
 
 def _ensemble_samples(
@@ -510,14 +530,17 @@ def ensemble_average(
     interval of the underlying trajectories.
     """
     samples = _ensemble_samples(unr, psi0, t_grid, n_traj, base_seed, operators)
-    # compensated reduction keeps the ensemble mean order-insensitive
+    # exactly rounded sums keep the mean and the error independent of the
+    # trajectories' order; each column is read through one reused buffer
     mean = np.empty((len(operators), samples.shape[2]))
     stderr = np.empty_like(mean)
+    column = np.empty(n_traj)
     for j in range(len(operators)):
         for k in range(samples.shape[2]):
-            column = samples[:, j, k]
-            m = math.fsum(column.tolist()) / n_traj
-            var = math.fsum(((column - m) ** 2).tolist()) / (n_traj - 1)
+            np.copyto(column, samples[:, j, k])
+            m = math.fsum(memoryview(column)) / n_traj
+            np.square(np.subtract(column, m, out=column), out=column)
+            var = math.fsum(memoryview(column)) / (n_traj - 1)
             mean[j, k] = m
             stderr[j, k] = math.sqrt(var / n_traj)
     return EnsembleResult(times=np.asarray(t_grid, dtype=float), mean=mean, stderr=stderr,

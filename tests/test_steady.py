@@ -403,8 +403,8 @@ def test_a_freed_factor_is_factored_again_to_refine_its_block(factored, monkeypa
     expected = orb.steady_state(gen).rho
     trace = _structure(gen).trace_block
     certify = steady._certify
-    monkeypatch.setattr(steady, "_certify", lambda structure, mats, x: certify(
-        structure, mats, x) + (np.arange(len(structure.blocks)) != structure.trace_block))
+    monkeypatch.setattr(steady, "_certify", lambda structure, stacked, x: certify(
+        structure, stacked, x) + (np.arange(len(structure.blocks)) != structure.trace_block))
     factored.clear()
     result = orb.steady_state(gen)
     assert factored == [1 - trace, trace, 1 - trace]
@@ -626,7 +626,7 @@ def test_one_product_certificate_equals_the_per_block_margins(build, solution):
         x[block.unknowns] = (np.linalg.solve(dense[-1], structure.rhs[block.unknowns])
                              if solution == "solved" else
                              [1, 1j] @ rng.standard_normal((2, block.unknowns.size)))
-    (margins,) = steady._certify(structure, [gen.matrix], x[None])
+    (margins,) = steady._certify(structure, steady._stacked([gen.matrix]), x[None])
     for b, (block, t_b) in enumerate(zip(structure.blocks, dense)):
         r_b, x_b = structure.rhs[block.unknowns], x[block.unknowns]
         residual = (r_b.astype(np.clongdouble)
@@ -639,10 +639,11 @@ def test_one_product_certificate_equals_the_per_block_margins(build, solution):
     other = gen.matrix.copy()
     other.data = other.data * (1 + 1e-3j)
     y = [1, 1j] @ rng.standard_normal((2, x.size))
-    stacked = steady._certify(structure, [gen.matrix, other], np.stack([x, y]))
+    stacked = steady._certify(structure, steady._stacked([gen.matrix, other]), np.stack([x, y]))
     np.testing.assert_array_equal(stacked[0].view(np.uint64), margins.view(np.uint64))
     np.testing.assert_array_equal(stacked[1].view(np.uint64),
-                                  steady._certify(structure, [other], y[None])[0].view(np.uint64))
+                                  steady._certify(structure, steady._stacked([other]),
+                                                  y[None])[0].view(np.uint64))
 
 
 def test_a_block_that_splits_a_class_pair_goes_to_the_band(krylov, factored, monkeypatch):
@@ -1069,11 +1070,17 @@ _MIXED_POINTS = st.builds(
     st.integers(1, 3), st.sampled_from([0.7, 1.0, 1.3]), st.sampled_from([0.0, 2.5e-7]),
     st.sampled_from([0.0, 0.3]))
 
-#: a Hamiltonian-only point, whose state is not unique, and a point on GMRES
+#: a Hamiltonian-only point, whose state is not unique, a point on GMRES,
+#: and two points of one pattern of which the one at rates 1e-30 fails its
+#: certificate after refinement, so the batch's residual check leaves it out
 _FIXED_POINTS = [
     orb.ModelSpec(orb.RabiParams(1.0, 0.05), 2, parasitic=orb.scenario_parasitic("c")),
     orb.ModelSpec(orb.RabiParams(0.9, 0.05, **REFERENCE_RATES), 4,
-                  parasitic=orb.scenario_parasitic("a"))]
+                  parasitic=orb.scenario_parasitic("a")),
+    orb.ModelSpec(orb.RabiParams(0.9, 0.05, kappa=1e-30, lam=1e-30), 2,
+                  parasitic=orb.scenario_parasitic("c")),
+    orb.ModelSpec(orb.RabiParams(0.9, 0.05, kappa=1e-6, lam=1e-6), 2,
+                  parasitic=orb.scenario_parasitic("c"))]
 
 
 @settings(max_examples=12, deadline=None)
@@ -1093,6 +1100,9 @@ def test_batch_partition_leaves_every_point_as_it_is_alone(points, data):
     gmres = whole[specs.index(_FIXED_POINTS[1])]
     assert "'method': 'gmres'" in gmres[2]
     assert whole[specs.index(_FIXED_POINTS[0])][0] is NonUniqueSteadyStateError
+    assert whole[specs.index(_FIXED_POINTS[2])][0] is NonUniqueSteadyStateError
+    assert "after refinement" in whole[specs.index(_FIXED_POINTS[2])][1]
+    assert "'method': 'banded-lu'" in whole[specs.index(_FIXED_POINTS[3])][2]
     assert whole == [_outcome(orb.steady_states([gen])[0]) for gen in gens]
     labels = data.draw(st.lists(st.integers(0, 3), min_size=len(gens), max_size=len(gens)))
     parts = {}

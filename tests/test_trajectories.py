@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -281,6 +282,24 @@ def test_batched_equals_reference_at_any_block_size(monkeypatch):
                                   want)
 
 
+@pytest.mark.parametrize("block", [trajectories._BLOCK, 7])
+def test_batched_equals_reference_when_every_trajectory_crosses_in_the_first_step(
+        block, monkeypatch):
+    # kappa dt = 20: every trajectory leaves |2> and then |1> inside the first
+    # step, so the whole block is bisected and jumped twice in that step.  At
+    # a block size of 7, 30 trajectories make 4 blocks and a partial one of 2
+    unr, space, _, _ = decaying_cavity(kappa=1.0, cutoff=2)
+    psi0 = orb.basis_ket(space, [2])
+    t_grid = np.linspace(0.0, 40.0, 3)     # dt = 20
+    ops = (orb.number(2),)
+    records = [orb.run_trajectory(unr, psi0, 40.0, 20.0, orb.trajectory_seed(9, i), ops)
+               for i in range(30)]
+    assert all(len(r.jump_times) == 2 and r.jump_times[1] < 20.0 for r in records)
+    monkeypatch.setattr(trajectories, "_BLOCK", block)
+    np.testing.assert_array_equal(trajectories._ensemble_samples(unr, psi0, t_grid, 30, 9, ops),
+                                  np.array([r.observables for r in records]))
+
+
 def test_batched_equals_reference_without_jumps():
     space = orb.CompositeSpace((orb.Boson(2, "cavity"),))
     x, _ = orb.quadratures(2)
@@ -330,3 +349,38 @@ def test_both_engines_report_step_size_underflow(jumps, message):
         orb.run_trajectory(unr, psi0, 4.0, 0.5, seed=1)
     with pytest.raises(orb.StepSizeUnderflowError, match=message):
         orb.ensemble_average(unr, psi0, np.linspace(0.0, 4.0, 9), 8, 1, ())
+
+
+def _exact_column_statistics(samples):
+    """Per operator and sample time, the mean and standard error from
+    exactly rounded sums over the column's trajectories."""
+    n = samples.shape[0]
+    mean = np.empty(samples.shape[1:])
+    stderr = np.empty_like(mean)
+    for j, k in np.ndindex(mean.shape):
+        column = samples[:, j, k].tolist()
+        m = math.fsum(column) / n
+        mean[j, k] = m
+        stderr[j, k] = math.sqrt(math.fsum((x - m) * (x - m) for x in column) / (n - 1) / n)
+    return mean, stderr
+
+
+@pytest.mark.parametrize("ensemble", ["decay", "scenario c"])
+def test_ensemble_statistics_are_exactly_rounded_per_column(ensemble):
+    # the t = 0 column holds n_traj equal values; the later ones do not
+    if ensemble == "decay":
+        unr, space, _, _ = decaying_cavity()
+        psi0, ops = orb.basis_ket(space, [1]), (orb.number(1),)
+    else:
+        unr, space, ops = _scenario_c()
+        psi0 = orb.basis_ket(space, [d - 1 for d in space.dims])
+    t_grid = np.linspace(0.0, 3.0, 7)
+    samples = trajectories._ensemble_samples(unr, psi0, t_grid, 301, 13, ops)
+    assert (samples[:, :, 0] == samples[0, :, 0]).all()
+    assert (samples[:, :, 1:] != samples[:1, :, 1:]).any(axis=0).all()
+    mean, stderr = _exact_column_statistics(samples)
+    ens = orb.ensemble_average(unr, psi0, t_grid, 301, 13, ops)
+    np.testing.assert_array_equal(ens.mean.view(np.uint64), mean.view(np.uint64))
+    np.testing.assert_array_equal(ens.stderr.view(np.uint64), stderr.view(np.uint64))
+    # exact sums do not depend on the trajectories' order
+    np.testing.assert_array_equal(_exact_column_statistics(samples[::-1])[0], mean)
