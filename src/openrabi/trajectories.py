@@ -18,10 +18,21 @@ bisection runs on all of them together, ``_jumps`` makes all of their jumps
 in one call (``run_trajectory`` calls it on a one-row block), and the jumped
 states evolve for the rest of the step, crossing again as often as they
 must.  Each row carries its squared norm from its last evolve or jump to the
-step's samples, so no state's norm is taken twice.  Each state still goes
-through the same BLAS calls as a lone state (one gemv per state, one dot per
-norm), so an ensemble member's samples equal its ``run_trajectory``
-observables bit for bit.  The mean and the standard error of each operator
+step's samples, so no state's norm is taken twice.
+
+Every matrix the ensemble applies (the propagator's eigenvectors and their
+inverse, each jump weight F^+ F, the jumps stacked by channel, each
+observable) is set up once per ensemble by ``_action``: the identity adds
+0.0, a matrix with at most one nonzero per row, each real or purely
+imaginary, gathers and scales, and any other matrix stays one gemv per
+state.  The jumps a, sigma_-, sigma_+ and sigma_z embedded by ``kron``, their
+weights and the number and projector observables all gather; the
+eigenvectors gather only when H_eff is diagonal (decay mode).  Each gathered
+entry is one product, rounded once as gemv rounds it, +0.0 replaces -0.0 as
+gemv's zeroed accumulator does, and each result is C-ordered, so the norms
+round alike; with one dot per norm, an ensemble member's samples equal its
+``run_trajectory`` observables bit for bit, and ``run_trajectory`` makes every
+product as one gemv.  The mean and the standard error of each operator
 and sample time come from sums over its column that are rounded once
 (``math.fsum``), so they do not depend on the trajectories' order.
 
@@ -46,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -123,15 +135,92 @@ def _matvec(a: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.matmul(a, psi[..., None])[..., 0]
 
 
+def _identity(psi: np.ndarray) -> np.ndarray:
+    """``_matvec(I, psi)``: gemv's zeroed accumulator turns a -0.0 into +0.0."""
+    return psi + 0.0
+
+
+def _gather(cols: np.ndarray, vals: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``_matvec(a, psi)`` for a matrix ``a`` whose row i holds at most the
+    one nonzero ``vals[i]``, at column ``cols[i]``: one product per entry."""
+    out = np.take(psi, cols, axis=-1)
+    out *= vals
+    out += 0.0
+    return out
+
+
+def _gather_chosen(cols: np.ndarray, vals: np.ndarray, psi: np.ndarray,
+                   chosen: np.ndarray) -> np.ndarray:
+    """``_gather`` of each row of ``psi`` (m, D) by its own matrix ``chosen[i]``
+    of the stack whose columns and values are ``cols``, ``vals`` (K, D)."""
+    out = np.take_along_axis(psi, cols[chosen], axis=-1)
+    out *= vals[chosen]
+    out += 0.0
+    return out
+
+
+def _matvec_chosen(mats: tuple[np.ndarray, ...], psi: np.ndarray,
+                   chosen: np.ndarray) -> np.ndarray:
+    """``_matvec`` of each row of ``psi`` (m, D) by its own matrix ``mats[chosen[i]]``.
+    The stack is built per call: ``run_trajectory`` makes one per jump, and
+    no more when it makes none."""
+    return _matvec(np.stack(mats)[chosen], psi)
+
+
+def _monomial(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The column and the value of each row's nonzero (0 and 0 in a zero row)
+    when ``a`` has at most one nonzero per row, each real or purely
+    imaginary; None otherwise."""
+    nonzero = a != 0
+    if (nonzero.sum(-1) > 1).any() or ((a.real != 0) & (a.imag != 0)).any():
+        return None
+    cols = nonzero.argmax(-1)
+    return cols, a[np.arange(len(a)), cols].astype(complex)
+
+
+_Action = Callable[[np.ndarray], np.ndarray]
+
+
+def _action(a: np.ndarray, gather: bool) -> _Action:
+    """``psi -> _matvec(a, psi)``, bit for bit.  With ``gather``, the identity
+    adds 0.0 and a one-nonzero-per-row matrix gathers and scales; any other
+    matrix, or any matrix without ``gather``, is one gemv per state.
+
+    A real or purely imaginary factor makes each entry one product, rounded
+    once with or without FMA, as gemv rounds it; adding 0.0 gives the +0.0
+    of gemv's zeroed accumulator; and the result is C-ordered, the layout
+    whose ``np.vecdot`` rounds like gemv's output."""
+    a = np.asarray(a)
+    if gather:
+        if np.array_equal(a, np.eye(len(a))):
+            return _identity
+        if (found := _monomial(a)) is not None:
+            return partial(_gather, *found)
+    return partial(_matvec, a)
+
+
+def _chosen_action(mats: tuple[np.ndarray, ...],
+                   gather: bool) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``(psi, chosen) -> _matvec(np.stack(mats)[chosen], psi)``, bit for bit,
+    by ``_gather_chosen`` when ``gather`` is set and every matrix is monomial
+    (see ``_action``), else by ``_matvec_chosen``."""
+    found = [_monomial(a) for a in mats] if gather else [None]
+    if all(f is not None for f in found):
+        cols, vals = (np.stack(x) for x in zip(*found))
+        return partial(_gather_chosen, cols, vals)
+    return partial(_matvec_chosen, mats)
+
+
 def _norm_sq(psi: np.ndarray) -> np.ndarray:
     """Squared norm of a state, or of each row of a block (one dot per state)."""
     return np.vecdot(psi, psi).real
 
 
 class _Propagator:
-    """exp(-i H_eff t) through the eigendecomposition, with an expm fallback."""
+    """exp(-i H_eff t) through the eigendecomposition, with an expm fallback.
+    The eigenvector matrices are applied by ``_action(..., gather)``."""
 
-    def __init__(self, h_eff: np.ndarray):
+    def __init__(self, h_eff: np.ndarray, gather: bool = False):
         self._h = h_eff
         w, v = la.eig(h_eff)
         try:
@@ -141,12 +230,12 @@ class _Propagator:
             )
         except la.LinAlgError:
             ok = False
-        self._eig = (w, v, vinv) if ok else None
+        self._eig = (w, _action(v, gather), _action(vinv, gather)) if ok else None
 
     def coordinates(self, psi: np.ndarray) -> np.ndarray:
         """What ``evolve`` evolves: a state's (D,) or each row's (m, D)
         eigen-coordinates, or the state itself when H_eff is defective."""
-        return psi if self._eig is None else _matvec(self._eig[2], psi)
+        return psi if self._eig is None else self._eig[2](psi)
 
     def evolve(self, c: np.ndarray, t: float | np.ndarray) -> np.ndarray:
         """The state whose ``coordinates`` are ``c`` (D,), evolved by ``t``, or
@@ -154,7 +243,7 @@ class _Propagator:
         t = np.asarray(t, dtype=float)
         if self._eig is not None:
             w, v, _ = self._eig
-            return _matvec(v, np.exp(-1j * w * t[..., None]) * c)
+            return v(np.exp(-1j * w * t[..., None]) * c)
         # defective H_eff: one matrix exponential per distinct time
         rows = c.reshape(-1, c.shape[-1])
         times = np.broadcast_to(t, c.shape[:-1]).reshape(-1)
@@ -163,6 +252,18 @@ class _Propagator:
             at = times == tk
             out[at] = _matvec(la.expm(-1j * self._h * tk), rows[at])
         return out.reshape(c.shape)
+
+
+class _Actions:
+    """The products of one unraveling's trajectory steps, built once: the
+    propagator, each jump weight F^+ F and each observable by
+    ``_action(..., gather)``, and the jumps by ``_chosen_action(..., gather)``."""
+
+    def __init__(self, unr: Unraveling, operators: tuple[np.ndarray, ...], gather: bool):
+        self.prop = _Propagator(unr.h_eff, gather)
+        self.weights = [_action(j.conj().T @ j, gather) for j in unr.jumps]
+        self.jump = _chosen_action(unr.jumps, gather) if unr.jumps else None
+        self.observe = [_action(op, gather) for op in operators]
 
 
 @dataclass
@@ -174,17 +275,18 @@ class TrajectoryRecord:
     jump_channels: list[int] = field(default_factory=list)
 
 
-def _expectations(psi: np.ndarray, operators: tuple[np.ndarray, ...],
+def _expectations(psi: np.ndarray, observe: list[_Action],
                   norm_sq: np.ndarray | None = None) -> np.ndarray:
     """Normalized <op> of a state, shape (n_operators,), or of each row of a
-    block, shape (n_operators, m).  ``norm_sq`` is the state's squared norm,
-    or each row's, where the caller has it already: the block engine carries
-    each row's from its last evolve or jump, the value ``_norm_sq`` gives."""
+    block, shape (n_operators, m), for the operators whose actions are
+    ``observe``.  ``norm_sq`` is the state's squared norm, or each row's,
+    where the caller has it already: the block engine carries each row's
+    from its last evolve or jump, the value ``_norm_sq`` gives."""
     if norm_sq is None:
         norm_sq = _norm_sq(psi)
-    out = np.empty((len(operators), *psi.shape[:-1]))
-    for j, op in enumerate(operators):
-        out[j] = np.vecdot(psi, _matvec(op, psi)).real / norm_sq
+    out = np.empty((len(observe), *psi.shape[:-1]))
+    for j, op in enumerate(observe):
+        out[j] = np.vecdot(psi, op(psi)).real / norm_sq
     return out
 
 
@@ -214,18 +316,16 @@ def _draw_channels(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return (cdf <= u[:, None]).sum(-1)
 
 
-def _jumps(
-    unr: Unraveling, weights: list[np.ndarray], states: np.ndarray, u: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _jumps(acts: _Actions, states: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Jump every row of ``states`` (m, D), row ``i`` drawing its channel
     with probability ~ <state|w_k|state> by the uniform ``u[i]``; return the
     channels and the states after those jumps, each renormalized."""
-    probs = np.stack([np.vecdot(states, _matvec(w, states)).real for w in weights], axis=-1)
+    probs = np.stack([np.vecdot(states, w(states)).real for w in acts.weights], axis=-1)
     total = probs.sum(-1)
     if (total <= 0).any():
         raise StepSizeUnderflowError("norm decayed with no open jump channel")
     channels = _draw_channels(u, probs / total[:, None])
-    jumped = _matvec(np.stack(unr.jumps)[channels], states)
+    jumped = acts.jump(states, channels)
     return channels, jumped / np.sqrt(_norm_sq(jumped))[:, None]
 
 
@@ -237,17 +337,18 @@ def run_trajectory(
     seed: Seed,
     operators: tuple[np.ndarray, ...] = (),
 ) -> TrajectoryRecord:
-    """One stochastic pure-state trajectory, deterministic for a fixed seed."""
+    """One stochastic pure-state trajectory, deterministic for a fixed seed.
+    Every product is one gemv, the reference of the ensemble's gathers."""
     psi0 = _checked_start(psi0, t_max, dt)
     rng = _generator(seed)
-    prop = _Propagator(unr.h_eff)
-    weights = [j.conj().T @ j for j in unr.jumps]
+    acts = _Actions(unr, operators, gather=False)
+    prop = acts.prop
     n_steps = int(round(t_max / dt))
     times = np.arange(n_steps + 1) * dt
     record = TrajectoryRecord(
         seed=seed, times=times, observables=np.empty((len(operators), n_steps + 1))
     )
-    record.observables[:, 0] = _expectations(psi0, operators)
+    record.observables[:, 0] = _expectations(psi0, acts.observe)
 
     psi = psi0.copy()
     threshold = rng.random()
@@ -273,7 +374,7 @@ def run_trajectory(
                 else:
                     hi = mid
             tau = 0.5 * (lo + hi)
-            channels, jumped = _jumps(unr, weights, prop.evolve(coords, tau)[None],
+            channels, jumped = _jumps(acts, prop.evolve(coords, tau)[None],
                                       np.array([rng.random()]))
             psi = jumped[0]
             record.jump_times.append(elapsed + tau)
@@ -283,7 +384,7 @@ def run_trajectory(
             remaining -= tau
             if remaining <= 0:
                 break
-        record.observables[:, k] = _expectations(psi, operators)
+        record.observables[:, k] = _expectations(psi, acts.observe)
     return record
 
 
@@ -435,14 +536,7 @@ def _bisect(
 
 
 def _run_block(
-    unr: Unraveling,
-    prop: _Propagator,
-    weights: list[np.ndarray],
-    psi0: np.ndarray,
-    dt: float,
-    streams: _Streams,
-    operators: tuple[np.ndarray, ...],
-    out: np.ndarray,
+    acts: _Actions, psi0: np.ndarray, dt: float, streams: _Streams, out: np.ndarray,
 ) -> None:
     """Step one trajectory per stream from ``psi0`` and write the samples of
     sample steps 1.. into ``out`` (shape (n_streams, n_operators, n_times)).
@@ -451,6 +545,7 @@ def _run_block(
     state; only the rows whose squared norm fell to their threshold are
     gathered, and they are bisected, jumped and evolved for the rest of the
     step until none crosses again."""
+    prop = acts.prop
     m = out.shape[0]
     psi = np.tile(psi0, (m, 1))
     threshold = _uniforms(streams, np.arange(m), 1)[0]
@@ -462,11 +557,11 @@ def _run_block(
         rows = np.flatnonzero(norm_sq <= threshold)    # the trajectories that jump in step k
         coords, remaining = coords[rows], np.full(rows.size, dt)
         while rows.size:
-            if not unr.jumps:
+            if acts.jump is None:
                 raise StepSizeUnderflowError("norm decayed but the unraveling has no jumps")
             tau = _bisect(prop, coords, threshold[rows], remaining, tol)
             u = _uniforms(streams, rows, 2)     # the channel's draw, then the next threshold
-            _, jumped = _jumps(unr, weights, prop.evolve(coords, tau), u[0])
+            _, jumped = _jumps(acts, prop.evolve(coords, tau), u[0])
             threshold[rows] = u[1]
             remaining = remaining - tau
             psi[rows], norm_sq[rows] = jumped, _norm_sq(jumped)   # kept if the step ends here
@@ -478,7 +573,7 @@ def _run_block(
             kept = trial_norm_sq > threshold[rows]
             psi[rows[kept]], norm_sq[rows[kept]] = trial[kept], trial_norm_sq[kept]
             rows, coords, remaining = rows[~kept], coords[~kept], remaining[~kept]
-        out[:, :, k] = _expectations(psi, operators, norm_sq).T
+        out[:, :, k] = _expectations(psi, acts.observe, norm_sq).T
 
 
 def _ensemble_samples(
@@ -505,13 +600,12 @@ def _ensemble_samples(
     dt = float(spacing[0])
     psi0 = _checked_start(psi0, float(t_grid[-1]), dt)
 
-    prop = _Propagator(unr.h_eff)
-    weights = [j.conj().T @ j for j in unr.jumps]
+    acts = _Actions(unr, operators, gather=True)
     samples = np.empty((n_traj, len(operators), t_grid.size))
-    samples[:, :, 0] = _expectations(psi0, operators)
+    samples[:, :, 0] = _expectations(psi0, acts.observe)
     for start in range(0, n_traj, _BLOCK):
         keys = np.arange(start, min(start + _BLOCK, n_traj), dtype=np.uint32)
-        _run_block(unr, prop, weights, psi0, dt, _stream_states(base_seed, keys), operators,
+        _run_block(acts, psi0, dt, _stream_states(base_seed, keys),
                    samples[start:start + keys.size])
     return samples
 

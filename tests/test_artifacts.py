@@ -1,5 +1,5 @@
-"""CSV artifacts pinned byte for byte: those of scripts/reproduce_sweeps.py, two
-model-mode jump ensembles and two scenario-a cutoff ladders."""
+"""CSV artifacts pinned byte for byte: those of scripts/reproduce_sweeps.py, a
+decay and three model-mode jump ensembles and two scenario-a cutoff ladders."""
 
 import hashlib
 import os
@@ -30,37 +30,51 @@ def test_reproduce_sweeps_matches_manifest(tmp_path):
     assert actual == expected
 
 
+def _assert_pinned(tmp_path, pin, argv):
+    # a pin file holds one `sha256sum` line: the digest and the CSV's name
+    digest, name = (MANIFEST.parent / pin).read_text().split()
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_model_mode_ensemble_matches_manifest(tmp_path):
     # the reproduce manifest pins decay mode only; model mode reads the
     # operators of build_hamiltonian and build_dissipators
-    digest, name = (MANIFEST.parent / "trajectories_model.sha256").read_text().split()
-    out = tmp_path / name
-    argv = ["trajectories", "--mode", "model", "--scenario", "c", "--cutoff", "1",
-            "--kappa", "0.5", "--lambda", "0.5", "--g", "0.3", "--n-traj", "200", "--seed", "7"]
-    assert main(argv + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    _assert_pinned(tmp_path, "trajectories_model.sha256", [
+        "trajectories", "--mode", "model", "--scenario", "c", "--cutoff", "1", "--kappa", "0.5",
+        "--lambda", "0.5", "--g", "0.3", "--n-traj", "200", "--seed", "7"])
 
 
 def test_rwa_model_mode_ensemble_matches_manifest(tmp_path):
     # scenario a under the RWA with thermal photons: the raising jumps and
     # the spectator mode's decay, which the scenario-c pin does not reach
-    digest, name = (MANIFEST.parent / "trajectories_model_a_rwa.sha256").read_text().split()
-    out = tmp_path / name
-    argv = ["trajectories", "--mode", "model", "--scenario", "a", "--coupling", "rwa",
-            "--nbar", "0.3", "--cutoff", "2", "--kappa", "0.5", "--lambda", "0.5", "--g", "0.3",
-            "--n-traj", "200", "--seed", "7"]
-    assert main(argv + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    _assert_pinned(tmp_path, "trajectories_model_a_rwa.sha256", [
+        "trajectories", "--mode", "model", "--scenario", "a", "--coupling", "rwa", "--nbar", "0.3",
+        "--cutoff", "2", "--kappa", "0.5", "--lambda", "0.5", "--g", "0.3", "--n-traj", "200",
+        "--seed", "7"])
+
+
+def test_decay_ensemble_at_cutoff_4_matches_manifest(tmp_path):
+    # a decaying cavity at cutoff 4, whose H_eff is diagonal: its eigenvector
+    # matrices are the identity, unlike those of the model pins
+    _assert_pinned(tmp_path, "trajectories_decay_c4.sha256", [
+        "trajectories", "--cutoff", "4", "--kappa", "0.5", "--n-traj", "500", "--seed", "7"])
+
+
+def test_scenario_d_model_mode_ensemble_matches_manifest(tmp_path):
+    # scenario d under full coupling with thermal photons: raising jumps and
+    # the spectator atom's decay and dephasing (sigma_z)
+    _assert_pinned(tmp_path, "trajectories_model_d.sha256", [
+        "trajectories", "--mode", "model", "--scenario", "d", "--nbar", "0.3", "--cutoff", "2",
+        "--kappa", "0.5", "--lambda", "0.5", "--g", "0.3", "--n-traj", "200", "--seed", "7"])
 
 
 def test_cutoff_ladder_matches_manifest(tmp_path):
     # scenario a at cutoffs 1-6, the benchmark's cutoff-ladder command: its
     # cutoffs 4-6 take GMRES, which no reproduce artifact reaches
-    digest, name = (MANIFEST.parent / "cutoff_ladder.sha256").read_text().split()
-    out = tmp_path / name
-    argv = ["convergence", "--scenario", "a", "--cutoff", "1,2,3,4,5,6"]
-    assert main(argv + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    _assert_pinned(tmp_path, "cutoff_ladder.sha256",
+                   ["convergence", "--scenario", "a", "--cutoff", "1,2,3,4,5,6"])
 
 
 def test_rwa_cutoff_ladder_matches_manifest(tmp_path):
@@ -68,9 +82,5 @@ def test_rwa_cutoff_ladder_matches_manifest(tmp_path):
     # takes the band over many blocks, and cutoffs 6-7 take GMRES over many
     # blocks, patterns that neither the reproduce artifacts nor the full-
     # coupling ladder reach
-    digest, name = (MANIFEST.parent / "convergence_rwa.sha256").read_text().split()
-    out = tmp_path / name
-    argv = ["convergence", "--scenario", "a", "--coupling", "rwa", "--nbar", "0.3",
-            "--cutoff", "5,6,7"]
-    assert main(argv + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    _assert_pinned(tmp_path, "convergence_rwa.sha256", [
+        "convergence", "--scenario", "a", "--coupling", "rwa", "--nbar", "0.3", "--cutoff", "5,6,7"])

@@ -384,3 +384,69 @@ def test_ensemble_statistics_are_exactly_rounded_per_column(ensemble):
     np.testing.assert_array_equal(ens.stderr.view(np.uint64), stderr.view(np.uint64))
     # exact sums do not depend on the trajectories' order
     np.testing.assert_array_equal(_exact_column_statistics(samples[::-1])[0], mean)
+
+
+def _trajectory_command_problem(case):
+    """The unraveling and observables that the trajectories command builds
+    for one decay cutoff, or one (scenario, coupling, nbar, cutoff)."""
+    if case[0] == "decay":
+        cutoff = case[1]
+        unr, _, _, _ = decaying_cavity(kappa=0.5, cutoff=cutoff)
+        return unr, (orb.number(cutoff),)
+    scenario, coupling, nbar, cutoff = case
+    spec = orb.ModelSpec(
+        params=orb.RabiParams(omega=1.0, g=0.3, kappa=0.5, lam=0.5, gamma=0.125, nbar=nbar),
+        cutoff=cutoff, coupling=orb.Coupling(coupling),
+        parasitic=orb.scenario_parasitic(scenario))
+    space = orb.build_space(spec)
+    unr = orb.unravel(orb.build_hamiltonian(spec), orb.build_dissipators(spec), space)
+    return unr, (orb.excitation_operator(space, "cavity"), orb.excitation_operator(space, "atom"))
+
+
+def _signed_zero_states(d, seed):
+    """A lone state (d,) and a block (9, d) of random states with +0.0 and
+    -0.0 real and imaginary parts, and an all-zero row."""
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((9, d)) + 1j * rng.standard_normal((9, d))
+    parts = block.view(np.float64)
+    parts[rng.random(parts.shape) < 0.2] = 0.0
+    parts[rng.random(parts.shape) < 0.2] = -0.0
+    parts[4] = -0.0
+    parts[4, ::3] = 0.0
+    return block[0].copy(), block
+
+
+def _assert_gemv_bits(got, want):
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("case", [
+    *(("decay", cutoff) for cutoff in (1, 2, 3, 4)),
+    *((scenario, coupling, nbar, cutoff) for scenario in ("bare", "a", "b", "c", "d")
+      for coupling in ("full", "rwa") for nbar in (0.0, 0.3) for cutoff in (1, 2)),
+])
+def test_every_action_equals_gemv_bit_for_bit(case):
+    # each product of the ensemble equals the reference's gemv, signed zeros
+    # included, and has the kind that makes it fast: a fall-back to gemv fails
+    unr, ops = _trajectory_command_problem(case)
+    acts = trajectories._Actions(unr, ops, gather=True)
+    w, v = la.eig(unr.h_eff)
+    _, v_act, vinv_act = acts.prop._eig
+    weights = [j.conj().T @ j for j in unr.jumps]
+    pairs = [(v, v_act), (la.inv(v), vinv_act), *zip(weights, acts.weights), *zip(ops, acts.observe)]
+    lone, block = _signed_zero_states(unr.h_eff.shape[0], seed=len(pairs))
+    for a, act in pairs:
+        for psi in (lone, block):
+            _assert_gemv_bits(act(psi), np.matmul(a, psi[..., None])[..., 0])
+    stack = np.stack(unr.jumps)
+    chosen = np.arange(len(block)) % len(stack)
+    _assert_gemv_bits(acts.jump(block, chosen), np.matmul(stack[chosen], block[..., None])[..., 0])
+    _assert_gemv_bits(acts.jump(lone, chosen[-1]), np.matmul(stack[chosen[-1]], lone[:, None])[:, 0])
+
+    assert acts.jump.func is trajectories._gather_chosen
+    assert all(act.func is trajectories._gather for act in [*acts.weights, *acts.observe])
+    if case[0] == "decay":
+        assert v_act is vinv_act is trajectories._identity
+    elif case[0] == "c":
+        assert v_act.func is vinv_act.func is trajectories._matvec
