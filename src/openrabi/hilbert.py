@@ -145,10 +145,6 @@ def qubit_ops() -> QubitOps:
     )
 
 
-def identity(space: CompositeSpace) -> np.ndarray:
-    return np.eye(space.dim, dtype=complex)
-
-
 def embed(op: np.ndarray, space: CompositeSpace, position: int) -> np.ndarray:
     """Kronecker-embed a single-subsystem operator into the full space:
     identity (x) op (x) identity."""

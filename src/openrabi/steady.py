@@ -33,9 +33,11 @@ Each block reads its values straight from the generator's CSR values,
 through gathers cached with the pattern.  The solve runs solver by solver:
 GMRES where it is picked, then the band.  Each solves every block still
 pending, the trace row's block last, and one product then certifies them
-all; a block that fails moves on to the next solver.  Every band factor is
-freed once it has solved its block, the trace row's block's once it has also
-refined the solution of e_0 (below).  One
+all; a block that fails moves on to the next solver.  A solver lives only
+through its own round: GMRES's preconditioner is built as the round starts
+and freed as it ends, and every band factor once it has solved its block,
+the trace row's block's once it has also refined the solution of e_0
+(below).  One
 certificate of uniqueness judges every block: for a fixed-seed random
 right-hand side r, the block's part x_b of the solution must have
 ``||r_b - T_b x_b|| <= tol ||r_b||`` and ``eps ||T_b||_F ||x_b|| <= tol
@@ -65,17 +67,20 @@ trace, the hermiticity defect and one stacked ``eigvalsh``), the hermitian
 part and the normalization.  Each stacked operation sums every point's
 numbers in the order the point's own would, so a point's state,
 diagnostics and error never depend on its batch mates, and a point that
-fails takes its fallback, or raises, alone.  No two band factors are
-held at once, and a batch stacks only vectors of length D^2, D x D states
-and, for its products, one copy of its points' generator values; a point on
-GMRES keeps its preconditioner until its trace row's block is judged.
+fails takes its fallback, or raises, alone.  As the points' rounds run
+one after another, no two preconditioners or band factors are held at once,
+not even through the certificate, and a batch stacks only vectors of length
+D^2, D x D states and, for its products, one copy of its points' generator
+values.
 
 As T is block-diagonal, the steady state's right-hand side e_0 meets the
 trace row's block alone, and iterative refinement with extended-precision
-residuals runs on that block with the solve that certified it, from the
-solution of e_0 that the band solves together with the certificate's, in one
-two-column ``zgbtrs``; should GMRES stall there, the block goes to the
-band.  At the extreme rate/frequency separations typical here (rates ~1e-6
+residuals runs on that block in the round that solves it, with that round's
+solve, from the solution of e_0 that the band solves together with the
+certificate's, in one two-column ``zgbtrs``, and GMRES right after a
+certificate solve that did not stall.  The refined solution counts once the
+block is certified; should GMRES stall on e_0, the block goes to the band.
+At the extreme rate/frequency separations typical here (rates ~1e-6
 against frequencies ~1) the replaced system is ill-conditioned, so a small
 residual does not bound the error of the solution; the size of the
 correction does.  Refinement therefore always applies at least one
@@ -89,7 +94,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,7 +130,9 @@ class SteadyStateResult:
     residual: float             # ||L vec(rho)|| / ||L||_F
     # method ("gmres" or "banded-lu", the trace row's block's solver),
     # krylov_iterations (of every GMRES run: one per block for the
-    # certificate, then the trace row's block's solve and refinement),
+    # certificate, then the trace row's block's solve and refinement of e_0,
+    # which run before the certificate judges that block, so they count
+    # also where it then fails and the band takes over),
     # certificate (the largest of the blocks' margins, see _certify; a block
     # refined on the band counts its extended-precision residual),
     # refine_rounds, last_correction (||dx||/||x|| of the last round) and the
@@ -635,9 +642,11 @@ def _refined_margin(structure: _Structure, b: int, data: np.ndarray, solve: Call
 
 class _Solve:
     """One generator's solve in a batch of its pattern: its solvers, GMRES
-    where picked, then the band, each run on the blocks still pending by
+    where it applies, then the band, each run on the blocks still pending by
     ``run`` and judged by ``judge`` on the certificate's margins of its
-    round, which the batch takes for all its generators at once."""
+    round, which the batch takes for all its generators at once.  A solver
+    lives only through its own round: no band factor, and no GMRES
+    preconditioner, outlasts the ``run`` that made it."""
 
     def __init__(self, structure: _Structure, mat: sp.csr_matrix, terms: Terms | None):
         self.structure = structure
@@ -647,9 +656,9 @@ class _Solve:
         self.solvers = [self.band]
         self.iterations: list[int] = []
         if structure.work >= _KRYLOV_MIN_WORK and terms is not None and (
-                structure.classes is not None) and (
-                krylov := _krylov_solvers(terms, structure, data, self.iterations)) is not None:
-            self.solvers.insert(0, krylov)
+                structure.classes is not None):
+            self.solvers.insert(0, partial(_krylov_solvers, terms, structure, data,
+                                           self.iterations))
         k, trace = len(structure.blocks), structure.trace_block
         self.pending = sorted(range(k), key=lambda b: b == trace)
         self.margins = np.zeros(k)
@@ -659,14 +668,19 @@ class _Solve:
         """Solve the pending blocks with the next solver, the trace row's
         last, into ``x``, the point's certificate solution, up to an exactly
         zero pivot, which ``judge`` raises once the blocks before it are
-        judged.  Each band factor is freed before the next block is
-        factored: the trace row's block's solves the certificate's rhs and
-        e_0 in one call, and its solution of e_0 is refined at once, for use
-        if the block is certified.  GMRES's solve of the trace row's block is
-        kept to refine once certified."""
+        judged.  GMRES's preconditioner is built as its round starts (if
+        ``eig`` raises, the band takes the round) and freed as it ends; each
+        band factor is freed before the next block is factored.  On either
+        solver the trace row's block refines its solution of e_0 at once,
+        for use if the block is certified: the band solves it together with
+        the certificate's rhs in one call, GMRES after a certificate solve
+        that did not stall."""
         structure, trace = self.structure, self.structure.trace_block
-        self.solver = solver = self.solvers.pop(0)
-        self.solved, self.zero_pivot, self.kept = [], None, None
+        solver = self.solvers.pop(0)
+        if solver is not self.band:
+            solver = solver() or self.solvers.pop(0)
+        self.round_method = "banded-lu" if solver is self.band else "gmres"
+        self.solved, self.zero_pivot = [], None
         for b in self.pending:
             try:
                 solve = solver(b)
@@ -675,45 +689,38 @@ class _Solve:
                 break
             unknowns = structure.blocks[b].unknowns
             if solver is self.band and b == trace:
-                x[unknowns], start = solve(structure.trace_rhs.T).T
-                self.refined = _refine(solve, structure.trace_rhs[1], start,
-                                       structure.blocks[b].matrix(self.data, np.clongdouble))
+                x[unknowns], part = solve(structure.trace_rhs.T).T
             else:
                 part = solve(structure.rhs[unknowns], _CERTIFICATE_TOL / 2)
                 x[unknowns] = 0.0 if part is None else part   # a stall fails the certificate
-                if b == trace:
-                    self.kept = solve
+                if b == trace and part is not None:
+                    part = solve(structure.trace_rhs[1])
+            if b == trace:
+                # T is block-diagonal, so the state is exactly 0 outside the
+                # trace row's block, whose solution of e_0, now ``part``, is
+                # refined with the solve that certifies the block
+                self.refined = _refine(solve, structure.trace_rhs[1], part,
+                                       structure.blocks[b].matrix(self.data, np.clongdouble))
             self.solved.append(b)
             del solve
 
     def judge(self, x: np.ndarray, margins: np.ndarray) -> None:
         """Judge the blocks of the last ``run`` by their certificate's
-        ``margins``.  On the band, a block that fails is factored again and
-        refined in extended precision; it raises ``NonUniqueSteadyStateError``
-        if it fails again.  A block that fails GMRES's certificate, or whose
-        refinement GMRES stalls, stays pending."""
-        structure, trace = self.structure, self.structure.trace_block
-        solver, pending = self.solver, []
+        ``margins``; a certified trace row's block sets ``method`` to its
+        round's solver.  On the band, a block that fails is factored again
+        and refined in extended precision; it raises
+        ``NonUniqueSteadyStateError`` if it fails again.  A block that fails
+        GMRES's certificate, or whose e_0 GMRES stalled on, stays pending."""
+        trace, pending = self.structure.trace_block, []
         for b in self.solved:
             margin = margins[b]
-            if solver is self.band and not margin <= _CERTIFICATE_TOL:
-                margin = _refined_margin(structure, b, self.data, self.band(b), x)
+            if self.round_method == "banded-lu" and not margin <= _CERTIFICATE_TOL:
+                margin = _refined_margin(self.structure, b, self.data, self.band(b), x)
             self.margins[b] = margin
-            if not margin <= _CERTIFICATE_TOL:
+            if not margin <= _CERTIFICATE_TOL or b == trace and self.refined is None:
                 pending.append(b)
             elif b == trace:
-                if solver is not self.band:
-                    # T is block-diagonal, so the state is exactly 0 outside
-                    # the trace row's block, refined with the solve that
-                    # certified it
-                    e0 = structure.trace_rhs[1]
-                    self.refined = _refine(self.kept, e0, self.kept(e0),
-                                           structure.blocks[b].matrix(self.data, np.clongdouble))
-                if self.refined is None:   # GMRES stalled
-                    pending.append(b)
-                else:
-                    self.method = "banded-lu" if solver is self.band else "gmres"
-        self.solver = self.kept = None   # GMRES's preconditioner goes with them
+                self.method = self.round_method
         if self.zero_pivot is not None:
             raise self.zero_pivot
         self.pending = pending
@@ -730,14 +737,9 @@ def _solve_batch(structure: _Structure, mats: list[sp.csr_matrix],
     dim, n = math.isqrt(structure.label.size), structure.label.size
     k, trace = len(structure.blocks), structure.trace_block
     outcomes: list = [None] * len(mats)
-    solves: dict[int, _Solve] = {}
-    for p, (mat, point_terms) in enumerate(zip(mats, terms)):
-        try:
-            solves[p] = _Solve(structure, mat, point_terms)
-        except Exception as exc:
-            outcomes[p] = exc
+    solves = [_Solve(structure, mat, point_terms) for mat, point_terms in zip(mats, terms)]
     x = np.zeros((len(mats), n), dtype=complex)   # each point's certificate solution
-    active = list(solves)
+    active = list(range(len(mats)))
     first = None   # the first round's points and their block-diagonal matrix
     while active:
         for p in list(active):
@@ -759,7 +761,7 @@ def _solve_batch(structure: _Structure, mats: list[sp.csr_matrix],
                 outcomes[p] = exc
         active = [p for p in active if outcomes[p] is None and solves[p].pending]
 
-    solved = [p for p in solves if outcomes[p] is None]
+    solved = [p for p, outcome in enumerate(outcomes) if outcome is None]
     if not solved:
         return outcomes
     block = structure.blocks[trace]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import mpmath as mp
@@ -813,6 +814,38 @@ def test_gmres_solve_makes_no_reference_cycles(krylov):
     assert krylov == [(1 - trace, True), (trace, True)] * 4
 
 
+def test_one_gmres_preconditioner_is_alive_at_a_time(monkeypatch):
+    # GMRES's preconditioner lives only through its own round: a batch of
+    # points of one pattern builds each point's as its round starts, and
+    # frees it before the next point's is built and before the certificate
+    monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", 0.0)
+    gens = [_scenario_a(3, omega) for omega in (0.8, 0.9, 1.1)]
+    assert len({id(_structure(gen)) for gen in gens}) == 1
+    built, alive = [], []   # weak references to the preconditioners; those alive at each event
+    sylvester_inverse, certify = steady._sylvester_inverse, steady._certify
+
+    def live(event):
+        gc.collect()
+        alive.append((event, sum(ref() is not None for ref in built)))
+
+    def build(*args):
+        live("build")
+        preconditioners = sylvester_inverse(*args)
+        built.extend(weakref.ref(apply) for apply in preconditioners)
+        return preconditioners
+
+    def certificate(*args):
+        live("certify")
+        return certify(*args)
+
+    monkeypatch.setattr(steady, "_sylvester_inverse", build)
+    monkeypatch.setattr(steady, "_certify", certificate)
+    results = orb.steady_states(gens)
+    assert [result.diagnostics["method"] for result in results] == ["gmres"] * 3
+    assert alive == [("build", 0)] * 3 + [("certify", 0)]
+    assert len(built) == 3 * len(_structure(gens[0]).blocks)
+
+
 def _qubit_cavity_damped():
     space = orb.CompositeSpace((orb.Qubit("atom"), orb.Boson(3, "cavity")))
     ops = orb.qubit_ops()
@@ -1071,8 +1104,9 @@ _MIXED_POINTS = st.builds(
     st.sampled_from([0.0, 0.3]))
 
 #: a Hamiltonian-only point, whose state is not unique, a point on GMRES,
-#: and two points of one pattern of which the one at rates 1e-30 fails its
-#: certificate after refinement, so the batch's residual check leaves it out
+#: two points of one pattern of which the one at rates 1e-30 fails its
+#: certificate after refinement, so the batch's residual check leaves it out,
+#: and a second point on GMRES, of the first one's pattern
 _FIXED_POINTS = [
     orb.ModelSpec(orb.RabiParams(1.0, 0.05), 2, parasitic=orb.scenario_parasitic("c")),
     orb.ModelSpec(orb.RabiParams(0.9, 0.05, **REFERENCE_RATES), 4,
@@ -1080,7 +1114,9 @@ _FIXED_POINTS = [
     orb.ModelSpec(orb.RabiParams(0.9, 0.05, kappa=1e-30, lam=1e-30), 2,
                   parasitic=orb.scenario_parasitic("c")),
     orb.ModelSpec(orb.RabiParams(0.9, 0.05, kappa=1e-6, lam=1e-6), 2,
-                  parasitic=orb.scenario_parasitic("c"))]
+                  parasitic=orb.scenario_parasitic("c")),
+    orb.ModelSpec(orb.RabiParams(1.1, 0.05, **REFERENCE_RATES), 4,
+                  parasitic=orb.scenario_parasitic("a"))]
 
 
 @settings(max_examples=12, deadline=None)
@@ -1097,8 +1133,8 @@ def test_batch_partition_leaves_every_point_as_it_is_alone(points, data):
         assert gen.matrix.data.tobytes() == alone.data.tobytes()
         assert gen.matrix.indices.tobytes() == alone.indices.tobytes()
     whole = [_outcome(outcome) for outcome in orb.steady_states(gens)]
-    gmres = whole[specs.index(_FIXED_POINTS[1])]
-    assert "'method': 'gmres'" in gmres[2]
+    for gmres in _FIXED_POINTS[1], _FIXED_POINTS[4]:
+        assert "'method': 'gmres'" in whole[specs.index(gmres)][2]
     assert whole[specs.index(_FIXED_POINTS[0])][0] is NonUniqueSteadyStateError
     assert whole[specs.index(_FIXED_POINTS[2])][0] is NonUniqueSteadyStateError
     assert "after refinement" in whole[specs.index(_FIXED_POINTS[2])][1]
