@@ -20,14 +20,19 @@ layout:
   right-hand side into that order and scatters the solution back.  Its
   estimate of the LU's work picks the solver.
 * GMRES without restart runs on the layout itself.  Its right
-  preconditioner takes one eigendecomposition per class of
-  ``A = -i H - (1/2) sum_k G_k^+ G_k``, built from the Hilbert-space terms
-  the generator carries (its Hamiltonian and jump operators ``G_k``), and
-  acts chunk by chunk in A's eigen-coordinates: it inverts the Sylvester
-  part ``S(X) = A X + X A^+`` on the coherences, and solves the secular rate
-  matrix, the exact population block of T there, on the populations, which
-  S alone holds up by denominators as small as the rates.  A pattern without
-  classes, and a generator that carries no terms, go to the band.
+  preconditioner takes one Hermitian eigendecomposition per class of the
+  Hamiltonian H of ``A = -i H - (1/2) sum_k G_k^+ G_k``, built from the
+  Hilbert-space terms the generator carries (H and the jump operators
+  ``G_k``), and acts chunk by chunk in H's eigen-coordinates U.  There it
+  takes A as diagonal (the secular approximation), its entries ``-i E_i -
+  (1/2) (U^+ G^+ G U)_ii`` H's energies and the golden-rule decay rates of
+  its eigenstates: it inverts that Sylvester part ``S(X) = A X + X A^+`` on
+  the coherences, and solves the Pauli rate matrix, the exact population
+  block of T there, on the populations, which S alone holds up by
+  denominators as small as the rates.  It is picked where the band's work
+  is at least ``_KRYLOV_MIN_WORK`` per class, the measured crossover.  A
+  pattern without classes, and a generator that carries no terms, go to
+  the band.
 
 Each block reads its values straight from the generator's CSR values,
 through gathers cached with the pattern.  The solve runs solver by solver:
@@ -46,7 +51,7 @@ x``, and norms summed by block label.  As ``vec(1)^T L = 0``, ``T x = 0``
 exactly when ``L x = 0`` and ``tr x = 0``, and every Lindblad null space
 holds a state of trace 1, so T is singular exactly when the state is not
 unique, which is exactly when one of its blocks is; a singular block leaves
-a residual of about ``||r_b|| / sqrt(n_b)`` whatever x_b is.  An ``eig``
+a residual of about ``||r_b|| / sqrt(n_b)`` whatever x_b is.  An ``eigh``
 that raises sends every block to the band; a GMRES run that stalls or fails
 the certificate sends its block alone.  On the band a block that fails the
 certificate (ill-conditioned, at rates below ~1e-8, or singular) is factored
@@ -108,7 +113,29 @@ from .liouville import SuperOperator, Terms, devectorize, vectorize
 
 _REFINE_ROUNDS = 3
 _REFINE_STOP = np.finfo(float).eps   # largest ||dx||/||x|| (max norms) that ends refinement
-_KRYLOV_MIN_WORK = 5e7      # GMRES solves a system whose band factors cost this (work) or more
+# GMRES solves a system whose band factors cost this (work) or more per Hilbert class: its
+# own fixed costs (an eigendecomposition and a preconditioner chunk per class, a run per
+# block) grow with the classes.  The crossover, as measured (warm steady_state medians in
+# ms, one BLAS thread, default rates and nbar 0 unless given; * marks the solver picked):
+#   structure (classes)           band work   GMRES    band
+#   bare full, cutoff 18 (2)      4.3e6        3.8     3.2 *
+#   bare full, cutoff 20 (2)      6.4e6        4.2     4.4 *
+#   c/d full, cutoff 6 (2)        6.2e6        3.1     3.2 *
+#   c/d full, cutoff 5 (2)        7.2e6        3.3     2.6 *
+#   bare full, cutoff 22 (2)      9.3e6        4.9 *   6.1
+#   bare full, cutoff 17 (2)      9.7e6        3.6 *   4.7
+#   c/d full, cutoff 8 (2)        1.6e7        4.3 *   6.8
+#   a/b full, cutoff 3 (2)        2.5e7        3.8 *   7.3
+#   RWA a/b, cutoff 4 (10)        5.9e6        6.6     4.3 *
+#   RWA a/b, cutoff 5 (12)        2.6e7        10.0    13.1 *
+#   RWA a/b, cutoff 5, nbar 0.3   2.6e7        12.1    13.2 *
+#   RWA a/b, cutoff 6 (14)        8.7e7        14.7 *  35.1
+#   RWA c/d, cutoff 16 (19)       1.1e7        16.0    5.4 *
+# No one threshold on the total work serves both couplings: RWA c/d, with 19 classes of at
+# most 4 states, loses 3x on GMRES above the work where bare full already wins by 20%.  RWA
+# a/b at cutoff 5 keeps the band, 25% slower at nbar 0: a threshold low enough to take it
+# (2.1e6 per class) would also take c/d full at cutoff 5, where the band wins by 27%.
+_KRYLOV_MIN_WORK = 4e6
 _KRYLOV_MAX = 100           # GMRES iterations (basis vectors) before a solve counts as stalled
 _KRYLOV_TOL = 1e-12         # relative residual of each GMRES solve
 _CERTIFICATE_TOL = 1e-6     # relative residual, and error bound, of the random-rhs solve
@@ -135,11 +162,10 @@ class SteadyStateResult:
     # also where it then fails and the band takes over),
     # certificate (the largest of the blocks' margins, see _certify; a block
     # refined on the band counts its extended-precision residual),
-    # refine_rounds, last_correction (||dx||/||x|| of the last round) and the
-    # validity margins; a band-solved trace row's block adds blocks (T's
-    # connected blocks), bandwidth ((kl, ku) of the trace row's block) and
-    # lu_nnz (entries stored in that block's band factor,
-    # n_block * (2 kl + ku + 1))
+    # refine_rounds, last_correction (||dx||/||x|| of the last round), blocks
+    # (T's connected blocks) and the validity margins; a band-solved trace
+    # row's block adds bandwidth ((kl, ku) of that block) and lu_nnz (entries
+    # stored in its band factor, n_block * (2 kl + ku + 1))
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -413,27 +439,27 @@ def _drift(terms: Terms) -> tuple[np.ndarray, sp.csr_matrix]:
     return a, g
 
 
-def _populations(values: np.ndarray, v: np.ndarray, w: np.ndarray, jumps: sp.csr_matrix,
+def _populations(values: np.ndarray, u: np.ndarray, a: np.ndarray, gu: np.ndarray,
                  classes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The population block of T in the eigen-coordinates of ``A``, the
-    secular (Pauli) rate matrix: entry (i, j) is entry (i, i) of
-    ``W T(v_j v_j^+) W^+``, for ``A``'s eigenvalues ``values``, right
-    eigenvectors ``v`` and ``w = v^-1``, each matrix block-diagonal over the
-    ``classes`` and indexed by state, and the stacked jump operators
-    ``jumps`` of ``_drift``.  With ``L(X) = A X + X A^+ + sum_k G_k X
-    G_k^+`` that is ``diag(lambda + conj(lambda)) + sum_k |W G_k V|^2``; as
-    row 0 of T is the trace, ``T(Y) = L(Y) + E_00 (tr Y - L(Y)[0, 0])`` adds
-    ``|W[:, 0]|^2`` times ``||v_j||^2 - L(v_j v_j^+)[0, 0]``."""
+    """The population block of T in the coordinates of the unitary ``u``, the
+    Pauli rate matrix there: entry (i, j) is entry (i, i) of ``U^+ T(u_j
+    u_j^+) U``, for ``u`` block-diagonal over the ``classes`` and indexed by
+    state, ``values`` the diagonal of ``U^+ A U`` (A of ``_drift``) and ``gu``
+    the stacked jump operators of ``_drift`` times U, the rows of each
+    ``G_k U`` in turn.  With ``L(X) = A X + X A^+ + sum_k G_k X G_k^+`` that
+    is ``diag(values + conj(values)) + sum_k |U^+ G_k U|^2``; as row 0 of T is
+    the trace, ``T(Y) = L(Y) + E_00 (tr Y - L(Y)[0, 0])`` adds ``|U[0, :]|^2``
+    times ``||u_j||^2 - L(u_j u_j^+)[0, 0]``, where ``L(u_j u_j^+)[0, 0] =
+    2 Re((A u_j)_0 conj(u_0j)) + sum_k |(G_k u_j)_0|^2``."""
     dim = values.size
-    gv = (jumps @ v).reshape(-1, dim, dim)   # gv[k] = G_k V
-    wgv = np.empty_like(gv)
-    for states in classes:   # W is block-diagonal: one gemm per class and jump
-        wgv[:, states] = w[np.ix_(states, states)] @ gv[:, states]
-    decay = 2.0 * values.real
-    diagonal = decay * np.abs(v[0]) ** 2 + (np.abs(gv[:, 0]) ** 2).sum(axis=0)
-    populations = np.outer(np.abs(w[:, 0]) ** 2, (np.abs(v) ** 2).sum(axis=0) - diagonal)
-    populations += (wgv.real ** 2 + wgv.imag ** 2).sum(axis=0)
-    populations[np.diag_indices(dim)] += decay
+    gu = gu.reshape(-1, dim, dim)   # gu[k] = G_k U
+    ugu = np.empty_like(gu)
+    for states in classes:   # U is block-diagonal: one gemm per class and jump
+        ugu[:, states] = u[np.ix_(states, states)].conj().T @ gu[:, states]
+    diagonal = 2.0 * (a[0] @ u * u[0].conj()).real + (np.abs(gu[:, 0]) ** 2).sum(axis=0)
+    populations = np.outer(np.abs(u[0]) ** 2, (np.abs(u) ** 2).sum(axis=0) - diagonal)
+    populations += (ugu.real ** 2 + ugu.imag ** 2).sum(axis=0)
+    populations[np.diag_indices(dim)] += 2.0 * values.real
     return populations
 
 
@@ -443,36 +469,43 @@ def _sylvester_inverse(a: np.ndarray, jumps: sp.csr_matrix,
     """For each block, whose unknowns are the chunks vec(X_pq) of its class
     pairs ``pairs[b]`` (as ``_Structure`` lays them out), the map of its part of
     vec(X) to its part of the preconditioned vec(Y), with the entries of
-    ``A`` between the ``classes`` dropped.  One eigendecomposition
-    ``A_pp = V_p diag(lambda_p) W_p``, ``W_p = V_p^-1``, per class (after
-    Bartels & Stewart, Commun. ACM 15, 820 (1972)) puts ``C = W_p X_pq W_q^+``
-    in eigen-coordinates, and ``Y_pq = V_p Z V_q^+``.  Off the diagonal of a
-    pair (p, p), ``Z = C / (lambda_p,i + conj(lambda_q,j))`` inverts the part
-    ``S(X) = A X + X A^+``, the division a product with reciprocals taken once;
-    a dark state makes a denominator vanish, so every denominator is floored
-    at ``_DARK_FLOOR`` times the smallest decay rate ``-2 Re lambda`` of all
-    classes.  The populations, the diagonals of a block's pairs (p, p), solve
-    the block's secular rate matrix of ``_populations`` (Breuer & Petruccione,
-    The Theory of Open Quantum Systems, sec. 3.3), LU-factored once; if a
-    pivot of that LU falls below the floor, as where populations are
-    stationary, they divide by the floored denominators instead.  Raises
-    ``LinAlgError`` if ``eig`` or ``inv`` does."""
+    ``A`` between the ``classes`` dropped.  One Hermitian eigendecomposition
+    ``H_pp = U_p diag(E_p) U_p^+`` per class, of ``H = (i/2) (A - A^+)``
+    (after Bartels & Stewart, Commun. ACM 15, 820 (1972)), puts ``C = U_p^+
+    X_pq U_q`` in H's eigen-coordinates, and ``Y_pq = U_p Z U_q^+``.  There A
+    is taken as its secular part ``U diag(lambda) U^+``, whose eigenvalues
+    ``lambda_i = -i E_i - (1/2) (U^+ Gamma U)_ii``, ``Gamma = -(A + A^+) =
+    G^+ G``, hold the first-order (golden-rule) decay rates of H's
+    eigenstates.  Off the diagonal of a pair (p, p), ``Z = C / (lambda_p,i +
+    conj(lambda_q,j))`` inverts ``S(Y) = U Lambda U^+ Y + Y U Lambda^+ U^+``,
+    the division a product with reciprocals taken once; a dark state makes a
+    denominator vanish, so every denominator is floored at ``_DARK_FLOOR``
+    times the smallest decay rate ``-2 Re lambda`` of all classes.  The
+    populations, the diagonals of a block's pairs (p, p), solve the block's
+    exact population block of T in these coordinates, the Pauli rate matrix
+    of ``_populations`` in H's eigenbasis (Breuer & Petruccione, The Theory
+    of Open Quantum Systems, sec. 3.3), LU-factored once; if a pivot of that
+    LU falls below the floor, as where populations are stationary, they
+    divide by the floored denominators instead.  Raises ``LinAlgError`` if
+    ``eigh`` does."""
     dim = a.shape[0]
-    values, v = zip(*(np.linalg.eig(a[np.ix_(c, c)]) for c in classes))
-    lam = np.concatenate(values)
+    h = 0.5j * (a - a.conj().T)
+    energies, u = zip(*(np.linalg.eigh(h[np.ix_(c, c)]) for c in classes))
+    # H's eigenvalues and eigenvectors indexed by state
+    energy, u_all = np.empty(dim), np.zeros_like(a)
+    for c, energies_p, u_p in zip(classes, energies, u):
+        energy[c] = energies_p
+        u_all[np.ix_(c, c)] = u_p
+    gu = jumps @ u_all
+    # (U^+ Gamma U)_ii is the squared norm of column i of the stacked G U
+    lam = -1j * energy - 0.5 * (gu.real ** 2 + gu.imag ** 2).sum(axis=0)
+    values = [lam[c] for c in classes]
     rates = -2.0 * lam.real
     scale = float(np.abs(lam).max())
     floor = _DARK_FLOOR * np.min(rates[rates > dim * np.finfo(float).eps * scale],
                                  initial=scale)
-    w = [np.linalg.inv(vectors) for vectors in v]
-    w_c, v_c = [m.conj() for m in w], [m.conj() for m in v]
-    # A's eigenvalues and eigenvectors indexed by state, for the populations
-    by_state, v_all, w_all = np.empty(dim, dtype=complex), np.zeros_like(a), np.zeros_like(a)
-    for c, values_p, v_p, w_p in zip(classes, values, v, w):
-        by_state[c] = values_p
-        v_all[np.ix_(c, c)] = v_p
-        w_all[np.ix_(c, c)] = w_p
-    populations = _populations(by_state, v_all, w_all, jumps, classes)
+    populations = _populations(lam, u_all, a, gu, classes)
+    u_c = [m.conj() for m in u]
 
     def block(block_pairs: tuple[tuple[int, int], ...]) -> Callable[[np.ndarray], np.ndarray]:
         chunks, inverses, diagonals, start = [], [], [], 0
@@ -481,9 +514,9 @@ def _sylvester_inverse(a: np.ndarray, jumps: sp.csr_matrix,
             denominators[np.abs(denominators) < floor] = -floor
             stop = start + denominators.size
             # read row by row, the column-major chunk vec(X_pq) is X_pq^T, so
-            # the chunk takes Z^T = conj(W_q) X^T W_p^T and Y^T = conj(V_q) Z^T V_p^T
-            chunks.append((slice(start, stop), denominators.shape[::-1], w_c[q], w[p].T, v_c[q],
-                           v[p].T))
+            # the chunk takes Z^T = U_q^T X^T conj(U_p) and Y^T = conj(U_q) Z^T U_p^T
+            chunks.append((slice(start, stop), denominators.shape[::-1], u[q].T, u_c[p], u_c[q],
+                           u[p].T))
             inverses.append((1.0 / denominators).reshape(-1, order="F"))
             if p == q:
                 diagonals.append(start + np.arange(values[p].size) * (values[p].size + 1))
@@ -499,16 +532,16 @@ def _sylvester_inverse(a: np.ndarray, jumps: sp.csr_matrix,
 
         def apply(x: np.ndarray) -> np.ndarray:
             z = np.empty_like(x)
-            for span, shape, w_c_q, w_t_p, _, _ in chunks:
-                np.matmul(w_c_q, x[span].reshape(shape) @ w_t_p, out=z[span].reshape(shape))
+            for span, shape, u_t_q, u_c_p, _, _ in chunks:
+                np.matmul(u_t_q, x[span].reshape(shape) @ u_c_p, out=z[span].reshape(shape))
             if lu is not None:
                 secular = zgetrs(lu, pivots, z[diagonal])[0]
             z *= inverses
             if lu is not None:
                 z[diagonal] = secular
             y = np.empty_like(x)
-            for span, shape, _, _, v_c_q, v_t_p in chunks:
-                np.matmul(v_c_q @ z[span].reshape(shape), v_t_p, out=y[span].reshape(shape))
+            for span, shape, _, _, u_c_q, u_t_p in chunks:
+                np.matmul(u_c_q @ z[span].reshape(shape), u_t_p, out=y[span].reshape(shape))
             return y
 
         return apply
@@ -576,7 +609,7 @@ def _krylov_solvers(terms: Terms, structure: _Structure, data: np.ndarray,
     solve of block b, which maps a right-hand side and a tolerance
     (``_KRYLOV_TOL`` unless given) to GMRES's solution, preconditioned by
     ``_sylvester_inverse``, or to None where GMRES stalls.  Each GMRES run
-    appends its iterations to ``iterations``.  None if ``eig`` raises."""
+    appends its iterations to ``iterations``.  None if ``eigh`` raises."""
     try:
         preconditioners = _sylvester_inverse(*_drift(terms), structure.classes, structure.pairs)
     except np.linalg.LinAlgError:
@@ -655,8 +688,8 @@ class _Solve:
         self.band = lambda b: _factor(structure, b, data)
         self.solvers = [self.band]
         self.iterations: list[int] = []
-        if structure.work >= _KRYLOV_MIN_WORK and terms is not None and (
-                structure.classes is not None):
+        if terms is not None and structure.classes is not None and (
+                structure.work >= _KRYLOV_MIN_WORK * len(structure.classes)):
             self.solvers.insert(0, partial(_krylov_solvers, terms, structure, data,
                                            self.iterations))
         k, trace = len(structure.blocks), structure.trace_block
@@ -669,7 +702,7 @@ class _Solve:
         last, into ``x``, the point's certificate solution, up to an exactly
         zero pivot, which ``judge`` raises once the blocks before it are
         judged.  GMRES's preconditioner is built as its round starts (if
-        ``eig`` raises, the band takes the round) and freed as it ends; each
+        ``eigh`` raises, the band takes the round) and freed as it ends; each
         band factor is freed before the next block is factored.  On either
         solver the trace row's block refines its solution of e_0 at once,
         for use if the block is certified: the band solves it together with
@@ -801,7 +834,7 @@ def _solve_batch(structure: _Structure, mats: list[sp.csr_matrix],
             rho=rho[j],
             residual=residual,
             diagnostics={
-                **(band if solve.method == "banded-lu" else {"method": "gmres"}),
+                **(band if solve.method == "banded-lu" else {"method": "gmres", "blocks": k}),
                 "krylov_iterations": sum(solve.iterations),
                 "certificate": float(solve.margins.max()),
                 "refine_rounds": rounds,

@@ -1,5 +1,6 @@
 """CSV artifacts pinned byte for byte: those of scripts/reproduce_sweeps.py, a
-decay and three model-mode jump ensembles and two scenario-a cutoff ladders."""
+decay and three model-mode jump ensembles, two scenario-a cutoff ladders and
+one RWA cutoff-4 point."""
 
 import hashlib
 import os
@@ -72,15 +73,23 @@ def test_scenario_d_model_mode_ensemble_matches_manifest(tmp_path):
 
 def test_cutoff_ladder_matches_manifest(tmp_path):
     # scenario a at cutoffs 1-6, the benchmark's cutoff-ladder command: its
-    # cutoffs 4-6 take GMRES, which no reproduce artifact reaches
+    # cutoffs 3-6 take GMRES, which no reproduce artifact reaches
     _assert_pinned(tmp_path, "cutoff_ladder.sha256",
                    ["convergence", "--scenario", "a", "--cutoff", "1,2,3,4,5,6"])
 
 
 def test_rwa_cutoff_ladder_matches_manifest(tmp_path):
     # scenario a under the RWA with thermal photons at cutoffs 5-7: cutoff 5
-    # takes the band over many blocks, and cutoffs 6-7 take GMRES over many
-    # blocks, patterns that neither the reproduce artifacts nor the full-
-    # coupling ladder reach
+    # takes the band over 23 blocks, near its tie with GMRES, and cutoffs 6-7
+    # take GMRES over 27 and 31 blocks, patterns that neither the reproduce
+    # artifacts nor the full-coupling ladder reach
     _assert_pinned(tmp_path, "convergence_rwa.sha256", [
         "convergence", "--scenario", "a", "--coupling", "rwa", "--nbar", "0.3", "--cutoff", "5,6,7"])
+
+
+def test_rwa_cutoff_4_matches_manifest(tmp_path):
+    # the same model at cutoff 4: 19 blocks, all on the band, well below the
+    # GMRES crossover, so the band over many blocks stays pinned wherever
+    # that crossover moves
+    _assert_pinned(tmp_path, "convergence_rwa_c4.sha256", [
+        "convergence", "--scenario", "a", "--coupling", "rwa", "--nbar", "0.3", "--cutoff", "4"])

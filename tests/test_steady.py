@@ -355,7 +355,8 @@ def test_gmres_agrees_with_the_band(scenario, coupling, nbar, krylov, factored, 
     assert diagnostics["method"] == "gmres"
     assert diagnostics["krylov_iterations"] > 0
     assert diagnostics["certificate"] <= steady._CERTIFICATE_TOL
-    assert not {"blocks", "bandwidth", "lu_nnz"} & diagnostics.keys()
+    assert diagnostics["blocks"] == len(structure.blocks)
+    assert not {"bandwidth", "lu_nnz"} & diagnostics.keys()
     assert diagnostics["last_correction"] <= np.finfo(float).eps
     monkeypatch.setattr(steady, "_KRYLOV_MIN_WORK", math.inf)
     band = orb.steady_state(gen)
@@ -678,39 +679,51 @@ def test_sylvester_part_has_no_entry_between_classes(scenario, coupling):
 
 
 def _eigenbasis(gen, classes):
-    """A, the stacked jumps and A's eigenvalues, right eigenvectors and their
-    inverse, one eigendecomposition per class of ``classes``, as the
-    preconditioner takes them: indexed by state, the matrices block-diagonal."""
+    """A, the stacked jumps and the preconditioner's coordinates, one
+    Hermitian eigendecomposition per class of ``classes`` of ``H = (i/2) (A -
+    A^+)``: ``lambda_i = -i E_i - (1/2) (U^+ Gamma U)_ii`` with ``Gamma = -(A +
+    A^+)``, and the unitary U of H's eigenvectors, indexed by state and
+    block-diagonal."""
     a, jumps = steady._drift(gen.terms)
     d = gen.dim
-    lam, v, w = np.empty(d, dtype=complex), np.zeros((d, d), complex), np.zeros((d, d), complex)
+    h, gamma = 0.5j * (a - a.conj().T), -(a + a.conj().T)
+    lam, u = np.empty(d, dtype=complex), np.zeros((d, d), complex)
     for states in classes:
-        lam[states], v[np.ix_(states, states)] = np.linalg.eig(a[np.ix_(states, states)])
-        w[np.ix_(states, states)] = np.linalg.inv(v[np.ix_(states, states)])
-    return a, jumps, lam, v, w
+        block = np.ix_(states, states)
+        energies, u[block] = np.linalg.eigh(h[block])
+        widths = np.einsum("ij,ik,kj->j", u[block].conj(), gamma[block], u[block]).real
+        lam[states] = -1j * energies - 0.5 * widths
+    return a, jumps, lam, u
+
+
+def _secular(a, jumps, lam, u, classes):
+    """The population block of T in the coordinates ``u``, by ``_populations``."""
+    return steady._populations(lam, u, a, jumps @ u, classes)
 
 
 @pytest.mark.parametrize("build, classes", [
     (lambda: _scenario_a(3), 2), (lambda: _rwa("c", nbar=0.3), 6), (_one_block, 1),
 ], ids=["scenario-a", "rwa-c", "one-block"])
 def test_per_class_preconditioner_equals_the_whole_one(build, classes):
-    # on each block the preconditioner by one eigendecomposition per class
-    # equals the one by one eigendecomposition of the whole A, restricted to
-    # that block, to 1e-13 times the condition of S, max |lambda| /
-    # min |lambda_i + conj(lambda_j)|: at rates ~1e-6 against frequencies ~1
-    # both carry the eigenvalues' rounding that far.  And it inverts, to
-    # rounding, S(Y) = A Y + Y A^+ off the populations of A's eigenbasis, and
-    # the secular matrix on them: in eigen-coordinates X - S(Y) is diagonal,
-    # and is the jump and trace part of that matrix times Y's populations
+    # on each block the preconditioner by one eigendecomposition of H per
+    # class equals the one by one eigendecomposition of the whole H,
+    # restricted to that block, to 1e-13 times the condition of S, max
+    # |lambda| / min |lambda_i + conj(lambda_j)|: at rates ~1e-6 against
+    # frequencies ~1 both carry the eigenvalues' rounding that far.  And it
+    # inverts, to rounding, the secular part S(Y) = U Lambda U^+ Y + Y U
+    # Lambda^+ U^+ off the populations of H's eigenbasis, and the secular
+    # matrix on them: in U-coordinates X - S(Y) is diagonal, and is the jump
+    # and trace part of that matrix times Y's populations
     gen = build()
     d = gen.dim
     structure = _structure(gen)
     assert len(structure.classes) == classes
-    a, jumps, lam, v, w = _eigenbasis(gen, structure.classes)
+    a, jumps, lam, u = _eigenbasis(gen, structure.classes)
     condition = np.abs(lam).max() / np.abs(lam[:, None] + lam.conj()).min()
     per_class = steady._sylvester_inverse(a, jumps, structure.classes, structure.pairs)
     (whole,) = steady._sylvester_inverse(a, jumps, (np.arange(d),), [((0, 0),)])
-    secular = steady._populations(lam, v, w, jumps, structure.classes) - np.diag(2 * lam.real)
+    secular = _secular(a, jumps, lam, u, structure.classes) - np.diag(2 * lam.real)
+    drift = u @ np.diag(lam) @ u.conj().T   # U Lambda U^+
     rng = np.random.default_rng(5)
     for block, apply in zip(structure.blocks, per_class):
         x = np.zeros(d * d, dtype=complex)
@@ -720,9 +733,9 @@ def test_per_class_preconditioner_equals_the_whole_one(build, classes):
         ref = whole(x)
         assert np.linalg.norm(y - ref) <= 1e-13 * condition * np.linalg.norm(ref)
         big_y, big_x = y.reshape(d, d, order="F"), x.reshape(d, d, order="F")
-        left = w @ (big_x - a @ big_y - big_y @ a.conj().T) @ w.conj().T
-        right = np.diag(secular @ np.diag(w @ big_y @ w.conj().T))
-        scale = (np.linalg.norm(a) + np.linalg.norm(secular)) * np.linalg.norm(big_y)
+        left = u.conj().T @ (big_x - drift @ big_y - big_y @ drift.conj().T) @ u
+        right = np.diag(secular @ np.diag(u.conj().T @ big_y @ u))
+        scale = (np.linalg.norm(drift) + np.linalg.norm(secular)) * np.linalg.norm(big_y)
         assert np.linalg.norm(left - right) <= 1e-14 * scale
 
 
@@ -730,19 +743,19 @@ def test_per_class_preconditioner_equals_the_whole_one(build, classes):
 @pytest.mark.parametrize("coupling", [orb.Coupling.FULL, orb.Coupling.RWA])
 @pytest.mark.parametrize("nbar", [0.0, 0.3])
 def test_secular_matrix_is_the_population_block_of_t(scenario, coupling, nbar):
-    # entry (i, j) is entry (i, i) of W T(v_j v_j^+) W^+, with T applied as
+    # entry (i, j) is entry (i, i) of U^+ T(u_j u_j^+) U, with T applied as
     # the trace-replaced CSR system, to 1e-13 of the largest entry
     gen = orb.build_liouvillian(orb.ModelSpec(
         params=orb.RabiParams(omega=1.0, g=0.05, nbar=nbar, **REFERENCE_RATES), cutoff=3,
         coupling=coupling, parasitic=orb.scenario_parasitic(scenario)))
     d = gen.dim
     structure = _structure(gen)
-    _, jumps, lam, v, w = _eigenbasis(gen, structure.classes)
-    populations = steady._populations(lam, v, w, jumps, structure.classes)
+    a, jumps, lam, u = _eigenbasis(gen, structure.classes)
+    populations = _secular(a, jumps, lam, u, structure.classes)
     system = _system(gen)
     brute = np.column_stack([
-        np.diag(w @ orb.devectorize(system @ orb.vectorize(np.outer(v[:, j], v[:, j].conj())))
-                @ w.conj().T) for j in range(d)])
+        np.diag(u.conj().T @ orb.devectorize(system @ orb.vectorize(np.outer(col, col.conj()))) @ u)
+        for col in u.T])
     scale = np.abs(populations).max()
     assert np.abs(populations - brute).max() <= 1e-13 * scale
 
@@ -752,12 +765,12 @@ def test_secular_matrix_is_the_population_block_of_t(scenario, coupling, nbar):
 def test_singular_secular_matrix_keeps_the_floored_denominators(build):
     # stationary populations make the secular matrix singular: the block
     # that holds them divides by the floored denominators as S^-1 alone
-    # does, X = S(Y) in eigen-coordinates wherever no denominator is
-    # floored, and no block raises or returns a non-finite value
+    # does, X = S(Y) in U-coordinates wherever no denominator is floored,
+    # and no block raises or returns a non-finite value
     gen = build()
     d = gen.dim
     structure = _structure(gen)
-    a, jumps, lam, v, w = _eigenbasis(gen, structure.classes)
+    a, jumps, lam, u = _eigenbasis(gen, structure.classes)
     preconditioners = steady._sylvester_inverse(a, jumps, structure.classes, structure.pairs)
     rates = -2 * lam.real
     floor = steady._DARK_FLOOR * rates[rates > d * np.finfo(float).eps * np.abs(lam).max()].min()
@@ -771,7 +784,7 @@ def test_singular_secular_matrix_keeps_the_floored_denominators(build):
         y[block.unknowns] = apply(x[block.unknowns])
         assert np.all(np.isfinite(y))
         big_y, big_x = y.reshape(d, d, order="F"), x.reshape(d, d, order="F")
-        c, z = w @ big_x @ w.conj().T, w @ big_y @ w.conj().T
+        c, z = u.conj().T @ big_x @ u, u.conj().T @ big_y @ u
         kept = np.zeros(d * d, dtype=bool)
         kept[block.unknowns] = np.abs(orb.vectorize(denominators)[block.unknowns]) >= floor
         kept = orb.devectorize(kept)
@@ -780,7 +793,30 @@ def test_singular_secular_matrix_keeps_the_floored_denominators(build):
     assert held == 1
 
 
-@pytest.mark.parametrize("cutoff", [4, 5, 6])
+@pytest.mark.parametrize("scenario, coupling, cutoff, method", [
+    ("a", orb.Coupling.FULL, 3, "gmres"), ("b", orb.Coupling.FULL, 3, "gmres"),
+    ("c", orb.Coupling.FULL, 8, "gmres"), ("a", orb.Coupling.RWA, 6, "gmres"),
+    ("c", orb.Coupling.FULL, 5, "banded-lu"), ("d", orb.Coupling.FULL, 5, "banded-lu"),
+    ("a", orb.Coupling.RWA, 4, "banded-lu"), ("a", orb.Coupling.RWA, 5, "banded-lu"),
+    ("c", orb.Coupling.RWA, 16, "banded-lu"),
+])
+def test_solver_choice_follows_the_band_work_per_class(scenario, coupling, cutoff, method):
+    # GMRES where the band's work is at least _KRYLOV_MIN_WORK per Hilbert
+    # class, on either side of the measured crossover: two parity classes
+    # under full coupling, and 10-19 excitation classes under the RWA, whose
+    # many small blocks keep the band ahead up to far larger work
+    gen = orb.build_liouvillian(orb.ModelSpec(
+        params=orb.RabiParams(omega=1.0, g=0.05, **REFERENCE_RATES), cutoff=cutoff,
+        coupling=coupling, parasitic=orb.scenario_parasitic(scenario)))
+    structure = _structure(gen)
+    diagnostics = orb.steady_state(gen).diagnostics
+    assert diagnostics["method"] == method
+    assert diagnostics["blocks"] == len(structure.blocks)
+    per_class = structure.work / len(structure.classes)
+    assert (per_class >= steady._KRYLOV_MIN_WORK) == (method == "gmres")
+
+
+@pytest.mark.parametrize("cutoff", [3, 4, 5, 6])
 def test_gmres_by_sector_agrees_with_the_band_at_large_cutoffs(cutoff, krylov, factored,
                                                               monkeypatch):
     # the cutoffs that take GMRES by default; one certificate per block, the
