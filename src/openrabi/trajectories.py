@@ -9,30 +9,31 @@ Knight, RMP 70, 101 (1998)).  Averaging projector/number observables over
 trajectories reproduces the master-equation solution.
 
 ``run_trajectory`` follows one trajectory and is the reference.
-``ensemble_average`` builds the propagator and the jump weights once per
-ensemble and steps the trajectories ``_BLOCK`` at a time.  A sample step
-takes the eigen-coordinates of the whole block once and evolves every state
-by dt in one call; that trial is the block's new state.  Only the rows whose
-squared norm fell to their threshold are gathered: the norm-crossing
-bisection runs on all of them together, ``_jumps`` makes all of their jumps
-in one call (``run_trajectory`` calls it on a one-row block), and the jumped
-states evolve for the rest of the step, crossing again as often as they
-must.  Each row carries its squared norm from its last evolve or jump to the
-step's samples, so no state's norm is taken twice.
+``ensemble_average`` builds the propagator and the jump operators' actions
+once per ensemble and steps the trajectories ``_BLOCK`` at a time.  A sample
+step takes the eigen-coordinates of the whole block once and evolves every
+state by dt in one call; that trial is the block's new state.  Only the rows
+whose squared norm fell to their threshold are gathered: the norm-crossing
+bisection runs on all of them together, and ``_jumps`` makes all of their
+jumps in one call (``run_trajectory`` calls it on a one-row block).  It
+applies each jump operator once, draws each row's channel by the squared
+norms of those jumped states and keeps the drawn one.  The jumped states
+evolve for the rest of the step, crossing again as often as they must.
+Each row carries its squared norm from its last evolve or jump to the step's
+samples, so no state's norm is taken twice.
 
 Every matrix the ensemble applies (the propagator's eigenvectors and their
-inverse, each jump weight F^+ F, the jumps stacked by channel, each
-observable) is set up once per ensemble by ``_action``: the identity adds
-0.0, a matrix with at most one nonzero per row, each real or purely
-imaginary, gathers and scales, and any other matrix stays one gemv per
-state.  The jumps a, sigma_-, sigma_+ and sigma_z embedded by ``kron``, their
-weights and the number and projector observables all gather; the
-eigenvectors gather only when H_eff is diagonal (decay mode).  Each gathered
-entry is one product, rounded once as gemv rounds it, +0.0 replaces -0.0 as
-gemv's zeroed accumulator does, and each result is C-ordered, so the norms
-round alike; with one dot per norm, an ensemble member's samples equal its
-``run_trajectory`` observables bit for bit, and ``run_trajectory`` makes every
-product as one gemv.  The mean and the standard error of each operator
+inverse, each jump operator, each observable) is set up once per ensemble by
+``_action``: the identity adds 0.0, a matrix with at most one nonzero per
+row, each real or purely imaginary, gathers and scales, and any other matrix
+stays one gemv per state.  The jumps a, sigma_-, sigma_+ and sigma_z
+embedded by ``kron`` and the number and projector observables all gather;
+the eigenvectors gather only when H_eff is diagonal (decay mode).  Each
+gathered entry is one product, rounded once as gemv rounds it, +0.0 replaces
+-0.0 as gemv's zeroed accumulator does, and each result is C-ordered, so the
+norms round alike; with one dot per norm, an ensemble member's samples equal
+its ``run_trajectory`` observables bit for bit, and ``run_trajectory`` makes
+every product as one gemv.  The mean and the standard error of each operator
 and sample time come from sums over its column that are rounded once
 (``math.fsum``), so they do not depend on the trajectories' order.
 
@@ -86,7 +87,7 @@ Seed = int | np.random.SeedSequence
 
 class StepSizeUnderflowError(RuntimeError):
     """The norm decayed and no jump could carry it: the unraveling has no jump
-    operators, or every channel's weight is zero in the current state."""
+    operators, or every jump operator maps the current state to zero."""
 
 
 @dataclass(frozen=True)
@@ -149,24 +150,6 @@ def _gather(cols: np.ndarray, vals: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gather_chosen(cols: np.ndarray, vals: np.ndarray, psi: np.ndarray,
-                   chosen: np.ndarray) -> np.ndarray:
-    """``_gather`` of each row of ``psi`` (m, D) by its own matrix ``chosen[i]``
-    of the stack whose columns and values are ``cols``, ``vals`` (K, D)."""
-    out = np.take_along_axis(psi, cols[chosen], axis=-1)
-    out *= vals[chosen]
-    out += 0.0
-    return out
-
-
-def _matvec_chosen(mats: tuple[np.ndarray, ...], psi: np.ndarray,
-                   chosen: np.ndarray) -> np.ndarray:
-    """``_matvec`` of each row of ``psi`` (m, D) by its own matrix ``mats[chosen[i]]``.
-    The stack is built per call: ``run_trajectory`` makes one per jump, and
-    no more when it makes none."""
-    return _matvec(np.stack(mats)[chosen], psi)
-
-
 def _monomial(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The column and the value of each row's nonzero (0 and 0 in a zero row)
     when ``a`` has at most one nonzero per row, each real or purely
@@ -197,18 +180,6 @@ def _action(a: np.ndarray, gather: bool) -> _Action:
         if (found := _monomial(a)) is not None:
             return partial(_gather, *found)
     return partial(_matvec, a)
-
-
-def _chosen_action(mats: tuple[np.ndarray, ...],
-                   gather: bool) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``(psi, chosen) -> _matvec(np.stack(mats)[chosen], psi)``, bit for bit,
-    by ``_gather_chosen`` when ``gather`` is set and every matrix is monomial
-    (see ``_action``), else by ``_matvec_chosen``."""
-    found = [_monomial(a) for a in mats] if gather else [None]
-    if all(f is not None for f in found):
-        cols, vals = (np.stack(x) for x in zip(*found))
-        return partial(_gather_chosen, cols, vals)
-    return partial(_matvec_chosen, mats)
 
 
 def _norm_sq(psi: np.ndarray) -> np.ndarray:
@@ -255,14 +226,13 @@ class _Propagator:
 
 
 class _Actions:
-    """The products of one unraveling's trajectory steps, built once: the
-    propagator, each jump weight F^+ F and each observable by
-    ``_action(..., gather)``, and the jumps by ``_chosen_action(..., gather)``."""
+    """The products of one unraveling's trajectory steps, built once by
+    ``_action(..., gather)``: the propagator, each jump operator and each
+    observable."""
 
     def __init__(self, unr: Unraveling, operators: tuple[np.ndarray, ...], gather: bool):
         self.prop = _Propagator(unr.h_eff, gather)
-        self.weights = [_action(j.conj().T @ j, gather) for j in unr.jumps]
-        self.jump = _chosen_action(unr.jumps, gather) if unr.jumps else None
+        self.jumps = [_action(j, gather) for j in unr.jumps]
         self.observe = [_action(op, gather) for op in operators]
 
 
@@ -294,10 +264,11 @@ def _checked_start(psi0: np.ndarray, t_max: float, dt: float) -> np.ndarray:
     """``psi0`` as a complex array, once it is normalized and the times are valid."""
     psi0 = np.asarray(psi0, dtype=complex)
     norm0 = np.linalg.norm(psi0)
-    if abs(norm0 - 1.0) > VALIDITY_TOL:
+    # written so that a NaN fails each test
+    if not abs(norm0 - 1.0) <= VALIDITY_TOL:
         raise ValueError(f"psi0 must be normalized, got norm {norm0}")
-    if dt <= 0 or t_max < 0:
-        raise ValueError("need dt > 0 and t_max >= 0")
+    if not (0 < dt < math.inf and 0 <= t_max < math.inf):
+        raise ValueError(f"need finite dt > 0 and t_max >= 0, got dt {dt} and t_max {t_max}")
     return psi0
 
 
@@ -317,15 +288,20 @@ def _draw_channels(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def _jumps(acts: _Actions, states: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jump every row of ``states`` (m, D), row ``i`` drawing its channel
-    with probability ~ <state|w_k|state> by the uniform ``u[i]``; return the
-    channels and the states after those jumps, each renormalized."""
-    probs = np.stack([np.vecdot(states, w(states)).real for w in acts.weights], axis=-1)
+    """Jump every row of ``states`` (m, D), row ``i`` drawing channel k with
+    probability ~ ||F_k state||^2 by the uniform ``u[i]``; return the
+    channels and the states after those jumps, each renormalized.
+
+    Every channel's jumped state is made, shape (m, K, D); the probabilities
+    are their squared norms, each row's K of them contiguous, so a row's
+    total is summed alike in a block and alone."""
+    candidates = np.stack([jump(states) for jump in acts.jumps], axis=1)
+    probs = _norm_sq(candidates)
     total = probs.sum(-1)
     if (total <= 0).any():
         raise StepSizeUnderflowError("norm decayed with no open jump channel")
     channels = _draw_channels(u, probs / total[:, None])
-    jumped = acts.jump(states, channels)
+    jumped = candidates[np.arange(len(states)), channels]
     return channels, jumped / np.sqrt(_norm_sq(jumped))[:, None]
 
 
@@ -557,7 +533,7 @@ def _run_block(
         rows = np.flatnonzero(norm_sq <= threshold)    # the trajectories that jump in step k
         coords, remaining = coords[rows], np.full(rows.size, dt)
         while rows.size:
-            if acts.jump is None:
+            if not acts.jumps:
                 raise StepSizeUnderflowError("norm decayed but the unraveling has no jumps")
             tau = _bisect(prop, coords, threshold[rows], remaining, tol)
             u = _uniforms(streams, rows, 2)     # the channel's draw, then the next threshold

@@ -308,6 +308,25 @@ def test_batched_equals_reference_without_jumps():
     _assert_batched_equals_reference(unr, psi0, np.linspace(0.0, 2.0, 41), 3, 5, (orb.number(2),))
 
 
+def test_batched_equals_reference_with_a_jump_that_does_not_gather():
+    # a + 0.5 a^+ has two nonzeros in a row: the ensemble applies it by gemv,
+    # as the reference does, and draws both channels
+    space = orb.CompositeSpace((orb.Boson(2, "cavity"),))
+    a = orb.annihilation(2)
+    terms = [orb.LindbladTerm(a, 0.5), orb.LindbladTerm(a + 0.5 * a.conj().T, 0.5)]
+    unr = orb.unravel(orb.number(2), terms, space)
+    acts = trajectories._Actions(unr, (), gather=True)
+    assert acts.jumps[0].func is trajectories._gather
+    assert acts.jumps[1].func is trajectories._matvec
+    psi0, ops = orb.basis_ket(space, [2]), (orb.number(2),)
+    records = [orb.run_trajectory(unr, psi0, 4.0, 0.5, orb.trajectory_seed(3, i), ops)
+               for i in range(80)]
+    assert {0, 1} <= {c for r in records for c in r.jump_channels}
+    np.testing.assert_array_equal(
+        trajectories._ensemble_samples(unr, psi0, np.linspace(0.0, 4.0, 9), 80, 3, ops),
+        np.array([r.observables for r in records]))
+
+
 def test_expm_fallback_at_exceptional_point():
     # H = g sigma_x with D[sigma_-] at rate gamma = 4 g: H_eff is defective
     space = orb.CompositeSpace((orb.Qubit("q"),))
@@ -334,6 +353,24 @@ def test_ensemble_rejects_unnormalized_start():
     psi0 = orb.basis_ket(space, [1])
     with pytest.raises(ValueError, match="normalized"):
         orb.ensemble_average(unr, 2 * psi0, np.linspace(0, 1, 5), 4, 0, (orb.number(1),))
+
+
+@pytest.mark.parametrize("start, t_max, dt", [
+    ([math.nan, 1.0], 1.0, 0.25),
+    ([0.0, 1.0], math.inf, 0.25),
+    ([0.0, 1.0], math.nan, 0.25),
+    ([0.0, 1.0], 1.0, math.inf),
+    ([0.0, 1.0], 1.0, math.nan),
+])
+def test_both_engines_reject_a_non_finite_start(start, t_max, dt):
+    # a NaN norm once sent run_trajectory's bisection into an endless loop
+    unr, _, _, _ = decaying_cavity()
+    psi0 = np.array(start, dtype=complex)
+    with pytest.raises(ValueError, match="normalized|finite"):
+        orb.run_trajectory(unr, psi0, t_max, dt, seed=1)
+    # the grid [0, t] makes one step of t, non-finite where t_max or dt is
+    with pytest.raises(ValueError, match="normalized|finite|uniform"):
+        orb.ensemble_average(unr, psi0, np.array([0.0, t_max * dt]), 4, 1, ())
 
 
 @pytest.mark.parametrize("jumps, message", [
@@ -421,11 +458,25 @@ def _assert_gemv_bits(got, want):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("case", [
+_COMMAND_CASES = [
     *(("decay", cutoff) for cutoff in (1, 2, 3, 4)),
     *((scenario, coupling, nbar, cutoff) for scenario in ("bare", "a", "b", "c", "d")
       for coupling in ("full", "rwa") for nbar in (0.0, 0.3) for cutoff in (1, 2)),
-])
+]
+
+
+@pytest.mark.parametrize("case", _COMMAND_CASES)
+def test_jump_weights_are_expectations_of_f_dagger_f(case):
+    # channel k's weight ||F_k psi||^2 is <psi|F_k^+ F_k|psi>
+    unr, _ = _trajectory_command_problem(case)
+    acts = trajectories._Actions(unr, (), gather=True)
+    _, block = _signed_zero_states(unr.h_eff.shape[0], seed=3)
+    for f, jump in zip(unr.jumps, acts.jumps):
+        law = np.vecdot(block, np.matmul(f.conj().T @ f, block[..., None])[..., 0]).real
+        np.testing.assert_allclose(trajectories._norm_sq(jump(block)), law, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("case", _COMMAND_CASES)
 def test_every_action_equals_gemv_bit_for_bit(case):
     # each product of the ensemble equals the reference's gemv, signed zeros
     # included, and has the kind that makes it fast: a fall-back to gemv fails
@@ -433,19 +484,13 @@ def test_every_action_equals_gemv_bit_for_bit(case):
     acts = trajectories._Actions(unr, ops, gather=True)
     w, v = la.eig(unr.h_eff)
     _, v_act, vinv_act = acts.prop._eig
-    weights = [j.conj().T @ j for j in unr.jumps]
-    pairs = [(v, v_act), (la.inv(v), vinv_act), *zip(weights, acts.weights), *zip(ops, acts.observe)]
+    pairs = [(v, v_act), (la.inv(v), vinv_act), *zip(unr.jumps, acts.jumps), *zip(ops, acts.observe)]
     lone, block = _signed_zero_states(unr.h_eff.shape[0], seed=len(pairs))
     for a, act in pairs:
         for psi in (lone, block):
             _assert_gemv_bits(act(psi), np.matmul(a, psi[..., None])[..., 0])
-    stack = np.stack(unr.jumps)
-    chosen = np.arange(len(block)) % len(stack)
-    _assert_gemv_bits(acts.jump(block, chosen), np.matmul(stack[chosen], block[..., None])[..., 0])
-    _assert_gemv_bits(acts.jump(lone, chosen[-1]), np.matmul(stack[chosen[-1]], lone[:, None])[:, 0])
 
-    assert acts.jump.func is trajectories._gather_chosen
-    assert all(act.func is trajectories._gather for act in [*acts.weights, *acts.observe])
+    assert all(act.func is trajectories._gather for act in [*acts.jumps, *acts.observe])
     if case[0] == "decay":
         assert v_act is vinv_act is trajectories._identity
     elif case[0] == "c":
