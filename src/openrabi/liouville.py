@@ -7,6 +7,7 @@ so ``vec(A rho B) = (B^T kron A) vec(rho)``. Every generator built here has
 
 from __future__ import annotations
 
+import cmath
 import copy
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -123,12 +124,18 @@ def _check_space(op: np.ndarray, space: CompositeSpace) -> np.ndarray:
     return op
 
 
-def _hamiltonian_part(h: np.ndarray) -> sp.csr_matrix:
-    """-i[h, .]; h must be hermitian within tolerance."""
+def _check_hermitian(h: np.ndarray) -> None:
+    """Raise ``NonHermitianError`` unless the dense h is hermitian within
+    tolerance; a NaN fails."""
     scale = float(abs(h).max())
     defect = float(abs(h - h.conj().T).max())
-    if defect > VALIDITY_TOL * max(scale, 1.0):
+    if not defect <= VALIDITY_TOL * max(scale, 1.0):
         raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds tolerance")
+
+
+def _hamiltonian_part(h: np.ndarray) -> sp.csr_matrix:
+    """-i[h, .]; h must be hermitian within tolerance."""
+    _check_hermitian(h)
     return (-1j * _commutator(h)).tocsr()
 
 
@@ -209,6 +216,8 @@ class AffineGenerator:
                 raise ValueError(f"need {len(self.dissipative)} coefficients, "
                                  f"got {len(coefficients)}")
             for c, dissipative in zip(coefficients, self.dissipative):
+                if not cmath.isfinite(c):   # a NaN rate would pass the sign test
+                    raise ValueError(f"coefficients must be finite, got {c}")
                 if dissipative and c < 0:
                     raise NegativeRateError(f"rate must be >= 0, got {c}")
         # per point and entry 0 + c_0 v_0 + c_1 v_1 + ..., summed as a product
@@ -266,24 +275,13 @@ def affine_generator(space: CompositeSpace,
     indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
     indices = cols.astype(np.int32)
     del rows, cols
-    # the table by counting: each row's length, then each part scattered into
-    # the next free slot of its rows, so no sort of all entries is held
-    positions = [np.searchsorted(pattern, key).astype(np.int32) for key in keys]
+    # the table as CSC, part k its column k of positions, then transposed to
+    # CSR, which keeps each row's parts in ascending order
+    offsets = np.cumsum([0] + [key.size for key in keys], dtype=np.int32)
+    positions = np.concatenate([np.searchsorted(pattern, key).astype(np.int32) for key in keys])
     del keys, pattern
-    starts = np.zeros(indices.size + 1, dtype=np.int32)
-    for pos in positions:
-        starts[pos + 1] += 1   # a part has one entry per position
-    np.cumsum(starts, out=starts)
-    free = starts[:-1].copy()
-    columns = np.empty(starts[-1], dtype=np.int32)
-    entries = np.empty(starts[-1], dtype=complex)
-    for k, (pos, val) in enumerate(zip(positions, values)):
-        slots = free[pos]
-        columns[slots] = k
-        entries[slots] = val
-        free[pos] += 1
-    table = sp.csr_matrix((entries, columns, starts), shape=(indices.size, len(values)))
-    table.has_canonical_format = True
+    values = np.concatenate(values)
+    table = sp.csc_matrix((values, positions, offsets), shape=(indices.size, len(flags))).tocsr()
     for arr in (indptr, indices, table.data, table.indices, table.indptr,
                 *(a for op in sparse for a in (op.data, op.indices, op.indptr))):
         arr.flags.writeable = False   # shared by every generator built from these parts

@@ -5,9 +5,10 @@ The steady state is the null vector of the generator, computed by replacing
 the first scalar equation with the trace constraint and solving the resulting
 nonsingular system T.  T splits into connected blocks (the superparity
 sectors of a Rabi model), which ``_structure``, cached per sparsity pattern,
-lays out once; a ``_Block`` is one of them, its unknowns in that layout plus
-the CSR pattern of its submatrix there and where its values sit among the
-generator's.  State i belongs to
+lays out once, in one pass over the blocks; a ``_Block`` is one of them, one
+record of its unknowns in that layout, the CSR pattern of its submatrix
+there, where its values sit among the generator's, and its band (order,
+bandwidths and band slots).  State i belongs to
 the Hilbert class of the block that holds ``rho[i, 0]``, and a block's
 unknowns are the column-major chunks ``vec(X_pq)`` of its class pairs
 (p, q); a pattern whose blocks split some ``X_pq`` has no classes, and its
@@ -171,21 +172,29 @@ class SteadyStateResult:
 
 @dataclass(frozen=True)
 class _Block:
-    """One connected block of T in the layout of ``_structure``; every array
-    is read-only.  ``unknowns`` holds the vec indices of its unknowns in
-    layout order.  In that layout its CSR submatrix has the columns
-    ``indices`` and the row pointers ``indptr``, and its values are the
-    generator's CSR values ``data[gather]``, but at the positions ``ones``,
-    the trace row's entries (in the trace row's block alone), which are 1."""
+    """One connected block of T in the layout of ``_structure``, with its
+    band; every array is read-only.  ``unknowns`` holds the vec indices of
+    its unknowns in layout order.  In that layout its CSR submatrix has the
+    columns ``indices`` and the row pointers ``indptr``, and its values are
+    the generator's CSR values ``data[gather]``, but at the positions
+    ``ones``, the trace row's entries (in the trace row's block alone), which
+    are 1.  The band takes the block's positions in the order ``order``, with
+    ``kl`` sub- and ``ku`` superdiagonals, and ``slots`` places its CSR
+    entries in that band."""
 
     unknowns: np.ndarray
     gather: np.ndarray
     ones: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
+    order: np.ndarray
+    kl: int
+    ku: int
+    slots: np.ndarray
 
     def __post_init__(self):
-        for array in (self.unknowns, self.gather, self.ones, self.indices, self.indptr):
+        for array in (self.unknowns, self.gather, self.ones, self.indices, self.indptr,
+                      self.order, self.slots):
             array.flags.writeable = False
 
     def values(self, data: np.ndarray, dtype: type = complex) -> np.ndarray:
@@ -207,28 +216,6 @@ class _Block:
                              shape=(n, n))
 
 
-def _cut(indptr: np.ndarray, indices: np.ndarray, source: np.ndarray,
-         layouts: list[np.ndarray]) -> tuple[_Block, ...]:
-    """The blocks of T's CSR pattern ``(indptr, indices)`` whose unknowns, in
-    order, are each array of ``layouts``; no entry of a block's rows may
-    leave it.  Each row keeps the order of its entries.  T's entry j holds
-    the generator's value ``source[j]``, or a one where that is negative."""
-    position = np.empty(indptr.size - 1, dtype=np.int32)   # each unknown's place in its block
-    blocks = []
-    for unknowns in layouts:
-        position[unknowns] = np.arange(unknowns.size)
-        lengths = indptr[unknowns + 1] - indptr[unknowns]
-        local = np.zeros(unknowns.size + 1, dtype=np.int32)
-        np.cumsum(lengths, out=local[1:])
-        entries = np.repeat(indptr[unknowns] - local[:-1], lengths) + np.arange(local[-1])
-        gather = source[entries]
-        ones = np.flatnonzero(gather < 0)
-        gather[ones] = 0   # any value: it is overwritten by the one
-        blocks.append(_Block(unknowns=unknowns, gather=gather, ones=ones,
-                             indices=position[indices[entries]], indptr=local))
-    return tuple(blocks)
-
-
 @dataclass(frozen=True)
 class _Structure:
     """Both solvers' view of one D^2 x D^2 sparsity pattern; every array is
@@ -236,20 +223,14 @@ class _Structure:
     Hilbert class p and columns of class q, each class's states ascending)
     for each of its class pairs ``pairs[b]``, chunk after chunk, each chunk
     column-major; where a block splits some ``X_pq``, ``classes`` and
-    ``pairs`` are None and the unknowns ascending.  The band takes block b's
-    positions in the order ``order[b]``, with ``kl[b]`` sub- and ``ku[b]``
-    superdiagonals, and ``slots[b]`` places its CSR entries in that band.
-    ``label`` is the block of each unknown, and ``entry_block`` that of each
-    entry of the generator, its row's, or the extra label ``len(blocks)``
-    for row 0, which T replaces."""
+    ``pairs`` are None and the unknowns ascending.  ``label`` is the block of
+    each unknown, and ``entry_block`` that of each entry of the generator,
+    its row's, or the extra label ``len(blocks)`` for row 0, which T
+    replaces."""
 
     blocks: tuple[_Block, ...]
     classes: tuple[np.ndarray, ...] | None
     pairs: tuple[tuple[tuple[int, int], ...], ...] | None
-    order: tuple[np.ndarray, ...]
-    kl: tuple[int, ...]
-    ku: tuple[int, ...]
-    slots: tuple[np.ndarray, ...]
     trace_block: int          # the block that holds row 0
     work: float               # about the band LU's multiply-adds: sum of n_block kl (kl + ku + 1)
     label: np.ndarray
@@ -286,6 +267,9 @@ def _structure(dim: int, indptr: bytes, indices: bytes) -> _Structure:
                             shape=(n, n))
     pattern = (pattern + pattern.T).tocsr()
     k, labels = connected_components(pattern, directed=False)
+    # before the blocks, whose arrays would otherwise sit under its temporaries at the peak
+    entry_block = np.append(np.full(start, k, dtype=np.int32),
+                            labels[np.repeat(np.arange(1, n), np.diff(indptr[1:]))])
     bounds = np.cumsum(np.bincount(labels))[:-1]
     owner = labels.reshape(dim, dim, order="F")   # owner[i, j]: the block of rho[i, j]
     label = np.unique(owner[:, 0], return_inverse=True)[1]
@@ -302,7 +286,6 @@ def _structure(dim: int, indptr: bytes, indices: bytes) -> _Structure:
                                    for p, q in block_pairs]) for block_pairs in pairs]
     else:
         layouts = np.split(np.argsort(labels, kind="stable"), bounds)
-    blocks = _cut(t_indptr, t_indices, source, layouts)
     # RCM visits one component at a time; the stable sort only makes the
     # blocks' contiguity independent of that
     rcm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
@@ -310,22 +293,32 @@ def _structure(dim: int, indptr: bytes, indices: bytes) -> _Structure:
     place = np.empty(n, dtype=np.intp)   # each unknown's place in its block's band
     for band in np.split(rcm, bounds):
         place[band] = np.arange(band.size)
-    order, kl, ku, slots, work = [], [], [], [], 0
-    for block in blocks:
-        rank = place[block.unknowns]   # the band place of each position
-        order.append(np.argsort(rank))   # the position at each band place
-        row, col = np.repeat(rank, np.diff(block.indptr)), rank[block.indices]
-        low, up = int(np.max(row - col, initial=0)), int(np.max(col - row, initial=0))
-        # A[row, col] sits at band row low + up + row - col of column col, in
+    position = np.empty(n, dtype=np.int32)   # each unknown's place in its block's layout
+    blocks, work = [], 0
+    for unknowns in layouts:
+        # the block's rows of T, each keeping the order of its entries; T's
+        # entry j holds the generator's value source[j], or a one where that
+        # is negative
+        position[unknowns] = np.arange(unknowns.size)
+        lengths = t_indptr[unknowns + 1] - t_indptr[unknowns]
+        local = np.zeros(unknowns.size + 1, dtype=np.int32)
+        np.cumsum(lengths, out=local[1:])
+        entries = np.repeat(t_indptr[unknowns] - local[:-1], lengths) + np.arange(local[-1])
+        gather = source[entries]
+        ones = np.flatnonzero(gather < 0)
+        gather[ones] = 0   # any value: it is overwritten by the one
+        columns = position[t_indices[entries]]
+        del entries   # held through the band's arrays, it would raise the peak memory
+        rank = place[unknowns]   # the band place of each position
+        col = rank[columns]
+        offset = np.repeat(rank, lengths) - col   # each entry's row minus its column
+        low, up = int(np.max(offset, initial=0)), -int(np.min(offset, initial=0))
+        # A[row, col] sits at band row low + up + offset of column col, in
         # the Fortran-ordered band, flattened
-        slots.append(col * (2 * low + up + 1) + low + up + row - col)
-        for array in order[-1], slots[-1]:
-            array.flags.writeable = False
-        kl.append(low)
-        ku.append(up)
+        blocks.append(_Block(unknowns=unknowns, gather=gather, ones=ones, indices=columns,
+                             indptr=local, order=np.argsort(rank), kl=low, ku=up,
+                             slots=col * (2 * low + up + 1) + low + up + offset))
         work += rank.size * low * (low + up + 1)
-    entry_block = np.append(np.full(start, k, dtype=np.int32),
-                            labels[np.repeat(np.arange(1, n), np.diff(indptr[1:]))])
     rng = np.random.default_rng(_CERTIFICATE_SEED)
     rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     rhs_norms = np.sqrt(np.bincount(labels, weights=np.abs(rhs) ** 2, minlength=k))
@@ -333,8 +326,7 @@ def _structure(dim: int, indptr: bytes, indices: bytes) -> _Structure:
     trace_rhs = np.stack([rhs[trace], trace == 0]).astype(complex)
     for array in labels, entry_block, rhs, rhs_norms, trace_rhs:
         array.flags.writeable = False
-    return _Structure(blocks=blocks, classes=classes, pairs=pairs, order=tuple(order),
-                      kl=tuple(kl), ku=tuple(ku), slots=tuple(slots),
+    return _Structure(blocks=tuple(blocks), classes=classes, pairs=pairs,
                       trace_block=int(labels[0]), work=float(work), label=labels,
                       entry_block=entry_block, rhs=rhs, rhs_norms=rhs_norms,
                       trace_rhs=trace_rhs)
@@ -404,9 +396,10 @@ def _factor(structure: _Structure, b: int,
     per right-hand side, into band order and scatters the solution back, and
     takes GMRES's tolerance and ignores it, as it is direct.  An exactly zero
     pivot raises ``NonUniqueSteadyStateError``."""
-    kl, ku, order = structure.kl[b], structure.ku[b], structure.order[b]
+    block = structure.blocks[b]
+    kl, ku, order = block.kl, block.ku, block.order
     ab = np.zeros((2 * kl + ku + 1) * order.size, dtype=complex)
-    ab[structure.slots[b]] = structure.blocks[b].values(data)
+    ab[block.slots] = block.values(data)
     lu, ipiv, info = zgbtrf(ab.reshape((2 * kl + ku + 1, -1), order="F"), kl, ku,
                             overwrite_ab=1)
     if info > 0:
@@ -660,10 +653,10 @@ def _refined_margin(structure: _Structure, b: int, data: np.ndarray, solve: Call
     extended precision with the block's band solve ``solve``, and judged in
     that precision (NaN fails too).  Raises ``NonUniqueSteadyStateError`` if it
     fails again."""
-    unknowns = structure.blocks[b].unknowns
-    part = structure.rhs[unknowns]
-    system_ext = structure.blocks[b].matrix(data, np.clongdouble)
-    refined = _refine(solve, part, x[unknowns], system_ext, np.clongdouble)[0]
+    block = structure.blocks[b]
+    part = structure.rhs[block.unknowns]
+    system_ext = block.matrix(data, np.clongdouble)
+    refined = _refine(solve, part, x[block.unknowns], system_ext, np.clongdouble)[0]
     margin = float(np.linalg.norm(part - system_ext @ refined) / np.linalg.norm(part))
     if not margin <= _CERTIFICATE_TOL:
         raise NonUniqueSteadyStateError(
@@ -819,9 +812,8 @@ def _solve_batch(structure: _Structure, mats: list[sp.csr_matrix],
     raw, rho = raw[rows], rho[rows]
     validity = _density_margins(raw, rho)
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-    kl, ku = structure.kl[trace], structure.ku[trace]
-    band = {"method": "banded-lu", "blocks": k, "bandwidth": (kl, ku),
-            "lu_nnz": block.unknowns.size * (2 * kl + ku + 1)}
+    band = {"method": "banded-lu", "blocks": k, "bandwidth": (block.kl, block.ku),
+            "lu_nnz": block.unknowns.size * (2 * block.kl + block.ku + 1)}
     for j, ((_, p, residual), margins) in enumerate(zip(checked, validity)):
         if isinstance(margins, ValueError):
             error = NoConvergenceError(f"state fails validity checks: {margins}")

@@ -66,7 +66,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .hilbert import VALIDITY_TOL, CompositeSpace, DimensionError
-from .liouville import LindbladTerm, SuperOperator
+from .liouville import LindbladTerm, SuperOperator, _check_hermitian
 
 _BISECT_FRACTION = 1e-3   # jump-time tolerance as a fraction of the step size
 _BLOCK = 4096             # trajectories stepped together
@@ -103,6 +103,7 @@ def unravel(h: np.ndarray, terms: list[LindbladTerm], space: CompositeSpace) -> 
     h = np.asarray(h, dtype=complex)
     if h.shape != (space.dim, space.dim):
         raise DimensionError(f"Hamiltonian shape {h.shape} does not match dim {space.dim}")
+    _check_hermitian(h)
     h_eff = h.copy()
     jumps = []
     for term in terms:
@@ -570,6 +571,8 @@ def _ensemble_samples(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2 or t_grid[0] != 0.0:
         raise ValueError("t_grid must start at 0 and contain at least two points")
+    if not np.isfinite(t_grid).all():   # else the spacing test calls NaN not uniform
+        raise ValueError("t_grid must be finite")
     spacing = np.diff(t_grid)
     if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise ValueError("t_grid must be uniform")

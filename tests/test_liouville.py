@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -215,6 +217,11 @@ def test_affine_generator_checks_hermiticity_and_rates():
     gen = affine_generator(space, [(False, orb.number(2)), (True, a)])
     with pytest.raises(NegativeRateError):
         gen.at([1.0, -0.1])
+    # a NaN rate passes the sign test: a NaN cavity decay once reached the
+    # solve, which reported a zero pivot, a state that is not unique
+    for point in [1.0, math.nan], [1.0, math.inf], [math.nan, 0.1], [-math.inf, 0.1]:
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            gen.at_each([[1.0, 0.1], point])
     expected = orb.assemble(orb.number(2), [orb.LindbladTerm(a, 0.1)], space).matrix
     np.testing.assert_array_equal(gen.at([1.0, 0.1]).matrix.toarray(), expected.toarray())
     for coefficients in ([1.0], [1.0, 0.1, 0.2]):

@@ -219,7 +219,8 @@ def test_band_blocks_and_refinement_at_scenario_a(cutoff, monkeypatch):
     assert diagnostics["blocks"] == 2
     assert [block.unknowns.size for block in structure.blocks] == [gen.dim ** 2 // 2] * 2
     kl, ku = diagnostics["bandwidth"]
-    assert (kl, ku) == (structure.kl[structure.trace_block], structure.ku[structure.trace_block])
+    trace = structure.blocks[structure.trace_block]
+    assert (kl, ku) == (trace.kl, trace.ku)
     assert diagnostics["lu_nnz"] == gen.dim ** 2 // 2 * (2 * kl + ku + 1)
     assert diagnostics["last_correction"] <= np.finfo(float).eps
     assert diagnostics["refine_rounds"] <= 3
@@ -532,7 +533,7 @@ _BUILDS = pytest.mark.parametrize("build", [
 @_BUILDS
 def test_each_layout_cuts_t_into_its_blocks(layout, build):
     # GMRES reads block b in its class-pair order, block.unknowns, and the
-    # band in block.unknowns[order[b]]: in either layout the blocks' unknowns
+    # band in block.unknowns[block.order]: in either layout the blocks' unknowns
     # partition T's, the trace row's block holds row 0, no entry of a block's
     # rows leaves it, and its matrix, so permuted, is T's submatrix on those
     # unknowns, in either dtype; where a block splits a class pair the
@@ -544,8 +545,8 @@ def test_each_layout_cuts_t_into_its_blocks(layout, build):
     assert 0 in structure.blocks[structure.trace_block].unknowns
     assert np.array_equal(np.sort(np.concatenate([b.unknowns for b in structure.blocks])),
                           np.arange(n))
-    for b, block in enumerate(structure.blocks):
-        order = structure.order[b] if layout == "band" else np.arange(block.unknowns.size)
+    for block in structure.blocks:
+        order = block.order if layout == "band" else np.arange(block.unknowns.size)
         np.testing.assert_array_equal(np.sort(order), np.arange(order.size))
         unknowns = block.unknowns[order]
         if layout == "sectors" and structure.classes is None:
@@ -562,9 +563,9 @@ def test_each_layout_cuts_t_into_its_blocks(layout, build):
 
 @_BUILDS
 def test_structure_cuts_t_into_blocks_and_bands(build):
-    # the band reads block b in the order order[b], which follows T's reverse
-    # Cuthill-McKee order, and the band filled through slots[b] is T_b so
-    # permuted, every entry inside its kl[b] and ku[b] diagonals
+    # the band reads each block in the order block.order, which follows T's
+    # reverse Cuthill-McKee order, and the band filled through block.slots is
+    # T_b so permuted, every entry inside its block.kl and block.ku diagonals
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     gen = build()
@@ -573,11 +574,11 @@ def test_structure_cuts_t_into_blocks_and_bands(build):
     pattern = sp.csr_matrix((np.ones(system.nnz), system.indices, system.indptr),
                             shape=system.shape)
     rcm = reverse_cuthill_mckee((pattern + pattern.T).tocsr(), symmetric_mode=True)
-    for b, block in enumerate(structure.blocks):
-        order, kl, ku = structure.order[b], structure.kl[b], structure.ku[b]
+    for block in structure.blocks:
+        order, kl, ku = block.order, block.kl, block.ku
         np.testing.assert_array_equal(block.unknowns[order], rcm[np.isin(rcm, block.unknowns)])
         ab = np.zeros((2 * kl + ku + 1) * order.size, dtype=complex)
-        ab[structure.slots[b]] = block.values(gen.matrix.data)
+        ab[block.slots] = block.values(gen.matrix.data)
         ab = ab.reshape((2 * kl + ku + 1, -1), order="F")
         r, j = np.indices(ab.shape)
         i = r - kl - ku + j   # band row r of column j holds entry (i, j) in band order

@@ -355,6 +355,29 @@ def test_ensemble_rejects_unnormalized_start():
         orb.ensemble_average(unr, 2 * psi0, np.linspace(0, 1, 5), 4, 0, (orb.number(1),))
 
 
+@pytest.mark.parametrize("t_grid", [[0.0, math.nan], [0.0, 1.0, math.nan],
+                                    [0.0, math.inf, math.inf]])
+def test_ensemble_rejects_a_non_finite_grid(t_grid):
+    # a NaN grid was once reported as not uniform, and [0, inf, inf] made the
+    # spacing warn of an invalid value before any check
+    unr, space, _, _ = decaying_cavity()
+    psi0 = orb.basis_ket(space, [1])
+    with pytest.raises(ValueError, match="t_grid must be finite"):
+        orb.ensemble_average(unr, psi0, np.array(t_grid), 4, 0, (orb.number(1),))
+
+
+@pytest.mark.parametrize("h", [[[0.0, 1.0], [0.0, 0.0]], [[math.nan] * 2] * 2],
+                         ids=["non-hermitian", "nan"])
+def test_unravel_and_assemble_reject_a_non_hermitian_h(h):
+    # one check serves both, and a NaN fails it
+    space = orb.CompositeSpace((orb.Qubit("q"),))
+    h = np.array(h, dtype=complex)
+    with pytest.raises(orb.NonHermitianError):
+        orb.assemble(h, [], space)
+    with pytest.raises(orb.NonHermitianError):
+        orb.unravel(h, [], space)
+
+
 @pytest.mark.parametrize("start, t_max, dt", [
     ([math.nan, 1.0], 1.0, 0.25),
     ([0.0, 1.0], math.inf, 0.25),
